@@ -20,10 +20,13 @@ from .module_theory import GradedModulePresentation, Poly, monomials_of_degree
 from .ratmat import (
     RationalMatrix,
     Vec,
-    coordinates_modulo,
     independent_complement,
     unit_vec,
 )
+
+
+class DifferentialNotSquareZero(ValueError):
+    """Raised when the Cartan differential squares to nonzero in the stable range."""
 
 
 @dataclass(frozen=True)
@@ -168,15 +171,12 @@ class CartanComplex:
         img = amb @ src_emb
         if tgt.embedding is None:
             return img
-        cols = []
-        for j in range(img.cols):
-            sol = tgt.embedding.solve(img.col(j))
-            if sol is None:
-                raise ValueError(
-                    f"equivariant differential does not preserve invariants at degree {n}"
-                )
-            cols.append(sol)
-        return RationalMatrix.from_cols(cols, tgt.dim)
+        sol = tgt.embedding.solve(img)
+        if sol is None:
+            raise ValueError(
+                f"equivariant differential does not preserve invariants at degree {n}"
+            )
+        return sol
 
     def _verify_d_squared(self):
         for n in range(self.n_max):
@@ -184,7 +184,9 @@ class CartanComplex:
             if not prod.is_zero():
                 if self.structure.truncated_above is not None and n + 2 > self.stable_through:
                     continue  # unstable edge of a truncated algebra
-                raise ValueError(f"equivariant differential does not square to zero at {n}")
+                raise DifferentialNotSquareZero(
+                    f"equivariant differential does not square to zero at {n}"
+                )
 
     # -- queries ------------------------------------------------------------
 
@@ -221,13 +223,10 @@ class CartanComplex:
         amb = RationalMatrix.from_cols(cols, rows)
         if tgt.embedding is None:
             return amb
-        out_cols = []
-        for jcol in range(amb.cols):
-            sol = tgt.embedding.solve(amb.col(jcol))
-            if sol is None:
-                raise ValueError("u-multiplication left the invariant subspace")
-            out_cols.append(sol)
-        return RationalMatrix.from_cols(out_cols, tgt.dim)
+        sol = tgt.embedding.solve(amb)
+        if sol is None:
+            raise ValueError("u-multiplication left the invariant subspace")
+        return sol
 
 
 def cartan_complex(s: GStarStructure, n_max: int) -> CartanComplex:
@@ -280,22 +279,25 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
             dims[n] = len(chosen)
             reps[n] = tuple(kernels[n][i] for i in chosen)
 
-    def reduce_class(n: int, v: Vec) -> Vec:
-        coords = coordinates_modulo(
-            list(reps.get(n, ())), images[n], v, cx.dim(n)
-        )
+    def reduce_classes(n: int, vs: RationalMatrix) -> RationalMatrix:
+        """Class coordinates of the columns of vs, all from one solve."""
+        h = dims.get(n, 0)
+        span = RationalMatrix.from_cols(list(reps.get(n, ())) + images[n], cx.dim(n))
+        coords = span.solve(vs)
         if coords is None:
             raise AssertionError(f"vector is not a cocycle class in degree {n}")
-        return coords
+        return RationalMatrix(h, vs.cols, coords.tolist()[:h])
 
     u_actions: tuple[dict[int, RationalMatrix], ...] = tuple({} for _ in range(r))
     if s.lie.is_abelian:
         for j in range(r):
             for n in range(n_max - 1):
                 mult = cx.u_multiplication(j, n)
-                cols = [reduce_class(n + 2, mult.apply(z)) for z in reps.get(n, ())]
-                u_actions[j][n] = RationalMatrix.from_cols(cols, dims.get(n + 2, 0)) \
-                    if cols else RationalMatrix.zeros(dims.get(n + 2, 0), 0)
+                z = reps.get(n)
+                u_actions[j][n] = (
+                    reduce_classes(n + 2, mult @ RationalMatrix.from_cols(z, cx.dim(n)))
+                    if z else RationalMatrix.zeros(dims.get(n + 2, 0), 0)
+                )
 
     generator_degrees: list[int] = []
     for n in range(n_max + 1):
@@ -478,21 +480,15 @@ def _structure_on_basic(
         for n in sp_b.degrees():
             if sp_b.dim(n) == 0:
                 continue
-            tgt_dim = sp_b.dim(n + delta)
             img = op(n) @ emb[n]
-            cols = []
-            for j in range(img.cols):
-                v = img.col(j)
-                if n + delta in emb:
-                    sol = emb[n + delta].solve(v)
-                else:
-                    sol = () if all(x == 0 for x in v) else None
-                if sol is None:
-                    raise ValueError(
-                        "commuting operators do not preserve the basic subcomplex"
-                    )
-                cols.append(sol)
-            m = RationalMatrix.from_cols(cols, tgt_dim)
+            if n + delta in emb:
+                m = emb[n + delta].solve(img)
+            else:
+                m = RationalMatrix.zeros(0, img.cols) if img.is_zero() else None
+            if m is None:
+                raise ValueError(
+                    "commuting operators do not preserve the basic subcomplex"
+                )
             if not m.is_zero():
                 mats[n] = m
         return mats

@@ -28,7 +28,7 @@ from .algebra_core import (
     cohomology_dims,
     les_exactness_check,
 )
-from .cartan import equivariant_cohomology, module_presentation
+from .cartan import DifferentialNotSquareZero, equivariant_cohomology, module_presentation
 from .foliation import (
     FoliationStrataModel,
     MorseComponent,
@@ -61,7 +61,7 @@ from .module_theory import (
 )
 from .ratmat import RationalMatrix
 from .series import PoincarePolynomial, PoincareSeriesRational, euler_at_minus_one
-from .spectral import formality_verdict, run_pages
+from .spectral import NonInvariantAction, formality_verdict, run_pages
 
 SCHEMA_VERSION = 1
 KINDS = ("gstar_algebra", "strata_model", "morse_data", "polytope", "module_presentation", "ses")
@@ -558,7 +558,10 @@ def _cmd_equivariant(doc, n_max):
     if doc["kind"] != "gstar_algebra":
         raise InputError("equivariant expects a gstar_algebra document")
     s = parse_gstar(doc["payload"])
-    e = equivariant_cohomology(s, n_max)
+    try:
+        e = equivariant_cohomology(s, n_max)
+    except DifferentialNotSquareZero as exc:
+        raise InputError(str(exc)) from None
     w = weil_model_cohomology(s, min(n_max, e.stable_through))
     upto = min(n_max, e.stable_through, w.stable_through)
     agree = e.dims_tuple(upto) == w.dims_tuple(upto)
@@ -576,8 +579,11 @@ def _cmd_spectral(doc, n_max):
     if doc["kind"] != "gstar_algebra":
         raise InputError("spectral expects a gstar_algebra document")
     s = parse_gstar(doc["payload"])
-    e = equivariant_cohomology(s, n_max)
-    run = run_pages(s, n_max, e)
+    try:
+        e = equivariant_cohomology(s, n_max)
+        run = run_pages(s, n_max, e)
+    except (DifferentialNotSquareZero, NonInvariantAction) as exc:
+        raise InputError(str(exc)) from None
     h = cohomology_dims(s.as_complex())
     verdict = formality_verdict(e, h.dims_tuple(n_max), s.lie.dimension, n_max)
     code = EXIT_OK
@@ -772,6 +778,8 @@ def _emit(result_doc: dict, fmt: str, output: str | None) -> None:
                         out.append(f"{indent}- {v}")
             return out
         lines += walk(result_doc.get("results", {}))
+        if "error" in result_doc:
+            lines.append(f"error: {result_doc['error']}")
         for note in result_doc.get("diagnostics", {}).get("notes", []):
             lines.append(f"note: {note}")
         text = "\n".join(lines) + "\n"

@@ -540,17 +540,13 @@ def basic_subcomplex(s: GStarStructure) -> BasicSubcomplex:
         if img.is_zero():
             continue
         emb1 = embeddings.get(n + 1)
-        cols = []
-        for jcol in range(img.cols):
-            v = img.col(jcol)
-            sol = emb1.solve(v) if emb1 is not None else None
-            if sol is None:
-                raise ValueError(
-                    f"differential does not restrict to the basic subcomplex "
-                    f"at degree {n} (operator data inconsistent)"
-                )
-            cols.append(sol)
-        diffs[n] = RationalMatrix.from_cols(cols, dims.get(n + 1, 0))
+        sol = emb1.solve(img) if emb1 is not None else None
+        if sol is None:
+            raise ValueError(
+                f"differential does not restrict to the basic subcomplex "
+                f"at degree {n} (operator data inconsistent)"
+            )
+        diffs[n] = sol
     stable = hi if s.truncated_above is None else s.truncated_above - 1
     return BasicSubcomplex(CochainComplex(spaces, diffs), embeddings, stable)
 
@@ -801,12 +797,10 @@ def detect_type_c(s: GStarStructure, candidates: ConnectionElements) -> TypeCVer
                 )
     span = RationalMatrix.from_cols(list(thetas), sp.dim(1))
     for j in range(r):
-        img = s.op_l(j, 1) @ span
-        for col in range(img.cols):
-            if span.solve(img.col(col)) is None:
-                return TypeCVerdict(
-                    True, False, f"L_X{j} does not preserve the span of the candidates"
-                )
+        if span.solve(s.op_l(j, 1) @ span) is None:
+            return TypeCVerdict(
+                True, False, f"L_X{j} does not preserve the span of the candidates"
+            )
     return TypeCVerdict(True, True)
 
 

@@ -8,10 +8,20 @@ Rank is computed by fraction-free Bareiss elimination with pivoting on
 numerator magnitude, which keeps intermediate integer growth bounded at the
 scales this package targets.  Canonical bases (kernels, representatives) come
 from the reduced row echelon form, which is unique and hence deterministic.
+
+The operators here are mostly zeros, so the kernels skip them: an RREF step
+updates only the nonzero entries of the scaled pivot row, a matrix-vector
+product multiplies only where both factors are nonzero, and a Bareiss step
+leaves a row with a zero in the pivot column alone when the pivot equals the
+previous one.  One elimination serves a whole subspace: ``solve`` takes a
+matrix of right-hand sides and reduces ``[A | B]`` once, and
+``independent_complement`` reads its pick off the pivot columns of one RREF
+of ``[modulo | candidates]``, then certifies it with one Bareiss rank.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -193,10 +203,16 @@ class RationalMatrix:
         v = vec(v)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((self._m[i][j] * v[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for row in self._m:
+            acc = Fraction(0)
+            for j, x in nonzero:
+                a = row[j]
+                if a:
+                    acc += a * x
+            out.append(acc)
+        return tuple(out)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
@@ -229,12 +245,8 @@ class RationalMatrix:
             return 0
         m = []
         for r in self._m:
-            lcm = 1
-            for x in r:
-                if x != 0:
-                    d = x.denominator
-                    lcm = lcm * d // _gcd(lcm, d)
-            m.append([int(x * lcm) for x in r])
+            den = math.lcm(*(x.denominator for x in r if x))
+            m.append([x.numerator * (den // x.denominator) for x in r])
         nrows, ncols = self.rows, self.cols
         prev = 1
         r = 0
@@ -252,17 +264,31 @@ class RationalMatrix:
             if piv != r:
                 m[r], m[piv] = m[piv], m[r]
             # Bareiss update must touch every remaining row to keep the
-            # exact-division invariant, including rows with a zero in column c.
+            # exact-division invariant, including rows with a zero in column c;
+            # there it only rescales by p / prev, a no-op when p == prev.
+            p, top = m[r][c], m[r]
             for i in range(r + 1, nrows):
-                for j in range(c + 1, ncols):
-                    m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-                m[i][c] = 0
-            prev = m[r][c]
+                row = m[i]
+                f = row[c]
+                if f:
+                    for j in range(c + 1, ncols):
+                        row[j] = (p * row[j] - f * top[j]) // prev
+                    row[c] = 0
+                elif p != prev:
+                    for j in range(c + 1, ncols):
+                        if row[j]:
+                            row[j] = p * row[j] // prev
+            prev = p
             r += 1
         return r
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Unique reduced row echelon form and its pivot columns."""
+        """Unique reduced row echelon form and its pivot columns.
+
+        Rows from the current pivot row down are zero left of the pivot
+        column, so the scaled pivot row is stored as its nonzero entries and
+        each elimination touches only those.
+        """
         if self._rref_cache is not None:
             return self._rref_cache
         m = [list(r) for r in self._m]
@@ -274,20 +300,26 @@ class RationalMatrix:
                 break
             piv, best = -1, 0
             for i in range(r, nrows):
-                if m[i][c] != 0:
-                    a = abs(m[i][c].numerator)
+                x = m[i][c]
+                if x:
+                    a = abs(x.numerator)
                     if piv < 0 or a > best:
                         best, piv = a, i
             if piv < 0:
                 continue
             if piv != r:
                 m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
+            top = m[r]
+            inv = 1 / top[c]
+            nonzero = [(j, top[j] * inv) for j in range(c, ncols) if top[j]]
+            for j, x in nonzero:
+                top[j] = x
             for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                row = m[i]
+                f = row[c]
+                if f and i != r:
+                    for j, x in nonzero:
+                        row[j] -= f * x
             pivots.append(c)
             r += 1
         out = RationalMatrix(nrows, ncols, m), tuple(pivots)
@@ -316,19 +348,27 @@ class RationalMatrix:
         """The pivot columns of the original matrix (deterministic)."""
         return [self.col(j) for j in self.pivot_columns()]
 
-    def solve(self, b: Sequence) -> Vec | None:
-        """One solution x of self @ x = b (free variables zero), or None."""
-        b = vec(b)
-        if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
-        aug = self.hstack(RationalMatrix.from_cols([b], self.rows))
-        R, pivots = aug.rref()
-        if self.cols in pivots:
+    def solve(self, b: "Sequence | RationalMatrix") -> "Vec | RationalMatrix | None":
+        """One solution X of self @ X = b (free variables zero), or None.
+
+        b is a vector, giving a vector, or a matrix of right-hand sides,
+        giving a matrix; all columns are solved from one RREF of
+        ``[self | b]``, and None means some column is inconsistent.
+        """
+        if isinstance(b, RationalMatrix):
+            rhs = b
+        else:
+            b = vec(b)
+            if len(b) != self.rows:
+                raise ValueError("rhs length mismatch")
+            rhs = RationalMatrix.from_cols([b], self.rows)
+        R, pivots = self.hstack(rhs).rref()
+        if pivots and pivots[-1] >= self.cols:
             return None
-        x = [Fraction(0)] * self.cols
+        x = RationalMatrix(self.cols, rhs.cols)
         for row_idx, p in enumerate(pivots):
-            x[p] = R._m[row_idx][self.cols]
-        return tuple(x)
+            x._m[p] = R._m[row_idx][self.cols :]
+        return x if rhs is b else x.col(0)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -340,12 +380,6 @@ class RationalMatrix:
         return RationalMatrix(
             self.rows, self.cols, [row[self.cols :] for row in R._m]
         )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # -- subspace helpers --------------------------------------------------------
@@ -372,18 +406,17 @@ def independent_complement(
     """Indices of candidates forming a basis modulo span(modulo), greedily.
 
     Deterministic: candidates are taken in the given order whenever they
-    increase the accumulated rank.
+    increase the accumulated rank.  Those are exactly the pivot columns past
+    ``modulo`` in the RREF of ``[modulo | candidates]``; the pick is
+    certified by a Bareiss rank of ``modulo`` plus the picked columns.
     """
-    picked: list[int] = []
-    acc = list(modulo)
-    r = rank_of_columns(acc, dim)
-    for idx, v in enumerate(candidates):
-        trial = acc + [v]
-        r2 = rank_of_columns(trial, dim)
-        if r2 > r:
-            picked.append(idx)
-            acc = trial
-            r = r2
+    if not candidates:
+        return []
+    cols = list(modulo) + list(candidates)
+    pivots = RationalMatrix.from_cols(cols, dim).pivot_columns()
+    picked = [p - len(modulo) for p in pivots if p >= len(modulo)]
+    if rank_of_columns(list(modulo) + [candidates[i] for i in picked], dim) != len(pivots):
+        raise ArithmeticError("RREF pivots disagree with the Bareiss rank")
     return picked
 
 

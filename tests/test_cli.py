@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from foliacoh import cli, fixtures
+from foliacoh.gstar import LieAlgebraSpec, weil_algebra
 from foliacoh.series import PoincarePolynomial
 
 DATA = Path(cli.__file__).parent / "data"
@@ -201,6 +202,34 @@ def test_module_inconclusive_window_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("command", ["equivariant", "spectral"])
+def test_d_squared_nonzero_is_input_error(tmp_path, capsys, command):
+    payload = {
+        "lie": {"dimension": 0, "brackets": []},
+        "degrees": {"0": ["a"], "1": ["b"], "2": ["c"]},
+        "d": {"0": [[1]], "1": [[1]]},
+        "i": [],
+        "L": [],
+    }
+    p = tmp_path / "d_squared.json"
+    p.write_text(json.dumps(cli.document_for("gstar_algebra", payload, 2)))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "does not square to zero" in out["error"]
+    code, out = run_json(capsys, "validate", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+
+
+def test_spectral_nonzero_l_is_input_error(tmp_path, capsys):
+    so3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
+    payload = cli.gstar_to_payload(weil_algebra(so3, 3))
+    p = tmp_path / "weil_so3.json"
+    p.write_text(json.dumps(cli.document_for("gstar_algebra", payload, 3)))
+    code, out = run_json(capsys, "spectral", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "nonzero L-operators" in out["error"]
+
+
 def test_deterministic_output_bytes(capsys):
     _, out1 = run(capsys, "equivariant", "--input", doc_path("hopf_gstar"))
     _, out2 = run(capsys, "equivariant", "--input", doc_path("hopf_gstar"))
@@ -218,6 +247,16 @@ def test_output_file_and_text_format(tmp_path, capsys):
     code, out = run(capsys, "polytope", "--input", doc_path("segment"), "--format", "text")
     assert code == 0
     assert "basic_polynomial: [1, 0, 1]" in out
+
+
+def test_text_format_prints_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"schema_version": 99, "kind": "polytope", "payload": {}}))
+    code, out = run(capsys, "polytope", "--input", str(p), "--format", "text")
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out.splitlines()[0] == "foliacoh polytope (schema 1)"
+    assert any(line.startswith("error: ") and "schema_version" in line
+               for line in out.splitlines())
 
 
 def test_threads_hint_recorded(capsys, monkeypatch):

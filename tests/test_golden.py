@@ -1,0 +1,71 @@
+"""Result bytes pinned before the sparse elimination kernels went in.
+
+Every bundled ``*_gstar.json`` document that exits 0 or 1 under a command
+has the sha256 of its ``results`` section (``json.dumps(..., sort_keys=True)``)
+and its exit code pinned here, and the stdout of ``foliacoh fixtures`` is
+pinned whole.  A faster kernel must leave all of them unchanged.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from foliacoh import cli
+
+DATA = Path(cli.__file__).parent / "data"
+
+VALID = "bd9ebe8245f606cdccac2adca1d047e256dbe158068a3f29f3665c2e76558d38"
+GOLDEN = {
+    ("validate", "exterior_line_gstar"): (0, VALID),
+    ("validate", "hopf_gstar"): (0, VALID),
+    ("validate", "sphere3_gstar"): (0, VALID),
+    ("validate", "trivial_line_gstar"): (0, VALID),
+    ("cohomology", "exterior_line_gstar"):
+        (0, "ac3aa9c85ce92949582633edbadd78824b7d4ddbcba371ce76e5132e4c2ce251"),
+    ("cohomology", "hopf_gstar"):
+        (0, "338c08e6bca86830bb4bc3c3c57c243433a4a0b5db2e7463816715e1d3140fc0"),
+    ("cohomology", "sphere3_gstar"):
+        (0, "046ac67bee3fe56a32c3e80c71f0715169b1981db0ae143c75c06296c94e5270"),
+    ("cohomology", "trivial_line_gstar"):
+        (0, "ac3aa9c85ce92949582633edbadd78824b7d4ddbcba371ce76e5132e4c2ce251"),
+    ("equivariant", "exterior_line_gstar"):
+        (0, "0380582d2bbe3269dd142c8a14569564e5f9ff524bea014fb8696ae853eea273"),
+    ("equivariant", "hopf_gstar"):
+        (0, "e0609f1b1d3bbe3e783bbc0c60c96564958571129976a8e0727152acefe13340"),
+    ("equivariant", "sphere3_gstar"):
+        (0, "1aae8a4c5c2f27e01f17a5380c18866858e8cafcdd560675a2b897bec3a116e5"),
+    ("equivariant", "trivial_line_gstar"):
+        (0, "586ec88822721ac371175f4ebba38761a4596f9cac4ccc26dfc47f5176927e4a"),
+    ("spectral", "exterior_line_gstar"):
+        (0, "f049cee98ed18d54dea79cbaef92588709b1542239e267ef0bf228bbe6b0ad02"),
+    ("spectral", "hopf_gstar"):
+        (0, "feaf967f655ba9295de389aebbddd9ac39adfb28466423237ebbaa75ee9e5bca"),
+    ("spectral", "sphere3_gstar"):
+        (0, "eb74aa496b1574c7103e64ba137350def3f3815a702ac5fdbc810e88aad89871"),
+    ("spectral", "trivial_line_gstar"):
+        (0, "47299e6e0c6074178953c308ac918feef8de71f1f4beb6caa28a3b808587fca8"),
+}
+FIXTURES_STDOUT = "6bf4d53ab3354c495e77b2ec2ccd62f37607c28d3d3c2e4d5340b5534007aba6"
+
+
+def test_golden_covers_every_bundled_gstar_document():
+    names = {p.stem for p in DATA.glob("*_gstar.json")}
+    assert {name for _, name in GOLDEN} == names
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN))
+def test_golden_results(capsys, command, name):
+    code = cli.main([command, "--input", str(DATA / f"{name}.json")])
+    results = json.loads(capsys.readouterr().out)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert (code, digest) == GOLDEN[(command, name)]
+
+
+def test_golden_fixtures_stdout(capsys, monkeypatch):
+    monkeypatch.delenv("FOLIACOH_THREADS", raising=False)
+    code = cli.main(["fixtures"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURES_STDOUT

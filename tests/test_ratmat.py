@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from foliacoh import ratmat
 from foliacoh.ratmat import (
     RationalMatrix,
     coordinates_modulo,
@@ -79,3 +82,215 @@ def test_subspace_helpers():
 def test_no_floats_accepted():
     with pytest.raises(TypeError):
         RationalMatrix(1, 1, [[0.5]])
+
+
+# -- sparse kernels against test-local copies of the dense ones -----------------------
+# The reference functions below are the dense kernels that the sparse ones
+# replaced, so every answer can be compared exactly.
+
+
+def dense_rref(rows, ncols):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv, best = -1, 0
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                a = abs(m[i][c].numerator)
+                if piv < 0 or a > best:
+                    best, piv = a, i
+        if piv < 0:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def dense_rank(rows, ncols):
+    """Bareiss rank with every row updated at every step."""
+    if not rows or ncols == 0:
+        return 0
+    m = []
+    for r in rows:
+        lcm = 1
+        for x in r:
+            if x != 0:
+                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        m.append([int(x * lcm) for x in r])
+    nrows = len(m)
+    prev, r = 1, 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv, best = -1, 0
+        for i in range(r, nrows):
+            if abs(m[i][c]) > best:
+                best, piv = abs(m[i][c]), i
+        if piv < 0:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+    return r
+
+
+def column_solve(a, b):
+    """One augmented dense RREF for a single right-hand side b."""
+    rows = [list(row) + [x] for row, x in zip(a.tolist(), b)]
+    R, pivots = dense_rref(rows, a.cols + 1)
+    if a.cols in pivots:
+        return None
+    x = [Fraction(0)] * a.cols
+    for row_idx, p in enumerate(pivots):
+        x[p] = R[row_idx][a.cols]
+    return tuple(x)
+
+
+def greedy_complement(candidates, modulo, dim):
+    """One Bareiss rank per candidate, kept when it raises the rank."""
+    def rank(cols):
+        return dense_rank([[c[i] for c in cols] for i in range(dim)], len(cols)) if cols else 0
+
+    picked, acc = [], list(modulo)
+    r = rank(acc)
+    for idx, v in enumerate(candidates):
+        r2 = rank(acc + [v])
+        if r2 > r:
+            picked.append(idx)
+            acc, r = acc + [v], r2
+    return picked
+
+
+ENTRIES = {
+    "sparse": st.sampled_from((0, 0, 0, 0, 0, 1, -1)).map(Fraction),
+    "dense": st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    "wide": st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**70)),
+}
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Sparse +-1, dense, >= 64-bit or rank-deficient, 0 to 6 rows and columns."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    kind = draw(st.sampled_from(("sparse", "dense", "wide", "low_rank")))
+    if kind != "low_rank":
+        grid = draw(st.lists(st.lists(ENTRIES[kind], min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return RationalMatrix(rows, cols, grid)
+    k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+    left = draw(st.lists(st.lists(ENTRIES["dense"], min_size=k, max_size=k),
+                         min_size=rows, max_size=rows))
+    entry = ENTRIES[draw(st.sampled_from(("sparse", "dense")))]
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=k, max_size=k))
+    grid = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+    return RationalMatrix(rows, cols, grid)
+
+
+@st.composite
+def systems(draw):
+    """(A, B): B mixes columns in the image of A with arbitrary ones."""
+    a = draw(matrices())
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            x = draw(st.lists(ENTRIES["dense"], min_size=a.cols, max_size=a.cols))
+            cols.append(a.apply(x))
+        else:
+            cols.append(tuple(draw(st.lists(ENTRIES["dense"], min_size=a.rows,
+                                            max_size=a.rows))))
+    return a, RationalMatrix.from_cols(cols, a.rows)
+
+
+FAST = settings(max_examples=100, deadline=None)
+
+
+@FAST
+@given(matrices())
+def test_rref_matches_dense_rref(m):
+    R, pivots = m.rref()
+    want, want_pivots = dense_rref(m.tolist(), m.cols)
+    assert pivots == want_pivots
+    assert R.tolist() == want
+    assert all(type(x) is Fraction for row in R.tolist() for x in row)
+
+
+@FAST
+@given(matrices())
+# rank 3: wrong as 4 if rows with a zero in the pivot column skip the p / prev rescale
+@example(M([[4, 3, -4, 1], [0, 2, -1, 6], [-1, -8, 11, -5], [-6, -3, 3, -3]]))
+def test_rank_matches_dense_bareiss(m):
+    assert m.rank() == dense_rank(m.tolist(), m.cols) == len(m.rref()[1])
+
+
+@FAST
+@given(systems())
+def test_matrix_solve_matches_column_solves(system):
+    a, b = system
+    per_column = [column_solve(a, b.col(j)) for j in range(b.cols)]
+    x = a.solve(b)
+    if any(sol is None for sol in per_column):
+        assert x is None
+        return
+    assert (x.rows, x.cols) == (a.cols, b.cols)
+    assert x.columns() == per_column
+    for j, sol in enumerate(per_column):
+        assert a.solve(b.col(j)) == sol
+
+
+@FAST
+@given(matrices(), st.data())
+def test_independent_complement_matches_greedy(m, data):
+    split = data.draw(st.integers(0, m.cols))
+    cols = m.columns()
+    modulo, candidates = cols[:split], cols[split:]
+    assert independent_complement(candidates, modulo, m.rows) == \
+        greedy_complement(candidates, modulo, m.rows)
+
+
+@FAST
+@given(matrices(), st.data())
+def test_apply_matches_dense_sum(m, data):
+    v = data.draw(st.lists(st.one_of(ENTRIES["sparse"], ENTRIES["wide"]),
+                           min_size=m.cols, max_size=m.cols))
+    want = tuple(sum((m.entry(i, j) * v[j] for j in range(m.cols)), Fraction(0))
+                 for i in range(m.rows))
+    got = m.apply(v)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+
+
+def test_matrix_solve_edge_shapes():
+    empty = RationalMatrix.zeros(3, 0)
+    assert empty.solve(RationalMatrix.zeros(3, 2)) == RationalMatrix.zeros(0, 2)
+    assert empty.solve(RationalMatrix.from_cols([unit_vec(3, 1)], 3)) is None
+    a = M([[1, 0], [0, 1]])
+    assert a.solve(RationalMatrix.zeros(2, 0)) == RationalMatrix.zeros(2, 0)
+    with pytest.raises(ValueError):
+        a.solve((1, 2, 3))
+
+
+def test_independent_complement_certificate(monkeypatch):
+    # the certificate is what rejects a pick that disagrees with the exact rank
+    e0, e1, e2 = (unit_vec(3, i) for i in range(3))
+    monkeypatch.setattr(ratmat, "rank_of_columns", lambda cols, dim: len(cols) - 1)
+    with pytest.raises(ArithmeticError):
+        independent_complement([e1, e2], [e0], 3)
