@@ -176,15 +176,18 @@ def cohomology_dims(c: CochainComplex) -> CohomologyResult:
 
 
 def reduce_to_classes(
-    c: CochainComplex, result: CohomologyResult, n: int, v: Vec
-) -> Vec | None:
-    """Coordinates of a cocycle v in degree n w.r.t. the representatives."""
+    c: CochainComplex, result: CohomologyResult, n: int, v: "Vec | RationalMatrix"
+) -> "Vec | RationalMatrix | None":
+    """Coordinates of a cocycle v in degree n w.r.t. the representatives.
+
+    v may be a matrix of cocycles, giving the matrix of their coordinates.
+    """
     reps = list(result.representatives.get(n, ()))
     lo, _hi = c.spaces.window
     image_cols = list(c.diff(n - 1).columns()) if n - 1 >= lo else []
     dim_n = c.spaces.dim(n)
     if dim_n == 0:
-        return ()
+        return RationalMatrix.zeros(0, v.cols) if isinstance(v, RationalMatrix) else ()
     return coordinates_modulo(reps, image_cols, v, dim_n)
 
 
@@ -262,14 +265,14 @@ def _induced_map(
     mat_per_degree,
     n: int,
 ) -> RationalMatrix:
-    cols = []
-    for rep in src_h.representatives.get(n, ()):
-        img = mat_per_degree(n).apply(rep)
-        coords = reduce_to_classes(dst, dst_h, n, img)
-        if coords is None:
-            raise ValueError(f"induced map image is not a cocycle class at degree {n}")
-        cols.append(coords)
-    return RationalMatrix.from_cols(cols, dst_h.dim(n)) if cols else RationalMatrix.zeros(dst_h.dim(n), 0)
+    reps = src_h.representatives.get(n, ())
+    if not reps:
+        return RationalMatrix.zeros(dst_h.dim(n), 0)
+    imgs = mat_per_degree(n) @ RationalMatrix.from_cols(reps, src.spaces.dim(n))
+    coords = reduce_to_classes(dst, dst_h, n, imgs)
+    if coords is None:
+        raise ValueError(f"induced map image is not a cocycle class at degree {n}")
+    return coords
 
 
 def les_exactness_check(ses: ShortExactSequence) -> LESReport:
@@ -289,36 +292,34 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
     f_star = {n: _induced_map(a, ha, b, hb, ses.incl, n) for n in range(lo, hi + 1)}
     g_star = {n: _induced_map(b, hb, c, hc, ses.proj, n) for n in range(lo, hi + 1)}
 
+    # the zig-zag on all representatives of a degree at once: lift along the
+    # projection, differentiate, pull back along the inclusion, reduce
     delta: dict[int, RationalMatrix] = {}
     for n in range(lo, hi):
-        cols = []
-        for rep in hc.representatives.get(n, ()):
-            lift = ses.proj(n).solve(rep)
-            if lift is None:
-                raise AssertionError("surjectivity was already checked")
-            db = b.diff(n).apply(lift)
-            pre = ses.incl(n + 1).solve(db)
-            if pre is None:
-                return LESReport(
-                    ok=False,
-                    failing_degree=n,
-                    failing_node="connecting",
-                    message=f"zig-zag failed at degree {n}: d(lift) not in the subcomplex",
-                )
-            coords = reduce_to_classes(a, ha, n + 1, pre)
-            if coords is None:
-                return LESReport(
-                    ok=False,
-                    failing_degree=n,
-                    failing_node="connecting",
-                    message=f"connecting image is not a cocycle class at degree {n}",
-                )
-            cols.append(coords)
-        delta[n] = (
-            RationalMatrix.from_cols(cols, ha.dim(n + 1))
-            if cols
-            else RationalMatrix.zeros(ha.dim(n + 1), 0)
-        )
+        reps = hc.representatives.get(n, ())
+        if not reps:
+            delta[n] = RationalMatrix.zeros(ha.dim(n + 1), 0)
+            continue
+        lifts = ses.proj(n).solve(RationalMatrix.from_cols(reps, c.spaces.dim(n)))
+        if lifts is None:
+            raise AssertionError("surjectivity was already checked")
+        pre = ses.incl(n + 1).solve(b.diff(n) @ lifts)
+        if pre is None:
+            return LESReport(
+                ok=False,
+                failing_degree=n,
+                failing_node="connecting",
+                message=f"zig-zag failed at degree {n}: d(lift) not in the subcomplex",
+            )
+        coords = reduce_to_classes(a, ha, n + 1, pre)
+        if coords is None:
+            return LESReport(
+                ok=False,
+                failing_degree=n,
+                failing_node="connecting",
+                message=f"connecting image is not a cocycle class at degree {n}",
+            )
+        delta[n] = coords
 
     def rank(m: RationalMatrix) -> int:
         return m.rank()

@@ -52,10 +52,10 @@ from .gstar import (
 )
 from .module_theory import (
     GradedModulePresentation,
+    PresentationError,
     depth_dim_cm,
     freeness_test,
     hilbert,
-    koszul_tor,
     localized_rank,
     ses_cm_check,
 )
@@ -322,6 +322,8 @@ def parse_module(payload) -> GradedModulePresentation:
             polys = [dict() for _ in gens]
             for e in rel["entries"]:
                 g = int(e["gen"])
+                if not 0 <= g < len(gens):
+                    raise InputError(f"relation entry gen {g} is not a generator index")
                 mono = tuple(int(x) for x in e["monomial"])
                 polys[g][mono] = polys[g].get(mono, Fraction(0)) + _rat(e["coeff"])
             rels.append(tuple(polys))
@@ -404,7 +406,7 @@ def ses_complex_to_payload(ses: ShortExactSequence) -> dict:
     }
 
 
-def _parse_module_map(obj, n_src: int, where: str):
+def _parse_module_map(obj, n_src: int, n_tgt: int, where: str):
     try:
         out = []
         for g_idx in range(n_src):
@@ -412,11 +414,15 @@ def _parse_module_map(obj, n_src: int, where: str):
             polys: dict[int, dict] = {}
             for e in entries:
                 tgt = int(e["gen"])
+                if not 0 <= tgt < n_tgt:
+                    raise InputError(f"{where}: target gen {tgt} is not a generator index")
                 mono = tuple(int(x) for x in e["monomial"])
                 polys.setdefault(tgt, {})[mono] = _rat(e["coeff"])
             out.append(polys)
         return out
     except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if isinstance(exc, InputError):
+            raise
         raise InputError(f"malformed {where}: {exc}") from None
 
 
@@ -424,8 +430,12 @@ def parse_ses_module(payload):
     a = parse_module(payload["sub"])
     b = parse_module(payload["total"])
     c = parse_module(payload["quotient"])
-    f_raw = _parse_module_map(payload["first_map"], len(a.generators), "first_map")
-    g_raw = _parse_module_map(payload["second_map"], len(b.generators), "second_map")
+    f_raw = _parse_module_map(
+        payload["first_map"], len(a.generators), len(b.generators), "first_map"
+    )
+    g_raw = _parse_module_map(
+        payload["second_map"], len(b.generators), len(c.generators), "second_map"
+    )
     f = tuple(
         tuple(f_raw[i].get(j, {}) for j in range(len(b.generators)))
         for i in range(len(a.generators))
@@ -435,6 +445,15 @@ def parse_ses_module(payload):
         for i in range(len(b.generators))
     )
     return a, b, c, f, g
+
+
+def _ses_module_report(payload):
+    """ses_cm_check on a module SES document; a map of the wrong degree is bad input."""
+    a, b, c, f, g = parse_ses_module(payload)
+    try:
+        return ses_cm_check(a, b, c, f, g)
+    except PresentationError as exc:
+        raise InputError(str(exc)) from None
 
 
 # -- document envelope ----------------------------------------------------------------
@@ -505,8 +524,7 @@ def _validate_payload(doc) -> tuple[int, dict]:
             if rep.input_error:
                 issues.append(rep.input_error)
         elif t == "module":
-            a, b, c, f, g = parse_ses_module(payload)
-            rep = ses_cm_check(a, b, c, f, g)
+            rep = _ses_module_report(payload)
             if not rep.is_ses:
                 issues.append(rep.detail)
         else:
@@ -605,8 +623,7 @@ def _cmd_spectral(doc, n_max):
 def _cmd_module(doc, n_max):
     kind = doc["kind"]
     if kind == "ses":
-        a, b, c, f, g = parse_ses_module(doc["payload"])
-        rep = ses_cm_check(a, b, c, f, g)
+        rep = _ses_module_report(doc["payload"])
         if not rep.is_ses:
             raise InputError(rep.detail)
         if rep.conclusion_holds is None and not rep.hypotheses_met:
@@ -626,7 +643,7 @@ def _cmd_module(doc, n_max):
         raise InputError(f"module expects module_presentation or ses, got {kind}")
     m = parse_module(doc["payload"])
     h = hilbert(m)
-    tor = koszul_tor(m)
+    tor = m.tor
     fr = freeness_test(m)
     lr = localized_rank(m)
     dd = depth_dim_cm(m)

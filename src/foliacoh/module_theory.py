@@ -9,12 +9,20 @@ dimension, and the Cohen-Macaulay property.
 Window honesty: a closed form for a Hilbert function is only reported when
 the window certifies it through an exact linear-recurrence margin; all
 dimension-theoretic verdicts carry their scope.
+
+Each quantity is computed once per presentation object: the realization
+(degreewise bases and one reduction matrix per degree) and the Koszul
+homology are cached properties of ``GradedModulePresentation``, shared by
+``hilbert``, ``koszul_tor``, ``freeness_test``, ``localized_rank``,
+``depth_dim_cm`` and ``ses_cm_check``.  Nothing is cached beyond the object,
+so a fresh parse of the same document computes everything again.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -70,7 +78,11 @@ class PresentationError(ValueError):
 
 @dataclass(frozen=True)
 class GradedModulePresentation:
-    """coker( relations ) inside the free module on the given generators."""
+    """coker( relations ) inside the free module on the given generators.
+
+    ``realization`` and ``tor`` are built on first use and kept on this
+    object, so every query on one presentation shares them.
+    """
 
     dim_a: int
     generators: tuple[int, ...]
@@ -83,6 +95,8 @@ class GradedModulePresentation:
         generators = tuple(int(g) for g in generators)
         if any(g < 0 for g in generators):
             raise PresentationError("generator degrees must be >= 0")
+        if int(window) < 0:
+            raise PresentationError("window must be >= 0")
         clean = []
         for rel in relations:
             rel = tuple(
@@ -101,6 +115,8 @@ class GradedModulePresentation:
                     degs.add(d + g)
                 if any(len(b) != dim_a for b in poly):
                     raise PresentationError("exponent tuple length != dim_a")
+                if any(e < 0 for b in poly for e in b):
+                    raise PresentationError("exponents must be >= 0")
             if len(degs) > 1:
                 raise PresentationError(f"relation is not homogeneous: degrees {degs}")
             if degs:
@@ -109,6 +125,14 @@ class GradedModulePresentation:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relations", tuple(clean))
         object.__setattr__(self, "window", int(window))
+
+    @cached_property
+    def realization(self) -> "ModuleRealization":
+        return ModuleRealization(self)
+
+    @cached_property
+    def tor(self) -> "TorResult":
+        return koszul_tor(self)
 
     def relation_degree(self, rel: tuple[Poly, ...]) -> int:
         for g, poly in zip(self.generators, rel):
@@ -155,13 +179,20 @@ class ModuleRealization:
 
     The degree-n basis is the greedy subset of free-module monomials
     (generator, exponent) that stays independent modulo the relation span,
-    which makes every derived quantity deterministic.
+    which makes every derived quantity deterministic.  That basis spans the
+    quotient and is independent modulo the relations, so every free element
+    has unique coordinates in it: ``reduction(n)`` holds those of every free
+    monomial of degree n as its columns, from one matrix solve of
+    ``[basis | relations]`` against the identity.  Reducing an element is
+    then a product, and the u-action picks columns.  Each degree's matrix is
+    solved on first use and kept here.
     """
 
     def __init__(self, pres: GradedModulePresentation):
-        self.pres = pres
+        # no reference back to pres, which keeps this realization: without a
+        # cycle both are freed as soon as the presentation is dropped
+        self.window = n_max = pres.window
         r = pres.dim_a
-        n_max = pres.window
         self.free_basis: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         for n in range(n_max + 1):
             fb = []
@@ -193,38 +224,45 @@ class ModuleRealization:
             self.basis_indices[n] = independent_complement(
                 std, self.rel_cols[n], len(fb)
             )
+        self._reductions: dict[int, RationalMatrix] = {}
 
     def dim(self, n: int) -> int:
-        if not 0 <= n <= self.pres.window:
+        if not 0 <= n <= self.window:
             return 0
         return len(self.basis_indices[n])
 
     def dims_tuple(self) -> tuple[int, ...]:
-        return tuple(self.dim(n) for n in range(self.pres.window + 1))
+        return tuple(self.dim(n) for n in range(self.window + 1))
+
+    def reduction(self, n: int) -> RationalMatrix:
+        """dim(n) x len(free_basis[n]): column k is free monomial k in the module basis."""
+        red = self._reductions.get(n)
+        if red is None:
+            size = len(self.free_basis[n])
+            basis = [unit_vec(size, i) for i in self.basis_indices[n]]
+            red = coordinates_modulo(
+                basis, self.rel_cols[n], RationalMatrix.identity(size), size
+            )
+            if red is None:
+                raise AssertionError("free monomials failed to reduce (not spanning?)")
+            self._reductions[n] = red
+        return red
 
     def reduce(self, n: int, free_vec: Vec) -> Vec:
         """Coordinates of a free-module element in the module basis."""
-        fb = self.free_basis[n]
-        basis = [unit_vec(len(fb), i) for i in self.basis_indices[n]]
-        coords = coordinates_modulo(basis, self.rel_cols[n], free_vec, len(fb))
-        if coords is None:
-            raise AssertionError("free element failed to reduce (not spanning?)")
-        return coords
+        return self.reduction(n).apply(free_vec)
 
     def u_matrix(self, j: int, n: int) -> RationalMatrix:
         """Multiplication by u_j as a matrix from degree n to degree n + 2."""
-        if n + 2 > self.pres.window:
+        if n + 2 > self.window:
             raise ValueError("u-action leaves the window")
-        fb_src = self.free_basis[n]
-        fb_tgt = self.free_basis[n + 2]
-        pos = {key: i for i, key in enumerate(fb_tgt)}
+        red = self.reduction(n + 2)
+        pos = {key: i for i, key in enumerate(self.free_basis[n + 2])}
         cols = []
         for i in self.basis_indices[n]:
-            g_idx, beta = fb_src[i]
+            g_idx, beta = self.free_basis[n][i]
             beta2 = tuple(b + (1 if k == j else 0) for k, b in enumerate(beta))
-            v = [Fraction(0)] * len(fb_tgt)
-            v[pos[(g_idx, beta2)]] = Fraction(1)
-            cols.append(self.reduce(n + 2, tuple(v)))
+            cols.append(red.col(pos[(g_idx, beta2)]))
         return RationalMatrix.from_cols(cols, self.dim(n + 2))
 
 
@@ -240,8 +278,7 @@ class HilbertSeriesWindow:
 
 def hilbert(pres: GradedModulePresentation) -> HilbertSeriesWindow:
     """Exact graded dimensions of the presented module on its window."""
-    real = ModuleRealization(pres)
-    coeffs = real.dims_tuple()
+    coeffs = pres.realization.dims_tuple()
     closed = certify_closed_form(coeffs, pres.dim_a)
     return HilbertSeriesWindow(coeffs, closed, closed is not None)
 
@@ -294,9 +331,12 @@ def koszul_tor(pres: GradedModulePresentation) -> TorResult:
     """Homology of the exterior-algebra complex on the ring variables.
 
     K_i = M tensor Lambda^i in internal degree n uses M in degree n - 2i;
-    the boundary contracts one exterior factor against its variable.
+    the boundary contracts one exterior factor against its variable.  Each
+    boundary is built and ranked once, serving as the kernel side of H_i and
+    the image side of H_{i-1}.  ``pres.tor`` is this result, computed once
+    per presentation object.
     """
-    real = ModuleRealization(pres)
+    real = pres.realization
     r = pres.dim_a
     n_max = pres.window
     subsets = {i: list(itertools.combinations(range(r), i)) for i in range(r + 1)}
@@ -308,42 +348,38 @@ def koszul_tor(pres: GradedModulePresentation) -> TorResult:
             for m_idx in range(real.dim(n - 2 * i))
         ] if 0 <= n - 2 * i else []
 
-    def boundary(i, n) -> RationalMatrix:
-        """partial: K_i^n -> K_{i-1}^n."""
+    def boundary_rank(i, n) -> int:
+        """rank of partial: K_i^n -> K_{i-1}^n."""
         src = k_basis(i, n)
+        if not src:
+            return 0
         tgt = k_basis(i - 1, n)
         pos = {key: idx for idx, key in enumerate(tgt)}
+        u_mats = {j: real.u_matrix(j, n - 2 * i) for j in range(r)}
         cols = []
-        deg_m = n - 2 * i
-        u_mats = {j: real.u_matrix(j, deg_m) for j in range(r)} if 0 <= deg_m <= n_max - 2 else {}
         for (m_idx, S) in src:
             col = [Fraction(0)] * len(tgt)
-            x = unit_vec(real.dim(deg_m), m_idx)
             for t, j in enumerate(S):
                 sign = (-1) ** t
-                ux = u_mats[j].apply(x)
                 S2 = tuple(s for s in S if s != j)
-                for k2, c in enumerate(ux):
+                for k2, c in enumerate(u_mats[j].col(m_idx)):
                     if c != 0:
                         col[pos[(k2, S2)]] += sign * c
             cols.append(tuple(col))
-        return RationalMatrix.from_cols(cols, len(tgt))
+        return RationalMatrix.from_cols(cols, len(tgt)).rank()
 
+    ranks = {
+        (i, n): boundary_rank(i, n)
+        for n in range(n_max + 1)
+        for i in range(1, r + 1)
+        if n - 2 * i >= 0
+    }
     dims: dict[tuple[int, int], int] = {}
     for n in range(n_max + 1):
         for i in range(r + 1):
             if n - 2 * i < 0:
                 continue
-            src_dim = len(k_basis(i, n))
-            if src_dim == 0:
-                continue
-            b_i = boundary(i, n) if i >= 1 else RationalMatrix.zeros(0, src_dim)
-            kernel_dim = src_dim - b_i.rank()
-            if i + 1 <= r and n - 2 * (i + 1) >= 0 and len(k_basis(i + 1, n)) > 0:
-                img_rank = boundary(i + 1, n).rank()
-            else:
-                img_rank = 0
-            h = kernel_dim - img_rank
+            h = len(k_basis(i, n)) - ranks.get((i, n), 0) - ranks.get((i + 1, n), 0)
             if h:
                 dims[(i, n)] = h
     return TorResult(dims=dims, window=n_max, dim_a=r)
@@ -359,7 +395,7 @@ class FreenessResult:
 
 def freeness_test(pres: GradedModulePresentation) -> FreenessResult:
     """free <=> Tor_1 vanishes on the window; ranks read off Tor_0."""
-    tor = koszul_tor(pres)
+    tor = pres.tor
     t0 = tor.tor_dims(0)
     ranks = tuple(
         sorted(itertools.chain.from_iterable([n] * d for n, d in t0.items()))
@@ -414,7 +450,7 @@ class DepthDimCM:
 def depth_dim_cm(pres: GradedModulePresentation) -> DepthDimCM:
     """depth from the Koszul homology top, Krull dim from the pole at t = 1."""
     h = hilbert(pres)
-    tor = koszul_tor(pres)
+    tor = pres.tor
     if sum(h.coefficients) == 0:
         return DepthDimCM("+inf", "-inf", True, True, "zero module (by convention)")
     top = tor.top_nonzero()
@@ -463,7 +499,6 @@ def _induced_matrix(
     src: ModuleRealization, dst: ModuleRealization, gen_images: ModuleMap, n: int
 ) -> RationalMatrix:
     """Degree-n matrix of the map sending each source generator to its image."""
-    pres_s, pres_d = src.pres, dst.pres
     fb_d = dst.free_basis[n]
     pos = {key: i for i, key in enumerate(fb_d)}
     cols = []
@@ -476,8 +511,8 @@ def _induced_matrix(
                 if key not in pos:
                     raise PresentationError("map image is not homogeneous of the right degree")
                 free_img[pos[key]] += c
-        cols.append(dst.reduce(n, tuple(free_img)))
-    return RationalMatrix.from_cols(cols, dst.dim(n))
+        cols.append(tuple(free_img))
+    return dst.reduction(n) @ RationalMatrix.from_cols(cols, len(fb_d))
 
 
 def ses_cm_check(
@@ -495,7 +530,7 @@ def ses_cm_check(
     if not (a.dim_a == b.dim_a == c.dim_a):
         return SESCMReport(False, False, None, "modules over different rings")
     window = min(a.window, b.window, c.window)
-    ra, rb, rc = ModuleRealization(a), ModuleRealization(b), ModuleRealization(c)
+    ra, rb, rc = a.realization, b.realization, c.realization
     for n in range(window + 1):
         fm = _induced_matrix(ra, rb, f, n)
         gm = _induced_matrix(rb, rc, g, n)

@@ -14,9 +14,10 @@ updates only the nonzero entries of the scaled pivot row, a matrix-vector
 product multiplies only where both factors are nonzero, and a Bareiss step
 leaves a row with a zero in the pivot column alone when the pivot equals the
 previous one.  One elimination serves a whole subspace: ``solve`` takes a
-matrix of right-hand sides and reduces ``[A | B]`` once, and
-``independent_complement`` reads its pick off the pivot columns of one RREF
-of ``[modulo | candidates]``, then certifies it with one Bareiss rank.
+matrix of right-hand sides and reduces ``[A | B]`` once, and so does
+``coordinates_modulo`` for a matrix of vectors; ``independent_complement``
+reads its pick off the pivot columns of one RREF of ``[modulo | candidates]``,
+then certifies it with one Bareiss rank.
 """
 
 from __future__ import annotations
@@ -391,15 +392,6 @@ def rank_of_columns(cols: Sequence[Sequence], dim: int) -> int:
     return RationalMatrix.from_cols(cols, dim).rank()
 
 
-def in_span(cols: Sequence[Vec], v: Vec, dim: int) -> bool:
-    if is_zero_vec(v):
-        return True
-    if not cols:
-        return False
-    m = RationalMatrix.from_cols(cols, dim)
-    return m.solve(v) is not None
-
-
 def independent_complement(
     candidates: Sequence[Vec], modulo: Sequence[Vec], dim: int
 ) -> list[int]:
@@ -421,19 +413,25 @@ def independent_complement(
 
 
 def coordinates_modulo(
-    basis: Sequence[Vec], modulo: Sequence[Vec], v: Vec, dim: int
-) -> Vec | None:
+    basis: Sequence[Vec], modulo: Sequence[Vec], v: "Vec | RationalMatrix", dim: int
+) -> "Vec | RationalMatrix | None":
     """Coordinates of v w.r.t. basis, working modulo span(modulo).
 
     Requires the basis vectors to be independent modulo the given spanning
-    set; under that assumption the coordinate block is unique.  Returns None
-    when v is not in span(basis) + span(modulo).
+    set; under that assumption the coordinate block is unique.  v is a vector,
+    giving a vector, or a matrix of vectors, giving the matrix of their
+    coordinate columns, all solved from one RREF as ``solve`` does.  Returns
+    None when v (some column of v) is not in span(basis) + span(modulo).
     """
+    batch = isinstance(v, RationalMatrix)
     cols = list(basis) + list(modulo)
     if not cols:
+        if batch:
+            return RationalMatrix.zeros(0, v.cols) if v.is_zero() else None
         return None if not is_zero_vec(v) else ()
-    m = RationalMatrix.from_cols(cols, dim)
-    sol = m.solve(v)
+    sol = RationalMatrix.from_cols(cols, dim).solve(v)
     if sol is None:
         return None
+    if batch:
+        return RationalMatrix(len(basis), sol.cols, sol._m[: len(basis)])
     return sol[: len(basis)]

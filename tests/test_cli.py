@@ -202,6 +202,86 @@ def test_module_inconclusive_window_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_INCONCLUSIVE
 
 
+def _entry(gen, monomial, coeff=1):
+    return {"gen": gen, "monomial": monomial, "coeff": coeff}
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        # a negative gen used to bind to the last generator
+        ({"dim_a": 1, "window": 6, "generators": [0, 2],
+          "relations": [{"entries": [_entry(-1, [1])]}]}, "gen -1"),
+        # a negative exponent used to drop the relation
+        ({"dim_a": 1, "window": 6, "generators": [0],
+          "relations": [{"entries": [_entry(0, [-1])]}]}, "exponents"),
+        # ... or to raise a KeyError while building the realization
+        ({"dim_a": 2, "window": 6, "generators": [0],
+          "relations": [{"entries": [_entry(0, [2, -1])]}]}, "exponents"),
+        # a negative window used to certify an empty Hilbert series
+        ({"dim_a": 1, "window": -3, "generators": [0], "relations": []}, "window"),
+    ],
+)
+def test_module_rejects_negative_input(tmp_path, capsys, payload, message):
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps(cli.document_for("module_presentation", payload)))
+    for command in ("module", "validate"):
+        code, out = run_json(capsys, command, "--input", str(p))
+        assert code == cli.EXIT_INVALID_INPUT, command
+        assert message in out["error"]
+
+
+def _module_ses(first_map):
+    """0 -> S -> S (+) S -> S -> 0 over Q[u], with the given first map."""
+    free1 = {"dim_a": 1, "window": 6, "generators": [0], "relations": []}
+    free2 = {"dim_a": 1, "window": 6, "generators": [0, 0], "relations": []}
+    return {"type": "module", "sub": free1, "total": free2, "quotient": free1,
+            "first_map": [first_map], "second_map": [[], [_entry(0, [0])]]}
+
+
+@pytest.mark.parametrize(
+    "first_map,message",
+    [
+        ([_entry(0, [0])], None),
+        ([_entry(0, [1])], "right degree"),  # degree 0 generator sent to degree 2
+        ([_entry(0, [0]), _entry(2, [0])], "target gen 2"),  # the total has 2 generators
+    ],
+)
+def test_module_ses_map_checks(tmp_path, capsys, first_map, message):
+    p = tmp_path / "ses.json"
+    p.write_text(json.dumps(cli.document_for("ses", _module_ses(first_map))))
+    for command in ("module", "validate"):
+        code, out = run_json(capsys, command, "--input", str(p))
+        if message is None:
+            assert code == cli.EXIT_OK, command
+        else:
+            assert code == cli.EXIT_INVALID_INPUT, command
+            assert message in out["error"]
+
+
+def test_module_command_builds_one_realization(capsys, monkeypatch):
+    from foliacoh import module_theory
+
+    builds, passes = [], []
+    init, koszul = module_theory.ModuleRealization.__init__, module_theory.koszul_tor
+
+    def counting_init(self, pres):
+        builds.append(pres)
+        init(self, pres)
+
+    def counting_koszul(pres):
+        passes.append(pres)
+        return koszul(pres)
+
+    monkeypatch.setattr(module_theory.ModuleRealization, "__init__", counting_init)
+    monkeypatch.setattr(module_theory, "koszul_tor", counting_koszul)
+    first, _ = run(capsys, "module", "--input", doc_path("hopf_module"))
+    assert (len(builds), len(passes)) == (1, 1)
+    second, _ = run(capsys, "module", "--input", doc_path("hopf_module"))
+    assert (len(builds), len(passes)) == (2, 2)
+    assert builds[0] is not builds[1] and first == second == 0
+
+
 @pytest.mark.parametrize("command", ["equivariant", "spectral"])
 def test_d_squared_nonzero_is_input_error(tmp_path, capsys, command):
     payload = {

@@ -4,10 +4,15 @@ Every bundled ``*_gstar.json`` document that exits 0 or 1 under a command
 has the sha256 of its ``results`` section (``json.dumps(..., sort_keys=True)``)
 and its exit code pinned here, and the stdout of ``foliacoh fixtures`` is
 pinned whole.  A faster kernel must leave all of them unchanged.
+
+``module`` is pinned the same way on two bundled documents and two seeded
+random presentations, recorded before the module layer kept one reduction
+matrix per degree; a document that exits 2 has its ``error`` pinned instead.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -69,3 +74,49 @@ def test_golden_fixtures_stdout(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FIXTURES_STDOUT
+
+
+MODULE_GOLDEN = {
+    "hopf_module": (0, "ce194dff1c5fec41723ef072eee683d8e1e9222a326a3e59fb7d45e87ca3e012"),
+    "sphere3_split_ses": (2, "69398ab2abd779c9d68eff4204a1a45bedef345e1acf2c3a5f6eb9158144725b"),
+    "random_dense": (0, "bb3b26a0cc4dbed75039f0bd740a40c10a8ecdc838689e9749f07f50db067106"),
+    "random_sparse": (3, "e95bdedb3685e7f45300930f46ce74c06476b1ee1af7f779e92187b97edbddc1"),
+}
+# generated presentation -> (seed, relations, chance of each monomial term)
+RANDOM_MODULES = {"random_dense": (5, 4, 0.6), "random_sparse": (3, 5, 0.3)}
+
+
+def random_module_payload(seed: int, n_rel: int, density: float) -> dict:
+    """Degree-4 relations on generators of degrees 0, 0, 2, 2 over Q[u0, u1]."""
+    rng = random.Random(seed)
+    coeffs = (1, -1, 2, -3, "1/2", "-2/3")
+    gens = [0, 0, 2, 2]
+    relations = []
+    for _ in range(n_rel):
+        entries = []
+        for g_idx, g in enumerate(gens):
+            p = (4 - g) // 2
+            for a in range(p + 1):
+                if rng.random() < density:
+                    entries.append({"gen": g_idx, "monomial": [a, p - a],
+                                    "coeff": rng.choice(coeffs)})
+        relations.append({"entries": entries})
+    return {"dim_a": 2, "window": 8, "generators": gens, "relations": relations}
+
+
+def module_document_path(name: str, tmp_path) -> Path:
+    if name not in RANDOM_MODULES:
+        return DATA / f"{name}.json"
+    path = tmp_path / f"{name}.json"
+    payload = random_module_payload(*RANDOM_MODULES[name])
+    path.write_text(json.dumps(cli.document_for("module_presentation", payload)))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_GOLDEN))
+def test_golden_module(capsys, tmp_path, name):
+    code = cli.main(["module", "--input", str(module_document_path(name, tmp_path))])
+    doc = json.loads(capsys.readouterr().out)
+    section = doc["results"] if "results" in doc else {"error": doc["error"]}
+    digest = hashlib.sha256(json.dumps(section, sort_keys=True).encode()).hexdigest()
+    assert (code, digest) == MODULE_GOLDEN[name]

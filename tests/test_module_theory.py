@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foliacoh.fixtures import hopf_module
 from foliacoh.module_theory import (
@@ -15,8 +17,10 @@ from foliacoh.module_theory import (
     koszul_tor,
     localized_rank,
     monomials_of_degree,
+    poly_shift,
     ses_cm_check,
 )
+from foliacoh.ratmat import RationalMatrix, unit_vec
 
 # the five bundled module fixtures of the verification suite
 FREE_R2 = GradedModulePresentation.free(2, (0,), window=10)
@@ -224,3 +228,127 @@ def test_ses_cm_rejects_non_ses():
     g = (({(0,): Fraction(1)},),)
     rep = ses_cm_check(a, a, a, f, g)  # identity o identity is not exact
     assert not rep.is_ses
+
+
+# -- per-degree reduction against the per-vector path ---------------------------------
+# The reference functions reduce one free vector at a time with an augmented
+# solve, as the realization did before it kept one reduction matrix per degree.
+
+
+def per_vector_reduce(real, n, v):
+    fb = real.free_basis[n]
+    cols = [unit_vec(len(fb), i) for i in real.basis_indices[n]] + list(real.rel_cols[n])
+    if not cols:
+        return None if any(v) else ()
+    sol = RationalMatrix.from_cols(cols, len(fb)).solve(v)
+    return None if sol is None else sol[: len(real.basis_indices[n])]
+
+
+def per_vector_u_matrix(real, j, n):
+    fb_src, fb_tgt = real.free_basis[n], real.free_basis[n + 2]
+    pos = {key: i for i, key in enumerate(fb_tgt)}
+    cols = []
+    for i in real.basis_indices[n]:
+        g_idx, beta = fb_src[i]
+        beta2 = tuple(b + (k == j) for k, b in enumerate(beta))
+        cols.append(per_vector_reduce(real, n + 2, unit_vec(len(fb_tgt), pos[(g_idx, beta2)])))
+    return RationalMatrix.from_cols(cols, real.dim(n + 2))
+
+
+def per_vector_tor_dims(pres, real):
+    """Koszul homology with each boundary built from the reference u-action."""
+    r, n_max = pres.dim_a, pres.window
+    subsets = {i: list(itertools.combinations(range(r), i)) for i in range(r + 1)}
+
+    def k_basis(i, n):
+        return [(m, S) for S in subsets[i] for m in range(real.dim(n - 2 * i))] if n >= 2 * i else []
+
+    def rank(i, n):
+        if not 1 <= i <= r or not k_basis(i, n):
+            return 0
+        src, tgt = k_basis(i, n), k_basis(i - 1, n)
+        pos = {key: idx for idx, key in enumerate(tgt)}
+        u = {j: per_vector_u_matrix(real, j, n - 2 * i) for j in range(r)}
+        cols = []
+        for m, S in src:
+            col = [Fraction(0)] * len(tgt)
+            for t, j in enumerate(S):
+                for k2, c in enumerate(u[j].col(m)):
+                    col[pos[(k2, tuple(s for s in S if s != j))]] += (-1) ** t * c
+            cols.append(col)
+        return RationalMatrix.from_cols(cols, len(tgt)).rank()
+
+    dims = {}
+    for n in range(n_max + 1):
+        for i in range(r + 1):
+            h = len(k_basis(i, n)) - rank(i, n) - rank(i + 1, n)
+            if h:
+                dims[(i, n)] = h
+    return dims
+
+
+COEFFS = st.sampled_from([Fraction(c) for c in (1, -1, 2, 3)] + [Fraction(1, 2), Fraction(-2, 3)])
+
+
+def nonzero_poly(draw, r, p):
+    monos = monomials_of_degree(r, p)
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    return {beta: draw(COEFFS) for beta in picked}
+
+
+@st.composite
+def presentations(draw):
+    """r <= 2, window <= 6, rational relations plus redundant multiples and sums."""
+    r = draw(st.integers(1, 2))
+    gens = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    window = draw(st.sampled_from(range(1, 7)))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        lead = draw(st.integers(0, len(gens) - 1))
+        m = gens[lead] + 2 * draw(st.integers(0, 2))
+        rel = []
+        for k, g in enumerate(gens):
+            if k == lead:
+                rel.append(nonzero_poly(draw, r, (m - g) // 2))
+            elif m >= g and (m - g) % 2 == 0 and draw(st.booleans()):
+                rel.append(nonzero_poly(draw, r, (m - g) // 2))
+            else:
+                rel.append({})
+        rels.append(tuple(rel))
+    redundant = []
+    for rel in rels:
+        if draw(st.booleans()):  # u_j times a relation
+            j = draw(st.integers(0, r - 1))
+            redundant.append(tuple(
+                poly_shift(poly, tuple(int(k == j) for k in range(r))) for poly in rel
+            ))
+    for a, b in itertools.combinations(rels, 2):
+        same_degree = GradedModulePresentation(r, gens, (a, b)).relation_degree
+        if same_degree(a) == same_degree(b) and draw(st.booleans()):  # a + c b
+            c = draw(COEFFS)
+            redundant.append(tuple(
+                {beta: pa.get(beta, 0) + c * pb.get(beta, 0) for beta in {*pa, *pb}}
+                for pa, pb in zip(a, b)
+            ))
+    return GradedModulePresentation(r, gens, tuple(rels + redundant), window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_reduction_matches_per_vector_path(pres):
+    real = pres.realization
+    for n in range(pres.window + 1):
+        fb = real.free_basis[n]
+        # hilbert against dim(free) - rank(relations), an independent count
+        rel_rank = RationalMatrix.from_cols(real.rel_cols[n], len(fb)).rank() if real.rel_cols[n] else 0
+        assert hilbert(pres).coefficients[n] == len(fb) - rel_rank
+        for k in range(len(fb)):
+            v = unit_vec(len(fb), k)
+            assert real.reduce(n, v) == per_vector_reduce(real, n, v)
+        if real.rel_cols[n]:
+            mixed = tuple(sum(col) for col in zip(*real.rel_cols[n]))
+            assert real.reduce(n, mixed) == per_vector_reduce(real, n, mixed)
+        if n + 2 <= pres.window:
+            for j in range(pres.dim_a):
+                assert real.u_matrix(j, n) == per_vector_u_matrix(real, j, n)
+    assert koszul_tor(pres).dims == per_vector_tor_dims(pres, real)

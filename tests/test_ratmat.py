@@ -8,7 +8,6 @@ from foliacoh import ratmat
 from foliacoh.ratmat import (
     RationalMatrix,
     coordinates_modulo,
-    in_span,
     independent_complement,
     rank_of_columns,
     unit_vec,
@@ -70,8 +69,6 @@ def test_matmul_shapes():
 def test_subspace_helpers():
     e0, e1, e2 = (unit_vec(3, i) for i in range(3))
     assert rank_of_columns([e0, e1, e0], 3) == 2
-    assert in_span([e0, e1], (1, 1, 0), 3)
-    assert not in_span([e0, e1], e2, 3)
     picked = independent_complement([e0, e1, e2], [e0], 3)
     assert picked == [1, 2]
     coords = coordinates_modulo([e1], [e0], (5, 7, 0), 3)
@@ -276,6 +273,29 @@ def test_apply_matches_dense_sum(m, data):
     got = m.apply(v)
     assert got == want
     assert all(type(x) is Fraction for x in got)
+
+
+@FAST
+@given(systems(), st.data())
+def test_batched_coordinates_match_per_vector(system, data):
+    a, b = system
+    split = data.draw(st.integers(0, a.cols))
+    cols = a.columns()
+    basis, modulo = cols[:split], cols[split:]
+    per_vector = [coordinates_modulo(basis, modulo, b.col(j), a.rows) for j in range(b.cols)]
+    got = coordinates_modulo(basis, modulo, b, a.rows)
+    if any(c is None for c in per_vector):
+        assert got is None
+        return
+    assert (got.rows, got.cols) == (len(basis), b.cols)
+    assert got.columns() == per_vector
+
+
+def test_batched_coordinates_edge_shapes():
+    assert coordinates_modulo([], [], RationalMatrix.zeros(2, 3), 2) == RationalMatrix.zeros(0, 3)
+    assert coordinates_modulo([], [], RationalMatrix.identity(2), 2) is None
+    e0, e1 = unit_vec(2, 0), unit_vec(2, 1)
+    assert coordinates_modulo([e1], [e0], RationalMatrix.identity(2), 2) == M([[0, 1]])
 
 
 def test_matrix_solve_edge_shapes():
