@@ -100,15 +100,11 @@ class CartanComplex:
         lie = s.lie
         sp = s.space
         pos = {key: i for i, key in enumerate(basis)}
-        cols = []
-        for alpha, a_idx in basis:
-            m = n - 2 * sum(alpha)
-            col = [Fraction(0)] * len(basis)
-            la = s.op_l(j, m)
-            for k in range(la.rows):
-                c = la.entry(k, a_idx)
-                if c != 0:
-                    col[pos[(alpha, k)]] += c
+        l_cols = {m: s.op_l(j, m).nonzero_columns() for m in range(n % 2, n + 1, 2)}
+        entries = []
+        for col, (alpha, a_idx) in enumerate(basis):
+            for k, c in l_cols[n - 2 * sum(alpha)][a_idx]:
+                entries.append((pos[(alpha, k)], col, c))
             # coadjoint derivation on u^alpha: u_b -> -c^b_{jc} u_c
             for b in range(lie.dimension):
                 if alpha[b] == 0:
@@ -120,9 +116,8 @@ class CartanComplex:
                     alpha2 = list(alpha)
                     alpha2[b] -= 1
                     alpha2[cgen] += 1
-                    col[pos[(tuple(alpha2), a_idx)]] += -coef * alpha[b]
-            cols.append(tuple(col))
-        return RationalMatrix.from_cols(cols, len(basis))
+                    entries.append((pos[(tuple(alpha2), a_idx)], col, -coef * alpha[b]))
+        return RationalMatrix.from_entries(len(basis), len(basis), entries)
 
     def _invariant_embedding(self, n, basis) -> RationalMatrix | None:
         s = self.structure
@@ -142,25 +137,19 @@ class CartanComplex:
         r = s.lie.dimension
         src = self.slices[n].ambient_basis
         tgt_index = self._index[n + 1]
-        rows = len(self.slices[n + 1].ambient_basis)
-        cols = []
-        for alpha, a_idx in src:
+        degrees = range(n % 2, n + 1, 2)
+        d_cols = {m: s.op_d(m).nonzero_columns() for m in degrees}
+        i_cols = [{m: s.op_i(j, m).nonzero_columns() for m in degrees} for j in range(r)]
+        entries = []
+        for col, (alpha, a_idx) in enumerate(src):
             m = n - 2 * sum(alpha)
-            col = [Fraction(0)] * rows
-            dm = s.op_d(m)
-            for k in range(dm.rows):
-                c = dm.entry(k, a_idx)
-                if c != 0:
-                    col[tgt_index[(alpha, k)]] += c
+            for k, c in d_cols[m][a_idx]:
+                entries.append((tgt_index[(alpha, k)], col, c))
             for j in range(r):
-                im = s.op_i(j, m)
                 alpha2 = tuple(a + (1 if b == j else 0) for b, a in enumerate(alpha))
-                for k in range(im.rows):
-                    c = im.entry(k, a_idx)
-                    if c != 0:
-                        col[tgt_index[(alpha2, k)]] += c
-            cols.append(tuple(col))
-        return RationalMatrix.from_cols(cols, rows)
+                for k, c in i_cols[j][m][a_idx]:
+                    entries.append((tgt_index[(alpha2, k)], col, c))
+        return RationalMatrix.from_entries(len(tgt_index), len(src), entries)
 
     def _differential(self, n: int) -> RationalMatrix:
         amb = self._ambient_differential(n)

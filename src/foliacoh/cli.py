@@ -448,10 +448,13 @@ def parse_ses_module(payload):
 
 
 def _ses_module_report(payload):
-    """ses_cm_check on a module SES document; a map of the wrong degree is bad input."""
+    """ses_cm_check on a module SES document, and the window it checks.
+
+    A map of the wrong degree is bad input.
+    """
     a, b, c, f, g = parse_ses_module(payload)
     try:
-        return ses_cm_check(a, b, c, f, g)
+        return ses_cm_check(a, b, c, f, g), min(a.window, b.window, c.window)
     except PresentationError as exc:
         raise InputError(str(exc)) from None
 
@@ -524,7 +527,7 @@ def _validate_payload(doc) -> tuple[int, dict]:
             if rep.input_error:
                 issues.append(rep.input_error)
         elif t == "module":
-            rep = _ses_module_report(payload)
+            rep, _window = _ses_module_report(payload)
             if not rep.is_ses:
                 issues.append(rep.detail)
         else:
@@ -621,9 +624,13 @@ def _cmd_spectral(doc, n_max):
 
 
 def _cmd_module(doc, n_max):
+    """(exit code, results, window): a module is computed on its own window."""
     kind = doc["kind"]
     if kind == "ses":
-        rep = _ses_module_report(doc["payload"])
+        t = doc["payload"].get("type")
+        if t != "module":
+            raise InputError(f"module expects a ses document of type 'module', got {t!r}")
+        rep, window = _ses_module_report(doc["payload"])
         if not rep.is_ses:
             raise InputError(rep.detail)
         if rep.conclusion_holds is None and not rep.hypotheses_met:
@@ -631,14 +638,14 @@ def _cmd_module(doc, n_max):
                 "is_ses": True,
                 "hypotheses_met": False,
                 "detail": rep.detail,
-            }
+            }, window
         code = EXIT_OK if rep.conclusion_holds else EXIT_VERDICT_FAILURE
         return code, {
             "is_ses": True,
             "hypotheses_met": rep.hypotheses_met,
             "conclusion_holds": rep.conclusion_holds,
             "detail": rep.detail,
-        }
+        }, window
     if kind != "module_presentation":
         raise InputError(f"module expects module_presentation or ses, got {kind}")
     m = parse_module(doc["payload"])
@@ -665,7 +672,7 @@ def _cmd_module(doc, n_max):
         "krull_dim": dd.krull_dim,
         "cohen_macaulay": dd.cohen_macaulay,
         "window": m.window,
-    }
+    }, m.window
 
 
 def _cmd_strata(doc, n_max):
@@ -861,7 +868,8 @@ def main(argv=None) -> int:
             n_max = int(doc.get("max_degree", 8))
         if n_max < 0:
             raise InputError("max degree must be >= 0")
-        code, results = COMMANDS[args.command](doc, n_max)
+        # a command that computes on a window of its own returns it third
+        code, results, *window = COMMANDS[args.command](doc, n_max)
     except InputError as exc:
         result_doc = {
             "schema_version": SCHEMA_VERSION,
@@ -876,7 +884,7 @@ def main(argv=None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "input_sha256": digest,
-        "max_degree": n_max,
+        "max_degree": window[0] if window else n_max,
         "results": results,
         "diagnostics": diagnostics,
         "exit_code": code,

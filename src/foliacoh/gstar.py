@@ -23,9 +23,11 @@ is only recorded here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .algebra_core import CochainComplex, CohomologyResult, GradedVectorSpace, cohomology_dims
 from .ratmat import RationalMatrix, Vec, frac, is_zero_vec, unit_vec, zero_vec
@@ -112,23 +114,27 @@ class GradedAlgebraPresentation:
 
     products maps (deg_a, idx_a, deg_b, idx_b) to a sparse result
     ((idx, coeff), ...) in degree deg_a + deg_b; absent keys mean zero.
-    products=None marks an operator-only presentation (internal use) on
-    which multiplication queries are unavailable.
+    A dict is coerced at once, so bad input fails early; a zero-argument
+    callable returns the table in coerced form and runs on the first read of
+    ``products`` (built structures pass one: the Weil route reads only the
+    operators).  products=None marks an operator-only presentation (internal
+    use) on which multiplication queries are unavailable.
     """
 
     def __init__(
         self,
         space: GradedVectorSpace,
-        products: dict | None,
+        products: dict | Callable[[], dict] | None,
         unit_index: int = 0,
         truncated_above: int | None = None,
     ):
         self.space = space
         self.unit_index = unit_index
         self.truncated_above = truncated_above
+        self._make_products = products if callable(products) else None
         if products is None:
             self.products = None
-        else:
+        elif not callable(products):
             self.products = {}
             for (da, ia, db, ib), terms in products.items():
                 terms = tuple((int(k), frac(c)) for k, c in terms if frac(c) != 0)
@@ -137,12 +143,12 @@ class GradedAlgebraPresentation:
         if space.dim(0) == 0 and products is not None:
             raise ValueError("a unital algebra needs a degree-0 element")
 
-    @property
-    def top_degree(self) -> int:
-        return self.space.window[1]
+    @functools.cached_property
+    def products(self) -> dict:
+        return self._make_products()
 
     def has_products(self) -> bool:
-        return self.products is not None
+        return self._make_products is not None or self.products is not None
 
     def unit_vector(self) -> Vec:
         return unit_vec(self.space.dim(0), self.unit_index)
@@ -168,14 +174,6 @@ class GradedAlgebraPresentation:
                 for k, c in self.basis_product(da, ia, db, ib):
                     out[k] += ca * cb * c
         return tuple(out)
-
-    def left_mult_matrix(self, da: int, va: Vec, db: int) -> RationalMatrix:
-        """Matrix of (x -> va * x) from degree db to degree da + db."""
-        cols = [
-            self.multiply(da, va, db, unit_vec(self.space.dim(db), ib))
-            for ib in range(self.space.dim(db))
-        ]
-        return RationalMatrix.from_cols(cols, self.space.dim(da + db))
 
     def stable_product_top(self) -> int:
         """Largest total degree whose products are exactly known."""
@@ -304,11 +302,6 @@ class GStarStructure:
 
     def l_operators(self, j: int) -> dict[int, RationalMatrix]:
         return dict(self._l[j])
-
-    def stable_operator_top(self) -> int:
-        """Degrees <= this bound see exactly the untruncated operators."""
-        t = self.truncated_above
-        return self.space.window[1] if t is None else t
 
 
 def extend_with_trivial_factor(s: GStarStructure, extra: int = 1) -> GStarStructure:
@@ -670,18 +663,13 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
     labels = {n: tuple(_mono_label(m) for m in ms) for n, ms in by_degree.items()}
     space = GradedVectorSpace(dims, labels, window=(0, max_degree))
 
-    products = {}
-    for m1 in monos:
-        d1 = _mono_degree(m1)
-        for m2 in monos:
-            d2 = _mono_degree(m2)
-            if d1 + d2 > max_degree:
-                continue
-            res = _mono_mul(m1, m2)
-            if res is None:
-                continue
-            sign, m3 = res
-            products[(d1, index[m1][1], d2, index[m2][1])] = ((index[m3][1], Fraction(sign)),)
+    def products():
+        table = {}
+        for m1, m2 in itertools.product(monos, repeat=2):
+            if _mono_degree(m1) + _mono_degree(m2) <= max_degree and (res := _mono_mul(m1, m2)):
+                table[index[m1] + index[m2]] = ((index[res[1]][1], Fraction(res[0])),)
+        return table
+
     algebra = GradedAlgebraPresentation(
         space, products, unit_index=0, truncated_above=max_degree
     )
@@ -848,9 +836,8 @@ def tensor_gstar(
     }
     space = GradedVectorSpace(dims, labels, window=(0, cap))
 
-    products = None
-    if a.algebra.has_products() and b.algebra.has_products():
-        products = {}
+    def products():
+        table = {}
         for n1, lst1 in pairs.items():
             for i1, (da1, ia1, db1, ib1) in enumerate(lst1):
                 for n2, lst2 in pairs.items():
@@ -867,42 +854,37 @@ def tensor_gstar(
                                 terms[key[1]] = terms.get(key[1], Fraction(0)) + sign * ca * cb
                         terms = tuple((k, c) for k, c in sorted(terms.items()) if c != 0)
                         if terms:
-                            products[(n1, i1, n2, i2)] = terms
+                            table[(n1, i1, n2, i2)] = terms
+        return table
+
     unit_idx = index.get((0, a.algebra.unit_index if a.algebra.has_products() else 0,
                           0, b.algebra.unit_index if b.algebra.has_products() else 0),
                          (0, 0))[1]
     algebra = GradedAlgebraPresentation(
-        space, products, unit_index=unit_idx,
+        space, products if a.algebra.has_products() and b.algebra.has_products() else None,
+        unit_index=unit_idx,
         truncated_above=cap if truncated else None,
     )
 
     def build(op_deg, op_a, op_b):
+        """Scatter each factor operator's nonzero entries, read once per degree."""
+        nz_a = {n: op_a(n).nonzero_columns() for n in a.space.degrees()}
+        nz_b = {n: op_b(n).nonzero_columns() for n in b.space.degrees()}
         mats = {}
         for n, lst in pairs.items():
-            tgt = n + op_deg
-            rows = dims.get(tgt, 0)
-            cols = []
-            tgt_list = pairs.get(tgt, [])
-            tgt_index = {key: i for i, key in enumerate(tgt_list)}
-            for (da, ia, db, ib) in lst:
-                col = [Fraction(0)] * rows
-                ma = op_a(da)
-                for k in range(ma.rows):
-                    c = ma.entry(k, ia)
-                    if c != 0:
-                        pos = tgt_index.get((da + op_deg, k, db, ib))
-                        if pos is not None:
-                            col[pos] += c
+            tgt_index = {key: i for i, key in enumerate(pairs.get(n + op_deg, ()))}
+            entries = []
+            for col, (da, ia, db, ib) in enumerate(lst):
+                for k, c in nz_a[da][ia]:
+                    pos = tgt_index.get((da + op_deg, k, db, ib))
+                    if pos is not None:
+                        entries.append((pos, col, c))
                 sign = -1 if (op_deg % 2 and da % 2) else 1
-                mb = op_b(db)
-                for k in range(mb.rows):
-                    c = mb.entry(k, ib)
-                    if c != 0:
-                        pos = tgt_index.get((da, ia, db + op_deg, k))
-                        if pos is not None:
-                            col[pos] += sign * c
-                cols.append(tuple(col))
-            mats[n] = RationalMatrix.from_cols(cols, rows)
+                for k, c in nz_b[db][ib]:
+                    pos = tgt_index.get((da, ia, db + op_deg, k))
+                    if pos is not None:
+                        entries.append((pos, col, sign * c))
+            mats[n] = RationalMatrix.from_entries(len(tgt_index), len(lst), entries)
         return mats
 
     d_mats = build(1, a.op_d, b.op_d)

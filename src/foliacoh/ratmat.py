@@ -4,6 +4,13 @@ Every entry is a ``fractions.Fraction``; no floating point enters any
 computation in this package.  Matrices act on column vectors, so an operator
 from an n-dimensional space to an m-dimensional one is an (m x n) matrix.
 
+Entries are coerced only at the public boundary: ``frac``, ``vec``,
+``RationalMatrix(...)``, ``from_rows``, ``from_cols`` and the CLI parsers.
+A matrix this module builds itself (sum, scaling, stack, RREF, inverse,
+solution, coordinates) wraps its grid of Fractions with no copy and no
+coercion and may share rows with its operands, so grids are immutable by
+convention: only a grid just allocated is ever written.
+
 Rank is computed by fraction-free Bareiss elimination with pivoting on
 numerator magnitude, which keeps intermediate integer growth bounded at the
 scales this package targets.  Canonical bases (kernels, representatives) come
@@ -50,15 +57,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * x for x in a)
-
-
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
@@ -76,15 +74,21 @@ class RationalMatrix:
         if entries is None:
             self._m = [[Fraction(0)] * cols for _ in range(rows)]
         else:
-            entries = [list(r) for r in entries]
-            if len(entries) != rows or any(len(r) != cols for r in entries):
-                raise ValueError(
-                    f"entry grid is not {rows}x{cols}: got {len(entries)} rows"
-                )
             self._m = [[frac(x) for x in r] for r in entries]
+            if len(self._m) != rows or any(len(r) != cols for r in self._m):
+                raise ValueError(
+                    f"entry grid is not {rows}x{cols}: got {len(self._m)} rows"
+                )
         self._rref_cache = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, grid: list[list[Fraction]]) -> "RationalMatrix":
+        """Wrap a rows x cols grid of Fractions as it is: no copy, no coercion."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._m, m._rref_cache = rows, cols, grid, None
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -99,9 +103,8 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
+        rows = list(rows)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence], dim: int | None = None) -> "RationalMatrix":
@@ -113,11 +116,16 @@ class RationalMatrix:
             dim = len(cols[0])
         if any(len(c) != dim for c in cols):
             raise ValueError("column length mismatch")
-        m = cls(dim, len(cols))
-        for j, c in enumerate(cols):
-            for i in range(dim):
-                m._m[i][j] = c[i]
-        return m
+        grid = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(dim)]
+        return cls._trusted(dim, len(cols), grid)
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "RationalMatrix":
+        """Zero matrix plus each Fraction x of the (i, j, x) entries at row i, column j."""
+        grid = [[Fraction(0)] * cols for _ in range(rows)]
+        for i, j, x in entries:
+            grid[i][j] += x
+        return cls._trusted(rows, cols, grid)
 
     # -- access ------------------------------------------------------------
 
@@ -135,6 +143,15 @@ class RationalMatrix:
 
     def tolist(self) -> list[list[Fraction]]:
         return [list(r) for r in self._m]
+
+    def nonzero_columns(self) -> list[list[tuple[int, Fraction]]]:
+        """Per column, its nonzero entries as (row, value), rows ascending."""
+        out = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self._m):
+            for j, x in enumerate(r):
+                if x:
+                    out[j].append((i, x))
+        return out
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._m for x in r)
@@ -157,7 +174,7 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return RationalMatrix(
+        return RationalMatrix._trusted(
             self.rows,
             self.cols,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._m, other._m)],
@@ -165,7 +182,7 @@ class RationalMatrix:
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return RationalMatrix(
+        return RationalMatrix._trusted(
             self.rows,
             self.cols,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._m, other._m)],
@@ -176,7 +193,7 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = frac(c)
-        return RationalMatrix(
+        return RationalMatrix._trusted(
             self.rows, self.cols, [[c * x for x in r] for r in self._m]
         )
 
@@ -215,15 +232,10 @@ class RationalMatrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows, [[self._m[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
-        return RationalMatrix(
+        return RationalMatrix._trusted(
             self.rows,
             self.cols + other.cols,
             [r1 + r2 for r1, r2 in zip(self._m, other._m)],
@@ -232,7 +244,7 @@ class RationalMatrix:
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise ValueError("vstack column mismatch")
-        return RationalMatrix(self.rows + other.rows, self.cols, self._m + other._m)
+        return RationalMatrix._trusted(self.rows + other.rows, self.cols, self._m + other._m)
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -323,7 +335,7 @@ class RationalMatrix:
                         row[j] -= f * x
             pivots.append(c)
             r += 1
-        out = RationalMatrix(nrows, ncols, m), tuple(pivots)
+        out = RationalMatrix._trusted(nrows, ncols, m), tuple(pivots)
         self._rref_cache = out
         return out
 
@@ -344,10 +356,6 @@ class RationalMatrix:
 
     def pivot_columns(self) -> tuple[int, ...]:
         return self.rref()[1]
-
-    def column_space_basis(self) -> list[Vec]:
-        """The pivot columns of the original matrix (deterministic)."""
-        return [self.col(j) for j in self.pivot_columns()]
 
     def solve(self, b: "Sequence | RationalMatrix") -> "Vec | RationalMatrix | None":
         """One solution X of self @ X = b (free variables zero), or None.
@@ -378,7 +386,7 @@ class RationalMatrix:
         R, pivots = aug.rref()
         if tuple(pivots[: self.rows]) != tuple(range(self.rows)):
             raise ValueError("matrix is singular")
-        return RationalMatrix(
+        return RationalMatrix._trusted(
             self.rows, self.cols, [row[self.cols :] for row in R._m]
         )
 
@@ -433,5 +441,5 @@ def coordinates_modulo(
     if sol is None:
         return None
     if batch:
-        return RationalMatrix(len(basis), sol.cols, sol._m[: len(basis)])
+        return RationalMatrix._trusted(len(basis), sol.cols, sol._m[: len(basis)])
     return sol[: len(basis)]

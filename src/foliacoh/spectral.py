@@ -31,7 +31,7 @@ from .ratmat import RationalMatrix, Vec, rank_of_columns, unit_vec
 
 
 class NonInvariantAction(ValueError):
-    """Raised when a page computation is requested with nonzero L-operators."""
+    """Raised when pages are requested with nonzero L-operators or non-abelian g."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,11 @@ class SpectralSequence:
         if not s.all_l_zero():
             raise NonInvariantAction(
                 "nonzero L-operators: the first page has no product shape here; refusing"
+            )
+        if not s.lie.is_abelian:
+            raise NonInvariantAction(
+                "non-abelian Lie algebra: the ambient Cartan basis is not invariant, "
+                "so its filtration does not compute the pages; refusing"
             )
         self.structure = s
         self.n_max = n_max

@@ -259,6 +259,29 @@ def test_module_ses_map_checks(tmp_path, capsys, first_map, message):
             assert message in out["error"]
 
 
+def test_module_envelope_reports_the_window_it_used(tmp_path, capsys):
+    # hopf_module.json has window 10 and no max_degree of its own
+    code, out = run_json(capsys, "module", "--input", doc_path("hopf_module"))
+    assert code == cli.EXIT_OK
+    assert out["max_degree"] == out["results"]["window"] == 10
+    assert len(out["results"]["hilbert"]) == 11
+    code, out = run_json(capsys, "module", "--input", doc_path("hopf_module"),
+                         "--max-degree", "4")
+    assert out["max_degree"] == 10
+    ses = _module_ses([_entry(0, [0])])
+    ses["total"]["window"] = 4
+    p = tmp_path / "ses.json"
+    p.write_text(json.dumps(cli.document_for("ses", ses, 8)))
+    code, out = run_json(capsys, "module", "--input", str(p))
+    assert code == cli.EXIT_OK and out["max_degree"] == 4  # the smallest of the three
+
+
+def test_module_on_complex_ses_names_the_type(capsys):
+    code, out = run_json(capsys, "module", "--input", doc_path("sphere3_split_ses"))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"] == "module expects a ses document of type 'module', got 'complex'"
+
+
 def test_module_command_builds_one_realization(capsys, monkeypatch):
     from foliacoh import module_theory
 
@@ -308,6 +331,26 @@ def test_spectral_nonzero_l_is_input_error(tmp_path, capsys):
     code, out = run_json(capsys, "spectral", "--input", str(p))
     assert code == cli.EXIT_INVALID_INPUT
     assert "nonzero L-operators" in out["error"]
+
+
+def test_spectral_nonabelian_is_input_error(tmp_path, capsys):
+    # so(3) acting trivially on a point: valid, with equivariant cohomology
+    # R[p1], but the ambient Cartan basis of spectral is not invariant
+    brackets = {(0, 1, 2): 1, (0, 2, 1): -1, (1, 2, 0): 1}
+    payload = {
+        "lie": {"dimension": 3, "brackets": [
+            {"i": i, "j": j, "k": k, "value": v} for (i, j, k), v in brackets.items()]},
+        "degrees": {"0": ["1"]},
+        "d": {}, "i": [{}, {}, {}], "L": [{}, {}, {}],
+    }
+    p = tmp_path / "so3_point.json"
+    p.write_text(json.dumps(cli.document_for("gstar_algebra", payload, 6)))
+    assert run_json(capsys, "validate", "--input", str(p))[0] == cli.EXIT_OK
+    code, out = run_json(capsys, "equivariant", "--input", str(p))
+    assert (code, out["results"]["equivariant_dims"]) == (cli.EXIT_OK, [1, 0, 0, 0, 1, 0, 0])
+    code, out = run_json(capsys, "spectral", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "non-abelian Lie algebra" in out["error"]
 
 
 def test_deterministic_output_bytes(capsys):

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foliacoh.algebra_core import cohomology_dims
 from foliacoh.gstar import (
@@ -265,3 +267,198 @@ def test_extend_with_trivial_factor():
     s = extend_with_trivial_factor(exterior_line_free(), 1)
     assert s.lie.dimension == 2
     assert check_gstar_axioms(s).ok
+
+
+# -- tensor operators and lazy product tables against the per-entry build --------------
+# The reference below is the eager, per-entry tensor construction that the
+# scattered build and the lazy product table replaced.
+
+
+def reference_tensor(a, b, cap):
+    """(pairs per degree, products, d, i, L) built entry by entry."""
+    pairs = {}
+    for da in a.space.degrees():
+        for ia in range(a.space.dim(da)):
+            for db in b.space.degrees():
+                if da + db > cap:
+                    continue
+                for ib in range(b.space.dim(db)):
+                    pairs.setdefault(da + db, []).append((da, ia, db, ib))
+    for n in pairs:
+        pairs[n].sort()
+    index = {key: (n, i) for n, lst in pairs.items() for i, key in enumerate(lst)}
+
+    products = {}
+    for n1, lst1 in pairs.items():
+        for i1, (da1, ia1, db1, ib1) in enumerate(lst1):
+            for n2, lst2 in pairs.items():
+                if n1 + n2 > cap:
+                    continue
+                for i2, (da2, ia2, db2, ib2) in enumerate(lst2):
+                    sign = -1 if (db1 % 2 and da2 % 2) else 1
+                    terms = {}
+                    for ka, ca in a.algebra.basis_product(da1, ia1, da2, ia2):
+                        for kb, cb in b.algebra.basis_product(db1, ib1, db2, ib2):
+                            key = index.get((da1 + da2, ka, db1 + db2, kb))
+                            if key is None:
+                                continue
+                            terms[key[1]] = terms.get(key[1], Fraction(0)) + sign * ca * cb
+                    terms = tuple((k, c) for k, c in sorted(terms.items()) if c != 0)
+                    if terms:
+                        products[(n1, i1, n2, i2)] = terms
+
+    def build(op_deg, op_a, op_b):
+        mats = {}
+        for n, lst in pairs.items():
+            rows = len(pairs.get(n + op_deg, []))
+            tgt_index = {key: i for i, key in enumerate(pairs.get(n + op_deg, []))}
+            cols = []
+            for (da, ia, db, ib) in lst:
+                col = [Fraction(0)] * rows
+                ma = op_a(da)
+                for k in range(ma.rows):
+                    c = ma.entry(k, ia)
+                    if c != 0:
+                        pos = tgt_index.get((da + op_deg, k, db, ib))
+                        if pos is not None:
+                            col[pos] += c
+                sign = -1 if (op_deg % 2 and da % 2) else 1
+                mb = op_b(db)
+                for k in range(mb.rows):
+                    c = mb.entry(k, ib)
+                    if c != 0:
+                        pos = tgt_index.get((da, ia, db + op_deg, k))
+                        if pos is not None:
+                            col[pos] += sign * c
+                cols.append(tuple(col))
+            mats[n] = RationalMatrix.from_cols(cols, rows)
+        return mats
+
+    r = a.lie.dimension
+    d = build(1, a.op_d, b.op_d)
+    i_ops = [build(-1, lambda n, j=j: a.op_i(j, n), lambda n, j=j: b.op_i(j, n)) for j in range(r)]
+    l_ops = [build(0, lambda n, j=j: a.op_l(j, n), lambda n, j=j: b.op_l(j, n)) for j in range(r)]
+    return pairs, products, d, i_ops, l_ops
+
+
+def change_basis(s, rng):
+    """The same structure in the basis given by unit-LU changes per degree.
+
+    Degree 0 keeps its basis, so the unit stays a basis element, and the
+    product table is carried along with the operators.
+    """
+    from conftest import random_invertible
+    from foliacoh.gstar import GradedAlgebraPresentation
+
+    sp = s.space
+    t = {n: random_invertible(rng, sp.dim(n)) if n else RationalMatrix.identity(sp.dim(n))
+         for n in sp.degrees()}
+    t_inv = {n: m.inverse() for n, m in t.items()}
+
+    def conj(get, delta):
+        return {n: t[n + delta] @ get(n) @ t_inv[n] for n in sp.degrees()
+                if sp.dim(n) and sp.dim(n + delta)}
+
+    products = {}
+    for da in sp.degrees():
+        for db in sp.degrees():
+            if da + db not in t:
+                continue
+            for ia, va in enumerate(t_inv[da].columns()):
+                for ib, vb in enumerate(t_inv[db].columns()):
+                    ab = t[da + db].apply(s.algebra.multiply(da, va, db, vb))
+                    products[(da, ia, db, ib)] = tuple(enumerate(ab))
+    algebra = GradedAlgebraPresentation(sp, products, s.algebra.unit_index,
+                                        s.truncated_above)
+    r = s.lie.dimension
+    return GStarStructure(
+        algebra, s.lie, conj(s.op_d, 1),
+        [conj(lambda n, j=j: s.op_i(j, n), -1) for j in range(r)],
+        [conj(lambda n, j=j: s.op_l(j, n), 0) for j in range(r)],
+    )
+
+
+SO3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+
+
+def so3_point():
+    """so(3) acting trivially on a point."""
+    return GStarStructure(trivial_line(3).algebra, SO3, {}, [{}] * 3, [{}] * 3)
+
+
+# factors sharing one Lie algebra; weil algebras take their top degree N <= 4
+FACTORS = {
+    "R": (exterior_line_free, hopf_basic_model, sphere3_minimal_model,
+          trivial_action_on_h_1_0_1, lambda: trivial_line(1),
+          lambda n: weil_algebra(LieAlgebraSpec.abelian(1), n)),
+    "R2": (exterior_two_free, lambda: trivial_line(2),
+           lambda n: weil_algebra(LieAlgebraSpec.abelian(2), n)),
+    "so3": (so3_point, lambda n: weil_algebra(SO3, n)),
+}
+
+
+@st.composite
+def tensor_factors(draw):
+    lie = draw(st.sampled_from(sorted(FACTORS)))
+    makers = FACTORS[lie]
+    out = []
+    for _ in range(2):
+        make = draw(st.sampled_from(makers))
+        top = 3 if lie == "so3" else 4
+        s = make(draw(st.integers(0, top))) if make is makers[-1] else make()
+        if draw(st.booleans()):
+            s = change_basis(s, random.Random(draw(st.integers(0, 2**16))))
+        out.append(s)
+    return out[0], out[1], draw(st.one_of(st.none(), st.integers(0, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_factors())
+def test_tensor_operators_match_per_entry_build(factors):
+    a, b, max_degree = factors
+    t = tensor_gstar(a, b, max_degree=max_degree)
+    pairs, products, d, i_ops, l_ops = reference_tensor(a, b, t.space.window[1])
+    assert {n: t.space.dim(n) for n in t.space.degrees() if t.space.dim(n)} == \
+        {n: len(lst) for n, lst in pairs.items()}
+    for n in pairs:
+        assert t.op_d(n) == d[n]
+        for j in range(a.lie.dimension):
+            assert t.op_i(j, n) == i_ops[j][n]
+            assert t.op_l(j, n) == l_ops[j][n]
+    assert "products" not in vars(t.algebra)  # built on first read only
+    assert t.algebra.products == products
+
+
+def test_lazy_tables_are_built_only_when_read():
+    w = weil_algebra(LieAlgebraSpec.abelian(1), 4)
+    t = tensor_gstar(w, change_basis(hopf_basic_model(), random.Random(1)))
+    cohomology_dims(basic_subcomplex(t).complex)
+    assert t.algebra.has_products()
+    assert "products" not in vars(t.algebra) and "products" not in vars(w.algebra)
+    assert check_gstar_axioms(t).ok  # the derivation laws read both tables
+    assert "products" in vars(t.algebra) and "products" in vars(w.algebra)
+
+
+def test_tensor_product_table_passes_axioms():
+    for a, b in ((weil_algebra(LieAlgebraSpec.abelian(1), 4), hopf_basic_model()),
+                 (change_basis(trivial_action_on_h_1_0_1(), random.Random(2)),
+                  change_basis(hopf_basic_model(), random.Random(3))),
+                 (exterior_two_free(), weil_algebra(LieAlgebraSpec.abelian(2), 3)),
+                 (weil_algebra(SO3, 3), so3_point())):
+        t = tensor_gstar(a, b)
+        pairs, products, *_ = reference_tensor(a, b, t.space.window[1])
+        assert t.algebra.products == products
+        rep = check_gstar_axioms(t)
+        assert rep.ok, [(c.name, c.witness) for c in rep.failures()]
+        assert t.algebra.check_algebra() == []
+
+
+def test_dict_product_table_fails_early():
+    from foliacoh.algebra_core import GradedVectorSpace
+    from foliacoh.gstar import GradedAlgebraPresentation
+
+    space = GradedVectorSpace({0: 1}, {0: ("1",)})
+    with pytest.raises(TypeError):
+        GradedAlgebraPresentation(space, {(0, 0, 0, 0): ((0, 0.5),)})
+    assert GradedAlgebraPresentation(space, {(0, 0, 0, 0): ((0, "1"), (0, 0))}).products == \
+        {(0, 0, 0, 0): ((0, Fraction(1)),)}

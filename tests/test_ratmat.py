@@ -314,3 +314,76 @@ def test_independent_complement_certificate(monkeypatch):
     monkeypatch.setattr(ratmat, "rank_of_columns", lambda cols, dim: len(cols) - 1)
     with pytest.raises(ArithmeticError):
         independent_complement([e1, e2], [e0], 3)
+
+
+# -- trusted grids: results wrap fresh Fractions and never touch their operands ------
+
+
+def snapshot(x):
+    """A deep copy of a matrix, vector or list of vectors, to compare after a call."""
+    if isinstance(x, RationalMatrix):
+        return ("matrix", x.rows, x.cols, x.tolist())
+    return [list(v) if isinstance(v, (list, tuple)) else v for v in x]
+
+
+def all_fractions(x) -> bool:
+    rows = x.tolist() if isinstance(x, RationalMatrix) else [x]
+    return all(type(v) is Fraction for row in rows for v in row)
+
+
+@FAST
+@given(systems(), st.data())
+def test_trusted_results_are_fractions_and_leave_inputs_alone(system, data):
+    a, b = system
+    same = data.draw(matrices(a.rows, a.cols))
+    c = data.draw(st.sampled_from((2, -1, "1/3", Fraction(-5, 7))))
+    raw_cols = data.draw(st.lists(
+        st.lists(st.sampled_from((0, 1, -2, "3/4", Fraction(1, 5))),
+                 min_size=a.rows, max_size=a.rows), max_size=4))
+    split = data.draw(st.integers(0, a.cols))
+    basis, modulo = a.columns()[:split], a.columns()[split:]
+    v = b.col(0) if b.cols else tuple(Fraction(0) for _ in range(a.rows))
+    calls = [
+        ((a, same), lambda: a + same),
+        ((a, same), lambda: a - same),
+        ((a,), lambda: a.scale(c)),
+        ((a,), lambda: -a),
+        ((a, b), lambda: a.hstack(RationalMatrix.zeros(a.rows, 0)).hstack(b)),
+        ((a, same), lambda: a.vstack(same)),
+        ((a,), lambda: a.rref()[0]),
+        ((a, v), lambda: a.solve(v)),
+        ((a, b), lambda: a.solve(b)),
+        ((basis, modulo, v), lambda: coordinates_modulo(basis, modulo, v, a.rows)),
+        ((basis, modulo, b), lambda: coordinates_modulo(basis, modulo, b, a.rows)),
+        ((raw_cols,), lambda: RationalMatrix.from_cols(raw_cols, a.rows)),
+        ((raw_cols,), lambda: RationalMatrix.from_rows(raw_cols)),
+    ]
+    if a.rows == a.cols and a.rank() == a.rows:
+        calls.append(((a,), lambda: a.inverse()))
+    for inputs, call in calls:
+        before = [snapshot(x) for x in inputs]
+        out = call()
+        assert [snapshot(x) for x in inputs] == before
+        if out is not None:
+            assert all_fractions(out)
+
+
+@FAST
+@given(matrices())
+def test_nonzero_columns_round_trip(m):
+    cols = m.nonzero_columns()
+    assert len(cols) == m.cols
+    for j, entries in enumerate(cols):
+        assert entries == [(i, m.entry(i, j)) for i in range(m.rows) if m.entry(i, j)]
+    scattered = RationalMatrix.from_entries(
+        m.rows, m.cols, [(i, j, x) for j, entries in enumerate(cols) for i, x in entries]
+    )
+    assert scattered == m
+    assert all_fractions(scattered)
+
+
+def test_from_entries_sums_repeated_positions():
+    m = RationalMatrix.from_entries(2, 2, [(0, 1, Fraction(1, 2)), (0, 1, Fraction(1, 3)),
+                                           (1, 0, Fraction(-1)), (1, 0, Fraction(1))])
+    assert m == M([[0, "5/6"], [0, 0]])
+    assert RationalMatrix.from_entries(0, 3, []) == RationalMatrix.zeros(0, 3)
