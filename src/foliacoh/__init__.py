@@ -21,7 +21,6 @@ from .algebra_core import (
 from .cartan import (
     CartanComplex,
     EquivariantCohomologyResult,
-    cartan_complex,
     commuting_reduction_check,
     equivariant_cohomology,
     module_presentation,

@@ -240,14 +240,16 @@ def _check_ses(ses: ShortExactSequence) -> str | None:
             return f"inclusion shape mismatch in degree {n}"
         if (g.rows, g.cols) != (c.spaces.dim(n), b.spaces.dim(n)):
             return f"projection shape mismatch in degree {n}"
-        if f.rank() != a.spaces.dim(n):
+        rank_f = f.rank()
+        if rank_f != a.spaces.dim(n):
             return f"inclusion not injective in degree {n}"
-        if g.rank() != c.spaces.dim(n):
+        rank_g = g.rank()
+        if rank_g != c.spaces.dim(n):
             return f"projection not surjective in degree {n}"
         if not (g @ f).is_zero():
             return f"projection o inclusion != 0 in degree {n}"
         # ker g = im f follows from rank equality once g o f = 0
-        if b.spaces.dim(n) - g.rank() != f.rank():
+        if b.spaces.dim(n) - rank_g != rank_f:
             return f"im(inclusion) != ker(projection) in degree {n}"
     for n in range(lo, hi):
         if not (b.diff(n) @ ses.incl(n) - ses.incl(n + 1) @ a.diff(n)).is_zero():

@@ -20,6 +20,7 @@ from .module_theory import GradedModulePresentation, Poly, monomials_of_degree
 from .ratmat import (
     RationalMatrix,
     Vec,
+    coordinates_modulo,
     independent_complement,
     unit_vec,
 )
@@ -49,13 +50,6 @@ class CartanComplexSlice:
     @property
     def dim(self) -> int:
         return self.ambient_dim if self.embedding is None else self.embedding.cols
-
-    def bigraded_dims(self) -> dict[int, int]:
-        """Ambient dimensions per polynomial degree p."""
-        out: dict[int, int] = {}
-        for alpha, _idx in self.ambient_basis:
-            out[sum(alpha)] = out.get(sum(alpha), 0) + 1
-        return out
 
 
 class CartanComplex:
@@ -218,11 +212,6 @@ class CartanComplex:
         return sol
 
 
-def cartan_complex(s: GStarStructure, n_max: int) -> CartanComplex:
-    """Build and verify the Cartan complex through total degree n_max."""
-    return CartanComplex(s, n_max)
-
-
 @dataclass(frozen=True)
 class EquivariantCohomologyResult:
     """Equivariant cohomology with its polynomial-module structure."""
@@ -254,7 +243,7 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
     coboundaries; minimal generator degrees via the cokernel of the
     combined u-action out of two degrees below.
     """
-    cx = cartan_complex(s, n_max)
+    cx = CartanComplex(s, n_max)
     r = s.lie.dimension
     dims: dict[int, int] = {}
     reps: dict[int, tuple[Vec, ...]] = {}
@@ -270,12 +259,10 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
 
     def reduce_classes(n: int, vs: RationalMatrix) -> RationalMatrix:
         """Class coordinates of the columns of vs, all from one solve."""
-        h = dims.get(n, 0)
-        span = RationalMatrix.from_cols(list(reps.get(n, ())) + images[n], cx.dim(n))
-        coords = span.solve(vs)
+        coords = coordinates_modulo(reps.get(n, ()), images[n], vs, cx.dim(n))
         if coords is None:
             raise AssertionError(f"vector is not a cocycle class in degree {n}")
-        return RationalMatrix(h, vs.cols, coords.tolist()[:h])
+        return coords
 
     u_actions: tuple[dict[int, RationalMatrix], ...] = tuple({} for _ in range(r))
     if s.lie.is_abelian:
@@ -288,30 +275,40 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
                     if z else RationalMatrix.zeros(dims.get(n + 2, 0), 0)
                 )
 
-    generator_degrees: list[int] = []
-    for n in range(n_max + 1):
-        h_n = dims.get(n, 0)
-        if h_n == 0:
-            continue
-        image_cols: list[Vec] = []
-        for j in range(r):
-            m = u_actions[j].get(n - 2)
-            if m is not None:
-                image_cols.extend(m.columns())
-        std = [unit_vec(h_n, i) for i in range(h_n)]
-        new = independent_complement(std, image_cols, h_n)
-        generator_degrees.extend([n] * len(new))
-
     return EquivariantCohomologyResult(
         dims=dims,
         representatives=reps,
         u_actions=u_actions,
-        generator_degrees=tuple(generator_degrees),
+        generator_degrees=tuple(n for n, _v in _module_generators(dims, u_actions, n_max)),
         n_max=n_max,
         stable_through=cx.stable_through,
         dim_a=r,
         complex=cx,
     )
+
+
+def _module_generators(
+    dims: dict[int, int], u_actions: tuple[dict[int, RationalMatrix], ...], n_max: int
+) -> list[tuple[int, Vec]]:
+    """Minimal generators as (degree, standard class vector).
+
+    A standard basis vector is taken when it is independent modulo the image
+    of the u-action from two degrees down; ties go to the lowest degree, then
+    the lowest position.
+    """
+    generators = []
+    for n in range(n_max + 1):
+        h_n = dims.get(n, 0)
+        if h_n == 0:
+            continue
+        image_cols: list[Vec] = []
+        for action in u_actions:
+            m = action.get(n - 2)
+            if m is not None:
+                image_cols.extend(m.columns())
+        std = [unit_vec(h_n, i) for i in range(h_n)]
+        generators.extend((n, std[i]) for i in independent_complement(std, image_cols, h_n))
+    return generators
 
 
 def module_presentation(
@@ -329,19 +326,7 @@ def module_presentation(
         raise ValueError("dim_a disagrees with the computed module action")
     n_max = e.n_max
 
-    generators: list[tuple[int, Vec]] = []  # (degree, class vector)
-    for n in range(n_max + 1):
-        h_n = e.dim(n)
-        if h_n == 0:
-            continue
-        image_cols: list[Vec] = []
-        for j in range(r):
-            m = e.u_actions[j].get(n - 2)
-            if m is not None:
-                image_cols.extend(m.columns())
-        std = [unit_vec(h_n, i) for i in range(h_n)]
-        for i in independent_complement(std, image_cols, h_n):
-            generators.append((n, std[i]))
+    generators = _module_generators(e.dims, e.u_actions, n_max)
     gen_degrees = tuple(g for g, _v in generators)
 
     def evaluate(g_idx: int, beta: tuple[int, ...]) -> tuple[int, Vec]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -543,6 +542,9 @@ def _cmd_validate(doc, n_max):
 def _cmd_cohomology(doc, n_max):
     kind = doc["kind"]
     if kind == "ses":
+        t = doc["payload"].get("type")
+        if t != "complex":
+            raise InputError(f"cohomology expects a ses document of type 'complex', got {t!r}")
         ses = parse_ses_complex(doc["payload"])
         rep = les_exactness_check(ses)
         if rep.input_error:
@@ -844,10 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads_hint = os.environ.get("FOLIACOH_THREADS")
     diagnostics = {"notes": [], "version": __version__}
-    if threads_hint:
-        diagnostics["threads_hint"] = threads_hint
 
     if args.command == "fixtures":
         code, results = _cmd_fixtures(None, None, args.filter, args.list)

@@ -534,13 +534,15 @@ def ses_cm_check(
     for n in range(window + 1):
         fm = _induced_matrix(ra, rb, f, n)
         gm = _induced_matrix(rb, rc, g, n)
-        if fm.rank() != ra.dim(n):
+        rank_f = fm.rank()
+        if rank_f != ra.dim(n):
             return SESCMReport(False, False, None, f"first map not injective in degree {n}")
-        if gm.rank() != rc.dim(n):
+        rank_g = gm.rank()
+        if rank_g != rc.dim(n):
             return SESCMReport(False, False, None, f"second map not surjective in degree {n}")
         if not (gm @ fm).is_zero():
             return SESCMReport(False, False, None, f"composition nonzero in degree {n}")
-        if rb.dim(n) - gm.rank() != fm.rank():
+        if rb.dim(n) - rank_g != rank_f:
             return SESCMReport(False, False, None, f"im != ker in degree {n}")
     da, db, dc = depth_dim_cm(a), depth_dim_cm(b), depth_dim_cm(c)
     if not (da.conclusive and dc.conclusive):

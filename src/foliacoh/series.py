@@ -168,10 +168,6 @@ class PoincareSeriesRational:
         object.__setattr__(self, "den_exp", den_exp)
 
     @classmethod
-    def from_polynomial(cls, p: PoincarePolynomial) -> "PoincareSeriesRational":
-        return cls(p, 0)
-
-    @classmethod
     def zero(cls) -> "PoincareSeriesRational":
         return cls(PoincarePolynomial.zero(), 0)
 
@@ -218,10 +214,6 @@ class PoincareSeriesRational:
                     acc += c * math.comb(j + k - 1, k - 1)
             out[n] = acc
         return tuple(out)
-
-    def as_polynomial(self) -> PoincarePolynomial | None:
-        """The underlying polynomial if den_exp is 0, else None."""
-        return self.numerator if self.den_exp == 0 else None
 
     def __str__(self) -> str:
         if self.den_exp == 0:

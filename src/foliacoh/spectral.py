@@ -6,28 +6,44 @@ the algebra differential, the horizontal one contracts and multiplies by the
 dual variables, raising p by one.  Page r differentials go (p, q) to
 (p + r, q + 1 - r).
 
-Pages are computed from the filtration subquotients
+Pages are read off the rank invariant of each differential d_n.  For abelian
+g with vanishing L-operators the Cartan slice is its ambient basis, sorted by
+polynomial degree, so every filtration step F^p is a coordinate subspace.
+With r_n(a, b) the exact rank of the block of d_n from sources of degree
+p >= a to targets of degree p < b,
 
-    E_r(p,q) = Z_r(p,q) / ( Z_{r-1}(p+1,q-1) + D Z_{r-1}(p-r+1,q+r-2) ),
-    Z_r(p,q) = F^p Tot^n  intersect  D^{-1} F^{p+r} Tot^{n+1},
+    N_n(a, b) = r_n(a, b+1) - r_n(a+1, b+1) - r_n(a, b) + r_n(a+1, b)
 
-with exact ranks throughout.  Beyond page (top algebra degree + 1)/2 + 1 all
-differentials vanish for structural reasons (their target algebra degree is
-negative), which bounds the run.
+counts the persistence pairs of d_n from filtration a to filtration b.  A
+pair of gap b - a is a nonzero d_{b-a} from (a, n - a), so
 
-For a transverse action whose L-operators are nonzero the shape of the first
-page is unknown; the builder refuses such input rather than guessing.
+    rank d_r(p, q) = N_n(p, p + r),
+    dim E_r(p, q) = #{basis vectors of slice n at degree p}
+                    - sum_{b < p+r} N_n(p, b) - sum_{a > p-r} N_{n-1}(a, p).
+
+This reading needs d_n d_{n-1} = 0.  Above the stable window of a truncated
+algebra that can fail; the numbers there are no spectral sequence, and
+``run_pages`` reports that range as inconclusive.
+
+Beyond page (top algebra degree + 1)/2 + 1 all differentials vanish for
+structural reasons (their target algebra degree is negative), which bounds
+the run.
+
+For a transverse action whose L-operators are nonzero, or a non-abelian Lie
+algebra, the ambient basis is not the invariant one; the builder refuses
+such input rather than guessing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .algebra_core import cohomology_dims
-from .cartan import CartanComplex, EquivariantCohomologyResult, cartan_complex, module_presentation
+from .cartan import CartanComplex, EquivariantCohomologyResult, module_presentation
 from .gstar import GStarStructure
 from .module_theory import dim_sym, freeness_test
-from .ratmat import RationalMatrix, Vec, rank_of_columns, unit_vec
+from .ratmat import RationalMatrix
 
 
 class NonInvariantAction(ValueError):
@@ -57,9 +73,13 @@ class DoubleComplexPage:
 
 
 class SpectralSequence:
-    """Filtration bookkeeping for one structure and one window."""
+    """Persistence pairs of each differential, read off into pages.
 
-    def __init__(self, s: GStarStructure, n_max: int):
+    cx is a Cartan complex of s through at least degree n_max; one is built
+    when none is given.
+    """
+
+    def __init__(self, s: GStarStructure, n_max: int, cx: CartanComplex | None = None):
         if not s.all_l_zero():
             raise NonInvariantAction(
                 "nonzero L-operators: the first page has no product shape here; refusing"
@@ -71,101 +91,31 @@ class SpectralSequence:
             )
         self.structure = s
         self.n_max = n_max
-        # one extra total degree so every cell with p + q <= n_max has full data
-        self.cx: CartanComplex = cartan_complex(s, n_max + 1)
+        self.cx: CartanComplex = CartanComplex(s, n_max) if cx is None else cx
         self.top_a = s.space.window[1]
         self.r_stop = (self.top_a + 1) // 2 + 1
-        self._z_cache: dict[tuple[int, int, int], list[Vec]] = {}
+        # below[n][p]: basis vectors of slice n of polynomial degree < p
+        self._below = []
+        for sl in self.cx.slices[: n_max + 2]:
+            degrees = [sum(alpha) for alpha, _a in sl.ambient_basis]
+            self._below.append([bisect_left(degrees, p) for p in range(sl.n // 2 + 2)])
+        self._pairs = [self._persistence_pairs(n) for n in range(n_max + 1)]
 
-    # -- filtration subspaces ------------------------------------------------
-
-    def _slice_basis(self, n: int):
-        if 0 <= n < len(self.cx.slices):
-            return self.cx.slices[n].ambient_basis
-        return ()
-
-    def _f_cols(self, n: int, p_min: int) -> list[Vec]:
-        basis = self._slice_basis(n)
-        dim = len(basis)
-        return [
-            unit_vec(dim, i)
-            for i, (alpha, _a) in enumerate(basis)
-            if sum(alpha) >= p_min
+    def _persistence_pairs(self, n: int) -> dict[tuple[int, int], int]:
+        """N_n(a, b) where nonzero, from the ranks of the corner blocks of d_n."""
+        grid = self.cx.d[n].tolist()
+        src, tgt = self._below[n], self._below[n + 1]
+        rk = [
+            [RationalMatrix.from_rows([row[c0:] for row in grid[:rows]]).rank() for rows in tgt]
+            for c0 in src
         ]
-
-    def _diff(self, n: int) -> RationalMatrix:
-        if n in self.cx.d:
-            return self.cx.d[n]
-        return RationalMatrix.zeros(len(self._slice_basis(n + 1)), len(self._slice_basis(n)))
-
-    def z_cols(self, r: int, p: int, q: int) -> list[Vec]:
-        """Spanning columns of Z_r(p,q) in ambient slice coordinates.
-
-        The filtration saturates: F^p is the whole total space for p <= 0,
-        so negative indices (which occur in the incoming-boundary terms of
-        low-p cells) clamp rather than vanish.
-        """
-        n = p + q
-        if n < 0:
-            return []
-        key = (r, p, q)
-        if key in self._z_cache:
-            return self._z_cache[key]
-        basis = self._slice_basis(n)
-        if not basis:
-            self._z_cache[key] = []
-            return []
-        incl_cols = self._f_cols(n, max(p, 0))
-        if not incl_cols:
-            self._z_cache[key] = []
-            return []
-        incl = RationalMatrix.from_cols(incl_cols, len(basis))
-        d = self._diff(n)
-        tgt_basis = self._slice_basis(n + 1)
-        low_rows = [i for i, (alpha, _a) in enumerate(tgt_basis) if sum(alpha) < p + r]
-        if low_rows:
-            proj = RationalMatrix.from_rows(
-                [[d.entry(i, j) for j in range(d.cols)] for i in low_rows]
-            )
-            restricted = proj @ incl
-            kernel = restricted.nullspace()
-        else:
-            kernel = [unit_vec(incl.cols, i) for i in range(incl.cols)]
-        out = [incl.apply(k) for k in kernel]
-        self._z_cache[key] = out
-        return out
-
-    def boundary_cols(self, r: int, p: int, q: int) -> list[Vec]:
-        """Denominator of E_r(p,q): lower filtration cycles plus boundaries."""
-        cols = list(self.z_cols(r - 1, p + 1, q - 1))
-        d_src = self._diff(p + q - 1)
-        for z in self.z_cols(r - 1, p - r + 1, q + r - 2):
-            cols.append(d_src.apply(z))
-        return cols
-
-    def cell_dim(self, r: int, p: int, q: int) -> int:
-        n = p + q
-        dim = len(self._slice_basis(n))
-        if dim == 0:
-            return 0
-        znum = self.z_cols(r, p, q)
-        if not znum:
-            return 0
-        return rank_of_columns(znum, dim) - rank_of_columns(
-            self.boundary_cols(r, p, q), dim
-        )
-
-    def d_rank(self, r: int, p: int, q: int) -> int:
-        """Rank of d_r out of (p, q) into (p + r, q + 1 - r)."""
-        n = p + q
-        tgt_dim = len(self._slice_basis(n + 1))
-        if tgt_dim == 0:
-            return 0
-        d = self._diff(n)
-        image = [d.apply(z) for z in self.z_cols(r, p, q)]
-        denom = self.boundary_cols(r, p + r, q + 1 - r)
-        base = rank_of_columns(denom, tgt_dim)
-        return rank_of_columns(denom + image, tgt_dim) - base
+        pairs = {}
+        for a in range(len(src) - 1):
+            for b in range(len(tgt) - 1):
+                count = rk[a][b + 1] - rk[a + 1][b + 1] - rk[a][b] + rk[a + 1][b]
+                if count:
+                    pairs[(a, b)] = count
+        return pairs
 
     # -- pages -----------------------------------------------------------------
 
@@ -180,10 +130,18 @@ class SpectralSequence:
         dims = {}
         ranks = {}
         for (p, q) in self.cells():
-            d = self.cell_dim(r, p, q)
+            n = p + q
+            below = self._below[n]
+            out = self._pairs[n]
+            incoming = self._pairs[n - 1] if n else {}
+            d = (
+                below[p + 1] - below[p]
+                - sum(c for (a, b), c in out.items() if a == p and b < p + r)
+                - sum(c for (a, b), c in incoming.items() if b == p and a > p - r)
+            )
             if d:
                 dims[(p, q)] = d
-            rk = self.d_rank(r, p, q)
+            rk = out.get((p, p + r), 0)
             if rk:
                 ranks[(p, q)] = rk
         return DoubleComplexPage(r=r, dims=dims, d_ranks=ranks, n_max=self.n_max)
@@ -229,9 +187,13 @@ def run_pages(
     """Pages until structural stabilization; totals checked against the target.
 
     The run is inconclusive when the stable window of a truncated algebra
-    is smaller than the requested one.
+    is smaller than the requested one.  The pages reuse the Cartan complex
+    of the equivariant result when it reaches degree n_max.
     """
-    ss = SpectralSequence(s, n_max)
+    cx = None
+    if equivariant is not None and equivariant.n_max >= n_max:
+        cx = equivariant.complex
+    ss = SpectralSequence(s, n_max, cx)
     stable = min(n_max, ss.cx.stable_through)
     pages = [ss.page(r) for r in range(1, ss.r_stop + 1)]
     e_inf = ss.page(ss.r_stop + 1)

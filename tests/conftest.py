@@ -3,6 +3,7 @@ import random
 import pytest
 
 from foliacoh.algebra_core import CochainComplex, GradedVectorSpace, ShortExactSequence
+from foliacoh.gstar import GradedAlgebraPresentation, GStarStructure
 from foliacoh.ratmat import RationalMatrix
 
 
@@ -15,6 +16,40 @@ def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
             lo._m[i][j] = rng.randint(-2, 2)
             up._m[j][i] = rng.randint(-2, 2)
     return lo @ up
+
+
+def change_basis(s, rng):
+    """The same structure in the basis given by unit-LU changes per degree.
+
+    Degree 0 keeps its basis, so the unit stays a basis element, and the
+    product table is carried along with the operators.
+    """
+    sp = s.space
+    t = {n: random_invertible(rng, sp.dim(n)) if n else RationalMatrix.identity(sp.dim(n))
+         for n in sp.degrees()}
+    t_inv = {n: m.inverse() for n, m in t.items()}
+
+    def conj(get, delta):
+        return {n: t[n + delta] @ get(n) @ t_inv[n] for n in sp.degrees()
+                if sp.dim(n) and sp.dim(n + delta)}
+
+    products = {}
+    for da in sp.degrees():
+        for db in sp.degrees():
+            if da + db not in t:
+                continue
+            for ia, va in enumerate(t_inv[da].columns()):
+                for ib, vb in enumerate(t_inv[db].columns()):
+                    ab = t[da + db].apply(s.algebra.multiply(da, va, db, vb))
+                    products[(da, ia, db, ib)] = tuple(enumerate(ab))
+    algebra = GradedAlgebraPresentation(sp, products, s.algebra.unit_index,
+                                        s.truncated_above)
+    r = s.lie.dimension
+    return GStarStructure(
+        algebra, s.lie, conj(s.op_d, 1),
+        [conj(lambda n, j=j: s.op_i(j, n), -1) for j in range(r)],
+        [conj(lambda n, j=j: s.op_l(j, n), 0) for j in range(r)],
+    )
 
 
 def random_complex(rng: random.Random, top: int = 4, max_dim: int = 6) -> CochainComplex:

@@ -4,7 +4,7 @@ import pytest
 
 from foliacoh.algebra_core import cohomology_dims
 from foliacoh.cartan import (
-    cartan_complex,
+    CartanComplex,
     commuting_reduction_check,
     equivariant_cohomology,
     module_presentation,
@@ -39,23 +39,23 @@ ALL_FIXTURES = [
 
 
 def test_slice_dims_trivial_line():
-    cx = cartan_complex(trivial_line(1), 8)
+    cx = CartanComplex(trivial_line(1), 8)
     assert cx.slice_dims() == (1, 0, 1, 0, 1, 0, 1, 0, 1)
 
 
 def test_slice_dims_exterior_line():
-    cx = cartan_complex(exterior_line_free(), 8)
+    cx = CartanComplex(exterior_line_free(), 8)
     assert cx.slice_dims() == (1,) * 9
 
 
 def test_slice_dims_hopf():
     # monomial count over the 4-dimensional algebra
-    cx = cartan_complex(hopf_basic_model(), 8)
+    cx = CartanComplex(hopf_basic_model(), 8)
     assert cx.slice_dims() == (1, 1, 2, 2, 2, 2, 2, 2, 2)
 
 
 def test_exterior_line_differential_sends_theta_to_u():
-    cx = cartan_complex(exterior_line_free(), 6)
+    cx = CartanComplex(exterior_line_free(), 6)
     for n in range(1, 6, 2):
         assert not cx.d[n].is_zero()  # u^k theta maps to u^{k+1}
     for n in range(0, 6, 2):
@@ -64,7 +64,7 @@ def test_exterior_line_differential_sends_theta_to_u():
 
 def test_d_squared_checked_on_all_fixtures():
     for make in ALL_FIXTURES:
-        cartan_complex(make(), 8)  # constructor raises on any failure
+        CartanComplex(make(), 8)  # constructor raises on any failure
 
 
 # -- equivariant cohomology ------------------------------------------------------------

@@ -282,6 +282,14 @@ def test_module_on_complex_ses_names_the_type(capsys):
     assert out["error"] == "module expects a ses document of type 'module', got 'complex'"
 
 
+def test_cohomology_on_module_ses_names_the_type(tmp_path, capsys):
+    p = tmp_path / "ses.json"
+    p.write_text(json.dumps(cli.document_for("ses", _module_ses([_entry(0, [0])]))))
+    code, out = run_json(capsys, "cohomology", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"] == "cohomology expects a ses document of type 'complex', got 'module'"
+
+
 def test_module_command_builds_one_realization(capsys, monkeypatch):
     from foliacoh import module_theory
 
@@ -303,6 +311,21 @@ def test_module_command_builds_one_realization(capsys, monkeypatch):
     second, _ = run(capsys, "module", "--input", doc_path("hopf_module"))
     assert (len(builds), len(passes)) == (2, 2)
     assert builds[0] is not builds[1] and first == second == 0
+
+
+def test_spectral_command_builds_one_complex(capsys, monkeypatch):
+    from foliacoh.cartan import CartanComplex
+
+    builds = []
+    init = CartanComplex.__init__
+
+    def counting_init(self, s, n_max):
+        builds.append(n_max)
+        init(self, s, n_max)
+
+    monkeypatch.setattr(CartanComplex, "__init__", counting_init)
+    code, _ = run(capsys, "spectral", "--input", doc_path("hopf_gstar"))
+    assert code == 0 and builds == [8]
 
 
 @pytest.mark.parametrize("command", ["equivariant", "spectral"])
@@ -382,10 +405,12 @@ def test_text_format_prints_error(tmp_path, capsys):
                for line in out.splitlines())
 
 
-def test_threads_hint_recorded(capsys, monkeypatch):
+def test_threads_variable_changes_nothing(capsys, monkeypatch):
+    monkeypatch.delenv("FOLIACOH_THREADS", raising=False)
+    _, plain = run(capsys, "polytope", "--input", doc_path("segment"))
     monkeypatch.setenv("FOLIACOH_THREADS", "4")
-    _, out = run_json(capsys, "polytope", "--input", doc_path("segment"))
-    assert out["diagnostics"]["threads_hint"] == "4"
+    _, hinted = run(capsys, "polytope", "--input", doc_path("segment"))
+    assert hinted == plain
 
 
 # -- fixtures subcommand -----------------------------------------------------------------

@@ -70,8 +70,7 @@ def test_golden_results(capsys, command, name):
     assert (code, digest) == GOLDEN[(command, name)]
 
 
-def test_golden_fixtures_stdout(capsys, monkeypatch):
-    monkeypatch.delenv("FOLIACOH_THREADS", raising=False)
+def test_golden_fixtures_stdout(capsys):
     code = cli.main(["fixtures"])
     out = capsys.readouterr().out
     assert code == 0

@@ -28,6 +28,8 @@ from foliacoh.fixtures import (
 )
 from foliacoh.ratmat import RationalMatrix
 
+from conftest import change_basis
+
 
 # -- Lie algebra specs ------------------------------------------------------------
 
@@ -339,43 +341,6 @@ def reference_tensor(a, b, cap):
     i_ops = [build(-1, lambda n, j=j: a.op_i(j, n), lambda n, j=j: b.op_i(j, n)) for j in range(r)]
     l_ops = [build(0, lambda n, j=j: a.op_l(j, n), lambda n, j=j: b.op_l(j, n)) for j in range(r)]
     return pairs, products, d, i_ops, l_ops
-
-
-def change_basis(s, rng):
-    """The same structure in the basis given by unit-LU changes per degree.
-
-    Degree 0 keeps its basis, so the unit stays a basis element, and the
-    product table is carried along with the operators.
-    """
-    from conftest import random_invertible
-    from foliacoh.gstar import GradedAlgebraPresentation
-
-    sp = s.space
-    t = {n: random_invertible(rng, sp.dim(n)) if n else RationalMatrix.identity(sp.dim(n))
-         for n in sp.degrees()}
-    t_inv = {n: m.inverse() for n, m in t.items()}
-
-    def conj(get, delta):
-        return {n: t[n + delta] @ get(n) @ t_inv[n] for n in sp.degrees()
-                if sp.dim(n) and sp.dim(n + delta)}
-
-    products = {}
-    for da in sp.degrees():
-        for db in sp.degrees():
-            if da + db not in t:
-                continue
-            for ia, va in enumerate(t_inv[da].columns()):
-                for ib, vb in enumerate(t_inv[db].columns()):
-                    ab = t[da + db].apply(s.algebra.multiply(da, va, db, vb))
-                    products[(da, ia, db, ib)] = tuple(enumerate(ab))
-    algebra = GradedAlgebraPresentation(sp, products, s.algebra.unit_index,
-                                        s.truncated_above)
-    r = s.lie.dimension
-    return GStarStructure(
-        algebra, s.lie, conj(s.op_d, 1),
-        [conj(lambda n, j=j: s.op_i(j, n), -1) for j in range(r)],
-        [conj(lambda n, j=j: s.op_l(j, n), 0) for j in range(r)],
-    )
 
 
 SO3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})

@@ -1,22 +1,29 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foliacoh.algebra_core import cohomology_dims
-from foliacoh.cartan import equivariant_cohomology
+from foliacoh.cartan import CartanComplex, equivariant_cohomology
 from foliacoh.fixtures import (
     exterior_line_free,
+    exterior_two_free,
     hopf_basic_model,
     sphere3_minimal_model,
     trivial_action_on_h_1_0_1,
     trivial_line,
 )
-from foliacoh.gstar import GStarStructure, LieAlgebraSpec, weil_algebra
-from foliacoh.ratmat import RationalMatrix
+from foliacoh.gstar import GStarStructure, LieAlgebraSpec, tensor_gstar, weil_algebra
+from foliacoh.ratmat import RationalMatrix, rank_of_columns, unit_vec
 from foliacoh.spectral import (
     NonInvariantAction,
+    SpectralSequence,
     e1_page,
     formality_verdict,
     run_pages,
 )
+
+from conftest import change_basis
 
 FIXTURES = [
     trivial_line,
@@ -152,3 +159,133 @@ def test_formality_iff_e1_collapse():
         run = run_pages(s, 8, e)
         collapses = run.pages[0].total_dims() == run.e_infinity.total_dims()
         assert v.formal == collapses, make.__name__
+
+
+# -- pages against the filtration subquotients ---------------------------------------
+
+
+class SubquotientPages:
+    """Reference pages from Z_r(p,q) = F^p Tot^n intersect D^{-1} F^{p+r} Tot^{n+1}.
+
+    E_r(p,q) = Z_r(p,q) / (Z_{r-1}(p+1,q-1) + D Z_{r-1}(p-r+1,q+r-2)), every
+    rank exact, on a complex one degree longer than the window.
+    """
+
+    def __init__(self, s, n_max):
+        self.n_max = n_max
+        self.cx = CartanComplex(s, n_max + 1)
+        self.space = s.space
+        self._z = {}
+
+    def _basis(self, n):
+        return self.cx.slices[n].ambient_basis if 0 <= n < len(self.cx.slices) else ()
+
+    def _diff(self, n):
+        if n in self.cx.d:
+            return self.cx.d[n]
+        return RationalMatrix.zeros(len(self._basis(n + 1)), len(self._basis(n)))
+
+    def z_cols(self, r, p, q):
+        n = p + q
+        if n < 0:
+            return []
+        if (r, p, q) not in self._z:
+            basis = self._basis(n)
+            incl = [unit_vec(len(basis), i) for i, (alpha, _a) in enumerate(basis)
+                    if sum(alpha) >= max(p, 0)]
+            out = []
+            if incl:
+                incl = RationalMatrix.from_cols(incl, len(basis))
+                d = self._diff(n)
+                low = [i for i, (alpha, _a) in enumerate(self._basis(n + 1))
+                       if sum(alpha) < p + r]
+                if low:
+                    kernel = (RationalMatrix.from_rows([d.row(i) for i in low]) @ incl).nullspace()
+                else:
+                    kernel = [unit_vec(incl.cols, i) for i in range(incl.cols)]
+                out = [incl.apply(k) for k in kernel]
+            self._z[(r, p, q)] = out
+        return self._z[(r, p, q)]
+
+    def boundary_cols(self, r, p, q):
+        d_src = self._diff(p + q - 1)
+        return list(self.z_cols(r - 1, p + 1, q - 1)) + [
+            d_src.apply(z) for z in self.z_cols(r - 1, p - r + 1, q + r - 2)
+        ]
+
+    def cell_dim(self, r, p, q):
+        dim = len(self._basis(p + q))
+        znum = self.z_cols(r, p, q)
+        if not dim or not znum:
+            return 0
+        return rank_of_columns(znum, dim) - rank_of_columns(self.boundary_cols(r, p, q), dim)
+
+    def d_rank(self, r, p, q):
+        tgt_dim = len(self._basis(p + q + 1))
+        if not tgt_dim:
+            return 0
+        image = [self._diff(p + q).apply(z) for z in self.z_cols(r, p, q)]
+        denom = self.boundary_cols(r, p + r, q + 1 - r)
+        return rank_of_columns(denom + image, tgt_dim) - rank_of_columns(denom, tgt_dim)
+
+    def page(self, r):
+        dims, ranks = {}, {}
+        for n in range(self.n_max + 1):
+            for p in range(n // 2 + 1):
+                q = n - p
+                if self.space.dim(q - p) > 0:
+                    dims[(p, q)] = self.cell_dim(r, p, q)
+                    ranks[(p, q)] = self.d_rank(r, p, q)
+        return ({k: v for k, v in dims.items() if v}, {k: v for k, v in ranks.items() if v})
+
+
+@st.composite
+def abelian_structures(draw):
+    """L = 0 structures: fixtures, truncated Weil algebras and tensors with W(R)."""
+    kind = draw(st.sampled_from(["fixture", "weil", "tensor"]))
+    if kind == "fixture":
+        s = draw(st.sampled_from(FIXTURES + [exterior_two_free]))()
+    elif kind == "weil":
+        s = weil_algebra(LieAlgebraSpec.abelian(draw(st.integers(1, 2))), draw(st.integers(0, 4)))
+    else:
+        # sphere3 with W(R) at N = 3 has a nonzero d_2
+        a = draw(st.sampled_from(FIXTURES))()
+        s = tensor_gstar(a, weil_algebra(LieAlgebraSpec.abelian(1), draw(st.integers(1, 4))),
+                         max_degree=6)
+    if draw(st.booleans()):
+        s = change_basis(s, random.Random(draw(st.integers(0, 2**16))))
+    return s, draw(st.integers(2, 6))
+
+
+def squares_to_zero_through(cx, n_max):
+    """The largest window n <= n_max on which the Cartan differential squares to zero.
+
+    Above the stable range of a truncated algebra it need not; there the
+    filtration has no spectral sequence for the two constructions to agree on.
+    """
+    return next(n for n in range(n_max, -1, -1)
+                if all((cx.d[k + 1] @ cx.d[k]).is_zero() for k in range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(abelian_structures())
+def test_pages_match_subquotient_reference(case):
+    s, n_max = case
+    n_max = squares_to_zero_through(CartanComplex(s, n_max), n_max)
+    ss = SpectralSequence(s, n_max)
+    ref = SubquotientPages(s, n_max)
+    for r in range(1, ss.r_stop + 2):
+        page = ss.page(r)
+        assert (page.dims, page.d_ranks) == ref.page(r), r
+
+
+def test_sphere3_with_weil_line_has_a_second_differential():
+    s = tensor_gstar(sphere3_minimal_model(), weil_algebra(LieAlgebraSpec.abelian(1), 3))
+    ss = SpectralSequence(s, 6)
+    assert ss.page(1).differentials_vanish()
+    assert ss.page(2).d_ranks == {(0, 3): 1, (1, 4): 1}
+    ref = SubquotientPages(s, 6)
+    for r in (1, 2, 3):
+        page = ss.page(r)
+        assert (page.dims, page.d_ranks) == ref.page(r)
+
