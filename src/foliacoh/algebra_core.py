@@ -161,18 +161,25 @@ def cohomology_dims(c: CochainComplex) -> CohomologyResult:
     reps: dict[int, tuple[Vec, ...]] = {}
     lo, hi = c.spaces.window
     for n in range(lo, hi + 1):
-        dn = c.diff(n)
-        kernel = dn.nullspace()
-        dim_n = c.spaces.dim(n)
-        if n - 1 >= lo:
-            image_cols = list(c.diff(n - 1).columns())
-        else:
-            image_cols = []
-        chosen = independent_complement(kernel, image_cols, dim_n)
+        chosen = cocycle_representatives(c.diff(n), c.diff(n - 1), c.spaces.dim(n))
         if chosen:
             dims[n] = len(chosen)
-            reps[n] = tuple(kernel[i] for i in chosen)
+            reps[n] = chosen
     return CohomologyResult(dims=dims, representatives=reps)
+
+
+def cocycle_representatives(
+    d_out: RationalMatrix, d_in: RationalMatrix | None, dim: int
+) -> tuple[Vec, ...]:
+    """Cohomology representatives at a degree of dimension dim.
+
+    They are the first vectors of the canonical (RREF) kernel basis of the
+    outgoing differential that stay independent modulo the image of the
+    incoming one; d_in None means there is no incoming differential.
+    """
+    kernel = d_out.nullspace()
+    image = d_in.columns() if d_in is not None else []
+    return tuple(kernel[i] for i in independent_complement(kernel, image, dim))
 
 
 def reduce_to_classes(
@@ -323,23 +330,20 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
             )
         delta[n] = coords
 
-    def rank(m: RationalMatrix) -> int:
-        return m.rank()
-
     for n in range(lo, hi + 1):
         # node H^n(A): ker f* = im delta_{n-1}
         incoming = delta.get(n - 1, RationalMatrix.zeros(ha.dim(n), 0))
         if not (f_star[n] @ incoming).is_zero():
             return LESReport(False, failing_degree=n, failing_node="H(sub)",
                              message=f"f* o delta != 0 at degree {n}")
-        if ha.dim(n) - rank(f_star[n]) != rank(incoming):
+        if ha.dim(n) - f_star[n].rank() != incoming.rank():
             return LESReport(False, failing_degree=n, failing_node="H(sub)",
                              message=f"exactness fails at H^{n}(sub)")
         # node H^n(B): ker g* = im f*
         if not (g_star[n] @ f_star[n]).is_zero():
             return LESReport(False, failing_degree=n, failing_node="H(total)",
                              message=f"g* o f* != 0 at degree {n}")
-        if hb.dim(n) - rank(g_star[n]) != rank(f_star[n]):
+        if hb.dim(n) - g_star[n].rank() != f_star[n].rank():
             return LESReport(False, failing_degree=n, failing_node="H(total)",
                              message=f"exactness fails at H^{n}(total)")
         # node H^n(C): ker delta = im g*
@@ -347,7 +351,7 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
         if out.cols and not (out @ g_star[n]).is_zero():
             return LESReport(False, failing_degree=n, failing_node="H(quotient)",
                              message=f"delta o g* != 0 at degree {n}")
-        if hc.dim(n) - rank(out) != rank(g_star[n]):
+        if hc.dim(n) - out.rank() != g_star[n].rank():
             return LESReport(False, failing_degree=n, failing_node="H(quotient)",
                              message=f"exactness fails at H^{n}(quotient)")
     return LESReport(

@@ -15,13 +15,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gstar import GStarStructure, LieAlgebraSpec, basic_subcomplex, detect_type_c, ConnectionElements
-from .module_theory import GradedModulePresentation, Poly, monomials_of_degree
+from .algebra_core import cocycle_representatives
+from .gstar import (
+    ConnectionElements,
+    GradedAlgebraPresentation,
+    GStarStructure,
+    LieAlgebraSpec,
+    basic_subcomplex,
+    detect_type_c,
+)
+from .module_theory import (
+    GradedModulePresentation,
+    Poly,
+    free_basis,
+    monomials_of_degree,
+    relation_columns,
+)
 from .ratmat import (
     RationalMatrix,
     Vec,
     coordinates_modulo,
     independent_complement,
+    joint_kernel,
+    restrict,
     unit_vec,
 )
 
@@ -76,7 +92,8 @@ class CartanComplex:
             basis.sort(key=lambda t: (sum(t[0]), t[0], t[1]))
             emb = None
             if not invariant_everywhere:
-                emb = self._invariant_embedding(n, basis)
+                l_total = [self._l_total_matrix(j, n, basis) for j in range(r)]
+                emb = joint_kernel(l_total, len(basis))
             self.slices.append(CartanComplexSlice(n, tuple(basis), emb))
         self._index = [
             {key: i for i, key in enumerate(sl.ambient_basis)} for sl in self.slices
@@ -113,19 +130,6 @@ class CartanComplex:
                     entries.append((pos[(tuple(alpha2), a_idx)], col, -coef * alpha[b]))
         return RationalMatrix.from_entries(len(basis), len(basis), entries)
 
-    def _invariant_embedding(self, n, basis) -> RationalMatrix | None:
-        s = self.structure
-        if not basis:
-            return None
-        stacked = None
-        for j in range(s.lie.dimension):
-            m = self._l_total_matrix(j, n, basis)
-            stacked = m if stacked is None else stacked.vstack(m)
-        if stacked is None or stacked.is_zero():
-            return None
-        kernel = stacked.nullspace()
-        return RationalMatrix.from_cols(kernel, len(basis))
-
     def _ambient_differential(self, n: int) -> RationalMatrix:
         s = self.structure
         r = s.lie.dimension
@@ -146,15 +150,8 @@ class CartanComplex:
         return RationalMatrix.from_entries(len(tgt_index), len(src), entries)
 
     def _differential(self, n: int) -> RationalMatrix:
-        amb = self._ambient_differential(n)
         src, tgt = self.slices[n], self.slices[n + 1]
-        if src.embedding is None and tgt.embedding is None:
-            return amb
-        src_emb = src.embedding if src.embedding is not None else RationalMatrix.identity(src.ambient_dim)
-        img = amb @ src_emb
-        if tgt.embedding is None:
-            return img
-        sol = tgt.embedding.solve(img)
+        sol = restrict(self._ambient_differential(n), src.embedding, tgt.embedding)
         if sol is None:
             raise ValueError(
                 f"equivariant differential does not preserve invariants at degree {n}"
@@ -186,27 +183,13 @@ class CartanComplex:
             raise ValueError("polynomial module action requires an abelian Lie algebra")
         src, tgt = self.slices[n], self.slices[n + 2]
         pos = self._index[n + 2]
-        cols = []
-        rows = len(tgt.ambient_basis)
-        src_emb = src.embedding
-        src_cols = (
-            [unit_vec(src.ambient_dim, i) for i in range(src.ambient_dim)]
-            if src_emb is None
-            else src_emb.columns()
-        )
-        for v in src_cols:
-            col = [Fraction(0)] * rows
-            for i, c in enumerate(v):
-                if c == 0:
-                    continue
-                alpha, a_idx = src.ambient_basis[i]
-                alpha2 = tuple(a + (1 if b == j else 0) for b, a in enumerate(alpha))
-                col[pos[(alpha2, a_idx)]] += c
-            cols.append(tuple(col))
-        amb = RationalMatrix.from_cols(cols, rows)
-        if tgt.embedding is None:
-            return amb
-        sol = tgt.embedding.solve(amb)
+        one = Fraction(1)
+        entries = []
+        for col, (alpha, a_idx) in enumerate(src.ambient_basis):
+            alpha2 = tuple(a + (1 if b == j else 0) for b, a in enumerate(alpha))
+            entries.append((pos[(alpha2, a_idx)], col, one))
+        shift = RationalMatrix.from_entries(tgt.ambient_dim, src.ambient_dim, entries)
+        sol = restrict(shift, src.embedding, tgt.embedding)
         if sol is None:
             raise ValueError("u-multiplication left the invariant subspace")
         return sol
@@ -247,19 +230,15 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
     r = s.lie.dimension
     dims: dict[int, int] = {}
     reps: dict[int, tuple[Vec, ...]] = {}
-    kernels: dict[int, list[Vec]] = {}
-    images: dict[int, list[Vec]] = {}
     for n in range(n_max + 1):
-        kernels[n] = cx.d[n].nullspace()
-        images[n] = list(cx.d[n - 1].columns()) if n >= 1 else []
-        chosen = independent_complement(kernels[n], images[n], cx.dim(n))
+        chosen = cocycle_representatives(cx.d[n], cx.d.get(n - 1), cx.dim(n))
         if chosen:
             dims[n] = len(chosen)
-            reps[n] = tuple(kernels[n][i] for i in chosen)
+            reps[n] = chosen
 
     def reduce_classes(n: int, vs: RationalMatrix) -> RationalMatrix:
-        """Class coordinates of the columns of vs, all from one solve."""
-        coords = coordinates_modulo(reps.get(n, ()), images[n], vs, cx.dim(n))
+        """Class coordinates of the columns of vs (n >= 1), all from one solve."""
+        coords = coordinates_modulo(reps.get(n, ()), cx.d[n - 1].columns(), vs, cx.dim(n))
         if coords is None:
             raise AssertionError(f"vector is not a cocycle class in degree {n}")
         return coords
@@ -342,12 +321,7 @@ def module_presentation(
 
     relations: list[tuple[Poly, ...]] = []
     for n in range(n_max + 1):
-        fb = [
-            (g_idx, beta)
-            for g_idx, g in enumerate(gen_degrees)
-            if n >= g and (n - g) % 2 == 0
-            for beta in monomials_of_degree(r, (n - g) // 2)
-        ]
+        fb = free_basis(gen_degrees, r, n)
         if not fb:
             continue
         h_n = e.dim(n)
@@ -359,20 +333,7 @@ def module_presentation(
         kernel = ev.nullspace()
         if not kernel:
             continue
-        # span of earlier relations shifted into this degree
-        old_cols = []
-        pos = {key: i for i, key in enumerate(fb)}
-        for rel in relations:
-            m = _relation_degree(rel, gen_degrees)
-            if (n - m) % 2 != 0 or n < m:
-                continue
-            for gamma in monomials_of_degree(r, (n - m) // 2):
-                col = [Fraction(0)] * len(fb)
-                for g_idx, poly in enumerate(rel):
-                    for beta, c in poly.items():
-                        beta2 = tuple(b + g2 for b, g2 in zip(beta, gamma))
-                        col[pos[(g_idx, beta2)]] += c
-                old_cols.append(tuple(col))
+        old_cols = relation_columns(relations, gen_degrees, r, n, fb)
         for i in independent_complement(kernel, old_cols, len(fb)):
             veck = kernel[i]
             rel: list[Poly] = [dict() for _ in gen_degrees]
@@ -383,13 +344,6 @@ def module_presentation(
             relations.append(tuple(rel))
 
     return GradedModulePresentation(r, gen_degrees, tuple(relations), window=n_max)
-
-
-def _relation_degree(rel, gen_degrees) -> int:
-    for g_idx, poly in enumerate(rel):
-        for beta in poly:
-            return gen_degrees[g_idx] + 2 * sum(beta)
-    return -1
 
 
 # -- commuting reduction -----------------------------------------------------------
@@ -422,55 +376,38 @@ def _restrict_structure(
     s: GStarStructure, gen_indices: list[int]
 ) -> GStarStructure:
     """Same algebra, operator package restricted to a generator subset."""
-    from .gstar import GradedAlgebraPresentation
-
-    lie = _sub_lie(s.lie, gen_indices)
-    algebra = s.algebra
-    d = {n: s.op_d(n) for n in s.space.degrees() if not s.op_d(n).is_zero()}
-    i_ops = [
-        {n: s.op_i(j, n) for n in s.space.degrees() if not s.op_i(j, n).is_zero()}
-        for j in gen_indices
-    ]
-    l_ops = [
-        {n: s.op_l(j, n) for n in s.space.degrees() if not s.op_l(j, n).is_zero()}
-        for j in gen_indices
-    ]
-    return GStarStructure(algebra, lie, d, i_ops, l_ops)
+    return GStarStructure(
+        s.algebra,
+        _sub_lie(s.lie, gen_indices),
+        s.d_operators(),
+        [s.i_operators(j) for j in gen_indices],
+        [s.l_operators(j) for j in gen_indices],
+    )
 
 
 def _structure_on_basic(
     s: GStarStructure, h_indices: list[int], k_indices: list[int]
 ) -> GStarStructure:
     """Operator package of the k-generators on the h-basic subcomplex."""
-    from .gstar import GradedAlgebraPresentation
-
-    s_h = _restrict_structure(s, h_indices)
-    basic = basic_subcomplex(s_h)
+    basic = basic_subcomplex(_restrict_structure(s, h_indices))
     emb = basic.embeddings
     sp_b = basic.complex.spaces
 
-    def restrict(op, delta):
+    def on_basic(op, delta):
         mats = {}
-        for n in sp_b.degrees():
-            if sp_b.dim(n) == 0:
-                continue
-            img = op(n) @ emb[n]
-            if n + delta in emb:
-                m = emb[n + delta].solve(img)
-            else:
-                m = RationalMatrix.zeros(0, img.cols) if img.is_zero() else None
-            if m is None:
+        for n, src in emb.items():
+            tgt = emb.get(n + delta, RationalMatrix.zeros(s.space.dim(n + delta), 0))
+            mats[n] = restrict(op(n), src, tgt)
+            if mats[n] is None:
                 raise ValueError(
                     "commuting operators do not preserve the basic subcomplex"
                 )
-            if not m.is_zero():
-                mats[n] = m
         return mats
 
     d = dict(basic.complex.d)
     lie_k = _sub_lie(s.lie, k_indices)
-    i_ops = [restrict(lambda n, j=j: s.op_i(j, n), -1) for j in k_indices]
-    l_ops = [restrict(lambda n, j=j: s.op_l(j, n), 0) for j in k_indices]
+    i_ops = [on_basic(lambda n, j=j: s.op_i(j, n), -1) for j in k_indices]
+    l_ops = [on_basic(lambda n, j=j: s.op_l(j, n), 0) for j in k_indices]
     algebra = GradedAlgebraPresentation(
         sp_b, None, truncated_above=s.truncated_above
     )

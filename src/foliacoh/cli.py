@@ -27,7 +27,7 @@ from .algebra_core import (
     cohomology_dims,
     les_exactness_check,
 )
-from .cartan import DifferentialNotSquareZero, equivariant_cohomology, module_presentation
+from .cartan import DifferentialNotSquareZero, equivariant_cohomology
 from .foliation import (
     FoliationStrataModel,
     MorseComponent,

@@ -30,7 +30,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra_core import CochainComplex, CohomologyResult, GradedVectorSpace, cohomology_dims
-from .ratmat import RationalMatrix, Vec, frac, is_zero_vec, unit_vec, zero_vec
+from .ratmat import (
+    RationalMatrix,
+    Vec,
+    frac,
+    is_zero_vec,
+    joint_kernel,
+    restrict,
+    unit_vec,
+    zero_vec,
+)
 
 
 # -- Lie algebra data ----------------------------------------------------------
@@ -506,40 +515,32 @@ def basic_subcomplex(s: GStarStructure) -> BasicSubcomplex:
     sp = s.space
     lo, hi = sp.window
     r = s.lie.dimension
-    embeddings: dict[int, RationalMatrix] = {}
-    dims: dict[int, int] = {}
-    labels: dict[int, tuple[str, ...]] = {}
-    for n in range(lo, hi + 1):
-        if sp.dim(n) == 0:
-            continue
-        stacked = None
-        for j in range(r):
-            for m in (s.op_i(j, n), s.op_l(j, n)):
-                stacked = m if stacked is None else stacked.vstack(m)
-        if stacked is None or stacked.rows == 0:
-            kernel = [unit_vec(sp.dim(n), i) for i in range(sp.dim(n))]
-        else:
-            kernel = stacked.nullspace()
-        if kernel:
-            embeddings[n] = RationalMatrix.from_cols(kernel, sp.dim(n))
-            dims[n] = len(kernel)
-            labels[n] = tuple(f"b{n}_{i}" for i in range(len(kernel)))
+    # joint kernel per degree of positive dimension; None is the whole space
+    kernels = {
+        n: joint_kernel(
+            [m for j in range(r) for m in (s.op_i(j, n), s.op_l(j, n))], sp.dim(n)
+        )
+        for n in range(lo, hi + 1)
+        if sp.dim(n)
+    }
+    embeddings = {
+        n: RationalMatrix.identity(sp.dim(n)) if k is None else k
+        for n, k in kernels.items()
+        if k is None or k.cols
+    }
+    dims = {n: e.cols for n, e in embeddings.items()}
+    labels = {n: tuple(f"b{n}_{i}" for i in range(dim)) for n, dim in dims.items()}
     spaces = GradedVectorSpace(dims, labels, window=sp.window)
     diffs: dict[int, RationalMatrix] = {}
     for n in range(lo, hi):
-        if dims.get(n, 0) == 0:
+        if n not in dims:
             continue
-        img = s.op_d(n) @ embeddings[n]
-        if img.is_zero():
-            continue
-        emb1 = embeddings.get(n + 1)
-        sol = emb1.solve(img) if emb1 is not None else None
-        if sol is None:
+        diffs[n] = restrict(s.op_d(n), kernels[n], kernels.get(n + 1))
+        if diffs[n] is None:
             raise ValueError(
                 f"differential does not restrict to the basic subcomplex "
                 f"at degree {n} (operator data inconsistent)"
             )
-        diffs[n] = sol
     stable = hi if s.truncated_above is None else s.truncated_above - 1
     return BasicSubcomplex(CochainComplex(spaces, diffs), embeddings, stable)
 
@@ -785,7 +786,7 @@ def detect_type_c(s: GStarStructure, candidates: ConnectionElements) -> TypeCVer
                 )
     span = RationalMatrix.from_cols(list(thetas), sp.dim(1))
     for j in range(r):
-        if span.solve(s.op_l(j, 1) @ span) is None:
+        if restrict(s.op_l(j, 1), span, span) is None:
             return TypeCVerdict(
                 True, False, f"L_X{j} does not preserve the span of the candidates"
             )

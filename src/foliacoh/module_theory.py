@@ -34,7 +34,7 @@ from .ratmat import (
     independent_complement,
     unit_vec,
 )
-from .series import PoincarePolynomial, PoincareSeriesRational
+from .series import PoincarePolynomial, PoincareSeriesRational, divide_by_one_minus_tk
 
 # A polynomial in u_1..u_r: exponent tuple -> coefficient.
 Poly = dict[tuple[int, ...], Fraction]
@@ -63,6 +63,47 @@ def poly_degree_2(poly: Poly) -> int | None:
 
 def poly_shift(poly: Poly, gamma: tuple[int, ...]) -> Poly:
     return {tuple(b + g for b, g in zip(beta, gamma)): c for beta, c in poly.items()}
+
+
+def relation_degree(rel: tuple[Poly, ...], generators: tuple[int, ...]) -> int:
+    """Internal degree of a homogeneous relation, -1 for the zero relation."""
+    for g, poly in zip(generators, rel):
+        d = poly_degree_2(poly)
+        if d is not None:
+            return d + g
+    return -1
+
+
+def free_basis(generators: tuple[int, ...], r: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Degree-n monomials (generator index, exponent) of the free module, in order."""
+    return [
+        (g_idx, beta)
+        for g_idx, g in enumerate(generators)
+        if n >= g and (n - g) % 2 == 0
+        for beta in monomials_of_degree(r, (n - g) // 2)
+    ]
+
+
+def relation_columns(
+    relations, generators: tuple[int, ...], r: int, n: int, fb
+) -> list[Vec]:
+    """Every monomial multiple of each relation in degree n, as a column over fb.
+
+    fb is ``free_basis(generators, r, n)``.
+    """
+    pos = {key: i for i, key in enumerate(fb)}
+    cols = []
+    for rel in relations:
+        m = relation_degree(rel, generators)
+        if m < 0 or m > n or (n - m) % 2 != 0:
+            continue
+        for gamma in monomials_of_degree(r, (n - m) // 2):
+            col = [Fraction(0)] * len(fb)
+            for g_idx, poly in enumerate(rel):
+                for beta, c in poly_shift(poly, gamma).items():
+                    col[pos[(g_idx, beta)]] += c
+            cols.append(tuple(col))
+    return cols
 
 
 def dim_sym(r: int, p: int) -> int:
@@ -134,13 +175,6 @@ class GradedModulePresentation:
     def tor(self) -> "TorResult":
         return koszul_tor(self)
 
-    def relation_degree(self, rel: tuple[Poly, ...]) -> int:
-        for g, poly in zip(self.generators, rel):
-            d = poly_degree_2(poly)
-            if d is not None:
-                return d + g
-        return -1
-
     @classmethod
     def free(cls, dim_a: int, generator_degrees, window: int = 12):
         return cls(dim_a, tuple(generator_degrees), (), window)
@@ -192,31 +226,12 @@ class ModuleRealization:
         # no reference back to pres, which keeps this realization: without a
         # cycle both are freed as soon as the presentation is dropped
         self.window = n_max = pres.window
-        r = pres.dim_a
-        self.free_basis: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for n in range(n_max + 1):
-            fb = []
-            for g_idx, g in enumerate(pres.generators):
-                if n >= g and (n - g) % 2 == 0:
-                    for beta in monomials_of_degree(r, (n - g) // 2):
-                        fb.append((g_idx, beta))
-            self.free_basis[n] = fb
-        self.rel_cols: dict[int, list[Vec]] = {}
-        for n in range(n_max + 1):
-            cols = []
-            fb = self.free_basis[n]
-            pos = {key: i for i, key in enumerate(fb)}
-            for rel in pres.relations:
-                m = pres.relation_degree(rel)
-                if m < 0 or m > n or (n - m) % 2 != 0:
-                    continue
-                for gamma in monomials_of_degree(r, (n - m) // 2):
-                    col = [Fraction(0)] * len(fb)
-                    for g_idx, poly in enumerate(rel):
-                        for beta, c in poly_shift(poly, gamma).items():
-                            col[pos[(g_idx, beta)]] += c
-                    cols.append(tuple(col))
-            self.rel_cols[n] = cols
+        gens, r = pres.generators, pres.dim_a
+        self.free_basis = {n: free_basis(gens, r, n) for n in range(n_max + 1)}
+        self.rel_cols = {
+            n: relation_columns(pres.relations, gens, r, n, fb)
+            for n, fb in self.free_basis.items()
+        }
         self.basis_indices: dict[int, list[int]] = {}
         for n in range(n_max + 1):
             fb = self.free_basis[n]
@@ -463,23 +478,10 @@ def depth_dim_cm(pres: GradedModulePresentation) -> DepthDimCM:
     cf = h.closed_form
     num = cf.numerator
     ord_at_one = 0
-    while num.evaluate(1) == 0 and not num.is_zero():
-        num = _divide_by_one_minus_t(num)
-        ord_at_one += 1
+    while not num.is_zero() and (q := divide_by_one_minus_tk(num, 1)) is not None:
+        num, ord_at_one = q, ord_at_one + 1
     krull = cf.den_exp - ord_at_one
     return DepthDimCM(depth, krull, depth == krull, True)
-
-
-def _divide_by_one_minus_t(p: PoincarePolynomial) -> PoincarePolynomial:
-    # ascending synthetic division: p = (1 - t) q means p_i = q_i - q_{i-1};
-    # caller guarantees p(1) = 0 so the division terminates exactly
-    d = p.degree()
-    q = [0] * max(d, 0)
-    prev = 0
-    for i in range(d):
-        q[i] = p.coeff(i) + prev
-        prev = q[i]
-    return PoincarePolynomial(q, signed=True)
 
 
 # -- graded SES of modules ---------------------------------------------------------

@@ -25,10 +25,16 @@ matrix of right-hand sides and reduces ``[A | B]`` once, and so does
 ``coordinates_modulo`` for a matrix of vectors; ``independent_complement``
 reads its pick off the pivot columns of one RREF of ``[modulo | candidates]``,
 then certifies it with one Bareiss rank.
+
+Two subspace helpers carry the linear algebra that the Cartan and Weil
+routes share: ``joint_kernel`` takes the canonical common kernel of several
+maps from one nullspace of their stack, and ``restrict`` writes an operator
+between two subspaces in their bases with one batched solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -443,3 +449,33 @@ def coordinates_modulo(
     if batch:
         return RationalMatrix._trusted(len(basis), sol.cols, sol._m[: len(basis)])
     return sol[: len(basis)]
+
+
+def joint_kernel(ops: Sequence[RationalMatrix], dim: int) -> RationalMatrix | None:
+    """Basis columns of the common kernel of maps out of a dim-dimensional space.
+
+    The basis is the canonical one of the stacked maps' nullspace.  None
+    means every map is zero, so the kernel is the whole space.
+    """
+    live = [op for op in ops if not op.is_zero()]
+    if not live:
+        return None
+    stacked = functools.reduce(RationalMatrix.vstack, live)
+    return RationalMatrix.from_cols(stacked.nullspace(), dim)
+
+
+def restrict(
+    op: RationalMatrix, src: RationalMatrix | None, tgt: RationalMatrix | None
+) -> RationalMatrix | None:
+    """The matrix X with tgt @ X = op @ src, or None when op leaves span(tgt).
+
+    src and tgt hold independent basis columns of a subspace of op's source
+    and of its target; None stands for the whole space.  A zero image needs
+    no solve.
+    """
+    img = op if src is None else op @ src
+    if tgt is None:
+        return img
+    if img.is_zero():
+        return RationalMatrix.zeros(tgt.cols, img.cols)
+    return tgt.solve(img)

@@ -129,18 +129,19 @@ class PoincarePolynomial:
 ONE_MINUS_T2 = PoincarePolynomial((1, 0, -1), signed=True)
 
 
-def divide_by_one_minus_t2(p: PoincarePolynomial) -> PoincarePolynomial | None:
-    """Exact quotient p / (1 - t^2), or None if not divisible."""
+def divide_by_one_minus_tk(p: PoincarePolynomial, k: int) -> PoincarePolynomial | None:
+    """Exact quotient p / (1 - t^k) for k >= 1, or None if not divisible."""
     if p.is_zero():
         return PoincarePolynomial((), signed=p.signed)
     d = p.degree()
-    if d < 2:
+    if d < k:
         return None
-    q = [0] * (d - 1)
-    for i in range(d - 1):
-        q[i] = p.coeff(i) + (q[i - 2] if i >= 2 else 0)
-    cand = PoincarePolynomial(q, signed=True)
-    if cand * ONE_MINUS_T2 == p.as_signed():
+    # ascending synthetic division: p = (1 - t^k) q means p_i = q_i - q_{i-k}
+    q = [0] * (d - k + 1)
+    for i in range(d - k + 1):
+        q[i] = p.coeff(i) + (q[i - k] if i >= k else 0)
+    one_minus_tk = PoincarePolynomial((1,) + (0,) * (k - 1) + (-1,), signed=True)
+    if PoincarePolynomial(q, signed=True) * one_minus_tk == p.as_signed():
         return PoincarePolynomial(q, signed=p.signed or any(c < 0 for c in q))
     return None
 
@@ -160,7 +161,7 @@ class PoincareSeriesRational:
         if den_exp < 0:
             raise ValueError("negative denominator exponent")
         while den_exp > 0:
-            q = divide_by_one_minus_t2(numerator)
+            q = divide_by_one_minus_tk(numerator, 2)
             if q is None:
                 break
             numerator, den_exp = q, den_exp - 1

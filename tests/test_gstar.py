@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foliacoh.algebra_core import cohomology_dims
+from foliacoh.algebra_core import GradedVectorSpace, cohomology_dims
 from foliacoh.gstar import (
     ConnectionElements,
+    GradedAlgebraPresentation,
     GStarStructure,
     LieAlgebraSpec,
     basic_subcomplex,
@@ -26,7 +27,7 @@ from foliacoh.fixtures import (
     trivial_action_on_h_1_0_1,
     trivial_line,
 )
-from foliacoh.ratmat import RationalMatrix
+from foliacoh.ratmat import RationalMatrix, unit_vec
 
 from conftest import change_basis
 
@@ -137,6 +138,21 @@ def test_basic_subcomplex_differential_restricts(rng):
         assert lhs == rhs
 
 
+def operator_only(d, i0, l0) -> GStarStructure:
+    """One generator acting on a space with dims {0: 1, 1: 2} and no product."""
+    space = GradedVectorSpace({0: 1, 1: 2}, window=(0, 1))
+    return GStarStructure(GradedAlgebraPresentation(space, None),
+                          LieAlgebraSpec.abelian(1), d, [i0], [l0])
+
+
+def test_basic_subcomplex_refuses_d_leaving_the_joint_kernel():
+    # ker i_X0 in degree 1 is span(e1), but d sends the degree-0 vector to e0
+    s = operator_only({0: RationalMatrix.from_rows([[1], [0]])},
+                      {1: RationalMatrix.from_rows([[1, 0]])}, {})
+    with pytest.raises(ValueError, match="does not restrict"):
+        basic_subcomplex(s)
+
+
 # -- Weil algebra --------------------------------------------------------------------
 
 
@@ -182,9 +198,8 @@ def test_type_c_trivial_action_not_free():
 
 
 def test_free_but_not_type_c():
-    # L_X theta = 1 (constant) leaves the span of theta
+    # detect_type_c reads only i and L, so the operators need not satisfy the axioms
     base = exterior_line_free()
-    # need L consistent with axioms? detect_type_c only looks at i and L
     mutant = GStarStructure(
         base.algebra, base.lie, {},
         [base.i_operators(0)],
@@ -192,6 +207,12 @@ def test_free_but_not_type_c():
     )
     v = detect_type_c(mutant, hopf_connection_candidates())
     assert v.free and v.type_c  # zero L stays in the span
+    # i_X0 theta = 1 with theta = e0, and L_X0 theta = e1 leaves span(theta)
+    s = operator_only({}, {1: RationalMatrix.from_rows([[1, 0]])},
+                      {1: RationalMatrix.from_rows([[0, 0], [1, 0]])})
+    v = detect_type_c(s, ConnectionElements((unit_vec(2, 0),)))
+    assert v.free and not v.type_c
+    assert "does not preserve" in v.detail
 
 
 # -- tensor products -----------------------------------------------------------------

@@ -18,6 +18,7 @@ from foliacoh.module_theory import (
     localized_rank,
     monomials_of_degree,
     poly_shift,
+    relation_degree,
     ses_cm_check,
 )
 from foliacoh.ratmat import RationalMatrix, unit_vec
@@ -323,8 +324,7 @@ def presentations(draw):
                 poly_shift(poly, tuple(int(k == j) for k in range(r))) for poly in rel
             ))
     for a, b in itertools.combinations(rels, 2):
-        same_degree = GradedModulePresentation(r, gens, (a, b)).relation_degree
-        if same_degree(a) == same_degree(b) and draw(st.booleans()):  # a + c b
+        if relation_degree(a, gens) == relation_degree(b, gens) and draw(st.booleans()):  # a + c b
             c = draw(COEFFS)
             redundant.append(tuple(
                 {beta: pa.get(beta, 0) + c * pb.get(beta, 0) for beta in {*pa, *pb}}

@@ -9,7 +9,9 @@ from foliacoh.ratmat import (
     RationalMatrix,
     coordinates_modulo,
     independent_complement,
+    joint_kernel,
     rank_of_columns,
+    restrict,
     unit_vec,
 )
 
@@ -387,3 +389,73 @@ def test_from_entries_sums_repeated_positions():
                                            (1, 0, Fraction(-1)), (1, 0, Fraction(1))])
     assert m == M([[0, "5/6"], [0, 0]])
     assert RationalMatrix.from_entries(0, 3, []) == RationalMatrix.zeros(0, 3)
+
+
+# -- subspace helpers against the dense references ------------------------------------
+
+
+def dense_nullspace(rows, ncols):
+    R, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row_idx, p in enumerate(pivots):
+            v[p] = -R[row_idx][f]
+        basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def spans_around(draw, img):
+    """Columns that mix combinations of img's columns with arbitrary ones."""
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        if img.cols and draw(st.booleans()):
+            x = draw(st.lists(ENTRIES["dense"], min_size=img.cols, max_size=img.cols))
+            cols.append(img.apply(x))
+        else:
+            cols.append(tuple(draw(st.lists(ENTRIES["dense"], min_size=img.rows,
+                                            max_size=img.rows))))
+    return RationalMatrix.from_cols(cols, img.rows)
+
+
+@FAST
+@given(matrices(), st.data())
+def test_restrict_solves_or_reports_leaving(op, data):
+    src = data.draw(st.none() | matrices(rows=op.cols))
+    img = op if src is None else op @ src
+    tgt = data.draw(st.none() | spans_around(img))
+    x = restrict(op, src, tgt)
+    if tgt is None:
+        assert x == img
+        return
+    aug = tgt.hstack(img)
+    leaves = dense_rank(aug.tolist(), aug.cols) > dense_rank(tgt.tolist(), tgt.cols)
+    assert (x is None) == leaves
+    if x is not None:
+        assert (x.rows, x.cols) == (tgt.cols, img.cols)
+        assert tgt @ x == img
+
+
+@FAST
+@given(st.integers(0, 6).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.lists(matrices(cols=dim), max_size=3))))
+def test_joint_kernel_matches_dense_nullspace(dim_ops):
+    dim, ops = dim_ops
+    k = joint_kernel(ops, dim)
+    stacked = [row for op in ops for row in op.tolist()]
+    if all(x == 0 for row in stacked for x in row):
+        assert k is None
+        return
+    assert k == RationalMatrix.from_cols(dense_nullspace(stacked, dim), dim)
+
+
+def test_restrict_edge_shapes():
+    op = M([[1], [0]])
+    assert restrict(op, None, RationalMatrix.zeros(2, 0)) is None
+    assert restrict(op, RationalMatrix.zeros(1, 2), RationalMatrix.zeros(2, 0)) == \
+        RationalMatrix.zeros(0, 2)
+    assert restrict(RationalMatrix.zeros(2, 1), None, M([[1], [1]])) == RationalMatrix.zeros(1, 1)

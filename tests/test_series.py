@@ -5,6 +5,7 @@ from foliacoh.series import (
     MorseGapResult,
     PoincarePolynomial,
     PoincareSeriesRational,
+    divide_by_one_minus_tk,
     euler_at_minus_one,
     geometric_series,
     morse_gap,
@@ -115,3 +116,16 @@ def test_euler_at_minus_one():
     assert euler_at_minus_one(poly(1, 0, 1)) == 2
     assert euler_at_minus_one(poly(1, 0, 2, 0, 1)) == 4
     assert euler_at_minus_one(poly(1, 1)) == 0
+
+
+@given(st.lists(st.integers(-4, 4), max_size=6), st.lists(st.integers(-4, 4), max_size=6),
+       st.integers(1, 3))
+def test_divide_by_one_minus_tk_is_exact_division(q, p, k):
+    one_minus_tk = poly(*((1,) + (0,) * (k - 1) + (-1,)), signed=True)
+    q = poly(*q, signed=True)
+    assert divide_by_one_minus_tk(q * one_minus_tk, k) == q
+    p = poly(*p, signed=True)
+    got = divide_by_one_minus_tk(p, k)
+    assert got is None or got * one_minus_tk == p
+    if k == 1 and not p.is_zero():
+        assert (got is None) == (p.evaluate(1) != 0)
