@@ -91,6 +91,11 @@ def _rat(x) -> Fraction:
     raise InputError(f"numbers must be integers or 'p/q' strings, got {x!r}")
 
 
+def _is_int(x, lo: int | None = None, hi: int | None = None) -> bool:
+    """Whether x is a JSON integer (not a bool) in [lo, hi); None leaves a side open."""
+    return type(x) is int and (lo is None or lo <= x) and (hi is None or x < hi)
+
+
 def _rat_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -136,6 +141,8 @@ def parse_gstar(payload) -> GStarStructure:
         dims = {int(n): len(labels) for n, labels in degrees.items()}
         labels = {int(n): tuple(labels) for n, labels in degrees.items()}
         trunc = payload.get("truncated_above")
+        if trunc is not None and not _is_int(trunc):
+            raise InputError(f"truncated_above must be an integer or null, got {trunc!r}")
         top = max(dims, default=0)
         window = (0, top if trunc is None else max(top, 0))
         space = GradedVectorSpace(dims, labels, window=window)
@@ -144,9 +151,15 @@ def parse_gstar(payload) -> GStarStructure:
         for p in payload.get("products", []):
             da, ia = int(p["left"][0]), int(p["left"][1])
             db, ib = int(p["right"][0]), int(p["right"][1])
-            products[(da, ia, db, ib)] = tuple(
-                (int(k), _rat(c)) for k, c in p["value"]
-            )
+            terms = []
+            for k, c in p["value"]:
+                if not _is_int(k, 0, space.dim(da + db)):
+                    raise InputError(
+                        f"product {p['left']} x {p['right']}: target index {k!r} is not "
+                        f"an integer in [0, {space.dim(da + db)})"
+                    )
+                terms.append((k, _rat(c)))
+            products[(da, ia, db, ib)] = tuple(terms)
         for n, d in dims.items():
             for i in range(d):
                 products.setdefault((0, unit, n, i), ((i, Fraction(1)),))
@@ -485,6 +498,8 @@ def load_document(path: str) -> tuple[dict, str]:
         raise InputError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     if "payload" not in doc or not isinstance(doc["payload"], dict):
         raise InputError("missing payload object")
+    if "max_degree" in doc and not _is_int(doc["max_degree"], 0):
+        raise InputError(f"max_degree must be an integer >= 0, got {doc['max_degree']!r}")
     digest = hashlib.sha256(canonical_bytes(doc)).hexdigest()
     return doc, digest
 
@@ -864,7 +879,7 @@ def main(argv=None) -> int:
         doc, digest = load_document(args.input)
         n_max = args.max_degree
         if n_max is None:
-            n_max = int(doc.get("max_degree", 8))
+            n_max = doc.get("max_degree", 8)
         if n_max < 0:
             raise InputError("max degree must be >= 0")
         # a command that computes on a window of its own returns it third

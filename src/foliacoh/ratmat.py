@@ -1,30 +1,38 @@
-"""Dense matrices over the rationals.
+"""Sparse matrices over the rationals.
 
 Every entry is a ``fractions.Fraction``; no floating point enters any
 computation in this package.  Matrices act on column vectors, so an operator
 from an n-dimensional space to an m-dimensional one is an (m x n) matrix.
 
+A matrix is stored as one dict per row that maps a column to its nonzero
+entry; a zero is never stored, so ``==`` and ``is_zero`` compare stored
+entries only.  Sums, scaling, stacks, products and ``nonzero_columns``
+visit nonzero entries only, and a product sums each output row over the
+integers on one common denominator; ``entry``, ``row``, ``col``,
+``columns`` and ``tolist`` read dense.
+
 Entries are coerced only at the public boundary: ``frac``, ``vec``,
 ``RationalMatrix(...)``, ``from_rows``, ``from_cols`` and the CLI parsers.
 A matrix this module builds itself (sum, scaling, stack, RREF, inverse,
-solution, coordinates) wraps its grid of Fractions with no copy and no
-coercion and may share rows with its operands, so grids are immutable by
-convention: only a grid just allocated is ever written.
+solution, coordinates) wraps its rows of Fractions with no copy and no
+coercion and may share rows with its operands, so rows are immutable by
+convention: only a row just allocated is ever written.
 
-Rank is computed by fraction-free Bareiss elimination with pivoting on
-numerator magnitude, which keeps intermediate integer growth bounded at the
-scales this package targets.  Canonical bases (kernels, representatives) come
-from the reduced row echelon form, which is unique and hence deterministic.
+Canonical bases (kernels, representatives) come from the reduced row
+echelon form, which is unique and hence deterministic.  It is computed
+fraction-free: every row is scaled to coprime integers, an elimination sets
+row <- (p/g) row - (f/g) pivot_row, with p the pivot, f the row's entry in
+the pivot column and g = gcd(p, f), and then divides the row by its content;
+each column pivots on the candidate row with the fewest nonzeros, and
+Fractions are made only for the output rows.  Rank is computed on its own
+by fraction-free Bareiss elimination with pivoting on numerator magnitude;
+it is the independent certificate that ``independent_complement`` checks an
+RREF against.
 
-The operators here are mostly zeros, so the kernels skip them: an RREF step
-updates only the nonzero entries of the scaled pivot row, a matrix-vector
-product multiplies only where both factors are nonzero, and a Bareiss step
-leaves a row with a zero in the pivot column alone when the pivot equals the
-previous one.  One elimination serves a whole subspace: ``solve`` takes a
-matrix of right-hand sides and reduces ``[A | B]`` once, and so does
+One elimination serves a whole subspace: ``solve`` takes a matrix of
+right-hand sides and reduces ``[A | B]`` once, and so does
 ``coordinates_modulo`` for a matrix of vectors; ``independent_complement``
-reads its pick off the pivot columns of one RREF of ``[modulo | candidates]``,
-then certifies it with one Bareiss rank.
+reads its pick off the pivot columns of one RREF of ``[modulo | candidates]``.
 
 Two subspace helpers carry the linear algebra that the Cartan and Weil
 routes share: ``joint_kernel`` takes the canonical common kernel of several
@@ -40,6 +48,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+Row = dict[int, Fraction]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -56,44 +68,87 @@ def vec(entries: Iterable) -> Vec:
 
 
 def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
+    return (ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
+
+
+def _dense(row: dict, n: int, zero=ZERO) -> list:
+    out = [zero] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _integer(row: Row) -> tuple[int, dict[int, int]]:
+    """(d, r) with row = r / d over the integers, d the lcm of the row's denominators."""
+    d = math.lcm(*(x.denominator for x in row.values()))
+    if d == 1:
+        return 1, {j: x.numerator for j, x in row.items()}
+    return d, {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+
+
+def _without_content(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries; an empty row stays empty."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row: dict[int, int], top: dict[int, int], c: int) -> dict[int, int]:
+    """(p/g) row - (f/g) top over the integers, divided by its content.
+
+    p = top[c] and f = row[c] are nonzero and g = gcd(p, f), so column c
+    cancels and the result is primitive, or empty when the row was a
+    multiple of top.
+    """
+    p, f = top[c], row[c]
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in top.items():
+        if j in out:
+            v = out[j] - b * y
+            if v:
+                out[j] = v
+            else:
+                del out[j]
+        else:
+            out[j] = -b * y
+    return _without_content(out)
 
 
 class RationalMatrix:
-    """Immutable-by-convention dense matrix of Fractions."""
+    """Immutable-by-convention sparse matrix of Fractions, one dict per row."""
 
-    __slots__ = ("rows", "cols", "_m", "_rref_cache")
+    __slots__ = ("rows", "cols", "_nz", "_rref_cache")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            self._m = [[Fraction(0)] * cols for _ in range(rows)]
-        else:
-            self._m = [[frac(x) for x in r] for r in entries]
-            if len(self._m) != rows or any(len(r) != cols for r in self._m):
-                raise ValueError(
-                    f"entry grid is not {rows}x{cols}: got {len(self._m)} rows"
-                )
         self._rref_cache = None
+        if entries is None:
+            self._nz = [{} for _ in range(rows)]
+            return
+        grid = [[frac(x) for x in r] for r in entries]
+        if len(grid) != rows or any(len(r) != cols for r in grid):
+            raise ValueError(f"entry grid is not {rows}x{cols}: got {len(grid)} rows")
+        self._nz = [{j: x for j, x in enumerate(r) if x} for r in grid]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, grid: list[list[Fraction]]) -> "RationalMatrix":
-        """Wrap a rows x cols grid of Fractions as it is: no copy, no coercion."""
+    def _trusted(cls, rows: int, cols: int, nz: list[Row]) -> "RationalMatrix":
+        """Wrap rows x cols nonzero Fractions, one dict per row, as they are."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._m, m._rref_cache = rows, cols, grid, None
+        m.rows, m.cols, m._nz, m._rref_cache = rows, cols, nz, None
         return m
 
     @classmethod
@@ -102,10 +157,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m._m[i][i] = Fraction(1)
-        return m
+        return cls._trusted(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -115,63 +167,69 @@ class RationalMatrix:
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence], dim: int | None = None) -> "RationalMatrix":
         """Matrix whose columns are the given vectors (all of length dim)."""
-        cols = [vec(c) for c in cols]
+        cols = [tuple(c) for c in cols]
         if dim is None:
             if not cols:
                 raise ValueError("from_cols with no columns needs explicit dim")
             dim = len(cols[0])
         if any(len(c) != dim for c in cols):
             raise ValueError("column length mismatch")
-        grid = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(dim)]
-        return cls._trusted(dim, len(cols), grid)
+        nz = [{} for _ in range(dim)]
+        for j, c in enumerate(cols):
+            for i, x in enumerate(c):
+                if type(x) is not Fraction:
+                    x = frac(x)
+                if x:
+                    nz[i][j] = x
+        return cls._trusted(dim, len(cols), nz)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "RationalMatrix":
         """Zero matrix plus each Fraction x of the (i, j, x) entries at row i, column j."""
-        grid = [[Fraction(0)] * cols for _ in range(rows)]
+        nz = [{} for _ in range(rows)]
         for i, j, x in entries:
-            grid[i][j] += x
-        return cls._trusted(rows, cols, grid)
+            r = nz[i]
+            r[j] = r[j] + x if j in r else x
+        return cls._trusted(rows, cols, [{j: x for j, x in r.items() if x} for r in nz])
 
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._m[i][j]
+        return self._nz[i].get(j, ZERO)
 
     def row(self, i: int) -> Vec:
-        return tuple(self._m[i])
+        return tuple(_dense(self._nz[i], self.cols))
 
     def col(self, j: int) -> Vec:
-        return tuple(self._m[i][j] for i in range(self.rows))
+        return tuple(r.get(j, ZERO) for r in self._nz)
 
     def columns(self) -> list[Vec]:
         return [self.col(j) for j in range(self.cols)]
 
     def tolist(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._m]
+        return [_dense(r, self.cols) for r in self._nz]
 
     def nonzero_columns(self) -> list[list[tuple[int, Fraction]]]:
         """Per column, its nonzero entries as (row, value), rows ascending."""
         out = [[] for _ in range(self.cols)]
-        for i, r in enumerate(self._m):
-            for j, x in enumerate(r):
-                if x:
-                    out[j].append((i, x))
+        for i, r in enumerate(self._nz):
+            for j, x in r.items():
+                out[j].append((i, x))
         return out
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._m for x in r)
+        return not any(self._nz)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._m == other._m
+            and self._nz == other._nz
         )
 
     def __hash__(self):  # pragma: no cover - only identity-ish use
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self._m)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._nz)))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -180,27 +238,28 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return RationalMatrix._trusted(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._m, other._m)],
-        )
+        out = []
+        for r1, r2 in zip(self._nz, other._nz):
+            r = dict(r1)
+            for j, y in r2.items():
+                v = r.pop(j, ZERO) + y
+                if v:
+                    r[j] = v
+            out.append(r)
+        return RationalMatrix._trusted(self.rows, self.cols, out)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix._trusted(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._m, other._m)],
-        )
+        return self + -other
 
     def __neg__(self) -> "RationalMatrix":
         return self.scale(-1)
 
     def scale(self, c) -> "RationalMatrix":
         c = frac(c)
+        if not c:
+            return RationalMatrix.zeros(self.rows, self.cols)
         return RationalMatrix._trusted(
-            self.rows, self.cols, [[c * x for x in r] for r in self._m]
+            self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self._nz]
         )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -208,49 +267,47 @@ class RationalMatrix:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        out = RationalMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            mi = self._m[i]
-            for k in range(self.cols):
-                a = mi[k]
-                if a == 0:
-                    continue
-                ok = other._m[k]
-                oi = out._m[i]
-                for j in range(other.cols):
-                    if ok[j] != 0:
-                        oi[j] += a * ok[j]
-        return out
+        # each output row is summed over the integers on one common denominator
+        right = [_integer(r) for r in other._nz]
+        out = []
+        for r in self._nz:
+            terms = [(a, right[k]) for k, a in r.items() if right[k][1]]
+            den = math.lcm(*(a.denominator * d for a, (d, _) in terms))
+            acc = {}
+            for a, (d, b) in terms:
+                s = a.numerator * (den // (a.denominator * d))
+                for j, y in b.items():
+                    acc[j] = acc.get(j, 0) + s * y
+            out.append({j: Fraction(x, den) for j, x in acc.items() if x})
+        return RationalMatrix._trusted(self.rows, other.cols, out)
 
     def apply(self, v: Sequence) -> Vec:
         """Matrix-vector product."""
         v = vec(v)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for row in self._m:
-            acc = Fraction(0)
-            for j, x in nonzero:
-                a = row[j]
-                if a:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
+        nonzero = {j: x for j, x in enumerate(v) if x}
+        return tuple(
+            sum((a * nonzero[j] for j, a in r.items() if j in nonzero), ZERO) for r in self._nz
+        )
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
-        return RationalMatrix._trusted(
-            self.rows,
-            self.cols + other.cols,
-            [r1 + r2 for r1, r2 in zip(self._m, other._m)],
-        )
+        shift = self.cols
+        out = []
+        for r1, r2 in zip(self._nz, other._nz):
+            if r2:
+                r1 = dict(r1)
+                for j, x in r2.items():
+                    r1[shift + j] = x
+            out.append(r1)
+        return RationalMatrix._trusted(self.rows, self.cols + other.cols, out)
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise ValueError("vstack column mismatch")
-        return RationalMatrix._trusted(self.rows + other.rows, self.cols, self._m + other._m)
+        return RationalMatrix._trusted(self.rows + other.rows, self.cols, self._nz + other._nz)
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -262,11 +319,8 @@ class RationalMatrix:
         """Rank via fraction-free Bareiss elimination on integerized rows."""
         if self.rows == 0 or self.cols == 0:
             return 0
-        m = []
-        for r in self._m:
-            den = math.lcm(*(x.denominator for x in r if x))
-            m.append([x.numerator * (den // x.denominator) for x in r])
         nrows, ncols = self.rows, self.cols
+        m = [_dense(_integer(r)[1], ncols, 0) for r in self._nz]
         prev = 1
         r = 0
         for c in range(ncols):
@@ -304,61 +358,58 @@ class RationalMatrix:
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Unique reduced row echelon form and its pivot columns.
 
-        Rows from the current pivot row down are zero left of the pivot
-        column, so the scaled pivot row is stored as its nonzero entries and
-        each elimination touches only those.
+        Forward elimination keeps the rows not yet pivoted grouped by their
+        leading column, so each column meets only the rows that start there;
+        back substitution then clears each pivot column from the pivot rows
+        above it, last pivot first.
         """
         if self._rref_cache is not None:
             return self._rref_cache
-        m = [list(r) for r in self._m]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
+        by_lead: dict[int, list[dict[int, int]]] = {}
+        for r in self._nz:
+            if r:
+                by_lead.setdefault(min(r), []).append(_without_content(_integer(r)[1]))
+        pivots, tops = [], []
+        for c in range(self.cols):
+            if not by_lead:
                 break
-            piv, best = -1, 0
-            for i in range(r, nrows):
-                x = m[i][c]
-                if x:
-                    a = abs(x.numerator)
-                    if piv < 0 or a > best:
-                        best, piv = a, i
-            if piv < 0:
+            rows = by_lead.pop(c, None)
+            if rows is None:
                 continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            top = m[r]
-            inv = 1 / top[c]
-            nonzero = [(j, top[j] * inv) for j in range(c, ncols) if top[j]]
-            for j, x in nonzero:
-                top[j] = x
-            for i in range(nrows):
-                row = m[i]
-                f = row[c]
-                if f and i != r:
-                    for j, x in nonzero:
-                        row[j] -= f * x
+            top = min(rows, key=len)
+            for row in rows:
+                if row is not top:
+                    row = _eliminate(row, top, c)
+                    if row:
+                        by_lead.setdefault(min(row), []).append(row)
             pivots.append(c)
-            r += 1
-        out = RationalMatrix._trusted(nrows, ncols, m), tuple(pivots)
-        self._rref_cache = out
-        return out
+            tops.append(top)
+        for k in range(len(pivots) - 1, 0, -1):
+            c, top = pivots[k], tops[k]
+            for i in range(k):
+                if c in tops[i]:
+                    tops[i] = _eliminate(tops[i], top, c)
+        out = [{j: Fraction(x, top[c]) for j, x in top.items()} for c, top in zip(pivots, tops)]
+        out += [{} for _ in range(self.rows - len(out))]
+        self._rref_cache = RationalMatrix._trusted(self.rows, self.cols, out), tuple(pivots)
+        return self._rref_cache
 
     def nullspace(self) -> list[Vec]:
         """Canonical kernel basis: one vector per free column, ascending."""
+        return self._kernel().columns()
+
+    def _kernel(self) -> "RationalMatrix":
+        """The canonical kernel basis as the columns of a matrix."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for row_idx, p in enumerate(pivots):
-                v[p] = -R._m[row_idx][f]
-            basis.append(tuple(v))
-        return basis
+        free = {f: k for k, f in enumerate(f for f in range(self.cols) if f not in pivot_set)}
+        nz = [{} for _ in range(self.cols)]
+        for f, k in free.items():
+            nz[f][k] = ONE
+        # a row of the RREF is zero in every pivot column but its own
+        for row, p in zip(R._nz, pivots):
+            nz[p] = {free[f]: -x for f, x in row.items() if f != p}
+        return RationalMatrix._trusted(self.cols, len(free), nz)
 
     def pivot_columns(self) -> tuple[int, ...]:
         return self.rref()[1]
@@ -378,23 +429,22 @@ class RationalMatrix:
                 raise ValueError("rhs length mismatch")
             rhs = RationalMatrix.from_cols([b], self.rows)
         R, pivots = self.hstack(rhs).rref()
-        if pivots and pivots[-1] >= self.cols:
+        n = self.cols
+        if pivots and pivots[-1] >= n:
             return None
-        x = RationalMatrix(self.cols, rhs.cols)
-        for row_idx, p in enumerate(pivots):
-            x._m[p] = R._m[row_idx][self.cols :]
+        x = [{} for _ in range(n)]
+        for row, p in zip(R._nz, pivots):
+            x[p] = {j - n: v for j, v in row.items() if j >= n}
+        x = RationalMatrix._trusted(n, rhs.cols, x)
         return x if rhs is b else x.col(0)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        aug = self.hstack(RationalMatrix.identity(self.rows))
-        R, pivots = aug.rref()
-        if tuple(pivots[: self.rows]) != tuple(range(self.rows)):
+        x = self.solve(RationalMatrix.identity(self.rows))
+        if x is None:
             raise ValueError("matrix is singular")
-        return RationalMatrix._trusted(
-            self.rows, self.cols, [row[self.cols :] for row in R._m]
-        )
+        return x
 
 
 # -- subspace helpers --------------------------------------------------------
@@ -447,7 +497,7 @@ def coordinates_modulo(
     if sol is None:
         return None
     if batch:
-        return RationalMatrix._trusted(len(basis), sol.cols, sol._m[: len(basis)])
+        return RationalMatrix._trusted(len(basis), sol.cols, sol._nz[: len(basis)])
     return sol[: len(basis)]
 
 
@@ -461,7 +511,9 @@ def joint_kernel(ops: Sequence[RationalMatrix], dim: int) -> RationalMatrix | No
     if not live:
         return None
     stacked = functools.reduce(RationalMatrix.vstack, live)
-    return RationalMatrix.from_cols(stacked.nullspace(), dim)
+    if stacked.cols != dim:
+        raise ValueError(f"maps out of a {stacked.cols}-dimensional space, not {dim}")
+    return stacked._kernel()
 
 
 def restrict(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +10,13 @@ from foliacoh.ratmat import RationalMatrix
 
 def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
     """Unit lower-triangular times unit upper-triangular with small entries."""
-    lo = RationalMatrix.identity(n)
-    up = RationalMatrix.identity(n)
+    lo = [(i, i, Fraction(1)) for i in range(n)]
+    up = list(lo)
     for i in range(n):
         for j in range(i):
-            lo._m[i][j] = rng.randint(-2, 2)
-            up._m[j][i] = rng.randint(-2, 2)
-    return lo @ up
+            lo.append((i, j, Fraction(rng.randint(-2, 2))))
+            up.append((j, i, Fraction(rng.randint(-2, 2))))
+    return RationalMatrix.from_entries(n, n, lo) @ RationalMatrix.from_entries(n, n, up)
 
 
 def change_basis(s, rng):
@@ -68,13 +69,13 @@ def random_complex(rng: random.Random, top: int = 4, max_dim: int = 6) -> Cochai
     diffs = {}
     for n in range(top):
         rows, cols = space.dim(n + 1), space.dim(n)
-        m = RationalMatrix.zeros(rows, cols)
         # intervals starting at n occupy the leading columns after singles,
         # and the leading rows of degree n+1 after its own singles
         col0 = single_counts.get(n, 0) + pair_counts.get(n - 1, 0)
         row0 = single_counts.get(n + 1, 0)
-        for k in range(pair_counts.get(n, 0)):
-            m._m[row0 + k][col0 + k] = 1
+        m = RationalMatrix.from_entries(
+            rows, cols, [(row0 + k, col0 + k, Fraction(1)) for k in range(pair_counts.get(n, 0))]
+        )
         if not m.is_zero():
             diffs[n] = m
     c = CochainComplex(space, diffs)
@@ -106,25 +107,21 @@ def random_split_ses(rng: random.Random, top: int = 3, max_dim: int = 6):
     for n in range(top + 1):
         ds, dq = sub.spaces.dim(n), quot.spaces.dim(n)
         if n < top:
-            block = RationalMatrix.zeros(space.dim(n + 1), space.dim(n))
-            a = sub.diff(n)
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    block._m[i][j] = a.entry(i, j)
-            b = quot.diff(n)
             rs, cs = sub.spaces.dim(n + 1), ds
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    block._m[rs + i][cs + j] = b.entry(i, j)
+            block = RationalMatrix.from_entries(
+                space.dim(n + 1), space.dim(n),
+                [(i, j, x) for j, col in enumerate(sub.diff(n).nonzero_columns())
+                 for i, x in col]
+                + [(rs + i, cs + j, x) for j, col in enumerate(quot.diff(n).nonzero_columns())
+                   for i, x in col],
+            )
             m = t[n + 1] @ block @ t_inv[n]
             if not m.is_zero():
                 diffs[n] = m
-        f = RationalMatrix.zeros(space.dim(n), ds)
-        for i in range(ds):
-            f._m[i][i] = 1
-        g = RationalMatrix.zeros(dq, space.dim(n))
-        for i in range(dq):
-            g._m[i][ds + i] = 1
+        f = RationalMatrix.from_entries(space.dim(n), ds,
+                                        [(i, i, Fraction(1)) for i in range(ds)])
+        g = RationalMatrix.from_entries(dq, space.dim(n),
+                                        [(i, ds + i, Fraction(1)) for i in range(dq)])
         incl[n] = t[n] @ f
         proj[n] = g @ t_inv[n]
     total = CochainComplex(space, diffs)

@@ -96,6 +96,43 @@ def test_rejects_floats_in_matrices(tmp_path, capsys):
     assert code == cli.EXIT_INVALID_INPUT
 
 
+def _set_max_degree(value):
+    def mutate(doc):
+        doc["max_degree"] = value
+    return "hopf_gstar", "equivariant", mutate, "max_degree"
+
+
+def _set_truncated_above(value):
+    def mutate(doc):
+        doc["payload"]["truncated_above"] = value
+    return "hopf_gstar", "validate", mutate, "truncated_above"
+
+
+def _set_product_target(value):
+    def mutate(doc):
+        doc["payload"]["products"][2]["value"][0][0] = value
+    return "exterior_line_gstar", "equivariant", mutate, "target index"
+
+
+@pytest.mark.parametrize(
+    "name,command,mutate,message",
+    [_set_max_degree(v) for v in ("x", None, [], 1.5, True, -1)]
+    + [_set_truncated_above(v) for v in ("x", 1.5, True)]
+    # the target degree has dimension 1; -1 used to wrap around to index 0
+    + [_set_product_target(v) for v in (2, 1.5, True, -1)],
+)
+def test_rejects_values_of_the_wrong_schema_type(tmp_path, capsys, name, command, mutate,
+                                                 message):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    mutate(doc)
+    p = tmp_path / "mutant.json"
+    p.write_text(json.dumps(doc))
+    for cmd in (command, "validate"):
+        code, out = run_json(capsys, cmd, "--input", str(p))
+        assert code == cli.EXIT_INVALID_INPUT, cmd
+        assert message in out["error"]
+
+
 # -- subcommands ----------------------------------------------------------------------
 
 

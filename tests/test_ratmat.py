@@ -176,19 +176,29 @@ def greedy_complement(candidates, modulo, dim):
     return picked
 
 
+# primes near 10**6, so that a row of 1/p entries has a denominator lcm of 20+ digits
+PRIMES = (999907, 999917, 999931, 999953, 999959, 999961, 999979, 999983, 1000003,
+          1000033, 1000037, 1000039, 1000081, 1000099)
 ENTRIES = {
     "sparse": st.sampled_from((0, 0, 0, 0, 0, 1, -1)).map(Fraction),
     "dense": st.fractions(min_value=-6, max_value=6, max_denominator=5),
     "wide": st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**70)),
+    "coprime": st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.sampled_from((1, -1, 2, -3)), st.sampled_from(PRIMES)),
+    ),
 }
 
 
 @st.composite
 def matrices(draw, rows=None, cols=None):
-    """Sparse +-1, dense, >= 64-bit or rank-deficient, 0 to 6 rows and columns."""
+    """Sparse +-1, dense, >= 64-bit, 1/p for coprime p near 10**6 or rank-deficient.
+
+    0 to 6 rows and columns.
+    """
     rows = draw(st.integers(0, 6)) if rows is None else rows
     cols = draw(st.integers(0, 6)) if cols is None else cols
-    kind = draw(st.sampled_from(("sparse", "dense", "wide", "low_rank")))
+    kind = draw(st.sampled_from(("sparse", "dense", "wide", "coprime", "low_rank")))
     if kind != "low_rank":
         grid = draw(st.lists(st.lists(ENTRIES[kind], min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
@@ -196,7 +206,7 @@ def matrices(draw, rows=None, cols=None):
     k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
     left = draw(st.lists(st.lists(ENTRIES["dense"], min_size=k, max_size=k),
                          min_size=rows, max_size=rows))
-    entry = ENTRIES[draw(st.sampled_from(("sparse", "dense")))]
+    entry = ENTRIES[draw(st.sampled_from(("sparse", "dense", "coprime")))]
     right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                           min_size=k, max_size=k))
     grid = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
@@ -208,14 +218,14 @@ def matrices(draw, rows=None, cols=None):
 def systems(draw):
     """(A, B): B mixes columns in the image of A with arbitrary ones."""
     a = draw(matrices())
+    entry = ENTRIES[draw(st.sampled_from(("dense", "coprime")))]
     cols = []
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
-            x = draw(st.lists(ENTRIES["dense"], min_size=a.cols, max_size=a.cols))
+            x = draw(st.lists(entry, min_size=a.cols, max_size=a.cols))
             cols.append(a.apply(x))
         else:
-            cols.append(tuple(draw(st.lists(ENTRIES["dense"], min_size=a.rows,
-                                            max_size=a.rows))))
+            cols.append(tuple(draw(st.lists(entry, min_size=a.rows, max_size=a.rows))))
     return a, RationalMatrix.from_cols(cols, a.rows)
 
 
@@ -245,14 +255,15 @@ def test_rank_matches_dense_bareiss(m):
 def test_matrix_solve_matches_column_solves(system):
     a, b = system
     per_column = [column_solve(a, b.col(j)) for j in range(b.cols)]
+    for j, sol in enumerate(per_column):
+        assert a.solve(b.col(j)) == sol
+        assert sol is None or a.apply(sol) == b.col(j)
     x = a.solve(b)
     if any(sol is None for sol in per_column):
         assert x is None
         return
     assert (x.rows, x.cols) == (a.cols, b.cols)
     assert x.columns() == per_column
-    for j, sol in enumerate(per_column):
-        assert a.solve(b.col(j)) == sol
 
 
 @FAST
@@ -459,3 +470,143 @@ def test_restrict_edge_shapes():
     assert restrict(op, RationalMatrix.zeros(1, 2), RationalMatrix.zeros(2, 0)) == \
         RationalMatrix.zeros(0, 2)
     assert restrict(RationalMatrix.zeros(2, 1), None, M([[1], [1]])) == RationalMatrix.zeros(1, 1)
+
+
+# -- every kernel against a dense reference on the same grid ---------------------------
+
+
+def dense_matmul(a, b, ncols):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(ncols)]
+            for row in a]
+
+
+def dense_inverse(rows):
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    R, pivots = dense_rref(aug, 2 * n)
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return [r[n:] for r in R]
+
+
+def assert_well_formed(m):
+    """Fractions everywhere, and no zero among the stored (nonzero) entries."""
+    assert all_fractions(m)
+    assert all(x != 0 and type(x) is Fraction for col in m.nonzero_columns() for _, x in col)
+    assert m.is_zero() == (m == RationalMatrix.zeros(m.rows, m.cols))
+
+
+@FAST
+@given(matrices(), st.data())
+def test_matmul_matches_dense(a, data):
+    b = data.draw(matrices(rows=a.cols))
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.tolist() == dense_matmul(a.tolist(), b.tolist(), b.cols)
+    assert_well_formed(got)
+
+
+@FAST
+@given(matrices(), st.data())
+def test_sum_difference_and_scaling_match_dense(a, data):
+    b = data.draw(matrices(a.rows, a.cols))
+    c = data.draw(st.one_of(ENTRIES["dense"], ENTRIES["coprime"], st.just(Fraction(0))))
+    ga, gb = a.tolist(), b.tolist()
+    cases = [
+        (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ga, gb)]),
+        (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ga, gb)]),
+        (a.scale(c), [[c * x for x in r] for r in ga]),
+        (-a, [[-x for x in r] for r in ga]),
+    ]
+    for got, want in cases:
+        assert got.tolist() == want
+        assert_well_formed(got)
+
+
+@FAST
+@given(matrices(), st.data())
+def test_stacks_match_dense(a, data):
+    right = data.draw(matrices(rows=a.rows))
+    below = data.draw(matrices(cols=a.cols))
+    h, v = a.hstack(right), a.vstack(below)
+    assert h.tolist() == [r + s for r, s in zip(a.tolist(), right.tolist())]
+    assert v.tolist() == a.tolist() + below.tolist()
+    assert (h.rows, h.cols, v.rows, v.cols) == (a.rows, a.cols + right.cols,
+                                                 a.rows + below.rows, a.cols)
+    assert_well_formed(h)
+    assert_well_formed(v)
+
+
+@FAST
+@given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
+def test_inverse_matches_dense(m):
+    want = dense_inverse(m.tolist())
+    if want is None:
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv.tolist() == want
+    assert_well_formed(inv)
+    assert m @ inv == RationalMatrix.identity(m.rows) == inv @ m
+
+
+@FAST
+@given(matrices())
+def test_readers_match_the_dense_grid(m):
+    grid = m.tolist()
+    assert len(grid) == m.rows and all(len(r) == m.cols for r in grid)
+    assert all_fractions(m)
+    assert m.columns() == [tuple(r[j] for r in grid) for j in range(m.cols)]
+    assert [m.row(i) for i in range(m.rows)] == [tuple(r) for r in grid]
+    assert [m.col(j) for j in range(m.cols)] == m.columns()
+    assert all(m.entry(i, j) == grid[i][j] for i in range(m.rows) for j in range(m.cols))
+    assert_well_formed(m)
+
+
+# -- storage invariants: no stored zero, one value per matrix whatever the route ---------
+
+
+def test_cancelling_entries_store_nothing():
+    cancel = RationalMatrix.from_entries(
+        2, 3, [(0, 1, Fraction(1, 999983)), (0, 1, Fraction(-1, 999983)),
+               (1, 2, Fraction(0)), (1, 0, Fraction(2)), (1, 0, Fraction(-2))])
+    assert cancel == RationalMatrix.zeros(2, 3)
+    assert cancel.is_zero() and cancel.nonzero_columns() == [[], [], []]
+    m = M([[1, "1/999983", 0], [0, -2, "3/1000003"]])
+    for z in (m.scale(0), m - m, m + (-m), m @ RationalMatrix.zeros(3, 3)):
+        assert z == RationalMatrix.zeros(2, 3)
+        assert z.nonzero_columns() == [[], [], []]
+
+
+@FAST
+@given(matrices())
+def test_equality_does_not_depend_on_the_route(m):
+    grid, cols = m.tolist(), m.columns()
+    routes = [
+        RationalMatrix(m.rows, m.cols, grid),
+        RationalMatrix(m.rows, m.cols, [[str(x) for x in r] for r in grid]),
+        RationalMatrix.from_cols(cols, m.rows),
+        RationalMatrix.from_entries(
+            m.rows, m.cols, [(i, j, x) for j, col in enumerate(m.nonzero_columns())
+                             for i, x in col]),
+        RationalMatrix.from_entries(
+            m.rows, m.cols, [(i, j, y) for i, r in enumerate(grid) for j, x in enumerate(r)
+                             for y in (x, Fraction(1), Fraction(-1))]),
+        m + RationalMatrix.zeros(m.rows, m.cols),
+        m - m + m,
+        m.scale(1),
+        m.scale(Fraction(1, 999983)).scale(999983),
+        RationalMatrix.identity(m.rows) @ m,
+        m @ RationalMatrix.identity(m.cols),
+        m.hstack(RationalMatrix.zeros(m.rows, 0)),
+        m.vstack(RationalMatrix.zeros(0, m.cols)),
+    ]
+    if m.rows:
+        routes.append(RationalMatrix.from_rows(grid))
+    for r in routes:
+        assert r == m and m == r
+        assert r.tolist() == grid
+        assert_well_formed(r)
+    other = M([[1]]) if (m.rows, m.cols) != (1, 1) else M([[m.entry(0, 0) + 1]])
+    assert m != other
