@@ -8,13 +8,7 @@ the zero map out of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .ratmat import (
-    RationalMatrix,
-    Vec,
-    coordinates_modulo,
-    independent_complement,
-    is_zero_vec,
-)
+from .ratmat import RationalMatrix, coordinates_modulo, independent_complement
 
 
 class DimensionMismatch(ValueError):
@@ -66,6 +60,11 @@ class GradedVectorSpace:
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * d for n, d in self.dims.items())
 
+    def first_moved_label(self, n: int, m: RationalMatrix) -> str | None:
+        """Label of the first degree-n basis vector that m maps to nonzero, if any."""
+        j = next((j for j, col in enumerate(m.nonzero_columns()) if col), None)
+        return None if j is None else self.label(n, j)
+
 
 class CochainComplex:
     """Graded space plus degree +1 differentials d[n]: degree n -> n+1."""
@@ -103,7 +102,6 @@ class ComplexReport:
     ok: bool
     failing_degree: int | None = None
     witness_label: str | None = None
-    witness_image: tuple | None = None
     message: str = ""
 
 
@@ -112,30 +110,27 @@ def verify_complex(c: CochainComplex) -> ComplexReport:
     c.check_shapes()
     lo, hi = c.spaces.window
     for n in range(lo, hi):
-        dn = c.diff(n)
-        dn1 = c.diff(n + 1)
-        prod = dn1 @ dn
-        if not prod.is_zero():
-            for j in range(prod.cols):
-                col = prod.col(j)
-                if not is_zero_vec(col):
-                    return ComplexReport(
-                        ok=False,
-                        failing_degree=n,
-                        witness_label=c.spaces.label(n, j),
-                        witness_image=col,
-                        message=f"d_{n + 1} d_{n} != 0 on basis vector "
-                        f"{c.spaces.label(n, j)} of degree {n}",
-                    )
+        label = c.spaces.first_moved_label(n, c.diff(n + 1) @ c.diff(n))
+        if label is not None:
+            return ComplexReport(
+                ok=False,
+                failing_degree=n,
+                witness_label=label,
+                message=f"d_{n + 1} d_{n} != 0 on basis vector {label} of degree {n}",
+            )
     return ComplexReport(ok=True, message="d^2 = 0 on the whole window")
 
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Per-degree dimensions and canonical representative cocycles."""
+    """Per-degree dimensions and canonical representative cocycles.
+
+    representatives[n] holds the degree-n representatives as its columns,
+    for every degree of the window (no columns where H^n = 0).
+    """
 
     dims: dict[int, int]
-    representatives: dict[int, tuple[Vec, ...]]
+    representatives: dict[int, RationalMatrix]
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -158,44 +153,31 @@ def cohomology_dims(c: CochainComplex) -> CohomologyResult:
     if not rep.ok:
         raise ValueError(f"not a complex: {rep.message}")
     dims: dict[int, int] = {}
-    reps: dict[int, tuple[Vec, ...]] = {}
+    reps: dict[int, RationalMatrix] = {}
     lo, hi = c.spaces.window
     for n in range(lo, hi + 1):
-        chosen = cocycle_representatives(c.diff(n), c.diff(n - 1), c.spaces.dim(n))
-        if chosen:
-            dims[n] = len(chosen)
-            reps[n] = chosen
+        reps[n] = cocycle_representatives(c.diff(n), c.diff(n - 1))
+        if reps[n].cols:
+            dims[n] = reps[n].cols
     return CohomologyResult(dims=dims, representatives=reps)
 
 
-def cocycle_representatives(
-    d_out: RationalMatrix, d_in: RationalMatrix | None, dim: int
-) -> tuple[Vec, ...]:
-    """Cohomology representatives at a degree of dimension dim.
+def cocycle_representatives(d_out: RationalMatrix, d_in: RationalMatrix) -> RationalMatrix:
+    """Cohomology representatives, as columns, at the degree between d_in and d_out.
 
-    They are the first vectors of the canonical (RREF) kernel basis of the
+    They are the first columns of the canonical (RREF) kernel basis of the
     outgoing differential that stay independent modulo the image of the
-    incoming one; d_in None means there is no incoming differential.
+    incoming one.
     """
     kernel = d_out.nullspace()
-    image = d_in.columns() if d_in is not None else []
-    return tuple(kernel[i] for i in independent_complement(kernel, image, dim))
+    return kernel.select(independent_complement(kernel, d_in))
 
 
 def reduce_to_classes(
-    c: CochainComplex, result: CohomologyResult, n: int, v: "Vec | RationalMatrix"
-) -> "Vec | RationalMatrix | None":
-    """Coordinates of a cocycle v in degree n w.r.t. the representatives.
-
-    v may be a matrix of cocycles, giving the matrix of their coordinates.
-    """
-    reps = list(result.representatives.get(n, ()))
-    lo, _hi = c.spaces.window
-    image_cols = list(c.diff(n - 1).columns()) if n - 1 >= lo else []
-    dim_n = c.spaces.dim(n)
-    if dim_n == 0:
-        return RationalMatrix.zeros(0, v.cols) if isinstance(v, RationalMatrix) else ()
-    return coordinates_modulo(reps, image_cols, v, dim_n)
+    c: CochainComplex, result: CohomologyResult, n: int, v: RationalMatrix
+) -> RationalMatrix | None:
+    """Coordinates of the degree-n cocycles in v's columns w.r.t. the representatives."""
+    return coordinates_modulo(result.representatives[n], c.diff(n - 1), v)
 
 
 # -- short exact sequences and the long exact sequence ------------------------
@@ -267,18 +249,13 @@ def _check_ses(ses: ShortExactSequence) -> str | None:
 
 
 def _induced_map(
-    src: CochainComplex,
     src_h: CohomologyResult,
     dst: CochainComplex,
     dst_h: CohomologyResult,
     mat_per_degree,
     n: int,
 ) -> RationalMatrix:
-    reps = src_h.representatives.get(n, ())
-    if not reps:
-        return RationalMatrix.zeros(dst_h.dim(n), 0)
-    imgs = mat_per_degree(n) @ RationalMatrix.from_cols(reps, src.spaces.dim(n))
-    coords = reduce_to_classes(dst, dst_h, n, imgs)
+    coords = reduce_to_classes(dst, dst_h, n, mat_per_degree(n) @ src_h.representatives[n])
     if coords is None:
         raise ValueError(f"induced map image is not a cocycle class at degree {n}")
     return coords
@@ -298,18 +275,14 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
     ha, hb, hc = cohomology_dims(a), cohomology_dims(b), cohomology_dims(c)
     lo, hi = a.spaces.window
 
-    f_star = {n: _induced_map(a, ha, b, hb, ses.incl, n) for n in range(lo, hi + 1)}
-    g_star = {n: _induced_map(b, hb, c, hc, ses.proj, n) for n in range(lo, hi + 1)}
+    f_star = {n: _induced_map(ha, b, hb, ses.incl, n) for n in range(lo, hi + 1)}
+    g_star = {n: _induced_map(hb, c, hc, ses.proj, n) for n in range(lo, hi + 1)}
 
     # the zig-zag on all representatives of a degree at once: lift along the
     # projection, differentiate, pull back along the inclusion, reduce
     delta: dict[int, RationalMatrix] = {}
     for n in range(lo, hi):
-        reps = hc.representatives.get(n, ())
-        if not reps:
-            delta[n] = RationalMatrix.zeros(ha.dim(n + 1), 0)
-            continue
-        lifts = ses.proj(n).solve(RationalMatrix.from_cols(reps, c.spaces.dim(n)))
+        lifts = ses.proj(n).solve(hc.representatives[n])
         if lifts is None:
             raise AssertionError("surjectivity was already checked")
         pre = ses.incl(n + 1).solve(b.diff(n) @ lifts)

@@ -33,12 +33,10 @@ from .module_theory import (
 )
 from .ratmat import (
     RationalMatrix,
-    Vec,
     coordinates_modulo,
     independent_complement,
     joint_kernel,
     restrict,
-    unit_vec,
 )
 
 
@@ -200,7 +198,7 @@ class EquivariantCohomologyResult:
     """Equivariant cohomology with its polynomial-module structure."""
 
     dims: dict[int, int]
-    representatives: dict[int, tuple[Vec, ...]]  # in slice coordinates
+    representatives: dict[int, RationalMatrix]  # per degree, columns in slice coordinates
     u_actions: tuple[dict[int, RationalMatrix], ...]  # per variable, degree n -> n+2
     generator_degrees: tuple[int, ...]
     n_max: int
@@ -229,16 +227,16 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
     cx = CartanComplex(s, n_max)
     r = s.lie.dimension
     dims: dict[int, int] = {}
-    reps: dict[int, tuple[Vec, ...]] = {}
+    reps: dict[int, RationalMatrix] = {}
     for n in range(n_max + 1):
-        chosen = cocycle_representatives(cx.d[n], cx.d.get(n - 1), cx.dim(n))
-        if chosen:
-            dims[n] = len(chosen)
-            reps[n] = chosen
+        d_in = cx.d[n - 1] if n else RationalMatrix.zeros(cx.dim(0), 0)
+        reps[n] = cocycle_representatives(cx.d[n], d_in)
+        if reps[n].cols:
+            dims[n] = reps[n].cols
 
     def reduce_classes(n: int, vs: RationalMatrix) -> RationalMatrix:
         """Class coordinates of the columns of vs (n >= 1), all from one solve."""
-        coords = coordinates_modulo(reps.get(n, ()), cx.d[n - 1].columns(), vs, cx.dim(n))
+        coords = coordinates_modulo(reps[n], cx.d[n - 1], vs)
         if coords is None:
             raise AssertionError(f"vector is not a cocycle class in degree {n}")
         return coords
@@ -248,17 +246,16 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
         for j in range(r):
             for n in range(n_max - 1):
                 mult = cx.u_multiplication(j, n)
-                z = reps.get(n)
                 u_actions[j][n] = (
-                    reduce_classes(n + 2, mult @ RationalMatrix.from_cols(z, cx.dim(n)))
-                    if z else RationalMatrix.zeros(dims.get(n + 2, 0), 0)
+                    reduce_classes(n + 2, mult @ reps[n])
+                    if reps[n].cols else RationalMatrix.zeros(dims.get(n + 2, 0), 0)
                 )
 
     return EquivariantCohomologyResult(
         dims=dims,
         representatives=reps,
         u_actions=u_actions,
-        generator_degrees=tuple(n for n, _v in _module_generators(dims, u_actions, n_max)),
+        generator_degrees=tuple(n for n, _i in _module_generators(dims, u_actions, n_max)),
         n_max=n_max,
         stable_through=cx.stable_through,
         dim_a=r,
@@ -268,8 +265,8 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
 
 def _module_generators(
     dims: dict[int, int], u_actions: tuple[dict[int, RationalMatrix], ...], n_max: int
-) -> list[tuple[int, Vec]]:
-    """Minimal generators as (degree, standard class vector).
+) -> list[tuple[int, int]]:
+    """Minimal generators as (degree, position of a standard class vector).
 
     A standard basis vector is taken when it is independent modulo the image
     of the u-action from two degrees down; ties go to the lowest degree, then
@@ -280,13 +277,12 @@ def _module_generators(
         h_n = dims.get(n, 0)
         if h_n == 0:
             continue
-        image_cols: list[Vec] = []
+        image = RationalMatrix.zeros(h_n, 0)
         for action in u_actions:
-            m = action.get(n - 2)
-            if m is not None:
-                image_cols.extend(m.columns())
-        std = [unit_vec(h_n, i) for i in range(h_n)]
-        generators.extend((n, std[i]) for i in independent_complement(std, image_cols, h_n))
+            if n - 2 in action:
+                image = image.hstack(action[n - 2])
+        picked = independent_complement(RationalMatrix.identity(h_n), image)
+        generators.extend((n, i) for i in picked)
     return generators
 
 
@@ -306,41 +302,40 @@ def module_presentation(
     n_max = e.n_max
 
     generators = _module_generators(e.dims, e.u_actions, n_max)
-    gen_degrees = tuple(g for g, _v in generators)
+    gen_degrees = tuple(g for g, _i in generators)
 
-    def evaluate(g_idx: int, beta: tuple[int, ...]) -> tuple[int, Vec]:
-        deg, v = generators[g_idx]
+    def evaluate(g_idx: int, beta: tuple[int, ...]) -> RationalMatrix:
+        """u^beta times generator g_idx, as one class column."""
+        deg, i = generators[g_idx]
+        v = RationalMatrix.identity(e.dim(deg)).select([i])
         for j in range(r):
             for _ in range(beta[j]):
                 m = e.u_actions[j].get(deg)
                 if m is None:
                     raise ValueError("u-action unavailable at the window edge")
-                v = m.apply(v)
+                v = m @ v
                 deg += 2
-        return deg, v
+        return v
 
     relations: list[tuple[Poly, ...]] = []
     for n in range(n_max + 1):
         fb = free_basis(gen_degrees, r, n)
         if not fb:
             continue
-        h_n = e.dim(n)
-        ev_cols = []
-        for g_idx, beta in fb:
-            _, v = evaluate(g_idx, beta)
-            ev_cols.append(v)
-        ev = RationalMatrix.from_cols(ev_cols, h_n)
+        images = [evaluate(*key).nonzero_columns()[0] for key in fb]
+        ev = RationalMatrix.from_entries(
+            e.dim(n), len(fb), [(i, k, x) for k, col in enumerate(images) for i, x in col]
+        )
         kernel = ev.nullspace()
-        if not kernel:
+        if not kernel.cols:
             continue
-        old_cols = relation_columns(relations, gen_degrees, r, n, fb)
-        for i in independent_complement(kernel, old_cols, len(fb)):
-            veck = kernel[i]
+        old = relation_columns(relations, gen_degrees, r, n, fb)
+        kernel_cols = kernel.nonzero_columns()
+        for i in independent_complement(kernel, old):
             rel: list[Poly] = [dict() for _ in gen_degrees]
-            for idx, c in enumerate(veck):
-                if c != 0:
-                    g_idx, beta = fb[idx]
-                    rel[g_idx][beta] = c
+            for idx, c in kernel_cols[i]:
+                g_idx, beta = fb[idx]
+                rel[g_idx][beta] = c
             relations.append(tuple(rel))
 
     return GradedModulePresentation(r, gen_degrees, tuple(relations), window=n_max)

@@ -141,8 +141,8 @@ def parse_gstar(payload) -> GStarStructure:
         dims = {int(n): len(labels) for n, labels in degrees.items()}
         labels = {int(n): tuple(labels) for n, labels in degrees.items()}
         trunc = payload.get("truncated_above")
-        if trunc is not None and not _is_int(trunc):
-            raise InputError(f"truncated_above must be an integer or null, got {trunc!r}")
+        if trunc is not None and not _is_int(trunc, 0):
+            raise InputError(f"truncated_above must be an integer >= 0 or null, got {trunc!r}")
         top = max(dims, default=0)
         window = (0, top if trunc is None else max(top, 0))
         space = GradedVectorSpace(dims, labels, window=window)
@@ -527,8 +527,8 @@ def _validate_payload(doc) -> tuple[int, dict]:
     elif kind == "strata_model":
         issues += list(validate_strata(parse_strata(payload)).issues)
     elif kind == "morse_data":
-        d, _dim_a, _basic = parse_morse(payload)
-        issues += list(d.validate().issues)
+        d, dim_a, _basic = parse_morse(payload)
+        issues += list(d.validate(dim_a).issues)
     elif kind == "polytope":
         issues += list(parse_polytope(payload).validate().issues)
     elif kind == "module_presentation":
@@ -722,7 +722,7 @@ def _cmd_morse(doc, n_max):
     if doc["kind"] != "morse_data":
         raise InputError("morse expects a morse_data document")
     d, dim_a, basic = parse_morse(doc["payload"])
-    rep = d.validate()
+    rep = d.validate(dim_a)
     if not rep.valid:
         raise InputError("; ".join(rep.issues))
     ms = morse_series(d, dim_a)

@@ -227,13 +227,18 @@ class MorseComponent:
 class MorseData:
     components: tuple[MorseComponent, ...]
 
-    def validate(self) -> ValidationReport:
+    def validate(self, dim_a: int) -> ValidationReport:
+        """Issues of the data as critical components of an action of rank dim_a."""
         issues = []
         for k, c in enumerate(self.components):
             if c.index < 0:
                 issues.append(f"component {k}: negative index")
             if c.isotropy_dim < 0:
                 issues.append(f"component {k}: negative isotropy dimension")
+            if c.isotropy_dim > dim_a:
+                issues.append(
+                    f"component {k}: isotropy dimension {c.isotropy_dim} exceeds dim_a = {dim_a}"
+                )
             if c.quotient_poincare.signed:
                 issues.append(f"component {k}: signed Poincare polynomial")
         return ValidationReport(valid=not issues, issues=tuple(issues))
@@ -251,14 +256,12 @@ def morse_series(d: MorseData, dim_a: int) -> MorseSeries:
     basic: sum of t^index P(N/F); equivariant: each component additionally
     divided by (1-t^2)^isotropy, the one-isotropy model of its neighborhood.
     """
-    report = d.validate()
+    report = d.validate(dim_a)
     if not report.valid:
         raise ValueError("invalid Morse data: " + "; ".join(report.issues))
     basic = PoincarePolynomial.zero()
     equivariant = PoincareSeriesRational.zero()
     for c in d.components:
-        if c.isotropy_dim > dim_a:
-            raise ValueError("component isotropy dimension exceeds dim_a")
         shifted = c.quotient_poincare.shift(c.index)
         basic = basic + shifted
         equivariant = equivariant + PoincareSeriesRational(shifted, c.isotropy_dim)

@@ -34,7 +34,6 @@ from .ratmat import (
     RationalMatrix,
     Vec,
     frac,
-    is_zero_vec,
     joint_kernel,
     restrict,
     unit_vec,
@@ -346,13 +345,6 @@ class GStarAxiomReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _first_bad_column(m: RationalMatrix, sp: GradedVectorSpace, n: int) -> str:
-    for j in range(m.cols):
-        if not is_zero_vec(m.col(j)):
-            return sp.label(n, j)
-    return ""
-
-
 def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
     """Verify the five Cartan relations and the three derivation laws.
 
@@ -380,7 +372,7 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
         lambda n: (
             None
             if (m := s.op_d(n + 1) @ s.op_d(n)).is_zero()
-            else f"degree {n}, witness {_first_bad_column(m, sp, n)}"
+            else f"degree {n}, witness {sp.first_moved_label(n, m)}"
         ),
     )
 
@@ -425,7 +417,7 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
             if not m.is_zero():
                 return (
                     f"L_X{j} != d i_X{j} + i_X{j} d at degree {n}, "
-                    f"witness {_first_bad_column(m, sp, n)}"
+                    f"witness {sp.first_moved_label(n, m)}"
                 )
         return None
 

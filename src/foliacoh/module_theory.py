@@ -26,14 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import comb
 
-from .ratmat import (
-    RationalMatrix,
-    Vec,
-    coordinates_modulo,
-    frac,
-    independent_complement,
-    unit_vec,
-)
+from .ratmat import RationalMatrix, coordinates_modulo, frac, independent_complement
 from .series import PoincarePolynomial, PoincareSeriesRational, divide_by_one_minus_tk
 
 # A polynomial in u_1..u_r: exponent tuple -> coefficient.
@@ -86,24 +79,24 @@ def free_basis(generators: tuple[int, ...], r: int, n: int) -> list[tuple[int, t
 
 def relation_columns(
     relations, generators: tuple[int, ...], r: int, n: int, fb
-) -> list[Vec]:
-    """Every monomial multiple of each relation in degree n, as a column over fb.
+) -> RationalMatrix:
+    """Every monomial multiple of each relation in degree n, as the columns over fb.
 
     fb is ``free_basis(generators, r, n)``.
     """
     pos = {key: i for i, key in enumerate(fb)}
-    cols = []
+    entries = []
+    k = 0
     for rel in relations:
         m = relation_degree(rel, generators)
         if m < 0 or m > n or (n - m) % 2 != 0:
             continue
         for gamma in monomials_of_degree(r, (n - m) // 2):
-            col = [Fraction(0)] * len(fb)
             for g_idx, poly in enumerate(rel):
                 for beta, c in poly_shift(poly, gamma).items():
-                    col[pos[(g_idx, beta)]] += c
-            cols.append(tuple(col))
-    return cols
+                    entries.append((pos[(g_idx, beta)], k, c))
+            k += 1
+    return RationalMatrix.from_entries(len(fb), k, entries)
 
 
 def dim_sym(r: int, p: int) -> int:
@@ -217,9 +210,10 @@ class ModuleRealization:
     quotient and is independent modulo the relations, so every free element
     has unique coordinates in it: ``reduction(n)`` holds those of every free
     monomial of degree n as its columns, from one matrix solve of
-    ``[basis | relations]`` against the identity.  Reducing an element is
-    then a product, and the u-action picks columns.  Each degree's matrix is
-    solved on first use and kept here.
+    ``[basis | relations]`` against the identity, the basis being columns of
+    that identity.  Reducing an element is then a product, and the u-action
+    selects columns.  Each degree's matrix is solved on first use and kept
+    here.
     """
 
     def __init__(self, pres: GradedModulePresentation):
@@ -232,13 +226,10 @@ class ModuleRealization:
             n: relation_columns(pres.relations, gens, r, n, fb)
             for n, fb in self.free_basis.items()
         }
-        self.basis_indices: dict[int, list[int]] = {}
-        for n in range(n_max + 1):
-            fb = self.free_basis[n]
-            std = [unit_vec(len(fb), i) for i in range(len(fb))]
-            self.basis_indices[n] = independent_complement(
-                std, self.rel_cols[n], len(fb)
-            )
+        self.basis_indices = {
+            n: independent_complement(RationalMatrix.identity(len(fb)), self.rel_cols[n])
+            for n, fb in self.free_basis.items()
+        }
         self._reductions: dict[int, RationalMatrix] = {}
 
     def dim(self, n: int) -> int:
@@ -253,32 +244,24 @@ class ModuleRealization:
         """dim(n) x len(free_basis[n]): column k is free monomial k in the module basis."""
         red = self._reductions.get(n)
         if red is None:
-            size = len(self.free_basis[n])
-            basis = [unit_vec(size, i) for i in self.basis_indices[n]]
-            red = coordinates_modulo(
-                basis, self.rel_cols[n], RationalMatrix.identity(size), size
-            )
+            std = RationalMatrix.identity(len(self.free_basis[n]))
+            red = coordinates_modulo(std.select(self.basis_indices[n]), self.rel_cols[n], std)
             if red is None:
                 raise AssertionError("free monomials failed to reduce (not spanning?)")
             self._reductions[n] = red
         return red
 
-    def reduce(self, n: int, free_vec: Vec) -> Vec:
-        """Coordinates of a free-module element in the module basis."""
-        return self.reduction(n).apply(free_vec)
-
     def u_matrix(self, j: int, n: int) -> RationalMatrix:
         """Multiplication by u_j as a matrix from degree n to degree n + 2."""
         if n + 2 > self.window:
             raise ValueError("u-action leaves the window")
-        red = self.reduction(n + 2)
         pos = {key: i for i, key in enumerate(self.free_basis[n + 2])}
         cols = []
         for i in self.basis_indices[n]:
             g_idx, beta = self.free_basis[n][i]
             beta2 = tuple(b + (1 if k == j else 0) for k, b in enumerate(beta))
-            cols.append(red.col(pos[(g_idx, beta2)]))
-        return RationalMatrix.from_cols(cols, self.dim(n + 2))
+            cols.append(pos[(g_idx, beta2)])
+        return self.reduction(n + 2).select(cols)
 
 
 @dataclass(frozen=True)
@@ -370,18 +353,15 @@ def koszul_tor(pres: GradedModulePresentation) -> TorResult:
             return 0
         tgt = k_basis(i - 1, n)
         pos = {key: idx for idx, key in enumerate(tgt)}
-        u_mats = {j: real.u_matrix(j, n - 2 * i) for j in range(r)}
-        cols = []
-        for (m_idx, S) in src:
-            col = [Fraction(0)] * len(tgt)
+        u_cols = {j: real.u_matrix(j, n - 2 * i).nonzero_columns() for j in range(r)}
+        entries = []
+        for col, (m_idx, S) in enumerate(src):
             for t, j in enumerate(S):
                 sign = (-1) ** t
                 S2 = tuple(s for s in S if s != j)
-                for k2, c in enumerate(u_mats[j].col(m_idx)):
-                    if c != 0:
-                        col[pos[(k2, S2)]] += sign * c
-            cols.append(tuple(col))
-        return RationalMatrix.from_cols(cols, len(tgt)).rank()
+                for k2, c in u_cols[j][m_idx]:
+                    entries.append((pos[(k2, S2)], col, sign * c))
+        return RationalMatrix.from_entries(len(tgt), len(src), entries).rank()
 
     ranks = {
         (i, n): boundary_rank(i, n)
@@ -405,6 +385,7 @@ class FreenessResult:
     free: bool
     ranks: tuple[int, ...]  # degree multiset of a minimal generating set
     scoped: bool
+    needed_window: int  # the smallest window on which the verdict is not scoped
     detail: str = ""
 
 
@@ -423,7 +404,9 @@ def freeness_test(pres: GradedModulePresentation) -> FreenessResult:
         if scoped
         else ""
     )
-    return FreenessResult(free=free, ranks=ranks, scoped=scoped, detail=detail)
+    return FreenessResult(
+        free=free, ranks=ranks, scoped=scoped, needed_window=needed, detail=detail
+    )
 
 
 @dataclass(frozen=True)
@@ -503,18 +486,17 @@ def _induced_matrix(
     """Degree-n matrix of the map sending each source generator to its image."""
     fb_d = dst.free_basis[n]
     pos = {key: i for i, key in enumerate(fb_d)}
-    cols = []
-    for i in src.basis_indices[n]:
+    entries = []
+    for col, i in enumerate(src.basis_indices[n]):
         g_idx, beta = src.free_basis[n][i]
-        free_img = [Fraction(0)] * len(fb_d)
         for h_idx, poly in enumerate(gen_images[g_idx]):
             for alpha, c in poly_shift(poly, beta).items():
                 key = (h_idx, alpha)
                 if key not in pos:
                     raise PresentationError("map image is not homogeneous of the right degree")
-                free_img[pos[key]] += c
-        cols.append(tuple(free_img))
-    return dst.reduction(n) @ RationalMatrix.from_cols(cols, len(fb_d))
+                entries.append((pos[key], col, frac(c)))
+    free_imgs = RationalMatrix.from_entries(len(fb_d), len(src.basis_indices[n]), entries)
+    return dst.reduction(n) @ free_imgs
 
 
 def ses_cm_check(

@@ -6,16 +6,16 @@ from an n-dimensional space to an m-dimensional one is an (m x n) matrix.
 
 A matrix is stored as one dict per row that maps a column to its nonzero
 entry; a zero is never stored, so ``==`` and ``is_zero`` compare stored
-entries only.  Sums, scaling, stacks, products and ``nonzero_columns``
-visit nonzero entries only, and a product sums each output row over the
-integers on one common denominator; ``entry``, ``row``, ``col``,
-``columns`` and ``tolist`` read dense.
+entries only.  Sums, scaling, stacks, products, ``select`` and
+``nonzero_columns`` visit nonzero entries only, and a product sums each
+output row over the integers on one common denominator; only ``tolist``
+reads dense.
 
 Entries are coerced only at the public boundary: ``frac``, ``vec``,
 ``RationalMatrix(...)``, ``from_rows``, ``from_cols`` and the CLI parsers.
-A matrix this module builds itself (sum, scaling, stack, RREF, inverse,
-solution, coordinates) wraps its rows of Fractions with no copy and no
-coercion and may share rows with its operands, so rows are immutable by
+A matrix this module builds itself (sum, scaling, stack, selection, RREF,
+kernel, solution, coordinates) wraps its rows of Fractions with no copy and
+no coercion and may share rows with its operands, so rows are immutable by
 convention: only a row just allocated is ever written.
 
 Canonical bases (kernels, representatives) come from the reduced row
@@ -29,10 +29,14 @@ by fraction-free Bareiss elimination with pivoting on numerator magnitude;
 it is the independent certificate that ``independent_complement`` checks an
 RREF against.
 
-One elimination serves a whole subspace: ``solve`` takes a matrix of
-right-hand sides and reduces ``[A | B]`` once, and so does
-``coordinates_modulo`` for a matrix of vectors; ``independent_complement``
-reads its pick off the pivot columns of one RREF of ``[modulo | candidates]``.
+A subspace, and a batch of vectors, is always a matrix of columns, and one
+elimination serves it whole.  ``nullspace`` returns the canonical kernel
+basis; ``solve`` takes a matrix of right-hand sides and reduces ``[A | B]``
+once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
+``independent_complement`` reads its pick off the pivot columns of one RREF
+of ``[modulo | candidates]``, and ``select`` takes the picked columns.
+Single dense vectors (``Vec``, ``apply``) serve only the element-wise
+product and derivation checks of ``gstar``.
 
 Two subspace helpers carry the linear algebra that the Cartan and Weil
 routes share: ``joint_kernel`` takes the canonical common kernel of several
@@ -73,10 +77,6 @@ def zero_vec(n: int) -> Vec:
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def is_zero_vec(a: Vec) -> bool:
-    return not any(a)
 
 
 def _dense(row: dict, n: int, zero=ZERO) -> list:
@@ -165,13 +165,9 @@ class RationalMatrix:
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Sequence], dim: int | None = None) -> "RationalMatrix":
+    def from_cols(cls, cols: Sequence[Sequence], dim: int) -> "RationalMatrix":
         """Matrix whose columns are the given vectors (all of length dim)."""
         cols = [tuple(c) for c in cols]
-        if dim is None:
-            if not cols:
-                raise ValueError("from_cols with no columns needs explicit dim")
-            dim = len(cols[0])
         if any(len(c) != dim for c in cols):
             raise ValueError("column length mismatch")
         nz = [{} for _ in range(dim)]
@@ -194,18 +190,6 @@ class RationalMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._nz[i].get(j, ZERO)
-
-    def row(self, i: int) -> Vec:
-        return tuple(_dense(self._nz[i], self.cols))
-
-    def col(self, j: int) -> Vec:
-        return tuple(r.get(j, ZERO) for r in self._nz)
-
-    def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
-
     def tolist(self) -> list[list[Fraction]]:
         return [_dense(r, self.cols) for r in self._nz]
 
@@ -217,6 +201,18 @@ class RationalMatrix:
                 out[j].append((i, x))
         return out
 
+    def select(self, cols: Sequence[int], rows: int | None = None) -> "RationalMatrix":
+        """The distinct columns cols, in that order, of the first rows rows (all by default)."""
+        pos = {j: k for k, j in enumerate(cols)}
+        rows = self.rows if rows is None else rows
+        if len(pos) != len(cols) or not all(0 <= j < self.cols for j in pos) or not (
+            0 <= rows <= self.rows
+        ):
+            raise ValueError(f"bad selection from a {self.rows}x{self.cols} matrix")
+        return RationalMatrix._trusted(
+            rows, len(pos), [{pos[j]: x for j, x in r.items() if j in pos} for r in self._nz[:rows]]
+        )
+
     def is_zero(self) -> bool:
         return not any(self._nz)
 
@@ -227,9 +223,6 @@ class RationalMatrix:
             and self.cols == other.cols
             and self._nz == other._nz
         )
-
-    def __hash__(self):  # pragma: no cover - only identity-ish use
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._nz)))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -394,12 +387,8 @@ class RationalMatrix:
         self._rref_cache = RationalMatrix._trusted(self.rows, self.cols, out), tuple(pivots)
         return self._rref_cache
 
-    def nullspace(self) -> list[Vec]:
-        """Canonical kernel basis: one vector per free column, ascending."""
-        return self._kernel().columns()
-
-    def _kernel(self) -> "RationalMatrix":
-        """The canonical kernel basis as the columns of a matrix."""
+    def nullspace(self) -> "RationalMatrix":
+        """Canonical kernel basis as columns: one per free column, ascending."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = {f: k for k, f in enumerate(f for f in range(self.cols) if f not in pivot_set)}
@@ -411,94 +400,61 @@ class RationalMatrix:
             nz[p] = {free[f]: -x for f, x in row.items() if f != p}
         return RationalMatrix._trusted(self.cols, len(free), nz)
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return self.rref()[1]
-
-    def solve(self, b: "Sequence | RationalMatrix") -> "Vec | RationalMatrix | None":
+    def solve(self, b: "RationalMatrix") -> "RationalMatrix | None":
         """One solution X of self @ X = b (free variables zero), or None.
 
-        b is a vector, giving a vector, or a matrix of right-hand sides,
-        giving a matrix; all columns are solved from one RREF of
-        ``[self | b]``, and None means some column is inconsistent.
+        All columns of b are solved from one RREF of ``[self | b]``; None
+        means some column is inconsistent.
         """
-        if isinstance(b, RationalMatrix):
-            rhs = b
-        else:
-            b = vec(b)
-            if len(b) != self.rows:
-                raise ValueError("rhs length mismatch")
-            rhs = RationalMatrix.from_cols([b], self.rows)
-        R, pivots = self.hstack(rhs).rref()
+        R, pivots = self.hstack(b).rref()
         n = self.cols
         if pivots and pivots[-1] >= n:
             return None
         x = [{} for _ in range(n)]
         for row, p in zip(R._nz, pivots):
             x[p] = {j - n: v for j, v in row.items() if j >= n}
-        x = RationalMatrix._trusted(n, rhs.cols, x)
-        return x if rhs is b else x.col(0)
-
-    def inverse(self) -> "RationalMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        x = self.solve(RationalMatrix.identity(self.rows))
-        if x is None:
-            raise ValueError("matrix is singular")
-        return x
+        return RationalMatrix._trusted(n, b.cols, x)
 
 
 # -- subspace helpers --------------------------------------------------------
 
 
-def rank_of_columns(cols: Sequence[Sequence], dim: int) -> int:
-    if not cols:
-        return 0
-    return RationalMatrix.from_cols(cols, dim).rank()
+def rank_of_columns(m: RationalMatrix, cols: Sequence[int]) -> int:
+    """Bareiss rank of the chosen columns of m."""
+    return m.select(cols).rank()
 
 
-def independent_complement(
-    candidates: Sequence[Vec], modulo: Sequence[Vec], dim: int
-) -> list[int]:
-    """Indices of candidates forming a basis modulo span(modulo), greedily.
+def independent_complement(candidates: RationalMatrix, modulo: RationalMatrix) -> list[int]:
+    """Indices of candidate columns forming a basis modulo the span of modulo's, greedily.
 
     Deterministic: candidates are taken in the given order whenever they
     increase the accumulated rank.  Those are exactly the pivot columns past
     ``modulo`` in the RREF of ``[modulo | candidates]``; the pick is
     certified by a Bareiss rank of ``modulo`` plus the picked columns.
     """
-    if not candidates:
+    if not candidates.cols:
         return []
-    cols = list(modulo) + list(candidates)
-    pivots = RationalMatrix.from_cols(cols, dim).pivot_columns()
-    picked = [p - len(modulo) for p in pivots if p >= len(modulo)]
-    if rank_of_columns(list(modulo) + [candidates[i] for i in picked], dim) != len(pivots):
+    k = modulo.cols
+    stacked = modulo.hstack(candidates)
+    pivots = stacked.rref()[1]
+    picked = [p - k for p in pivots if p >= k]
+    if rank_of_columns(stacked, [*range(k), *(k + i for i in picked)]) != len(pivots):
         raise ArithmeticError("RREF pivots disagree with the Bareiss rank")
     return picked
 
 
 def coordinates_modulo(
-    basis: Sequence[Vec], modulo: Sequence[Vec], v: "Vec | RationalMatrix", dim: int
-) -> "Vec | RationalMatrix | None":
-    """Coordinates of v w.r.t. basis, working modulo span(modulo).
+    basis: RationalMatrix, modulo: RationalMatrix, v: RationalMatrix
+) -> RationalMatrix | None:
+    """Coordinates of the columns of v w.r.t. basis, working modulo span(modulo).
 
-    Requires the basis vectors to be independent modulo the given spanning
-    set; under that assumption the coordinate block is unique.  v is a vector,
-    giving a vector, or a matrix of vectors, giving the matrix of their
-    coordinate columns, all solved from one RREF as ``solve`` does.  Returns
-    None when v (some column of v) is not in span(basis) + span(modulo).
+    Requires the basis columns to be independent modulo the columns of
+    modulo; under that assumption the coordinate block is unique.  All
+    columns are solved from one RREF as ``solve`` does.  Returns None when
+    some column of v is not in span(basis) + span(modulo).
     """
-    batch = isinstance(v, RationalMatrix)
-    cols = list(basis) + list(modulo)
-    if not cols:
-        if batch:
-            return RationalMatrix.zeros(0, v.cols) if v.is_zero() else None
-        return None if not is_zero_vec(v) else ()
-    sol = RationalMatrix.from_cols(cols, dim).solve(v)
-    if sol is None:
-        return None
-    if batch:
-        return RationalMatrix._trusted(len(basis), sol.cols, sol._nz[: len(basis)])
-    return sol[: len(basis)]
+    sol = basis.hstack(modulo).solve(v)
+    return None if sol is None else sol.select(range(sol.cols), basis.cols)
 
 
 def joint_kernel(ops: Sequence[RationalMatrix], dim: int) -> RationalMatrix | None:
@@ -513,7 +469,7 @@ def joint_kernel(ops: Sequence[RationalMatrix], dim: int) -> RationalMatrix | No
     stacked = functools.reduce(RationalMatrix.vstack, live)
     if stacked.cols != dim:
         raise ValueError(f"maps out of a {stacked.cols}-dimensional space, not {dim}")
-    return stacked._kernel()
+    return stacked.nullspace()
 
 
 def restrict(

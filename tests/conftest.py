@@ -8,6 +8,17 @@ from foliacoh.gstar import GradedAlgebraPresentation, GStarStructure
 from foliacoh.ratmat import RationalMatrix
 
 
+def columns(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
+    """The columns of m as tuples, read off its dense grid."""
+    grid = m.tolist()
+    return [tuple(r[j] for r in grid) for j in range(m.cols)]
+
+
+def inverse(m: RationalMatrix) -> RationalMatrix | None:
+    """The solution X of m X = 1, None when m is singular."""
+    return m.solve(RationalMatrix.identity(m.rows))
+
+
 def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
     """Unit lower-triangular times unit upper-triangular with small entries."""
     lo = [(i, i, Fraction(1)) for i in range(n)]
@@ -28,7 +39,7 @@ def change_basis(s, rng):
     sp = s.space
     t = {n: random_invertible(rng, sp.dim(n)) if n else RationalMatrix.identity(sp.dim(n))
          for n in sp.degrees()}
-    t_inv = {n: m.inverse() for n, m in t.items()}
+    t_inv = {n: inverse(m) for n, m in t.items()}
 
     def conj(get, delta):
         return {n: t[n + delta] @ get(n) @ t_inv[n] for n in sp.degrees()
@@ -39,8 +50,8 @@ def change_basis(s, rng):
         for db in sp.degrees():
             if da + db not in t:
                 continue
-            for ia, va in enumerate(t_inv[da].columns()):
-                for ib, vb in enumerate(t_inv[db].columns()):
+            for ia, va in enumerate(columns(t_inv[da])):
+                for ib, vb in enumerate(columns(t_inv[db])):
                     ab = t[da + db].apply(s.algebra.multiply(da, va, db, vb))
                     products[(da, ia, db, ib)] = tuple(enumerate(ab))
     algebra = GradedAlgebraPresentation(sp, products, s.algebra.unit_index,
@@ -81,7 +92,7 @@ def random_complex(rng: random.Random, top: int = 4, max_dim: int = 6) -> Cochai
     c = CochainComplex(space, diffs)
     # conjugate by random invertible transforms per degree
     t = {n: random_invertible(rng, space.dim(n)) for n in range(top + 1)}
-    t_inv = {n: t[n].inverse() for n in t}
+    t_inv = {n: inverse(t[n]) for n in t}
     new_diffs = {}
     for n in range(top):
         m = t[n + 1] @ c.diff(n) @ t_inv[n]
@@ -100,7 +111,7 @@ def random_split_ses(rng: random.Random, top: int = 3, max_dim: int = 6):
     dims = {n: d for n, d in dims.items() if d}
     space = GradedVectorSpace(dims, window=(0, top))
     t = {n: random_invertible(rng, space.dim(n)) for n in range(top + 1)}
-    t_inv = {n: t[n].inverse() for n in t}
+    t_inv = {n: inverse(t[n]) for n in t}
     diffs = {}
     incl = {}
     proj = {}

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from foliacoh.algebra_core import (
@@ -13,7 +11,7 @@ from foliacoh.algebra_core import (
 )
 from foliacoh.ratmat import RationalMatrix, rank_of_columns
 
-from conftest import random_complex, random_split_ses
+from conftest import columns, random_complex, random_split_ses
 
 
 def complex_from(dims, diffs, top=None):
@@ -70,13 +68,16 @@ def test_representatives_are_cocycles_and_independent(rng):
     for _ in range(20):
         c = random_complex(rng)
         h = cohomology_dims(c)
+        assert sorted(h.representatives) == list(c.spaces.degrees())
         for n, reps in h.representatives.items():
+            assert (reps.rows, reps.cols) == (c.spaces.dim(n), h.dim(n))
             d = c.diff(n)
-            for v in reps:
+            for v in columns(reps):
                 assert all(x == 0 for x in d.apply(v))
-            image = list(c.diff(n - 1).columns())
-            assert rank_of_columns(image + list(reps), c.spaces.dim(n)) == \
-                rank_of_columns(image, c.spaces.dim(n)) + len(reps)
+            image = c.diff(n - 1)
+            both = image.hstack(reps)
+            assert rank_of_columns(both, range(both.cols)) == \
+                rank_of_columns(image, range(image.cols)) + reps.cols
 
 
 def test_euler_characteristic_preserved_on_random_complexes(rng):
@@ -92,8 +93,9 @@ def test_reduce_to_classes_identifies_coboundaries():
     c = s3_model_complex()
     h = cohomology_dims(c)
     # omega = d(theta) is a coboundary: class is zero
-    assert reduce_to_classes(c, h, 2, (Fraction(1),)) == ()
-    assert reduce_to_classes(c, h, 3, (Fraction(2),)) == (Fraction(2),)
+    one, two = RationalMatrix.from_rows([[1]]), RationalMatrix.from_rows([[2]])
+    assert reduce_to_classes(c, h, 2, one) == RationalMatrix.zeros(0, 1)
+    assert reduce_to_classes(c, h, 3, two) == two
 
 
 def test_les_split_ses_of_s3_model():

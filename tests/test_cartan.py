@@ -237,12 +237,12 @@ def conjugated_structure(rng, s):
     valid operator package (presented operator-only: products do not
     transport along arbitrary linear maps).
     """
-    from conftest import random_invertible
+    from conftest import inverse, random_invertible
     from foliacoh.gstar import GradedAlgebraPresentation
 
     sp = s.space
     t = {n: random_invertible(rng, sp.dim(n)) for n in sp.degrees()}
-    t_inv = {n: t[n].inverse() for n in t}
+    t_inv = {n: inverse(t[n]) for n in t}
 
     def conj(get, delta):
         out = {}

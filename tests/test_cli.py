@@ -44,6 +44,18 @@ def test_data_documents_validate_against_schema():
             jsonschema.validate(doc["payload"], kind_schema)
 
 
+def test_schema_rejects_a_negative_truncation():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(cli.__file__).parent / "schema" / "input-v1.json").read_text())
+    kind_schema = {"definitions": schema["definitions"], **schema["definitions"]["gstar_algebra"]}
+    payload = json.loads((DATA / "exterior_line_gstar.json").read_text())["payload"]
+    payload["truncated_above"] = 0
+    jsonschema.validate(payload, kind_schema)
+    payload["truncated_above"] = -1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, kind_schema)
+
+
 @pytest.mark.parametrize(
     "name,parse,serialize",
     [
@@ -102,10 +114,10 @@ def _set_max_degree(value):
     return "hopf_gstar", "equivariant", mutate, "max_degree"
 
 
-def _set_truncated_above(value):
+def _set_truncated_above(value, name="hopf_gstar", command="validate"):
     def mutate(doc):
         doc["payload"]["truncated_above"] = value
-    return "hopf_gstar", "validate", mutate, "truncated_above"
+    return name, command, mutate, "truncated_above"
 
 
 def _set_product_target(value):
@@ -118,6 +130,8 @@ def _set_product_target(value):
     "name,command,mutate,message",
     [_set_max_degree(v) for v in ("x", None, [], 1.5, True, -1)]
     + [_set_truncated_above(v) for v in ("x", 1.5, True)]
+    # a negative cutoff used to end equivariant and spectral in a traceback
+    + [_set_truncated_above(-1, "exterior_line_gstar", cmd) for cmd in ("equivariant", "spectral")]
     # the target degree has dimension 1; -1 used to wrap around to index 0
     + [_set_product_target(v) for v in (2, 1.5, True, -1)],
 )
@@ -131,6 +145,19 @@ def test_rejects_values_of_the_wrong_schema_type(tmp_path, capsys, name, command
         code, out = run_json(capsys, cmd, "--input", str(p))
         assert code == cli.EXIT_INVALID_INPUT, cmd
         assert message in out["error"]
+
+
+def test_morse_rejects_isotropy_above_dim_a(tmp_path, capsys):
+    doc = json.loads((DATA / "hopf_morse.json").read_text())
+    doc["payload"]["dim_a"] = 0
+    p = tmp_path / "morse.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "validate", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "component 0: isotropy dimension 1 exceeds dim_a = 0" in out["results"]["issues"]
+    code, out = run_json(capsys, "morse", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "exceeds dim_a" in out["error"]
 
 
 # -- subcommands ----------------------------------------------------------------------
@@ -187,6 +214,21 @@ def test_spectral_hopf(capsys):
     assert r["formal"] is False
     assert r["stabilized_at_page"] == 2
     assert "t^1" in r["witness"]
+
+
+@pytest.mark.parametrize("max_degree", ["2", "4", "8"])
+def test_spectral_on_a_truncated_document(tmp_path, capsys, max_degree):
+    # the free-module test used to be compared with a Hilbert factorization
+    # checked only through the stable degree 0, and disagreed with it
+    doc = json.loads((DATA / "exterior_line_gstar.json").read_text())
+    doc["payload"]["truncated_above"] = 2
+    p = tmp_path / "truncated.json"
+    p.write_text(json.dumps(doc))
+    assert run_json(capsys, "validate", "--input", str(p))[0] == 0
+    code, out = run_json(capsys, "spectral", "--input", str(p), "--max-degree", max_degree)
+    assert code == 0
+    assert out["results"]["stable_through"] == 0
+    assert out["results"]["formal"] is True
 
 
 def test_module_hopf(capsys):

@@ -338,17 +338,17 @@ def reference_tensor(a, b, cap):
             cols = []
             for (da, ia, db, ib) in lst:
                 col = [Fraction(0)] * rows
-                ma = op_a(da)
-                for k in range(ma.rows):
-                    c = ma.entry(k, ia)
+                ma = op_a(da).tolist()
+                for k in range(len(ma)):
+                    c = ma[k][ia]
                     if c != 0:
                         pos = tgt_index.get((da + op_deg, k, db, ib))
                         if pos is not None:
                             col[pos] += c
                 sign = -1 if (op_deg % 2 and da % 2) else 1
-                mb = op_b(db)
-                for k in range(mb.rows):
-                    c = mb.entry(k, ib)
+                mb = op_b(db).tolist()
+                for k in range(len(mb)):
+                    c = mb[k][ib]
                     if c != 0:
                         pos = tgt_index.get((da, ia, db + op_deg, k))
                         if pos is not None:

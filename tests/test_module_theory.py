@@ -23,6 +23,8 @@ from foliacoh.module_theory import (
 )
 from foliacoh.ratmat import RationalMatrix, unit_vec
 
+from conftest import columns
+
 # the five bundled module fixtures of the verification suite
 FREE_R2 = GradedModulePresentation.free(2, (0,), window=10)
 RESIDUE_R2 = GradedModulePresentation.residue_field(2, window=10)
@@ -238,11 +240,9 @@ def test_ses_cm_rejects_non_ses():
 
 def per_vector_reduce(real, n, v):
     fb = real.free_basis[n]
-    cols = [unit_vec(len(fb), i) for i in real.basis_indices[n]] + list(real.rel_cols[n])
-    if not cols:
-        return None if any(v) else ()
-    sol = RationalMatrix.from_cols(cols, len(fb)).solve(v)
-    return None if sol is None else sol[: len(real.basis_indices[n])]
+    cols = [unit_vec(len(fb), i) for i in real.basis_indices[n]] + columns(real.rel_cols[n])
+    sol = RationalMatrix.from_cols(cols, len(fb)).solve(RationalMatrix.from_cols([v], len(fb)))
+    return None if sol is None else columns(sol)[0][: len(real.basis_indices[n])]
 
 
 def per_vector_u_matrix(real, j, n):
@@ -269,12 +269,12 @@ def per_vector_tor_dims(pres, real):
             return 0
         src, tgt = k_basis(i, n), k_basis(i - 1, n)
         pos = {key: idx for idx, key in enumerate(tgt)}
-        u = {j: per_vector_u_matrix(real, j, n - 2 * i) for j in range(r)}
+        u = {j: columns(per_vector_u_matrix(real, j, n - 2 * i)) for j in range(r)}
         cols = []
         for m, S in src:
             col = [Fraction(0)] * len(tgt)
             for t, j in enumerate(S):
-                for k2, c in enumerate(u[j].col(m)):
+                for k2, c in enumerate(u[j][m]):
                     col[pos[(k2, tuple(s for s in S if s != j))]] += (-1) ** t * c
             cols.append(col)
         return RationalMatrix.from_cols(cols, len(tgt)).rank()
@@ -340,14 +340,15 @@ def test_reduction_matches_per_vector_path(pres):
     for n in range(pres.window + 1):
         fb = real.free_basis[n]
         # hilbert against dim(free) - rank(relations), an independent count
-        rel_rank = RationalMatrix.from_cols(real.rel_cols[n], len(fb)).rank() if real.rel_cols[n] else 0
+        rel_rank = real.rel_cols[n].rank()
         assert hilbert(pres).coefficients[n] == len(fb) - rel_rank
+        red = real.reduction(n)
         for k in range(len(fb)):
             v = unit_vec(len(fb), k)
-            assert real.reduce(n, v) == per_vector_reduce(real, n, v)
-        if real.rel_cols[n]:
-            mixed = tuple(sum(col) for col in zip(*real.rel_cols[n]))
-            assert real.reduce(n, mixed) == per_vector_reduce(real, n, mixed)
+            assert red.apply(v) == per_vector_reduce(real, n, v)
+        if real.rel_cols[n].cols:
+            mixed = tuple(sum(col) for col in zip(*columns(real.rel_cols[n])))
+            assert red.apply(mixed) == per_vector_reduce(real, n, mixed)
         if n + 2 <= pres.window:
             for j in range(pres.dim_a):
                 assert real.u_matrix(j, n) == per_vector_u_matrix(real, j, n)

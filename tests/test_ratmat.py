@@ -12,12 +12,18 @@ from foliacoh.ratmat import (
     joint_kernel,
     rank_of_columns,
     restrict,
-    unit_vec,
 )
+
+from conftest import columns, inverse
 
 
 def M(rows):
     return RationalMatrix.from_rows(rows)
+
+
+def column(v, dim=None):
+    """The one-column matrix of the vector v."""
+    return RationalMatrix.from_cols([v], len(v) if dim is None else dim)
 
 
 def test_rank_matches_rref_pivot_count(rng):
@@ -42,22 +48,21 @@ def test_rank_known_values():
 def test_nullspace_canonical_and_correct():
     m = M([[1, 2, 3], [2, 4, 6]])
     ns = m.nullspace()
-    assert len(ns) == 2
-    for v in ns:
+    assert (ns.rows, ns.cols) == (3, 2)
+    for v in columns(ns):
         assert all(x == 0 for x in m.apply(v))
     # canonical: free columns are 1 and 2, each carries a single 1
-    assert ns[0][1] == 1 and ns[1][2] == 1
+    assert columns(ns)[0][1] == 1 and columns(ns)[1][2] == 1
 
 
 def test_solve_and_inverse():
     m = M([[2, 1], [1, 1]])
-    x = m.solve((3, 2))
-    assert m.apply(x) == (Fraction(3), Fraction(2))
-    inv = m.inverse()
+    x = m.solve(column((3, 2)))
+    assert m @ x == column((3, 2))
+    inv = inverse(m)
     assert inv @ m == RationalMatrix.identity(2)
-    assert M([[1, 1], [1, 1]]).solve((1, 0)) is None
-    with pytest.raises(ValueError):
-        M([[1, 1], [1, 1]]).inverse()
+    assert M([[1, 1], [1, 1]]).solve(column((1, 0))) is None
+    assert inverse(M([[1, 1], [1, 1]])) is None
 
 
 def test_matmul_shapes():
@@ -69,13 +74,15 @@ def test_matmul_shapes():
 
 
 def test_subspace_helpers():
-    e0, e1, e2 = (unit_vec(3, i) for i in range(3))
-    assert rank_of_columns([e0, e1, e0], 3) == 2
-    picked = independent_complement([e0, e1, e2], [e0], 3)
+    e = RationalMatrix.identity(3)
+    e0, e1, e2 = (e.select([i]) for i in range(3))
+    assert rank_of_columns(e0.hstack(e1).hstack(e0), [0, 1, 2]) == 2
+    assert rank_of_columns(e0.hstack(e1).hstack(e0), [2, 0]) == 1
+    picked = independent_complement(e, e0)
     assert picked == [1, 2]
-    coords = coordinates_modulo([e1], [e0], (5, 7, 0), 3)
-    assert coords == (Fraction(7),)
-    assert coordinates_modulo([e1], [e0], e2, 3) is None
+    coords = coordinates_modulo(e1, e0, column((5, 7, 0)))
+    assert coords == M([[7]])
+    assert coordinates_modulo(e1, e0, e2) is None
 
 
 def test_no_floats_accepted():
@@ -254,26 +261,27 @@ def test_rank_matches_dense_bareiss(m):
 @given(systems())
 def test_matrix_solve_matches_column_solves(system):
     a, b = system
-    per_column = [column_solve(a, b.col(j)) for j in range(b.cols)]
-    for j, sol in enumerate(per_column):
-        assert a.solve(b.col(j)) == sol
-        assert sol is None or a.apply(sol) == b.col(j)
+    per_column = [column_solve(a, v) for v in columns(b)]
+    for v, sol in zip(columns(b), per_column):
+        one = a.solve(column(v, a.rows))
+        assert (None if one is None else columns(one)[0]) == sol
+        assert sol is None or a.apply(sol) == v
     x = a.solve(b)
     if any(sol is None for sol in per_column):
         assert x is None
         return
     assert (x.rows, x.cols) == (a.cols, b.cols)
-    assert x.columns() == per_column
+    assert columns(x) == per_column
 
 
 @FAST
 @given(matrices(), st.data())
 def test_independent_complement_matches_greedy(m, data):
     split = data.draw(st.integers(0, m.cols))
-    cols = m.columns()
-    modulo, candidates = cols[:split], cols[split:]
-    assert independent_complement(candidates, modulo, m.rows) == \
-        greedy_complement(candidates, modulo, m.rows)
+    cols = columns(m)
+    modulo, candidates = m.select(range(split)), m.select(range(split, m.cols))
+    assert independent_complement(candidates, modulo) == \
+        greedy_complement(cols[split:], cols[:split], m.rows)
 
 
 @FAST
@@ -281,7 +289,8 @@ def test_independent_complement_matches_greedy(m, data):
 def test_apply_matches_dense_sum(m, data):
     v = data.draw(st.lists(st.one_of(ENTRIES["sparse"], ENTRIES["wide"]),
                            min_size=m.cols, max_size=m.cols))
-    want = tuple(sum((m.entry(i, j) * v[j] for j in range(m.cols)), Fraction(0))
+    grid = m.tolist()
+    want = tuple(sum((grid[i][j] * v[j] for j in range(m.cols)), Fraction(0))
                  for i in range(m.rows))
     got = m.apply(v)
     assert got == want
@@ -293,40 +302,40 @@ def test_apply_matches_dense_sum(m, data):
 def test_batched_coordinates_match_per_vector(system, data):
     a, b = system
     split = data.draw(st.integers(0, a.cols))
-    cols = a.columns()
-    basis, modulo = cols[:split], cols[split:]
-    per_vector = [coordinates_modulo(basis, modulo, b.col(j), a.rows) for j in range(b.cols)]
-    got = coordinates_modulo(basis, modulo, b, a.rows)
+    basis, modulo = a.select(range(split)), a.select(range(split, a.cols))
+    per_vector = [coordinates_modulo(basis, modulo, column(v, a.rows)) for v in columns(b)]
+    got = coordinates_modulo(basis, modulo, b)
     if any(c is None for c in per_vector):
         assert got is None
         return
-    assert (got.rows, got.cols) == (len(basis), b.cols)
-    assert got.columns() == per_vector
+    assert (got.rows, got.cols) == (basis.cols, b.cols)
+    assert columns(got) == [columns(c)[0] for c in per_vector]
 
 
 def test_batched_coordinates_edge_shapes():
-    assert coordinates_modulo([], [], RationalMatrix.zeros(2, 3), 2) == RationalMatrix.zeros(0, 3)
-    assert coordinates_modulo([], [], RationalMatrix.identity(2), 2) is None
-    e0, e1 = unit_vec(2, 0), unit_vec(2, 1)
-    assert coordinates_modulo([e1], [e0], RationalMatrix.identity(2), 2) == M([[0, 1]])
+    none = RationalMatrix.zeros(2, 0)
+    assert coordinates_modulo(none, none, RationalMatrix.zeros(2, 3)) == RationalMatrix.zeros(0, 3)
+    assert coordinates_modulo(none, none, RationalMatrix.identity(2)) is None
+    e = RationalMatrix.identity(2)
+    assert coordinates_modulo(e.select([1]), e.select([0]), e) == M([[0, 1]])
 
 
 def test_matrix_solve_edge_shapes():
     empty = RationalMatrix.zeros(3, 0)
     assert empty.solve(RationalMatrix.zeros(3, 2)) == RationalMatrix.zeros(0, 2)
-    assert empty.solve(RationalMatrix.from_cols([unit_vec(3, 1)], 3)) is None
+    assert empty.solve(RationalMatrix.identity(3).select([1])) is None
     a = M([[1, 0], [0, 1]])
     assert a.solve(RationalMatrix.zeros(2, 0)) == RationalMatrix.zeros(2, 0)
     with pytest.raises(ValueError):
-        a.solve((1, 2, 3))
+        a.solve(column((1, 2, 3)))
 
 
 def test_independent_complement_certificate(monkeypatch):
     # the certificate is what rejects a pick that disagrees with the exact rank
-    e0, e1, e2 = (unit_vec(3, i) for i in range(3))
-    monkeypatch.setattr(ratmat, "rank_of_columns", lambda cols, dim: len(cols) - 1)
+    e = RationalMatrix.identity(3)
+    monkeypatch.setattr(ratmat, "rank_of_columns", lambda m, cols: len(cols) - 1)
     with pytest.raises(ArithmeticError):
-        independent_complement([e1, e2], [e0], 3)
+        independent_complement(e.select([1, 2]), e.select([0]))
 
 
 # -- trusted grids: results wrap fresh Fractions and never touch their operands ------
@@ -354,8 +363,8 @@ def test_trusted_results_are_fractions_and_leave_inputs_alone(system, data):
         st.lists(st.sampled_from((0, 1, -2, "3/4", Fraction(1, 5))),
                  min_size=a.rows, max_size=a.rows), max_size=4))
     split = data.draw(st.integers(0, a.cols))
-    basis, modulo = a.columns()[:split], a.columns()[split:]
-    v = b.col(0) if b.cols else tuple(Fraction(0) for _ in range(a.rows))
+    basis, modulo = a.select(range(split)), a.select(range(split, a.cols))
+    v = b.select([0]) if b.cols else RationalMatrix.zeros(a.rows, 1)
     calls = [
         ((a, same), lambda: a + same),
         ((a, same), lambda: a - same),
@@ -366,13 +375,14 @@ def test_trusted_results_are_fractions_and_leave_inputs_alone(system, data):
         ((a,), lambda: a.rref()[0]),
         ((a, v), lambda: a.solve(v)),
         ((a, b), lambda: a.solve(b)),
-        ((basis, modulo, v), lambda: coordinates_modulo(basis, modulo, v, a.rows)),
-        ((basis, modulo, b), lambda: coordinates_modulo(basis, modulo, b, a.rows)),
+        ((a,), lambda: a.nullspace()),
+        ((a,), lambda: a.select(range(a.cols - 1, -1, -1), a.rows // 2)),
+        ((basis, modulo, v), lambda: coordinates_modulo(basis, modulo, v)),
+        ((basis, modulo, b), lambda: coordinates_modulo(basis, modulo, b)),
         ((raw_cols,), lambda: RationalMatrix.from_cols(raw_cols, a.rows)),
         ((raw_cols,), lambda: RationalMatrix.from_rows(raw_cols)),
+        ((a,), lambda: a.solve(RationalMatrix.identity(a.rows))),
     ]
-    if a.rows == a.cols and a.rank() == a.rows:
-        calls.append(((a,), lambda: a.inverse()))
     for inputs, call in calls:
         before = [snapshot(x) for x in inputs]
         out = call()
@@ -384,10 +394,10 @@ def test_trusted_results_are_fractions_and_leave_inputs_alone(system, data):
 @FAST
 @given(matrices())
 def test_nonzero_columns_round_trip(m):
-    cols = m.nonzero_columns()
+    cols, grid = m.nonzero_columns(), m.tolist()
     assert len(cols) == m.cols
     for j, entries in enumerate(cols):
-        assert entries == [(i, m.entry(i, j)) for i in range(m.rows) if m.entry(i, j)]
+        assert entries == [(i, grid[i][j]) for i in range(m.rows) if grid[i][j]]
     scattered = RationalMatrix.from_entries(
         m.rows, m.cols, [(i, j, x) for j, entries in enumerate(cols) for i, x in entries]
     )
@@ -541,27 +551,37 @@ def test_stacks_match_dense(a, data):
 @given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
 def test_inverse_matches_dense(m):
     want = dense_inverse(m.tolist())
+    inv = inverse(m)
     if want is None:
-        with pytest.raises(ValueError):
-            m.inverse()
+        assert inv is None
         return
-    inv = m.inverse()
     assert inv.tolist() == want
     assert_well_formed(inv)
     assert m @ inv == RationalMatrix.identity(m.rows) == inv @ m
 
 
 @FAST
-@given(matrices())
-def test_readers_match_the_dense_grid(m):
+@given(matrices(), st.data())
+def test_readers_match_the_dense_grid(m, data):
     grid = m.tolist()
     assert len(grid) == m.rows and all(len(r) == m.cols for r in grid)
     assert all_fractions(m)
-    assert m.columns() == [tuple(r[j] for r in grid) for j in range(m.cols)]
-    assert [m.row(i) for i in range(m.rows)] == [tuple(r) for r in grid]
-    assert [m.col(j) for j in range(m.cols)] == m.columns()
-    assert all(m.entry(i, j) == grid[i][j] for i in range(m.rows) for j in range(m.cols))
     assert_well_formed(m)
+    cols = data.draw(st.permutations(range(m.cols)))[: data.draw(st.integers(0, m.cols))]
+    rows = data.draw(st.integers(0, m.rows))
+    picked = m.select(cols, rows)
+    assert picked.tolist() == [[r[j] for j in cols] for r in grid[:rows]]
+    assert (picked.rows, picked.cols) == (rows, len(cols))
+    assert_well_formed(picked)
+
+
+def test_select_rejects_bad_indices():
+    m = M([[1, 2], [3, 4]])
+    assert m.select([]) == RationalMatrix.zeros(2, 0)
+    assert m.select([1, 0], 0) == RationalMatrix.zeros(0, 2)
+    for cols, rows in (([0, 0], None), ([2], None), ([-1], None), ([0], 3), ([0], -1)):
+        with pytest.raises(ValueError):
+            m.select(cols, rows)
 
 
 # -- storage invariants: no stored zero, one value per matrix whatever the route ---------
@@ -582,7 +602,7 @@ def test_cancelling_entries_store_nothing():
 @FAST
 @given(matrices())
 def test_equality_does_not_depend_on_the_route(m):
-    grid, cols = m.tolist(), m.columns()
+    grid, cols = m.tolist(), columns(m)
     routes = [
         RationalMatrix(m.rows, m.cols, grid),
         RationalMatrix(m.rows, m.cols, [[str(x) for x in r] for r in grid]),
@@ -601,6 +621,8 @@ def test_equality_does_not_depend_on_the_route(m):
         m @ RationalMatrix.identity(m.cols),
         m.hstack(RationalMatrix.zeros(m.rows, 0)),
         m.vstack(RationalMatrix.zeros(0, m.cols)),
+        m.select(range(m.cols)),
+        m.hstack(m).select(range(m.cols, 2 * m.cols)),
     ]
     if m.rows:
         routes.append(RationalMatrix.from_rows(grid))
@@ -608,5 +630,5 @@ def test_equality_does_not_depend_on_the_route(m):
         assert r == m and m == r
         assert r.tolist() == grid
         assert_well_formed(r)
-    other = M([[1]]) if (m.rows, m.cols) != (1, 1) else M([[m.entry(0, 0) + 1]])
+    other = M([[1]]) if (m.rows, m.cols) != (1, 1) else M([[grid[0][0] + 1]])
     assert m != other

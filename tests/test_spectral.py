@@ -23,7 +23,7 @@ from foliacoh.spectral import (
     run_pages,
 )
 
-from conftest import change_basis
+from conftest import change_basis, columns
 
 FIXTURES = [
     trivial_line,
@@ -200,12 +200,19 @@ class SubquotientPages:
                 low = [i for i, (alpha, _a) in enumerate(self._basis(n + 1))
                        if sum(alpha) < p + r]
                 if low:
-                    kernel = (RationalMatrix.from_rows([d.row(i) for i in low]) @ incl).nullspace()
+                    grid = d.tolist()
+                    kernel = columns((RationalMatrix.from_rows([grid[i] for i in low]) @ incl)
+                                     .nullspace())
                 else:
                     kernel = [unit_vec(incl.cols, i) for i in range(incl.cols)]
                 out = [incl.apply(k) for k in kernel]
             self._z[(r, p, q)] = out
         return self._z[(r, p, q)]
+
+    @staticmethod
+    def column_rank(cols, dim):
+        m = RationalMatrix.from_cols(cols, dim)
+        return rank_of_columns(m, range(m.cols))
 
     def boundary_cols(self, r, p, q):
         d_src = self._diff(p + q - 1)
@@ -218,7 +225,7 @@ class SubquotientPages:
         znum = self.z_cols(r, p, q)
         if not dim or not znum:
             return 0
-        return rank_of_columns(znum, dim) - rank_of_columns(self.boundary_cols(r, p, q), dim)
+        return self.column_rank(znum, dim) - self.column_rank(self.boundary_cols(r, p, q), dim)
 
     def d_rank(self, r, p, q):
         tgt_dim = len(self._basis(p + q + 1))
@@ -226,7 +233,7 @@ class SubquotientPages:
             return 0
         image = [self._diff(p + q).apply(z) for z in self.z_cols(r, p, q)]
         denom = self.boundary_cols(r, p + r, q + 1 - r)
-        return rank_of_columns(denom + image, tgt_dim) - rank_of_columns(denom, tgt_dim)
+        return self.column_rank(denom + image, tgt_dim) - self.column_rank(denom, tgt_dim)
 
     def page(self, r):
         dims, ranks = {}, {}
