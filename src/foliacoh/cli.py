@@ -185,7 +185,7 @@ def parse_gstar(payload) -> GStarStructure:
         i_ops = [mats(obj, -1, f"i[{j}]") for j, obj in enumerate(i_list)]
         l_ops = [mats(obj, 0, f"L[{j}]") for j, obj in enumerate(l_list)]
         return GStarStructure(algebra, lie, d, i_ops, l_ops)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"malformed gstar_algebra payload: {exc}") from None
@@ -245,7 +245,7 @@ def parse_strata(payload) -> FoliationStrataModel:
             for k, s in enumerate(payload["strata"])
         )
         return FoliationStrataModel(q=int(payload["q"]), dim_a=int(payload["dim_a"]), strata=strata)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"malformed strata_model payload: {exc}") from None
@@ -393,7 +393,7 @@ def parse_ses_complex(payload) -> ShortExactSequence:
             for n, m in payload.get("projection", {}).items()
         }
         return ShortExactSequence(sub, total, quot, incl, proj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"malformed complex ses payload: {exc}") from None

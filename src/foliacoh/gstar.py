@@ -121,12 +121,13 @@ class GradedAlgebraPresentation:
     """Graded algebra given by per-degree bases and structure constants.
 
     products maps (deg_a, idx_a, deg_b, idx_b) to a sparse result
-    ((idx, coeff), ...) in degree deg_a + deg_b; absent keys mean zero.
-    A dict is coerced at once, so bad input fails early; a zero-argument
-    callable returns the table in coerced form and runs on the first read of
-    ``products`` (built structures pass one: the Weil route reads only the
-    operators).  products=None marks an operator-only presentation (internal
-    use) on which multiplication queries are unavailable.
+    ((idx, coeff), ...) in degree deg_a + deg_b; absent keys mean zero, and
+    terms that share an idx add up.  A dict is coerced at once, so bad input
+    fails early; a zero-argument callable returns the table in coerced form
+    and runs on the first read of ``products`` (built structures pass one:
+    the Weil route reads only the operators).  products=None marks an
+    operator-only presentation (internal use) on which multiplication queries
+    are unavailable.
     """
 
     def __init__(
@@ -158,30 +159,32 @@ class GradedAlgebraPresentation:
     def has_products(self) -> bool:
         return self._make_products is not None or self.products is not None
 
-    def unit_vector(self) -> Vec:
-        return unit_vec(self.space.dim(0), self.unit_index)
-
     def basis_product(self, da: int, ia: int, db: int, ib: int):
         if self.products is None:
             raise ValueError("operator-only presentation has no products")
         return self.products.get((da, ia, db, ib), ())
 
-    def multiply(self, da: int, va: Vec, db: int, vb: Vec) -> Vec:
-        """Product of two homogeneous elements; zero above the window."""
-        n = da + db
-        dim_n = self.space.dim(n)
-        out = [Fraction(0)] * dim_n
-        if dim_n == 0:
-            return tuple(out)
-        for ia, ca in enumerate(va):
-            if ca == 0:
-                continue
-            for ib, cb in enumerate(vb):
-                if cb == 0:
-                    continue
-                for k, c in self.basis_product(da, ia, db, ib):
-                    out[k] += ca * cb * c
-        return tuple(out)
+    @functools.cached_property
+    def _product_matrices(self) -> dict[tuple[int, int], RationalMatrix]:
+        """M_{a,b} for every degree pair with a product term, from one pass over the table."""
+        sp = self.space
+        entries: dict[tuple[int, int], list] = {}
+        for (da, ia, db, ib), terms in self.products.items():
+            nb = sp.dim(db)
+            if 0 <= ia < sp.dim(da) and 0 <= ib < nb and sp.dim(da + db):
+                col = ia * nb + ib
+                entries.setdefault((da, db), []).extend((k, col, c) for k, c in terms)
+        return {
+            (da, db): RationalMatrix.from_entries(sp.dim(da + db), sp.dim(da) * sp.dim(db), e)
+            for (da, db), e in entries.items()
+        }
+
+    def product_matrix(self, da: int, db: int) -> RationalMatrix:
+        """M_{da,db}: A^da (x) A^db -> A^(da+db); column ia * dim A^db + ib is e_ia e_ib."""
+        sp = self.space
+        return self._product_matrices.get((da, db)) or RationalMatrix.zeros(
+            sp.dim(da + db), sp.dim(da) * sp.dim(db)
+        )
 
     def stable_product_top(self) -> int:
         """Largest total degree whose products are exactly known."""
@@ -190,53 +193,75 @@ class GradedAlgebraPresentation:
         return self.truncated_above
 
     def check_algebra(self) -> list[str]:
-        """Unit, graded commutativity, associativity on all basis tuples."""
-        issues = []
+        """Unit, graded commutativity and associativity as product-matrix identities.
+
+        Every failing basis element, pair or triple is reported, in the order
+        of its degrees and then of its basis indices.
+        """
         if self.products is None:
             return ["operator-only presentation: product axioms not checkable"]
         sp = self.space
         top = self.stable_product_top()
-        one = self.unit_vector()
+        prod = self.product_matrix
+        issues = []
+        d0, u = sp.dim(0), self.unit_index
         for n in sp.degrees():
-            for i in range(sp.dim(n)):
-                e = unit_vec(sp.dim(n), i)
-                if self.multiply(0, one, n, e) != e or self.multiply(n, e, 0, one) != e:
-                    issues.append(f"unit fails on {sp.label(n, i)}")
+            dn, eye = sp.dim(n), RationalMatrix.identity(sp.dim(n))
+            bad = range(dn)  # an out-of-range unit index names the zero element
+            if 0 <= u < d0:
+                bad = set(_differing_columns(prod(0, n).select(range(u * dn, u * dn + dn)), eye))
+                bad |= set(_differing_columns(prod(n, 0).select(range(u, dn * d0, d0)), eye))
+            issues += [f"unit fails on {sp.label(n, i)}" for i in sorted(bad)]
         degs = [n for n in sp.degrees() if sp.dim(n)]
         for da, db in itertools.product(degs, repeat=2):
             if da + db > top:
                 continue
-            for ia in range(sp.dim(da)):
-                for ib in range(sp.dim(db)):
-                    ab = dict(self.basis_product(da, ia, db, ib))
-                    ba = dict(self.basis_product(db, ib, da, ia))
-                    sign = -1 if (da % 2 and db % 2) else 1
-                    keys = set(ab) | set(ba)
-                    if any(ab.get(k, 0) != sign * ba.get(k, 0) for k in keys):
-                        issues.append(
-                            f"graded commutativity fails on "
-                            f"({sp.label(da, ia)}, {sp.label(db, ib)})"
-                        )
+            na, nb = sp.dim(da), sp.dim(db)
+            swapped = prod(db, da).select([ib * na + ia for ia in range(na) for ib in range(nb)])
+            if da % 2 and db % 2:
+                swapped = -swapped
+            for c in _differing_columns(prod(da, db), swapped):
+                ia, ib = divmod(c, nb)
+                issues.append(
+                    f"graded commutativity fails on ({sp.label(da, ia)}, {sp.label(db, ib)})"
+                )
+        neg = functools.cache(lambda da, db: -prod(da, db))
         for da, db, dc in itertools.product(degs, repeat=3):
             if da + db + dc > top:
                 continue
-            for ia in range(sp.dim(da)):
-                va = unit_vec(sp.dim(da), ia)
-                for ib in range(sp.dim(db)):
-                    vb = unit_vec(sp.dim(db), ib)
-                    ab = self.multiply(da, va, db, vb)
-                    for ic in range(sp.dim(dc)):
-                        vc = unit_vec(sp.dim(dc), ic)
-                        left = self.multiply(da + db, ab, dc, vc)
-                        right = self.multiply(
-                            da, va, db + dc, self.multiply(db, vb, dc, vc)
-                        )
-                        if left != right:
-                            issues.append(
-                                f"associativity fails on ({sp.label(da, ia)}, "
-                                f"{sp.label(db, ib)}, {sp.label(dc, ic)})"
-                            )
+            na, nb, nc = sp.dim(da), sp.dim(db), sp.dim(dc)
+            # (ab)c - a(bc) = M_{a+b,c} (M_{a,b} (x) 1) - M_{a,b+c} (1 (x) M_{b,c})
+            diff = _sum_of_products([(prod(da + db, dc), prod(da, db).kron_identity(nc)),
+                                     (prod(da, db + dc), neg(db, dc).identity_kron(na))])
+            for c in _nonzero_columns(diff):
+                ia, rest = divmod(c, nb * nc)
+                ib, ic = divmod(rest, nc)
+                issues.append(
+                    f"associativity fails on ({sp.label(da, ia)}, "
+                    f"{sp.label(db, ib)}, {sp.label(dc, ic)})"
+                )
         return issues
+
+
+def _nonzero_columns(m: RationalMatrix) -> list[int]:
+    """Indices of the nonzero columns of m, ascending."""
+    return [j for j, col in enumerate(m.nonzero_columns()) if col]
+
+
+def _differing_columns(a: RationalMatrix, b: RationalMatrix) -> list[int]:
+    """Indices of the columns where a and b differ, ascending."""
+    return [] if a == b else _nonzero_columns(a - b)
+
+
+def _sum_of_products(pairs) -> RationalMatrix:
+    """The sum of x @ y over the pairs, as one product [x_1 | x_2 | ...] @ [y_1; y_2; ...].
+
+    Each output row is summed over the integers, so an identity that holds
+    makes no Fraction at all.
+    """
+    xs, ys = zip(*pairs)
+    reduce = functools.reduce
+    return reduce(RationalMatrix.hstack, xs) @ reduce(RationalMatrix.vstack, ys)
 
 
 # -- the operator package -------------------------------------------------------
@@ -357,71 +382,46 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
     r = s.lie.dimension
     checks: list[AxiomCheck] = []
 
-    def run(name, top, test):
+    def run(name, top, cases):
+        """cases(n) yields (terms, message) in check order; the first nonzero sum fails the law.
+
+        ``{w}`` in a message stands for the label of the first basis vector moved.
+        """
         for n in range(lo, top + 1):
-            bad = test(n)
-            if bad is not None:
-                checks.append(AxiomCheck(name, False, top, bad))
-                return
+            for terms, message in cases(n):
+                m = _sum_of_products(terms)
+                if not m.is_zero():
+                    witness = message.format(w=sp.first_moved_label(n, m))
+                    checks.append(AxiomCheck(name, False, top, witness))
+                    return
         checks.append(AxiomCheck(name, True, top))
 
-    top_d2 = hi if trunc is None else trunc - 2
-    run(
-        "d^2 = 0",
-        top_d2,
-        lambda n: (
-            None
-            if (m := s.op_d(n + 1) @ s.op_d(n)).is_zero()
-            else f"degree {n}, witness {sp.first_moved_label(n, m)}"
-        ),
-    )
+    def bracket(op, j, k, n):
+        """The terms of -op_[X_j,X_k] at degree n."""
+        return [(op(b, n), RationalMatrix.identity(sp.dim(n)).scale(-c))
+                for b, c in s.lie.bracket(j, k).items()]
 
-    def test_i2(n):
-        for j in range(r):
-            for k in range(j, r):
-                m = s.op_i(j, n - 1) @ s.op_i(k, n) + s.op_i(k, n - 1) @ s.op_i(j, n)
-                if not m.is_zero():
-                    return f"i_X{j} i_X{k} + i_X{k} i_X{j} != 0 at degree {n}"
-        return None
-
-    run("i_X^2 = 0", hi, test_i2)
-
-    def test_ll(n):
-        for j in range(r):
-            for k in range(r):
-                m = s.op_l(j, n) @ s.op_l(k, n) - s.op_l(k, n) @ s.op_l(j, n)
-                for b, c in s.lie.bracket(j, k).items():
-                    m = m - s.op_l(b, n).scale(c)
-                if not m.is_zero():
-                    return f"[L_X{j}, L_X{k}] != L_[X{j},X{k}] at degree {n}"
-        return None
-
-    run("[L_X, L_Y] = L_[X,Y]", hi, test_ll)
-
-    def test_li(n):
-        for j in range(r):
-            for k in range(r):
-                m = s.op_l(j, n - 1) @ s.op_i(k, n) - s.op_i(k, n) @ s.op_l(j, n)
-                for b, c in s.lie.bracket(j, k).items():
-                    m = m - s.op_i(b, n).scale(c)
-                if not m.is_zero():
-                    return f"[L_X{j}, i_X{k}] != i_[X{j},X{k}] at degree {n}"
-        return None
-
-    run("[L_X, i_Y] = i_[X,Y]", hi, test_li)
-
-    top_cartan = hi if trunc is None else trunc - 1
-    def test_cartan(n):
-        for j in range(r):
-            m = s.op_d(n - 1) @ s.op_i(j, n) + s.op_i(j, n + 1) @ s.op_d(n) - s.op_l(j, n)
-            if not m.is_zero():
-                return (
-                    f"L_X{j} != d i_X{j} + i_X{j} d at degree {n}, "
-                    f"witness {sp.first_moved_label(n, m)}"
-                )
-        return None
-
-    run("L_X = d i_X + i_X d", top_cartan, test_cartan)
+    run("d^2 = 0", hi if trunc is None else trunc - 2, lambda n: [
+        ([(s.op_d(n + 1), s.op_d(n))], f"degree {n}, witness {{w}}")])
+    run("i_X^2 = 0", hi, lambda n: (
+        ([(s.op_i(j, n - 1), s.op_i(k, n)), (s.op_i(k, n - 1), s.op_i(j, n))],
+         f"i_X{j} i_X{k} + i_X{k} i_X{j} != 0 at degree {n}")
+        for j in range(r) for k in range(j, r)))
+    # the (k, j) expression is minus the (j, k) one, and j = k gives zero
+    run("[L_X, L_Y] = L_[X,Y]", hi, lambda n: (
+        ([(s.op_l(j, n), s.op_l(k, n)), (-s.op_l(k, n), s.op_l(j, n))] + bracket(s.op_l, j, k, n),
+         f"[L_X{j}, L_X{k}] != L_[X{j},X{k}] at degree {n}")
+        for j in range(r) for k in range(j + 1, r)))
+    run("[L_X, i_Y] = i_[X,Y]", hi, lambda n: (
+        ([(s.op_l(j, n - 1), s.op_i(k, n)), (-s.op_i(k, n), s.op_l(j, n))]
+         + bracket(s.op_i, j, k, n),
+         f"[L_X{j}, i_X{k}] != i_[X{j},X{k}] at degree {n}")
+        for j in range(r) for k in range(r)))
+    run("L_X = d i_X + i_X d", hi if trunc is None else trunc - 1, lambda n: (
+        ([(s.op_d(n - 1), s.op_i(j, n)), (s.op_i(j, n + 1), s.op_d(n)),
+          (s.op_l(j, n), RationalMatrix.identity(sp.dim(n)).scale(-1))],
+         f"L_X{j} != d i_X{j} + i_X{j} d at degree {n}, witness {{w}}")
+        for j in range(r)))
 
     if s.algebra.has_products():
         checks.extend(_derivation_checks(s))
@@ -432,58 +432,48 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
     return GStarAxiomReport(tuple(checks))
 
 
-def _apply(s: GStarStructure, kind: str, j: int, n: int, v: Vec) -> tuple[int, Vec]:
-    if kind == "d":
-        return n + 1, s.op_d(n).apply(v)
-    if kind == "i":
-        return n - 1, s.op_i(j, n).apply(v)
-    return n, s.op_l(j, n).apply(v)
-
-
 def _derivation_checks(s: GStarStructure) -> list[AxiomCheck]:
+    """D(xy) = D(x) y + (-1)^(k deg x) x D(y) for D in d, i_X, L_X, as matrix identities.
+
+    For D of degree k and each degree pair (a, b), in ``itertools.product``
+    order: D M_{a,b} = M_{a+k,b} (D (x) 1) + (-1)^(ka) M_{a,b+k} (1 (x) D).  A
+    law stops at its first failing block, where the witness is the smallest
+    failing basis pair over all generators, and then the smallest generator.
+    """
     sp = s.space
-    alg = s.algebra
-    trunc = s.truncated_above
-    prod_top = alg.stable_product_top()
+    prod = s.algebra.product_matrix
+    neg = functools.cache(lambda da, db: -prod(da, db))
+    prod_top = s.algebra.stable_product_top()
     r = s.lie.dimension
-    out = []
-    specs = [("d derivation", "d", 1, range(1)),
-             ("i_X derivation", "i", -1, range(r)),
-             ("L_X derivation", "l", 0, range(r))]
+    specs = [("d derivation", 1, [s.op_d]),
+             ("i_X derivation", -1, [functools.partial(s.op_i, j) for j in range(r)]),
+             ("L_X derivation", 0, [functools.partial(s.op_l, j) for j in range(r)])]
     degs = [n for n in sp.degrees() if sp.dim(n)]
-    for name, kind, op_deg, gens in specs:
-        top = prod_top - 1 if (kind == "d" and trunc is not None) else prod_top
-        bad = None
+    out = []
+    for name, k, ops in specs:
+        top = prod_top - 1 if (k == 1 and s.truncated_above is not None) else prod_top
+        bad = ""
         for da, db in itertools.product(degs, repeat=2):
-            n = da + db
-            if n > top:
+            if da + db > top:
                 continue
-            for ia in range(sp.dim(da)):
-                va = unit_vec(sp.dim(da), ia)
-                for ib in range(sp.dim(db)):
-                    vb = unit_vec(sp.dim(db), ib)
-                    ab = alg.multiply(da, va, db, vb)
-                    for j in gens:
-                        _, lhs = _apply(s, kind, j, n, ab)
-                        da2, dva = _apply(s, kind, j, da, va)
-                        db2, dvb = _apply(s, kind, j, db, vb)
-                        term1 = alg.multiply(da2, dva, db, vb) if da2 >= 0 else zero_vec(sp.dim(n + op_deg))
-                        term2 = alg.multiply(da, va, db2, dvb) if db2 >= 0 else zero_vec(sp.dim(n + op_deg))
-                        sign = -1 if (op_deg % 2 and da % 2) else 1
-                        rhs = tuple(x + sign * y for x, y in zip(term1, term2))
-                        if lhs != rhs:
-                            bad = (
-                                f"{name} fails on ({sp.label(da, ia)}, "
-                                f"{sp.label(db, ib)}) generator {j}"
-                            )
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
+            na, nb = sp.dim(da), sp.dim(db)
+            odd = k % 2 and da % 2
+            fails = []
+            for j, op in enumerate(ops):
+                terms = [(op(da + db), prod(da, db))]
+                if da + k >= 0:
+                    terms.append((neg(da + k, db), op(da).kron_identity(nb)))
+                if db + k >= 0:
+                    terms.append(((prod if odd else neg)(da, db + k), op(db).identity_kron(na)))
+                cols = _nonzero_columns(_sum_of_products(terms))
+                if cols:
+                    fails.append((cols[0], j))
+            if fails:
+                c, j = min(fails)
+                ia, ib = divmod(c, nb)
+                bad = f"{name} fails on ({sp.label(da, ia)}, {sp.label(db, ib)}) generator {j}"
                 break
-        out.append(AxiomCheck(name, bad is None, top, bad or ""))
+        out.append(AxiomCheck(name, not bad, top, bad))
     return out
 
 
@@ -765,7 +755,7 @@ def detect_type_c(s: GStarStructure, candidates: ConnectionElements) -> TypeCVer
     if len(thetas) != r:
         return TypeCVerdict(False, False, f"need {r} candidates, got {len(thetas)}")
     sp = s.space
-    one = s.algebra.unit_vector() if s.algebra.has_products() else unit_vec(sp.dim(0), 0)
+    one = unit_vec(sp.dim(0), s.algebra.unit_index)
     for i, th in enumerate(thetas):
         if len(th) != sp.dim(1):
             return TypeCVerdict(False, False, "candidate is not a degree-1 vector")

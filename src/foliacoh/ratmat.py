@@ -35,8 +35,11 @@ basis; ``solve`` takes a matrix of right-hand sides and reduces ``[A | B]``
 once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
 ``independent_complement`` reads its pick off the pivot columns of one RREF
 of ``[modulo | candidates]``, and ``select`` takes the picked columns.
-Single dense vectors (``Vec``, ``apply``) serve only the element-wise
-product and derivation checks of ``gstar``.
+``kron_identity`` and ``identity_kron`` place a matrix's entries into its
+Kronecker product with an identity, with no arithmetic; ``gstar`` writes the
+G*-axioms as identities between such products.  Single dense vectors
+(``Vec``, ``vec``, ``apply``) serve only ``gstar.detect_type_c`` and the
+tests, and stay while ``bench/spans.py`` binds ``apply`` by name.
 
 Two subspace helpers carry the linear algebra that the Cartan and Weil
 routes share: ``joint_kernel`` takes the canonical common kernel of several
@@ -283,6 +286,17 @@ class RationalMatrix:
         return tuple(
             sum((a * nonzero[j] for j, a in r.items() if j in nonzero), ZERO) for r in self._nz
         )
+
+    def kron_identity(self, n: int) -> "RationalMatrix":
+        """self (x) 1_n: entry (i n + k, j n + k) is self[i, j], placed with no arithmetic."""
+        out = [{j * n + k: x for j, x in r.items()} for r in self._nz for k in range(n)]
+        return RationalMatrix._trusted(self.rows * n, self.cols * n, out)
+
+    def identity_kron(self, n: int) -> "RationalMatrix":
+        """1_n (x) self: entry (k r + i, k c + j) is self[i, j] for self r x c."""
+        c = self.cols
+        out = [{k * c + j: x for j, x in r.items()} for k in range(n) for r in self._nz]
+        return RationalMatrix._trusted(self.rows * n, c * n, out)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:

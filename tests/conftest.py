@@ -1,11 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from foliacoh.algebra_core import CochainComplex, GradedVectorSpace, ShortExactSequence
-from foliacoh.gstar import GradedAlgebraPresentation, GStarStructure
-from foliacoh.ratmat import RationalMatrix
+from foliacoh.gstar import AxiomCheck, GradedAlgebraPresentation, GStarStructure
+from foliacoh.ratmat import RationalMatrix, unit_vec, zero_vec
 
 
 def columns(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -52,7 +53,7 @@ def change_basis(s, rng):
                 continue
             for ia, va in enumerate(columns(t_inv[da])):
                 for ib, vb in enumerate(columns(t_inv[db])):
-                    ab = t[da + db].apply(s.algebra.multiply(da, va, db, vb))
+                    ab = t[da + db].apply(reference_multiply(s.algebra, da, va, db, vb))
                     products[(da, ia, db, ib)] = tuple(enumerate(ab))
     algebra = GradedAlgebraPresentation(sp, products, s.algebra.unit_index,
                                         s.truncated_above)
@@ -62,6 +63,132 @@ def change_basis(s, rng):
         [conj(lambda n, j=j: s.op_i(j, n), -1) for j in range(r)],
         [conj(lambda n, j=j: s.op_l(j, n), 0) for j in range(r)],
     )
+
+
+# -- element-wise reference for the G*-axiom checks ------------------------------------
+# The package checks the axioms as identities between product matrices.  The
+# functions below are the element-wise checks they replaced, one basis tuple
+# at a time on dense vectors; tests compare the two.
+
+
+def reference_multiply(alg, da, va, db, vb):
+    """Product of two homogeneous elements given as dense vectors; zero above the window."""
+    n = da + db
+    dim_n = alg.space.dim(n)
+    out = [Fraction(0)] * dim_n
+    if dim_n == 0:
+        return tuple(out)
+    for ia, ca in enumerate(va):
+        if ca == 0:
+            continue
+        for ib, cb in enumerate(vb):
+            if cb == 0:
+                continue
+            for k, c in alg.basis_product(da, ia, db, ib):
+                out[k] += ca * cb * c
+    return tuple(out)
+
+
+def reference_check_algebra(alg) -> list[str]:
+    """Unit, graded commutativity, associativity on all basis tuples."""
+    issues = []
+    if alg.products is None:
+        return ["operator-only presentation: product axioms not checkable"]
+    sp = alg.space
+    top = alg.stable_product_top()
+    one = unit_vec(sp.dim(0), alg.unit_index)
+    for n in sp.degrees():
+        for i in range(sp.dim(n)):
+            e = unit_vec(sp.dim(n), i)
+            if reference_multiply(alg, 0, one, n, e) != e or \
+                    reference_multiply(alg, n, e, 0, one) != e:
+                issues.append(f"unit fails on {sp.label(n, i)}")
+    degs = [n for n in sp.degrees() if sp.dim(n)]
+    for da, db in itertools.product(degs, repeat=2):
+        if da + db > top:
+            continue
+        for ia in range(sp.dim(da)):
+            for ib in range(sp.dim(db)):
+                ab = dict(alg.basis_product(da, ia, db, ib))
+                ba = dict(alg.basis_product(db, ib, da, ia))
+                sign = -1 if (da % 2 and db % 2) else 1
+                if any(ab.get(k, 0) != sign * ba.get(k, 0) for k in set(ab) | set(ba)):
+                    issues.append(
+                        f"graded commutativity fails on ({sp.label(da, ia)}, {sp.label(db, ib)})"
+                    )
+    for da, db, dc in itertools.product(degs, repeat=3):
+        if da + db + dc > top:
+            continue
+        for ia in range(sp.dim(da)):
+            va = unit_vec(sp.dim(da), ia)
+            for ib in range(sp.dim(db)):
+                vb = unit_vec(sp.dim(db), ib)
+                ab = reference_multiply(alg, da, va, db, vb)
+                for ic in range(sp.dim(dc)):
+                    vc = unit_vec(sp.dim(dc), ic)
+                    left = reference_multiply(alg, da + db, ab, dc, vc)
+                    right = reference_multiply(
+                        alg, da, va, db + dc, reference_multiply(alg, db, vb, dc, vc)
+                    )
+                    if left != right:
+                        issues.append(
+                            f"associativity fails on ({sp.label(da, ia)}, "
+                            f"{sp.label(db, ib)}, {sp.label(dc, ic)})"
+                        )
+    return issues
+
+
+def _reference_apply(s, kind, j, n, v):
+    if kind == "d":
+        return n + 1, s.op_d(n).apply(v)
+    if kind == "i":
+        return n - 1, s.op_i(j, n).apply(v)
+    return n, s.op_l(j, n).apply(v)
+
+
+def reference_derivation_checks(s) -> list[AxiomCheck]:
+    """The three derivation laws on every basis pair; each stops at its first failure."""
+    sp = s.space
+    alg = s.algebra
+    prod_top = alg.stable_product_top()
+    r = s.lie.dimension
+    out = []
+    specs = [("d derivation", "d", 1, range(1)),
+             ("i_X derivation", "i", -1, range(r)),
+             ("L_X derivation", "l", 0, range(r))]
+    degs = [n for n in sp.degrees() if sp.dim(n)]
+    for name, kind, op_deg, gens in specs:
+        top = prod_top - 1 if (kind == "d" and s.truncated_above is not None) else prod_top
+        bad = None
+        for da, db in itertools.product(degs, repeat=2):
+            n = da + db
+            if n > top:
+                continue
+            for ia in range(sp.dim(da)):
+                va = unit_vec(sp.dim(da), ia)
+                for ib in range(sp.dim(db)):
+                    vb = unit_vec(sp.dim(db), ib)
+                    ab = reference_multiply(alg, da, va, db, vb)
+                    for j in gens:
+                        _, lhs = _reference_apply(s, kind, j, n, ab)
+                        da2, dva = _reference_apply(s, kind, j, da, va)
+                        db2, dvb = _reference_apply(s, kind, j, db, vb)
+                        zero = zero_vec(sp.dim(n + op_deg))
+                        term1 = reference_multiply(alg, da2, dva, db, vb) if da2 >= 0 else zero
+                        term2 = reference_multiply(alg, da, va, db2, dvb) if db2 >= 0 else zero
+                        sign = -1 if (op_deg % 2 and da % 2) else 1
+                        if lhs != tuple(x + sign * y for x, y in zip(term1, term2)):
+                            bad = (f"{name} fails on ({sp.label(da, ia)}, "
+                                   f"{sp.label(db, ib)}) generator {j}")
+                            break
+                    if bad:
+                        break
+                if bad:
+                    break
+            if bad:
+                break
+        out.append(AxiomCheck(name, bad is None, top, bad or ""))
+    return out
 
 
 def random_complex(rng: random.Random, top: int = 4, max_dim: int = 6) -> CochainComplex:

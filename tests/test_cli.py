@@ -160,6 +160,43 @@ def test_morse_rejects_isotropy_above_dim_a(tmp_path, capsys):
     assert "exceeds dim_a" in out["error"]
 
 
+def _weil_r2_n3_payload():
+    return cli.gstar_to_payload(weil_algebra(LieAlgebraSpec.abelian(2), 3))
+
+
+def _set_path(doc, path, value):
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "name,command,path",
+    [
+        # a list or scalar where a parser expects a dict or a pair used to end in
+        # an AttributeError or IndexError traceback
+        ("weil_r2_n3", "validate", ("payload", "degrees")),
+        ("weil_r2_n3", "validate", ("payload", "d")),
+        ("weil_r2_n3", "validate", ("payload", "i", 0)),
+        ("weil_r2_n3", "validate", ("payload", "products", 0, "left")),
+        ("hopf_strata", "validate", ("payload", "strata", 0)),
+        ("sphere3_split_ses", "cohomology", ("payload", "sub")),
+    ],
+)
+def test_malformed_payload_shapes_exit_2(tmp_path, capsys, name, command, path):
+    if name == "weil_r2_n3":
+        doc = cli.document_for("gstar_algebra", _weil_r2_n3_payload(), 3)
+    else:
+        doc = json.loads((DATA / f"{name}.json").read_text())
+    _set_path(doc, path, [])
+    p = tmp_path / "mutant.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"].startswith("malformed ")
+
+
 # -- subcommands ----------------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Only ``ratmat.py`` reaches into a ``RationalMatrix``'s storage.
 
 Every other module of the package, and every test, goes through the public
-surface (constructors, ``entry``, ``row``, ``col``, ``columns``, ``tolist``,
-``nonzero_columns``), so a change of storage touches one file.  The private
+surface (constructors, arithmetic, ``select``, ``tolist``, ``nonzero_columns``
+and the elimination methods), so a change of storage touches one file.  The private
 names are read from ``RationalMatrix.__slots__`` when the test runs, plus the
 trusted constructor, and any attribute access to one of them is reported.
 """

@@ -121,3 +121,78 @@ def test_golden_module(capsys, tmp_path, name):
     section = doc["results"] if "results" in doc else {"error": doc["error"]}
     digest = hashlib.sha256(json.dumps(section, sort_keys=True).encode()).hexdigest()
     assert (code, digest) == MODULE_GOLDEN[name]
+
+
+# -- failing validate runs ------------------------------------------------------------
+# Each mutant edits one bundled document's payload in place.  The pins were
+# recorded before the G*-axioms were checked as product-matrix identities, so
+# they hold every issue message and its order.  No single product entry of the
+# four-dimensional hopf algebra breaks associativity with an intact unit, so
+# its product mutant changes two entries.
+
+
+def _product(payload, left, right):
+    return next(p for p in payload["products"] if p["left"] == left and p["right"] == right)
+
+
+def _mutate_hopf_products(p):
+    p["products"].append({"left": [1, 0], "right": [1, 0], "value": [[0, 1]]})
+    _product(p, [2, 0], [1, 0])["value"] = [[0, 2]]
+
+
+def _mutate_sphere3_unit(p):
+    _product(p, [0, 0], [1, 0])["value"] = [[0, 2]]
+
+
+def _mutate_sphere3_d_square(p):
+    p["d"]["2"] = [[1]]
+
+
+def _mutate_sphere3_d_unit(p):
+    p["d"]["0"] = [[1]]
+
+
+def _mutate_hopf_i(p):
+    p["i"][0]["3"] = [[2]]
+
+
+def _mutate_sphere3_d_unit_truncated(p):
+    p["d"]["0"] = [[1]]
+    p["truncated_above"] = 1
+
+
+def _mutate_hopf_l(p):
+    p["L"][0] = {"1": [[1]]}
+
+
+VALIDATE_MUTANTS = {
+    "hopf_products": ("hopf_gstar", _mutate_hopf_products),
+    "sphere3_unit": ("sphere3_gstar", _mutate_sphere3_unit),
+    "sphere3_d_square": ("sphere3_gstar", _mutate_sphere3_d_square),
+    "sphere3_d_unit": ("sphere3_gstar", _mutate_sphere3_d_unit),
+    "hopf_i": ("hopf_gstar", _mutate_hopf_i),
+    "sphere3_d_unit_truncated": ("sphere3_gstar", _mutate_sphere3_d_unit_truncated),
+    "hopf_l": ("hopf_gstar", _mutate_hopf_l),
+}
+VALIDATE_MUTANT_GOLDEN = {
+    "hopf_i": (2, "cdfea828d60335693064a8df84871031ab8536d339b7b33346501b25041a08ed"),
+    "hopf_l": (2, "b6ece218cffd3a9b6af0cae0d9d94c5c1469d2939f81f2c606be7c2dd73507f7"),
+    "hopf_products": (2, "c8cbdce1577287ff14fcc1f2fad3eada26a7c77d4c6a688bc2841a13e45ace92"),
+    "sphere3_d_square": (2, "10bcb449e2f87492f194bb4fa0457c701d00d641189820a648de4cb439d705d3"),
+    "sphere3_d_unit": (2, "7db39505884fc4b1074bdbf88513407ab26f6f2155fa9fd7e733ed6e9b34a8c5"),
+    "sphere3_d_unit_truncated": (2, "e6bd00abbf09279daee3924f4ba78b78e256529f39c5a21c9395d1bef8011c46"),
+    "sphere3_unit": (2, "f2a922604723419cb74bedf176b0bb79310ddec4975bb04e0121ae72beec508e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_MUTANTS))
+def test_golden_failing_validate(capsys, tmp_path, name):
+    base, mutate = VALIDATE_MUTANTS[name]
+    doc = json.loads((DATA / f"{base}.json").read_text())
+    mutate(doc["payload"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["validate", "--input", str(path)])
+    results = json.loads(capsys.readouterr().out)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert (code, digest) == VALIDATE_MUTANT_GOLDEN[name]

@@ -29,7 +29,7 @@ from foliacoh.fixtures import (
 )
 from foliacoh.ratmat import RationalMatrix, unit_vec
 
-from conftest import change_basis
+from conftest import change_basis, reference_check_algebra, reference_derivation_checks
 
 
 # -- Lie algebra specs ------------------------------------------------------------
@@ -448,3 +448,72 @@ def test_dict_product_table_fails_early():
         GradedAlgebraPresentation(space, {(0, 0, 0, 0): ((0, 0.5),)})
     assert GradedAlgebraPresentation(space, {(0, 0, 0, 0): ((0, "1"), (0, 0))}).products == \
         {(0, 0, 0, 0): ((0, Fraction(1)),)}
+
+
+# -- matrix-identity axiom checks against the element-wise reference ---------------------
+
+
+MUTANT_BASES = (
+    exterior_line_free, exterior_two_free, hopf_basic_model, sphere3_minimal_model,
+    trivial_action_on_h_1_0_1, lambda: weil_algebra(LieAlgebraSpec.abelian(1), 4),
+    lambda: weil_algebra(LieAlgebraSpec.abelian(2), 3),
+    lambda: weil_algebra(LieAlgebraSpec.abelian(2), 4), lambda: weil_algebra(SO3, 3),
+)
+
+
+@st.composite
+def mutated_structures(draw):
+    """A fixture or Weil structure, maybe in a unit-LU basis, with a few entries changed."""
+    s = draw(st.sampled_from(MUTANT_BASES))()
+    if draw(st.booleans()):
+        s = change_basis(s, random.Random(draw(st.integers(0, 2**16))))
+    sp, r = s.space, s.lie.dimension
+    degs = [n for n in sp.degrees() if sp.dim(n)]
+    products = dict(s.algebra.products)
+    d = s.d_operators()
+    ops = {"i": [s.i_operators(j) for j in range(r)], "L": [s.l_operators(j) for j in range(r)]}
+    coeff = st.sampled_from((-2, -1, 0, 1, 2, "1/2"))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("product", "d", "i", "L")))
+        if kind == "product":
+            da, db = draw(st.sampled_from(degs)), draw(st.sampled_from(degs))
+            key = (da, draw(st.integers(0, sp.dim(da) - 1)), db,
+                   draw(st.integers(0, sp.dim(db) - 1)))
+            # distinct targets: the reference's commutativity check reads only the
+            # last of several terms with one target, where its product sums them
+            targets = st.sets(st.integers(0, sp.dim(da + db) - 1), max_size=2)
+            products[key] = tuple((k, Fraction(draw(coeff))) for k in
+                                  (sorted(draw(targets)) if sp.dim(da + db) else ()))
+            continue
+        if kind in ("i", "L") and not r:
+            continue
+        delta = {"d": 1, "i": -1, "L": 0}[kind]
+        table = d if kind == "d" else ops[kind][draw(st.integers(0, r - 1))]
+        shapes = [n for n in degs if sp.dim(n + delta)]
+        if not shapes:
+            continue
+        n = draw(st.sampled_from(shapes))
+        rows, cols = sp.dim(n + delta), sp.dim(n)
+        grid = (table.get(n) or RationalMatrix.zeros(rows, cols)).tolist()
+        grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = Fraction(draw(coeff))
+        table[n] = RationalMatrix.from_rows(grid)
+    algebra = GradedAlgebraPresentation(sp, products, s.algebra.unit_index, s.truncated_above)
+    return GStarStructure(algebra, s.lie, d, ops["i"], ops["L"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_structures())
+def test_axiom_checks_match_element_wise_reference(s):
+    assert s.algebra.check_algebra() == reference_check_algebra(s.algebra)
+    derivations = [c for c in check_gstar_axioms(s).checks if c.name.endswith("derivation")]
+    assert derivations == reference_derivation_checks(s)
+
+
+def test_ll_witness_is_the_first_pair():
+    # swapping L_X1 and L_X2 on W(so(3)) breaks [L_X0, L_X1] first
+    w = weil_algebra(SO3, 2)
+    l_ops = [w.l_operators(j) for j in (0, 2, 1)]
+    s = GStarStructure(w.algebra, SO3, w.d_operators(),
+                       [w.i_operators(j) for j in range(3)], l_ops)
+    check = next(c for c in check_gstar_axioms(s).checks if c.name == "[L_X, L_Y] = L_[X,Y]")
+    assert check.witness == "[L_X0, L_X1] != L_[X0,X1] at degree 1"

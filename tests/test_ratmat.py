@@ -372,6 +372,8 @@ def test_trusted_results_are_fractions_and_leave_inputs_alone(system, data):
         ((a,), lambda: -a),
         ((a, b), lambda: a.hstack(RationalMatrix.zeros(a.rows, 0)).hstack(b)),
         ((a, same), lambda: a.vstack(same)),
+        ((a,), lambda: a.kron_identity(2)),
+        ((a,), lambda: a.identity_kron(2)),
         ((a,), lambda: a.rref()[0]),
         ((a, v), lambda: a.solve(v)),
         ((a, b), lambda: a.solve(b)),
@@ -545,6 +547,22 @@ def test_stacks_match_dense(a, data):
                                                  a.rows + below.rows, a.cols)
     assert_well_formed(h)
     assert_well_formed(v)
+
+
+def dense_kron(a, b):
+    """The Kronecker product of two dense grids, entry (i q + k, j c + l) = a[i][j] b[k][l]."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+@FAST
+@given(matrices(), st.integers(0, 3))
+def test_kronecker_products_with_an_identity_match_dense(a, n):
+    eye = RationalMatrix.identity(n).tolist()
+    for got, want in ((a.kron_identity(n), dense_kron(a.tolist(), eye)),
+                      (a.identity_kron(n), dense_kron(eye, a.tolist()))):
+        assert (got.rows, got.cols) == (a.rows * n, a.cols * n)
+        assert got.tolist() == want
+        assert_well_formed(got)
 
 
 @FAST
