@@ -146,11 +146,18 @@ def parse_gstar(payload) -> GStarStructure:
         top = max(dims, default=0)
         window = (0, top if trunc is None else max(top, 0))
         space = GradedVectorSpace(dims, labels, window=window)
-        unit = int(payload.get("unit", 0))
+        unit = payload.get("unit", 0)
+        if not _is_int(unit, 0, space.dim(0)):
+            raise InputError(f"unit must be an integer in [0, {space.dim(0)}), got {unit!r}")
         products = {}
         for p in payload.get("products", []):
-            da, ia = int(p["left"][0]), int(p["left"][1])
-            db, ib = int(p["right"][0]), int(p["right"][1])
+            (da, ia), (db, ib) = p["left"], p["right"]
+            for deg, idx in ((da, ia), (db, ib)):
+                if not (_is_int(deg) and _is_int(idx, 0, space.dim(deg))):
+                    raise InputError(
+                        f"product {p['left']} x {p['right']}: [{deg!r}, {idx!r}] is not "
+                        f"the [degree, index] of a basis element"
+                    )
             terms = []
             for k, c in p["value"]:
                 if not _is_int(k, 0, space.dim(da + db)):

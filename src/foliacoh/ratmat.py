@@ -24,10 +24,14 @@ fraction-free: every row is scaled to coprime integers, an elimination sets
 row <- (p/g) row - (f/g) pivot_row, with p the pivot, f the row's entry in
 the pivot column and g = gcd(p, f), and then divides the row by its content;
 each column pivots on the candidate row with the fewest nonzeros, and
-Fractions are made only for the output rows.  Rank is computed on its own
-by fraction-free Bareiss elimination with pivoting on numerator magnitude;
-it is the independent certificate that ``independent_complement`` checks an
-RREF against.
+Fractions are made only for the output rows.  This forward pass,
+``_echelon``, is the one elimination loop: ``rref`` adds back substitution,
+``rank()`` counts its pivots, and ``rank(p)`` counts them on the rows reduced
+mod a prime p, with row <- row - (row[c]/top[c]) top mod p.  A rank mod p is
+at most the rank over Q, so a rank mod ``PRIME`` equal to the number of
+columns proves full column rank by arithmetic the RREF does not share;
+``rank_of_columns`` falls back to the exact rank otherwise, and
+``independent_complement`` certifies its pick with it.
 
 A subspace, and a batch of vectors, is always a matrix of columns, and one
 elimination serves it whole.  ``nullspace`` returns the canonical kernel
@@ -59,6 +63,7 @@ Row = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+PRIME = 2**61 - 1
 
 
 def frac(x) -> Fraction:
@@ -80,13 +85,6 @@ def zero_vec(n: int) -> Vec:
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def _dense(row: dict, n: int, zero=ZERO) -> list:
-    out = [zero] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
 
 
 def _integer(row: Row) -> tuple[int, dict[int, int]]:
@@ -124,6 +122,48 @@ def _eliminate(row: dict[int, int], top: dict[int, int], c: int) -> dict[int, in
         else:
             out[j] = -b * y
     return _without_content(out)
+
+
+def _eliminate_mod(row: dict[int, int], top: dict[int, int], c: int, p: int) -> dict[int, int]:
+    """row - (row[c]/top[c]) top mod p; column c cancels and zeros are dropped."""
+    f = row[c] * pow(top[c], -1, p) % p
+    out = dict(row)
+    for j, y in top.items():
+        v = (out.get(j, 0) - f * y) % p
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return out
+
+
+def _echelon(rows: list[dict[int, int]], ncols: int, eliminate) -> tuple[list, list]:
+    """Pivot columns and pivot rows of a forward elimination of nonempty rows.
+
+    The rows not yet pivoted are kept grouped by their leading column, so
+    each column meets only the rows that start there; it pivots on the one
+    with the fewest nonzeros, and eliminate(row, top, c) clears column c
+    from the others.
+    """
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        by_lead.setdefault(min(r), []).append(r)
+    pivots, tops = [], []
+    for c in range(ncols):
+        if not by_lead:
+            break
+        bucket = by_lead.pop(c, None)
+        if bucket is None:
+            continue
+        top = min(bucket, key=len)
+        for row in bucket:
+            if row is not top:
+                row = eliminate(row, top, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+        pivots.append(c)
+        tops.append(top)
+    return pivots, tops
 
 
 class RationalMatrix:
@@ -194,7 +234,7 @@ class RationalMatrix:
     # -- access ------------------------------------------------------------
 
     def tolist(self) -> list[list[Fraction]]:
-        return [_dense(r, self.cols) for r in self._nz]
+        return [[r.get(j, ZERO) for j in range(self.cols)] for r in self._nz]
 
     def nonzero_columns(self) -> list[list[tuple[int, Fraction]]]:
         """Per column, its nonzero entries as (row, value), rows ascending."""
@@ -322,75 +362,25 @@ class RationalMatrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def rank(self) -> int:
-        """Rank via fraction-free Bareiss elimination on integerized rows."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        nrows, ncols = self.rows, self.cols
-        m = [_dense(_integer(r)[1], ncols, 0) for r in self._nz]
-        prev = 1
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            # partial pivoting on numerator magnitude
-            piv, best = -1, 0
-            for i in range(r, nrows):
-                a = abs(m[i][c])
-                if a > best:
-                    best, piv = a, i
-            if piv < 0:
-                continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            # Bareiss update must touch every remaining row to keep the
-            # exact-division invariant, including rows with a zero in column c;
-            # there it only rescales by p / prev, a no-op when p == prev.
-            p, top = m[r][c], m[r]
-            for i in range(r + 1, nrows):
-                row = m[i]
-                f = row[c]
-                if f:
-                    for j in range(c + 1, ncols):
-                        row[j] = (p * row[j] - f * top[j]) // prev
-                    row[c] = 0
-                elif p != prev:
-                    for j in range(c + 1, ncols):
-                        if row[j]:
-                            row[j] = p * row[j] // prev
-            prev = p
-            r += 1
-        return r
+    def rank(self, p: int | None = None) -> int:
+        """Pivot count of the forward pass: the exact rank, or the rank mod a prime p (no more)."""
+        rows = [_without_content(_integer(r)[1]) for r in self._nz if r]
+        if p is None:
+            return len(_echelon(rows, self.cols, _eliminate)[0])
+        # a primitive row is never zero mod p
+        rows = [{j: x % p for j, x in r.items() if x % p} for r in rows]
+        return len(_echelon(rows, self.cols, functools.partial(_eliminate_mod, p=p))[0])
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Unique reduced row echelon form and its pivot columns.
 
-        Forward elimination keeps the rows not yet pivoted grouped by their
-        leading column, so each column meets only the rows that start there;
-        back substitution then clears each pivot column from the pivot rows
-        above it, last pivot first.
+        The forward pass is ``_echelon``; back substitution then clears each
+        pivot column from the pivot rows above it, last pivot first.
         """
         if self._rref_cache is not None:
             return self._rref_cache
-        by_lead: dict[int, list[dict[int, int]]] = {}
-        for r in self._nz:
-            if r:
-                by_lead.setdefault(min(r), []).append(_without_content(_integer(r)[1]))
-        pivots, tops = [], []
-        for c in range(self.cols):
-            if not by_lead:
-                break
-            rows = by_lead.pop(c, None)
-            if rows is None:
-                continue
-            top = min(rows, key=len)
-            for row in rows:
-                if row is not top:
-                    row = _eliminate(row, top, c)
-                    if row:
-                        by_lead.setdefault(min(row), []).append(row)
-            pivots.append(c)
-            tops.append(top)
+        rows = [_without_content(_integer(r)[1]) for r in self._nz if r]
+        pivots, tops = _echelon(rows, self.cols, _eliminate)
         for k in range(len(pivots) - 1, 0, -1):
             c, top = pivots[k], tops[k]
             for i in range(k):
@@ -434,8 +424,13 @@ class RationalMatrix:
 
 
 def rank_of_columns(m: RationalMatrix, cols: Sequence[int]) -> int:
-    """Bareiss rank of the chosen columns of m."""
-    return m.select(cols).rank()
+    """Exact rank of the chosen columns of m.
+
+    A rank mod ``PRIME`` equal to len(cols) proves full column rank; any
+    other reading is settled by the exact rank.
+    """
+    sub = m.select(cols)
+    return len(cols) if sub.rank(PRIME) == len(cols) else sub.rank()
 
 
 def independent_complement(candidates: RationalMatrix, modulo: RationalMatrix) -> list[int]:
@@ -444,17 +439,16 @@ def independent_complement(candidates: RationalMatrix, modulo: RationalMatrix) -
     Deterministic: candidates are taken in the given order whenever they
     increase the accumulated rank.  Those are exactly the pivot columns past
     ``modulo`` in the RREF of ``[modulo | candidates]``; the pick is
-    certified by a Bareiss rank of ``modulo`` plus the picked columns.
+    certified by the full column rank of the pivot columns.
     """
     if not candidates.cols:
         return []
     k = modulo.cols
     stacked = modulo.hstack(candidates)
     pivots = stacked.rref()[1]
-    picked = [p - k for p in pivots if p >= k]
-    if rank_of_columns(stacked, [*range(k), *(k + i for i in picked)]) != len(pivots):
-        raise ArithmeticError("RREF pivots disagree with the Bareiss rank")
-    return picked
+    if rank_of_columns(stacked, pivots) != len(pivots):
+        raise ArithmeticError("RREF pivot columns are not independent")
+    return [p - k for p in pivots if p >= k]
 
 
 def coordinates_modulo(

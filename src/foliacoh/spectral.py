@@ -14,8 +14,11 @@ p >= a to targets of degree p < b,
 
     N_n(a, b) = r_n(a, b+1) - r_n(a+1, b+1) - r_n(a, b) + r_n(a+1, b)
 
-counts the persistence pairs of d_n from filtration a to filtration b.  A
-pair of gap b - a is a nonzero d_{b-a} from (a, n - a), so
+counts the persistence pairs of d_n from filtration a to filtration b.  One
+RREF of the rows of degree < b, columns in descending order, gives r_n(a, b)
+for every a: the sources of degree >= a are then a prefix of the columns, and
+r_n(a, b) is the number of pivots in it.  A pair of gap b - a is a nonzero
+d_{b-a} from (a, n - a), so
 
     rank d_r(p, q) = N_n(p, p + r),
     dim E_r(p, q) = #{basis vectors of slice n at degree p}
@@ -101,17 +104,14 @@ class SpectralSequence:
         self._pairs = [self._persistence_pairs(n) for n in range(n_max + 1)]
 
     def _persistence_pairs(self, n: int) -> dict[tuple[int, int], int]:
-        """N_n(a, b) where nonzero, from the ranks of the corner blocks of d_n."""
+        """N_n(a, b) where nonzero, from one RREF of d_n per target bound b."""
         d = self.cx.d[n]
         src, tgt = self._below[n], self._below[n + 1]
-        rk = [[d.select(range(c0, d.cols), rows).rank() for rows in tgt] for c0 in src]
-        pairs = {}
-        for a in range(len(src) - 1):
-            for b in range(len(tgt) - 1):
-                count = rk[a][b + 1] - rk[a + 1][b + 1] - rk[a][b] + rk[a + 1][b]
-                if count:
-                    pairs[(a, b)] = count
-        return pairs
+        pivots = [d.select(range(d.cols - 1, -1, -1), rows).rref()[1] for rows in tgt]
+        rk = [[bisect_left(piv, d.cols - c0) for piv in pivots] for c0 in src]
+        counts = {(a, b): rk[a][b + 1] - rk[a + 1][b + 1] - rk[a][b] + rk[a + 1][b]
+                  for a in range(len(src) - 1) for b in range(len(tgt) - 1)}
+        return {ab: c for ab, c in counts.items() if c}
 
     # -- pages -----------------------------------------------------------------
 

@@ -197,6 +197,38 @@ def test_malformed_payload_shapes_exit_2(tmp_path, capsys, name, command, path):
     assert out["error"].startswith("malformed ")
 
 
+# hopf_gstar has one basis element in each degree 0..3.  A product entry that
+# names a basis element it does not have used to be dropped silently, and an
+# out-of-range unit made validate blame the product table while equivariant
+# and spectral exited 0.
+BAD_BASIS_NAMES = {
+    "product index": ({"products": {"left": [1, 7], "right": [2, 0], "value": [[0, 5]]}},
+                      "product [1, 7] x [2, 0]"),
+    "product degree": ({"products": {"left": [1, 0], "right": [5, 0], "value": [[0, 5]]}},
+                       "product [1, 0] x [5, 0]"),
+    "unit past dim A^0": ({"unit": 3}, "unit"),
+    "negative unit": ({"unit": -1}, "unit"),
+    "unit as a string": ({"unit": "0"}, "unit"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "equivariant", "spectral"])
+@pytest.mark.parametrize("mutant", sorted(BAD_BASIS_NAMES))
+def test_rejects_names_of_missing_basis_elements(tmp_path, capsys, command, mutant):
+    change, message = BAD_BASIS_NAMES[mutant]
+    doc = json.loads((DATA / "hopf_gstar.json").read_text())
+    payload = doc["payload"]
+    if "products" in change:
+        payload["products"].append(change["products"])
+    else:
+        payload.update(change)
+    p = tmp_path / "mutant.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert message in out["error"]
+
+
 # -- subcommands ----------------------------------------------------------------------
 
 

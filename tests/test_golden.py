@@ -20,6 +20,9 @@ from pathlib import Path
 import pytest
 
 from foliacoh import cli
+from foliacoh.gstar import LieAlgebraSpec, weil_algebra
+
+from conftest import change_basis
 
 DATA = Path(cli.__file__).parent / "data"
 
@@ -196,3 +199,29 @@ def test_golden_failing_validate(capsys, tmp_path, name):
     results = json.loads(capsys.readouterr().out)["results"]
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert (code, digest) == VALIDATE_MUTANT_GOLDEN[name]
+
+
+# -- spectral on generated Weil documents ------------------------------------------------
+# Pinned before the persistence pairs of each differential were read from one
+# RREF per target bound instead of one rank per corner block.
+
+# name -> (N, change_basis seed or None for the monomial basis, exit code, results sha256)
+SPECTRAL_GOLDEN = {
+    "weil_r2_n8": (8, None, 0, "16abcb4877827f80b18d657599ec47d2437b0b4dc4035b81e0984212da3dc922"),
+    "weil_r2_n6_unit_lu":
+        (6, 12, 0, "1ab34cfe5f637a6c78418f6bc3ef445c1b295bf68057954bb3fe9c1a4fe125a1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_GOLDEN))
+def test_golden_spectral_on_weil_documents(capsys, tmp_path, name):
+    n, seed, want_code, want_digest = SPECTRAL_GOLDEN[name]
+    s = weil_algebra(LieAlgebraSpec.abelian(2), n)
+    if seed is not None:
+        s = change_basis(s, random.Random(seed))
+    path = tmp_path / "weil.json"
+    path.write_text(json.dumps(cli.document_for("gstar_algebra", cli.gstar_to_payload(s), n)))
+    code = cli.main(["spectral", "--input", str(path)])
+    results = json.loads(capsys.readouterr().out)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert (code, digest) == (want_code, want_digest)

@@ -338,6 +338,52 @@ def test_independent_complement_certificate(monkeypatch):
         independent_complement(e.select([1, 2]), e.select([0]))
 
 
+def test_a_dependent_pick_fails_the_certificate(monkeypatch):
+    # columns 0 and 1 are equal, so an RREF that pivots on both reports a dependent pick
+    m = M([[1, 1, 0], [2, 2, 1]])
+    monkeypatch.setattr(RationalMatrix, "rref", lambda self: (self, (0, 1)))
+    with pytest.raises(ArithmeticError):
+        independent_complement(m.select([1, 2]), m.select([0]))
+
+
+def test_the_certificate_falls_back_to_the_exact_rank():
+    # the rank mod PRIME drops below the rank over Q; the pick is still right
+    m = M([[ratmat.PRIME, 1], [0, 1]])
+    assert m.rank(ratmat.PRIME) == 1 < m.rank() == 2
+    assert rank_of_columns(m, [0, 1]) == 2
+    assert independent_complement(m, RationalMatrix.zeros(2, 0)) == [0, 1]
+
+
+def dense_rank_mod(rows, ncols, p):
+    """Rank mod p of the rows scaled to coprime integers, by dense Gaussian elimination."""
+    m = []
+    for r in rows:
+        lcm = math.lcm(*(x.denominator for x in r))
+        ints = [int(x * lcm) for x in r]
+        g = math.gcd(*ints) or 1
+        m.append([x // g % p for x in ints])
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@FAST
+@given(matrices(), st.sampled_from((2, 3, 5, ratmat.PRIME)))
+def test_rank_mod_a_prime_bounds_the_exact_rank(m, p):
+    assert m.rank(p) == dense_rank_mod(m.tolist(), m.cols, p)
+    assert m.rank(ratmat.PRIME) <= m.rank() == dense_rank(m.tolist(), m.cols)
+    assert m.rank(p) <= m.rank()
+
+
 # -- trusted grids: results wrap fresh Fractions and never touch their operands ------
 
 

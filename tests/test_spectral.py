@@ -1,7 +1,8 @@
 import random
+from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foliacoh.algebra_core import cohomology_dims
 from foliacoh.cartan import CartanComplex, equivariant_cohomology
@@ -24,6 +25,7 @@ from foliacoh.spectral import (
 )
 
 from conftest import change_basis, columns
+from test_ratmat import dense_rank
 
 FIXTURES = [
     trivial_line,
@@ -296,3 +298,49 @@ def test_sphere3_with_weil_line_has_a_second_differential():
         page = ss.page(r)
         assert (page.dims, page.d_ranks) == ref.page(r)
 
+
+# -- persistence pairs against the per-corner formula ----------------------------------
+
+
+def corner_rank_pairs(cx, n):
+    """N_n(a, b) where nonzero, from a dense rank of every corner block of d_n.
+
+    r(a, b) is the rank of the block from the sources of polynomial degree >= a
+    to the targets of degree < b; one elimination per (a, b).
+    """
+    def below(m):
+        degrees = [sum(alpha) for alpha, _a in cx.slices[m].ambient_basis]
+        return [bisect_left(degrees, p) for p in range(m // 2 + 2)]
+
+    src, tgt = below(n), below(n + 1)
+    d = cx.d[n]
+    grid = d.tolist()
+    rk = [[dense_rank([row[c0:] for row in grid[:rows]], d.cols - c0) for rows in tgt]
+          for c0 in src]
+    pairs = {}
+    for a in range(len(src) - 1):
+        for b in range(len(tgt) - 1):
+            count = rk[a][b + 1] - rk[a + 1][b + 1] - rk[a][b] + rk[a + 1][b]
+            if count:
+                pairs[(a, b)] = count
+    return pairs
+
+
+@st.composite
+def abelian_weil_structures(draw):
+    """W(R^r) truncated at N <= 6, in the monomial basis or a unit-LU one."""
+    s = weil_algebra(LieAlgebraSpec.abelian(draw(st.integers(1, 2))), draw(st.integers(0, 6)))
+    if draw(st.booleans()):
+        s = change_basis(s, random.Random(draw(st.integers(0, 2**16))))
+    return s, draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(abelian_weil_structures())
+@example((weil_algebra(LieAlgebraSpec.abelian(2), 6), 6))
+@example((change_basis(weil_algebra(LieAlgebraSpec.abelian(2), 6), random.Random(1)), 6))
+def test_persistence_pairs_match_corner_ranks(case):
+    s, n_max = case
+    ss = SpectralSequence(s, n_max)
+    for n in range(n_max + 1):
+        assert ss._persistence_pairs(n) == corner_rank_pairs(ss.cx, n), n
