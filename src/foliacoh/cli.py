@@ -446,6 +446,9 @@ def _parse_module_map(obj, n_src: int, n_tgt: int, where: str):
 
 
 def parse_ses_module(payload):
+    for key in ("sub", "total", "quotient", "first_map", "second_map"):
+        if key not in payload:
+            raise InputError(f"malformed module ses payload: missing {key!r}")
     a = parse_module(payload["sub"])
     b = parse_module(payload["total"])
     c = parse_module(payload["quotient"])

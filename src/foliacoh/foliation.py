@@ -23,6 +23,7 @@ from .series import (
     PoincareSeriesRational,
     euler_at_minus_one,
     morse_gap,
+    times_one_minus_t2_power,
 )
 
 
@@ -125,13 +126,10 @@ def basic_series_formal(
     report = validate_strata(m)
     if not report.valid:
         raise ValueError("invalid strata model: " + "; ".join(report.issues))
-    one_minus = PoincarePolynomial((1, 0, -1), signed=True)
     total = PoincarePolynomial.zero().as_signed()
     for s in m.strata:
-        term = s.quotient_poincare.as_signed().shift(s.codim)
-        for _ in range(m.trdim(s)):
-            term = term * one_minus
-        total = total + term
+        total = total + times_one_minus_t2_power(
+            s.quotient_poincare.as_signed().shift(s.codim), m.trdim(s))
     if any(c < 0 for c in total.coeffs):
         bad = next(i for i, c in enumerate(total.coeffs) if c < 0)
         raise ValueError(
@@ -369,13 +367,10 @@ def polytope_series(p: PolytopeData) -> PolytopeSeriesResult:
     if not report.valid:
         raise ValueError("invalid polytope data: " + "; ".join(report.issues))
     n = p.dimension
-    one_minus = PoincarePolynomial((1, 0, -1), signed=True)
     total = PoincarePolynomial.zero().as_signed()
     for i, lam in enumerate(p.f_vector):
-        term = PoincarePolynomial.monomial(p.q - 2 * i, lam).as_signed()
-        for _ in range(i):
-            term = term * one_minus
-        total = total + term
+        total = total + times_one_minus_t2_power(
+            PoincarePolynomial.monomial(p.q - 2 * i, lam).as_signed(), i)
     poly = total.as_unsigned()
     strata = []
     for i, lam in enumerate(p.f_vector):

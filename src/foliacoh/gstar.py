@@ -15,6 +15,11 @@ Truncation honesty: an algebra may be a degree-truncated stand-in for an
 infinite one (the Weil algebra); every check and every cohomology result
 then carries an explicit stable-degree bound.
 
+The Weil algebra W(g) lives on its monomial basis t_S u^alpha.  Each of its
+operators D is known on the generators and reaches a monomial m = g rest,
+g the first factor of m, by one Leibniz step,
+D(m) = D(g) rest +- g D(rest), with D(rest) read off a lower degree.
+
 A free structure with an invariant span of connection elements is of type
 (C); when a free structure arises from a compact-group action it is
 automatically of type (C), but that fact carries no algorithmic content and
@@ -30,6 +35,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra_core import CochainComplex, CohomologyResult, GradedVectorSpace, cohomology_dims
+from .module_theory import monomials_of_degree
 from .ratmat import (
     RationalMatrix,
     Vec,
@@ -555,53 +561,6 @@ def _mono_mul(a: Mono, b: Mono) -> tuple[int, Mono] | None:
     return ((-1) ** inversions, (merged, alpha))
 
 
-def _derive_monomial(mono: Mono, op_deg: int, on_gen) -> dict[Mono, Fraction]:
-    """Extend a generator-level operator to a monomial as a derivation.
-
-    on_gen(('t'|'u', index)) yields (coeff, Mono) terms for the operator's
-    value on that generator.
-    """
-    r = len(mono[1])
-    factors: list[tuple[str, int]] = [("t", i) for i in mono[0]]
-    for j, e in enumerate(mono[1]):
-        factors.extend([("u", j)] * e)
-    out: dict[Mono, Fraction] = {}
-    deg_prefix = 0
-    for pos, f in enumerate(factors):
-        sign = -1 if (op_deg % 2 and deg_prefix % 2) else 1
-        for coeff, dmono in on_gen(f):
-            acc_sign, acc = 1, ((), (0,) * r)
-            ok = True
-            for g in factors[:pos]:
-                res = _mono_mul(acc, _gen_mono(g, r))
-                if res is None:
-                    ok = False
-                    break
-                acc_sign *= res[0]
-                acc = res[1]
-            if ok:
-                res = _mono_mul(acc, dmono)
-                if res is None:
-                    ok = False
-                else:
-                    acc_sign *= res[0]
-                    acc = res[1]
-            if ok:
-                for g in factors[pos + 1 :]:
-                    res = _mono_mul(acc, _gen_mono(g, r))
-                    if res is None:
-                        ok = False
-                        break
-                    acc_sign *= res[0]
-                    acc = res[1]
-            if ok:
-                total = frac(coeff) * sign * acc_sign
-                if total:
-                    out[acc] = out.get(acc, Fraction(0)) + total
-        deg_prefix += 1 if f[0] == "t" else 2
-    return {m: c for m, c in out.items() if c != 0}
-
-
 def _gen_mono(g: tuple[str, int], r: int) -> Mono:
     kind, i = g
     if kind == "t":
@@ -609,6 +568,15 @@ def _gen_mono(g: tuple[str, int], r: int) -> Mono:
     alpha = [0] * r
     alpha[i] = 1
     return ((), tuple(alpha))
+
+
+def _first_factor(m: Mono) -> tuple[tuple[str, int], Mono]:
+    """(g, rest) with m = g rest at sign +1: g is the first odd factor, else the first even one."""
+    odd, alpha = m
+    if odd:
+        return ("t", odd[0]), (odd[1:], alpha)
+    j = next(j for j, e in enumerate(alpha) if e)
+    return ("u", j), ((), alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])
 
 
 def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
@@ -621,27 +589,28 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
         i_a t^b = delta_ab                      i_a u^b = 0
         L_a t^b = -c^b_{ac} t^c                 L_a u^b = -c^b_{ac} u^c
 
-    The result is truncated above max_degree and flags itself accordingly.
+    Each operator D of degree k extends to the monomial basis by one Leibniz
+    step on the first factor: a monomial m != 1 is g rest with sign +1, g
+    its first odd generator or, with none, its first even one, and
+
+        D(m) = D(g) rest + (-1)^(k |g|) g D(rest),
+
+    with D(rest) read off the lower degree built before m.  The result is
+    truncated above max_degree and flags itself accordingly.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     r = lie.dimension
-    monos: list[Mono] = []
-    for k in range(0, r + 1):
-        for odd in itertools.combinations(range(r), k):
-            rest = max_degree - k
-            for alpha in _exponents_up_to(r, rest // 2):
-                monos.append((tuple(odd), alpha))
-    monos = [m for m in monos if _mono_degree(m) <= max_degree]
-    monos.sort(key=lambda m: (_mono_degree(m), m))
+    # degree n holds t_S u^alpha with |S| + 2|alpha| = n, ordered by S and then by alpha
+    odds = sorted(s for k in range(r + 1) for s in itertools.combinations(range(r), k))
     by_degree: dict[int, list[Mono]] = {}
-    index: dict[Mono, tuple[int, int]] = {}
-    for m in monos:
-        n = _mono_degree(m)
-        by_degree.setdefault(n, []).append(m)
-    for n, ms in by_degree.items():
-        for i, m in enumerate(ms):
-            index[m] = (n, i)
+    for n in range(max_degree + 1):
+        ms = [(odd, alpha) for odd in odds if len(odd) <= n and (n - len(odd)) % 2 == 0
+              for alpha in monomials_of_degree(r, (n - len(odd)) // 2)]
+        if ms:
+            by_degree[n] = ms
+    monos = [m for ms in by_degree.values() for m in ms]
+    index = {m: (n, i) for n, ms in by_degree.items() for i, m in enumerate(ms)}
     dims = {n: len(ms) for n, ms in by_degree.items()}
     labels = {n: tuple(_mono_label(m) for m in ms) for n, ms in by_degree.items()}
     space = GradedVectorSpace(dims, labels, window=(0, max_degree))
@@ -695,40 +664,33 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
             return terms
         return op
 
-    def build_op(on_gen, op_deg):
+    def build_op(on_gen, k):
+        """The matrices of D, one Leibniz step per monomial, in ascending degree."""
+        derived: dict[Mono, dict[Mono, Fraction]] = {((), (0,) * r): {}}  # D(1) = 0
         mats = {}
         for n, ms in by_degree.items():
-            tgt = n + op_deg
-            rows = dims.get(tgt, 0)
-            if rows == 0 and not (0 <= tgt <= max_degree):
-                continue
-            cols = []
-            for m in ms:
-                res = _derive_monomial(m, op_deg, on_gen)
-                col = [Fraction(0)] * rows
-                for mono2, c in res.items():
-                    if _mono_degree(mono2) > max_degree:
-                        continue  # truncated
-                    _, i2 = index[mono2]
-                    col[i2] += c
-                cols.append(tuple(col))
-            mats[n] = RationalMatrix.from_cols(cols, rows)
+            if not 0 <= n + k <= max_degree:
+                continue  # truncated, or below degree 0
+            entries = []
+            for col, m in enumerate(ms):
+                if n:
+                    g, rest = _first_factor(m)
+                    sign = -1 if k % 2 and g[0] == "t" else 1
+                    gm = _gen_mono(g, r)
+                    out: dict[Mono, Fraction] = {}
+                    for c, x, y in ([(c, dg, rest) for c, dg in on_gen(g)]
+                                    + [(sign * c, gm, dm) for dm, c in derived[rest].items()]):
+                        if res := _mono_mul(x, y):
+                            out[res[1]] = out.get(res[1], 0) + res[0] * c
+                    derived[m] = {x: c for x, c in out.items() if c}
+                entries += [(index[x][1], col, c) for x, c in derived[m].items()]
+            mats[n] = RationalMatrix.from_entries(dims.get(n + k, 0), len(ms), entries)
         return mats
 
     d_mats = build_op(d_on_gen, 1)
     i_mats = [build_op(i_on_gen(j), -1) for j in range(r)]
     l_mats = [build_op(l_on_gen(j), 0) for j in range(r)]
     return GStarStructure(algebra, lie, d_mats, i_mats, l_mats)
-
-
-def _exponents_up_to(r: int, total_max: int):
-    """All exponent tuples of length r with sum <= total_max, lexicographic."""
-    if r == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _exponents_up_to(r - 1, total_max - first):
-            yield (first,) + rest
 
 
 # -- type (C) detection -----------------------------------------------------------

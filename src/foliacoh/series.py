@@ -126,7 +126,15 @@ class PoincarePolynomial:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-ONE_MINUS_T2 = PoincarePolynomial((1, 0, -1), signed=True)
+def times_one_minus_t2_power(p: PoincarePolynomial, k: int) -> PoincarePolynomial:
+    """p (1 - t^2)^k in one product with the binomial expansion; signed when k > 0."""
+    if k == 0:
+        return p
+    binomial, c = [0] * (2 * k + 1), 1
+    for j in range(k + 1):
+        binomial[2 * j] = -c if j % 2 else c
+        c = c * (k - j) // (j + 1)
+    return p * PoincarePolynomial(binomial, signed=True)
 
 
 def divide_by_one_minus_tk(p: PoincarePolynomial, k: int) -> PoincarePolynomial | None:
@@ -177,12 +185,8 @@ class PoincareSeriesRational:
 
     def __add__(self, other: "PoincareSeriesRational") -> "PoincareSeriesRational":
         k = max(self.den_exp, other.den_exp)
-        a = self.numerator
-        for _ in range(k - self.den_exp):
-            a = a * ONE_MINUS_T2
-        b = other.numerator
-        for _ in range(k - other.den_exp):
-            b = b * ONE_MINUS_T2
+        a = times_one_minus_t2_power(self.numerator, k - self.den_exp)
+        b = times_one_minus_t2_power(other.numerator, k - other.den_exp)
         return PoincareSeriesRational(a + b, k)
 
     def __sub__(self, other: "PoincareSeriesRational") -> "PoincareSeriesRational":

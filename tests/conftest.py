@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from foliacoh.algebra_core import CochainComplex, GradedVectorSpace, ShortExactSequence
-from foliacoh.gstar import AxiomCheck, GradedAlgebraPresentation, GStarStructure
+from foliacoh.gstar import (
+    AxiomCheck,
+    GradedAlgebraPresentation,
+    GStarStructure,
+    _mono_degree,
+    _mono_label,
+    _mono_mul,
+)
 from foliacoh.ratmat import RationalMatrix, unit_vec, zero_vec
 
 
@@ -189,6 +197,154 @@ def reference_derivation_checks(s) -> list[AxiomCheck]:
                 break
         out.append(AxiomCheck(name, bad is None, top, bad or ""))
     return out
+
+
+# -- monomial-by-monomial reference for the Weil algebra build -------------------------
+# The package builds each operator on W(g) by one Leibniz step on the first
+# factor of a monomial.  The functions below are the build it replaced: the
+# basis from a filtered and sorted enumeration, and every term of D(m) from
+# multiplying out the whole monomial again; tests compare the two.
+
+
+def _reference_exponents_up_to(r, total_max):
+    """All exponent tuples of length r with sum <= total_max, lexicographic."""
+    if r == 0:
+        yield ()
+        return
+    for first in range(total_max + 1):
+        for rest in _reference_exponents_up_to(r - 1, total_max - first):
+            yield (first,) + rest
+
+
+def _reference_gen_mono(g, r):
+    kind, i = g
+    if kind == "t":
+        return ((i,), (0,) * r)
+    alpha = [0] * r
+    alpha[i] = 1
+    return ((), tuple(alpha))
+
+
+def _reference_derive_monomial(mono, op_deg, on_gen):
+    """Extend a generator-level operator to a monomial as a derivation.
+
+    on_gen(('t'|'u', index)) yields (coeff, Mono) terms for the operator's
+    value on that generator.
+    """
+    r = len(mono[1])
+    factors = [("t", i) for i in mono[0]]
+    for j, e in enumerate(mono[1]):
+        factors.extend([("u", j)] * e)
+    out = {}
+    deg_prefix = 0
+    for pos, f in enumerate(factors):
+        sign = -1 if (op_deg % 2 and deg_prefix % 2) else 1
+        for coeff, dmono in on_gen(f):
+            acc_sign, acc = 1, ((), (0,) * r)
+            ok = True
+            for g in factors[:pos]:
+                res = _mono_mul(acc, _reference_gen_mono(g, r))
+                if res is None:
+                    ok = False
+                    break
+                acc_sign *= res[0]
+                acc = res[1]
+            if ok:
+                res = _mono_mul(acc, dmono)
+                if res is None:
+                    ok = False
+                else:
+                    acc_sign *= res[0]
+                    acc = res[1]
+            if ok:
+                for g in factors[pos + 1:]:
+                    res = _mono_mul(acc, _reference_gen_mono(g, r))
+                    if res is None:
+                        ok = False
+                        break
+                    acc_sign *= res[0]
+                    acc = res[1]
+            if ok:
+                total = Fraction(coeff) * sign * acc_sign
+                if total:
+                    out[acc] = out.get(acc, Fraction(0)) + total
+        deg_prefix += 1 if f[0] == "t" else 2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def reference_weil_algebra(lie, max_degree):
+    """W(g) truncated above max_degree, built monomial by monomial."""
+    r = lie.dimension
+    gen = functools.partial(_reference_gen_mono, r=r)
+    monos = []
+    for k in range(0, r + 1):
+        for odd in itertools.combinations(range(r), k):
+            for alpha in _reference_exponents_up_to(r, (max_degree - k) // 2):
+                monos.append((tuple(odd), alpha))
+    monos = [m for m in monos if _mono_degree(m) <= max_degree]
+    monos.sort(key=lambda m: (_mono_degree(m), m))
+    by_degree = {}
+    for m in monos:
+        by_degree.setdefault(_mono_degree(m), []).append(m)
+    index = {m: (n, i) for n, ms in by_degree.items() for i, m in enumerate(ms)}
+    dims = {n: len(ms) for n, ms in by_degree.items()}
+    labels = {n: tuple(_mono_label(m) for m in ms) for n, ms in by_degree.items()}
+    space = GradedVectorSpace(dims, labels, window=(0, max_degree))
+    products = {}
+    for m1, m2 in itertools.product(monos, repeat=2):
+        if _mono_degree(m1) + _mono_degree(m2) <= max_degree and (res := _mono_mul(m1, m2)):
+            products[index[m1] + index[m2]] = ((index[res[1]][1], Fraction(res[0])),)
+    algebra = GradedAlgebraPresentation(space, products, unit_index=0,
+                                        truncated_above=max_degree)
+    def d_on_gen(g):
+        kind, a = g
+        if kind == "t":
+            terms = [(Fraction(1), gen(("u", a)))]
+            for b in range(r):
+                for c in range(b + 1, r):
+                    coef = lie.structure_constant(b, c, a)
+                    if coef != 0:
+                        terms.append((-coef, ((b, c), (0,) * r)))
+            return terms
+        terms = []
+        for b in range(r):
+            for c in range(r):
+                coef = lie.structure_constant(b, c, a)
+                if coef != 0:
+                    res = _mono_mul(gen(("t", b)), gen(("u", c)))
+                    terms.append((-coef * res[0], res[1]))
+        return terms
+
+    def i_on_gen(j):
+        return lambda g: [(Fraction(1), ((), (0,) * r))] if g == ("t", j) else []
+
+    def l_on_gen(j):
+        def op(g):
+            kind, a = g
+            return [(-coef, gen((kind, c))) for c in range(r)
+                    if (coef := lie.structure_constant(j, c, a)) != 0]
+        return op
+
+    def build_op(on_gen, op_deg):
+        mats = {}
+        for n, ms in by_degree.items():
+            tgt = n + op_deg
+            rows = dims.get(tgt, 0)
+            if rows == 0 and not (0 <= tgt <= max_degree):
+                continue
+            cols = []
+            for m in ms:
+                col = [Fraction(0)] * rows
+                for mono2, x in _reference_derive_monomial(m, op_deg, on_gen).items():
+                    if _mono_degree(mono2) <= max_degree:
+                        col[index[mono2][1]] += x
+                cols.append(tuple(col))
+            mats[n] = RationalMatrix.from_cols(cols, rows)
+        return mats
+
+    return GStarStructure(algebra, lie, build_op(d_on_gen, 1),
+                          [build_op(i_on_gen(j), -1) for j in range(r)],
+                          [build_op(l_on_gen(j), 0) for j in range(r)])
 
 
 def random_complex(rng: random.Random, top: int = 4, max_dim: int = 6) -> CochainComplex:

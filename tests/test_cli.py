@@ -407,6 +407,19 @@ def test_module_ses_map_checks(tmp_path, capsys, first_map, message):
             assert message in out["error"]
 
 
+@pytest.mark.parametrize("command", ["validate", "module"])
+@pytest.mark.parametrize("key", ["sub", "total", "quotient", "first_map", "second_map"])
+def test_module_ses_missing_key_exits_2(tmp_path, capsys, key, command):
+    # a missing key used to raise a KeyError out of main
+    ses = _module_ses([_entry(0, [0])])
+    del ses[key]
+    p = tmp_path / "ses.json"
+    p.write_text(json.dumps(cli.document_for("ses", ses)))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert repr(key) in out["error"]
+
+
 def test_module_envelope_reports_the_window_it_used(tmp_path, capsys):
     # hopf_module.json has window 10 and no max_degree of its own
     code, out = run_json(capsys, "module", "--input", doc_path("hopf_module"))

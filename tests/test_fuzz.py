@@ -1,0 +1,103 @@
+"""Seeded fuzz of the document boundary.
+
+Every mutant of a bundled document, run through ``cli.main`` in-process,
+must end in a clean envelope: no exception, an exit code in {0, 1, 2, 3},
+JSON on stdout, and an ``error`` exactly on exit 2.  ``validate`` is the one
+command that may also exit 2 without one: it reports a parsed but invalid
+document as ``valid: false`` with its issues.
+"""
+
+import copy
+import json
+import random
+from pathlib import Path
+
+from foliacoh import cli
+
+DATA = Path(cli.__file__).parent / "data"
+JUNK = (-7, 1.5, "1/0", [], {}, "", True, None)
+COMMANDS = {
+    "gstar_algebra": ("cohomology", "equivariant", "spectral"),
+    "strata_model": ("strata",),
+    "morse_data": ("morse",),
+    "polytope": ("polytope",),
+    "module_presentation": ("module",),
+    "ses": ("cohomology", "module"),
+}
+MUTANTS_PER_DOCUMENT = 12
+
+
+def _module_ses_document():
+    """0 -> M -> M -> 0 -> 0 for the bundled module M, with the identity as first map."""
+    m = json.loads((DATA / "hopf_module.json").read_text())["payload"]
+    gens = range(len(m["generators"]))
+    zero = {"dim_a": m["dim_a"], "window": m["window"], "generators": [], "relations": []}
+    return cli.document_for("ses", {
+        "type": "module",
+        "sub": copy.deepcopy(m),
+        "total": copy.deepcopy(m),
+        "quotient": zero,
+        "first_map": [[{"gen": g, "monomial": [0] * m["dim_a"], "coeff": 1}] for g in gens],
+        "second_map": [[] for _ in gens],
+    })
+
+
+def _paths(obj, path=()):
+    """(leaves, keys): the paths to every scalar or empty container, and to every dict entry."""
+    if isinstance(obj, (dict, list)) and obj:
+        leaves, keys = [], []
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for k, v in items:
+            sub_leaves, sub_keys = _paths(v, path + (k,))
+            leaves += sub_leaves
+            keys += sub_keys + ([path + (k,)] if isinstance(obj, dict) else [])
+        return leaves, keys
+    return [path], []
+
+
+def _pick(paths, rng):
+    """A random path at a random depth, so the few shallow keys are drawn as often as deep ones."""
+    depth = rng.choice(sorted({len(p) for p in paths}))
+    return rng.choice([p for p in paths if len(p) == depth])
+
+
+def _mutant(doc, rng):
+    """doc with one leaf replaced by junk or one key deleted, and what was done."""
+    doc = copy.deepcopy(doc)
+    leaves, keys = _paths(doc)
+    delete = rng.random() < 0.5
+    path = _pick(keys if delete else leaves, rng)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if delete:
+        del parent[path[-1]]
+        return doc, f"delete {path}"
+    junk = rng.choice(JUNK)
+    parent[path[-1]] = junk
+    return doc, f"{path} = {junk!r}"
+
+
+def test_mutated_documents_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(20261018)
+    docs = [json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))]
+    docs.append(_module_ses_document())
+    assert len(docs) > 10
+    for doc in docs:
+        for _ in range(MUTANTS_PER_DOCUMENT):
+            mutant, change = _mutant(doc, rng)
+            p = tmp_path / "mutant.json"
+            p.write_text(json.dumps(mutant))
+            for command in ("validate",) + COMMANDS[doc["kind"]]:
+                where = f"{command} on {doc['kind']} with {change}"
+                try:
+                    code = cli.main([command, "--input", str(p)])
+                except Exception as exc:
+                    raise AssertionError(f"{where} raised {exc!r}") from exc
+                out = json.loads(capsys.readouterr().out)
+                assert code in (0, 1, 2, 3) and out["exit_code"] == code, where
+                if "error" in out:
+                    assert code == 2, where
+                elif code == 2:
+                    assert command == "validate" and out["results"]["valid"] is False, where
+                    assert out["results"]["issues"], where

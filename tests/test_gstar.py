@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foliacoh.algebra_core import GradedVectorSpace, cohomology_dims
 from foliacoh.gstar import (
@@ -29,7 +29,12 @@ from foliacoh.fixtures import (
 )
 from foliacoh.ratmat import RationalMatrix, unit_vec
 
-from conftest import change_basis, reference_check_algebra, reference_derivation_checks
+from conftest import (
+    change_basis,
+    reference_check_algebra,
+    reference_derivation_checks,
+    reference_weil_algebra,
+)
 
 
 # -- Lie algebra specs ------------------------------------------------------------
@@ -176,6 +181,29 @@ def test_weil_nonabelian_axioms():
 def test_weil_monomial_count_r1():
     w = weil_algebra(LieAlgebraSpec.abelian(1), 8)
     assert tuple(w.space.dim(n) for n in range(9)) == (1,) * 9
+
+
+WEIL_LIES = [LieAlgebraSpec.abelian(r) for r in range(5)] + [
+    LieAlgebraSpec(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}),  # so(3)
+    LieAlgebraSpec(2, {(0, 1): {1: 1}}),  # [X0, X1] = X1
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WEIL_LIES), st.integers(0, 8))
+@example(WEIL_LIES[0], 0).via("r = 0, N = 0")
+@example(WEIL_LIES[4], 8).via("largest abelian case")
+@example(WEIL_LIES[5], 8).via("so(3) at the top degree")
+def test_weil_build_matches_the_monomial_reference(lie, top):
+    w, ref = weil_algebra(lie, top), reference_weil_algebra(lie, top)
+    assert (w.space.dims, w.space.labels, w.space.window) == \
+        (ref.space.dims, ref.space.labels, ref.space.window)
+    assert w.algebra.products == ref.algebra.products
+    for n in range(-1, top + 2):
+        assert w.op_d(n).tolist() == ref.op_d(n).tolist()
+        for j in range(lie.dimension):
+            assert w.op_i(j, n).tolist() == ref.op_i(j, n).tolist()
+            assert w.op_l(j, n).tolist() == ref.op_l(j, n).tolist()
 
 
 # -- type (C) -------------------------------------------------------------------------

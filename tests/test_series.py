@@ -9,6 +9,7 @@ from foliacoh.series import (
     euler_at_minus_one,
     geometric_series,
     morse_gap,
+    times_one_minus_t2_power,
 )
 
 
@@ -129,3 +130,13 @@ def test_divide_by_one_minus_tk_is_exact_division(q, p, k):
     assert got is None or got * one_minus_tk == p
     if k == 1 and not p.is_zero():
         assert (got is None) == (p.evaluate(1) != 0)
+
+
+@given(st.lists(st.integers(-4, 4), max_size=6), st.booleans(), st.integers(0, 12))
+def test_times_one_minus_t2_power_is_repeated_multiplication(coeffs, signed, k):
+    p = poly(*(abs(c) for c in coeffs)) if not signed else poly(*coeffs, signed=True)
+    want = p
+    for _ in range(k):
+        want = want * poly(1, 0, -1, signed=True)
+    got = times_one_minus_t2_power(p, k)
+    assert got == want and got.signed == want.signed
