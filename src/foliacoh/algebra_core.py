@@ -216,7 +216,7 @@ class LESReport:
     message: str = ""
 
 
-def _check_ses(ses: ShortExactSequence) -> str | None:
+def check_ses(ses: ShortExactSequence) -> str | None:
     """Return an error message when the input is not an SES of complexes."""
     a, b, c = ses.sub, ses.total, ses.quotient
     los = {a.spaces.window, b.spaces.window, c.spaces.window}
@@ -245,6 +245,10 @@ def _check_ses(ses: ShortExactSequence) -> str | None:
             return f"inclusion is not a chain map at degree {n}"
         if not (c.diff(n) @ ses.proj(n) - ses.proj(n + 1) @ b.diff(n)).is_zero():
             return f"projection is not a chain map at degree {n}"
+    for name, part in (("sub", a), ("total", b), ("quotient", c)):
+        rep = verify_complex(part)
+        if not rep.ok:
+            return f"{name}: {rep.message}"
     return None
 
 
@@ -268,7 +272,7 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
     pull back along the inclusion); exactness at every node is ker = im,
     checked through vanishing composites and the rank identity.
     """
-    err = _check_ses(ses)
+    err = check_ses(ses)
     if err is not None:
         return LESReport(ok=False, input_error=err, message=f"not an SES: {err}")
     a, b, c = ses.sub, ses.total, ses.quotient

@@ -7,6 +7,11 @@ the canonicalized input and carry a stable-window bound next to every
 numeric claim; output bytes are deterministic for identical input and
 version.
 
+``main`` is the document boundary: ``COMMANDS`` names the kinds each command
+takes, and ``_parse`` turns a payload of the wrong shape into an
+``InputError``.  The ``parse_*`` functions raise whatever such a payload
+makes them raise.
+
 Exit codes: 0 ok, 1 a verified property failed, 2 invalid input,
 3 window inconclusive.
 """
@@ -24,6 +29,7 @@ from .algebra_core import (
     CochainComplex,
     GradedVectorSpace,
     ShortExactSequence,
+    check_ses,
     cohomology_dims,
     les_exactness_check,
 )
@@ -129,73 +135,68 @@ def _series_out(s: PoincareSeriesRational):
 
 
 def parse_gstar(payload) -> GStarStructure:
-    try:
-        lie_obj = payload["lie"]
-        r = int(lie_obj["dimension"])
-        brackets = {}
-        for b in lie_obj.get("brackets", []):
-            i, j, k = int(b["i"]), int(b["j"]), int(b["k"])
-            brackets.setdefault((i, j), {})[k] = _rat(b["value"])
-        lie = LieAlgebraSpec(r, brackets)
-        degrees = payload["degrees"]
-        dims = {int(n): len(labels) for n, labels in degrees.items()}
-        labels = {int(n): tuple(labels) for n, labels in degrees.items()}
-        trunc = payload.get("truncated_above")
-        if trunc is not None and not _is_int(trunc, 0):
-            raise InputError(f"truncated_above must be an integer >= 0 or null, got {trunc!r}")
-        top = max(dims, default=0)
-        window = (0, top if trunc is None else max(top, 0))
-        space = GradedVectorSpace(dims, labels, window=window)
-        unit = payload.get("unit", 0)
-        if not _is_int(unit, 0, space.dim(0)):
-            raise InputError(f"unit must be an integer in [0, {space.dim(0)}), got {unit!r}")
-        products = {}
-        for p in payload.get("products", []):
-            (da, ia), (db, ib) = p["left"], p["right"]
-            for deg, idx in ((da, ia), (db, ib)):
-                if not (_is_int(deg) and _is_int(idx, 0, space.dim(deg))):
-                    raise InputError(
-                        f"product {p['left']} x {p['right']}: [{deg!r}, {idx!r}] is not "
-                        f"the [degree, index] of a basis element"
-                    )
-            terms = []
-            for k, c in p["value"]:
-                if not _is_int(k, 0, space.dim(da + db)):
-                    raise InputError(
-                        f"product {p['left']} x {p['right']}: target index {k!r} is not "
-                        f"an integer in [0, {space.dim(da + db)})"
-                    )
-                terms.append((k, _rat(c)))
-            products[(da, ia, db, ib)] = tuple(terms)
-        for n, d in dims.items():
-            for i in range(d):
-                products.setdefault((0, unit, n, i), ((i, Fraction(1)),))
-                products.setdefault((n, i, 0, unit), ((i, Fraction(1)),))
-        algebra = GradedAlgebraPresentation(
-            space, products, unit_index=unit, truncated_above=trunc
-        )
-
-        def mats(obj, delta, where):
-            out = {}
-            for n_str, m in obj.items():
-                n = int(n_str)
-                out[n] = _matrix_in(
-                    m, space.dim(n + delta), space.dim(n), f"{where} at degree {n}"
+    lie_obj = payload["lie"]
+    r = int(lie_obj["dimension"])
+    brackets = {}
+    for b in lie_obj.get("brackets", []):
+        i, j, k = int(b["i"]), int(b["j"]), int(b["k"])
+        brackets.setdefault((i, j), {})[k] = _rat(b["value"])
+    lie = LieAlgebraSpec(r, brackets)
+    degrees = payload["degrees"]
+    dims = {int(n): len(labels) for n, labels in degrees.items()}
+    labels = {int(n): tuple(labels) for n, labels in degrees.items()}
+    trunc = payload.get("truncated_above")
+    if trunc is not None and not _is_int(trunc, 0):
+        raise InputError(f"truncated_above must be an integer >= 0 or null, got {trunc!r}")
+    top = max(dims, default=0)
+    window = (0, top if trunc is None else max(top, 0))
+    space = GradedVectorSpace(dims, labels, window=window)
+    unit = payload.get("unit", 0)
+    if not _is_int(unit, 0, space.dim(0)):
+        raise InputError(f"unit must be an integer in [0, {space.dim(0)}), got {unit!r}")
+    products = {}
+    for p in payload.get("products", []):
+        (da, ia), (db, ib) = p["left"], p["right"]
+        for deg, idx in ((da, ia), (db, ib)):
+            if not (_is_int(deg) and _is_int(idx, 0, space.dim(deg))):
+                raise InputError(
+                    f"product {p['left']} x {p['right']}: [{deg!r}, {idx!r}] is not "
+                    f"the [degree, index] of a basis element"
                 )
-            return out
+        terms = []
+        for k, c in p["value"]:
+            if not _is_int(k, 0, space.dim(da + db)):
+                raise InputError(
+                    f"product {p['left']} x {p['right']}: target index {k!r} is not "
+                    f"an integer in [0, {space.dim(da + db)})"
+                )
+            terms.append((k, _rat(c)))
+        products[(da, ia, db, ib)] = tuple(terms)
+    for n, d in dims.items():
+        for i in range(d):
+            products.setdefault((0, unit, n, i), ((i, Fraction(1)),))
+            products.setdefault((n, i, 0, unit), ((i, Fraction(1)),))
+    algebra = GradedAlgebraPresentation(
+        space, products, unit_index=unit, truncated_above=trunc
+    )
 
-        d = mats(payload.get("d", {}), 1, "d")
-        i_list = payload.get("i", [])
-        l_list = payload.get("L", [])
-        if len(i_list) != r or len(l_list) != r:
-            raise InputError(f"need {r} entries in 'i' and 'L' (one per generator)")
-        i_ops = [mats(obj, -1, f"i[{j}]") for j, obj in enumerate(i_list)]
-        l_ops = [mats(obj, 0, f"L[{j}]") for j, obj in enumerate(l_list)]
-        return GStarStructure(algebra, lie, d, i_ops, l_ops)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed gstar_algebra payload: {exc}") from None
+    def mats(obj, delta, where):
+        out = {}
+        for n_str, m in obj.items():
+            n = int(n_str)
+            out[n] = _matrix_in(
+                m, space.dim(n + delta), space.dim(n), f"{where} at degree {n}"
+            )
+        return out
+
+    d = mats(payload.get("d", {}), 1, "d")
+    i_list = payload.get("i", [])
+    l_list = payload.get("L", [])
+    if len(i_list) != r or len(l_list) != r:
+        raise InputError(f"need {r} entries in 'i' and 'L' (one per generator)")
+    i_ops = [mats(obj, -1, f"i[{j}]") for j, obj in enumerate(i_list)]
+    l_ops = [mats(obj, 0, f"L[{j}]") for j, obj in enumerate(l_list)]
+    return GStarStructure(algebra, lie, d, i_ops, l_ops)
 
 
 def gstar_to_payload(s: GStarStructure) -> dict:
@@ -241,21 +242,16 @@ def gstar_to_payload(s: GStarStructure) -> dict:
 
 
 def parse_strata(payload) -> FoliationStrataModel:
-    try:
-        strata = tuple(
-            Stratum(
-                name=str(s.get("name", f"stratum{k}")),
-                codim=int(s["codim"]),
-                isotropy_dim=int(s["isotropy_dim"]),
-                quotient_poincare=_poly_in(s["quotient_poincare"], "quotient_poincare"),
-            )
-            for k, s in enumerate(payload["strata"])
+    strata = tuple(
+        Stratum(
+            name=str(s.get("name", f"stratum{k}")),
+            codim=int(s["codim"]),
+            isotropy_dim=int(s["isotropy_dim"]),
+            quotient_poincare=_poly_in(s["quotient_poincare"], "quotient_poincare"),
         )
-        return FoliationStrataModel(q=int(payload["q"]), dim_a=int(payload["dim_a"]), strata=strata)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed strata_model payload: {exc}") from None
+        for k, s in enumerate(payload["strata"])
+    )
+    return FoliationStrataModel(q=int(payload["q"]), dim_a=int(payload["dim_a"]), strata=strata)
 
 
 def strata_to_payload(m: FoliationStrataModel) -> dict:
@@ -275,23 +271,18 @@ def strata_to_payload(m: FoliationStrataModel) -> dict:
 
 
 def parse_morse(payload) -> tuple[MorseData, int, PoincarePolynomial | None]:
-    try:
-        comps = tuple(
-            MorseComponent(
-                index=int(c["index"]),
-                quotient_poincare=_poly_in(c["quotient_poincare"], "quotient_poincare"),
-                isotropy_dim=int(c["isotropy_dim"]),
-            )
-            for c in payload["components"]
+    comps = tuple(
+        MorseComponent(
+            index=int(c["index"]),
+            quotient_poincare=_poly_in(c["quotient_poincare"], "quotient_poincare"),
+            isotropy_dim=int(c["isotropy_dim"]),
         )
-        dim_a = int(payload["dim_a"])
-        basic = payload.get("basic_poincare")
-        basic_poly = _poly_in(basic, "basic_poincare") if basic is not None else None
-        return MorseData(comps), dim_a, basic_poly
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed morse_data payload: {exc}") from None
+        for c in payload["components"]
+    )
+    dim_a = int(payload["dim_a"])
+    basic = payload.get("basic_poincare")
+    basic_poly = _poly_in(basic, "basic_poincare") if basic is not None else None
+    return MorseData(comps), dim_a, basic_poly
 
 
 def morse_to_payload(d: MorseData, dim_a: int, basic: PoincarePolynomial | None) -> dict:
@@ -312,17 +303,14 @@ def morse_to_payload(d: MorseData, dim_a: int, basic: PoincarePolynomial | None)
 
 
 def parse_polytope(payload) -> PolytopeData:
-    try:
-        inc = payload.get("vertex_edge_incidence")
-        return PolytopeData(
-            f_vector=tuple(int(x) for x in payload["f_vector"]),
-            q=int(payload["q"]),
-            vertex_edge_incidence=tuple(tuple(int(e) for e in v) for v in inc)
-            if inc is not None
-            else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed polytope payload: {exc}") from None
+    inc = payload.get("vertex_edge_incidence")
+    return PolytopeData(
+        f_vector=tuple(int(x) for x in payload["f_vector"]),
+        q=int(payload["q"]),
+        vertex_edge_incidence=tuple(tuple(int(e) for e in v) for v in inc)
+        if inc is not None
+        else None,
+    )
 
 
 def polytope_to_payload(p: PolytopeData) -> dict:
@@ -333,26 +321,21 @@ def polytope_to_payload(p: PolytopeData) -> dict:
 
 
 def parse_module(payload) -> GradedModulePresentation:
-    try:
-        dim_a = int(payload["dim_a"])
-        gens = tuple(int(g) for g in payload["generators"])
-        rels = []
-        for rel in payload.get("relations", []):
-            polys = [dict() for _ in gens]
-            for e in rel["entries"]:
-                g = int(e["gen"])
-                if not 0 <= g < len(gens):
-                    raise InputError(f"relation entry gen {g} is not a generator index")
-                mono = tuple(int(x) for x in e["monomial"])
-                polys[g][mono] = polys[g].get(mono, Fraction(0)) + _rat(e["coeff"])
-            rels.append(tuple(polys))
-        return GradedModulePresentation(
-            dim_a, gens, tuple(rels), window=int(payload.get("window", 12))
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed module_presentation payload: {exc}") from None
+    dim_a = int(payload["dim_a"])
+    gens = tuple(int(g) for g in payload["generators"])
+    rels = []
+    for rel in payload.get("relations", []):
+        polys = [dict() for _ in gens]
+        for e in rel["entries"]:
+            g = int(e["gen"])
+            if not 0 <= g < len(gens):
+                raise InputError(f"relation entry gen {g} is not a generator index")
+            mono = tuple(int(x) for x in e["monomial"])
+            polys[g][mono] = polys[g].get(mono, Fraction(0)) + _rat(e["coeff"])
+        rels.append(tuple(polys))
+    return GradedModulePresentation(
+        dim_a, gens, tuple(rels), window=int(payload.get("window", 12))
+    )
 
 
 def module_to_payload(m: GradedModulePresentation) -> dict:
@@ -382,28 +365,23 @@ def _parse_complex(obj, window, where: str) -> CochainComplex:
 
 
 def parse_ses_complex(payload) -> ShortExactSequence:
-    try:
-        window = tuple(int(x) for x in payload["window"])
-        sub = _parse_complex(payload["sub"], window, "sub")
-        total = _parse_complex(payload["total"], window, "total")
-        quot = _parse_complex(payload["quotient"], window, "quotient")
-        incl = {
-            int(n): _matrix_in(
-                m, total.spaces.dim(int(n)), sub.spaces.dim(int(n)), f"inclusion[{n}]"
-            )
-            for n, m in payload.get("inclusion", {}).items()
-        }
-        proj = {
-            int(n): _matrix_in(
-                m, quot.spaces.dim(int(n)), total.spaces.dim(int(n)), f"projection[{n}]"
-            )
-            for n, m in payload.get("projection", {}).items()
-        }
-        return ShortExactSequence(sub, total, quot, incl, proj)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed complex ses payload: {exc}") from None
+    window = tuple(int(x) for x in payload["window"])
+    sub = _parse_complex(payload["sub"], window, "sub")
+    total = _parse_complex(payload["total"], window, "total")
+    quot = _parse_complex(payload["quotient"], window, "quotient")
+    incl = {
+        int(n): _matrix_in(
+            m, total.spaces.dim(int(n)), sub.spaces.dim(int(n)), f"inclusion[{n}]"
+        )
+        for n, m in payload.get("inclusion", {}).items()
+    }
+    proj = {
+        int(n): _matrix_in(
+            m, quot.spaces.dim(int(n)), total.spaces.dim(int(n)), f"projection[{n}]"
+        )
+        for n, m in payload.get("projection", {}).items()
+    }
+    return ShortExactSequence(sub, total, quot, incl, proj)
 
 
 def _complex_to_payload(c: CochainComplex) -> dict:
@@ -426,59 +404,56 @@ def ses_complex_to_payload(ses: ShortExactSequence) -> dict:
 
 
 def _parse_module_map(obj, n_src: int, n_tgt: int, where: str):
-    try:
-        out = []
-        for g_idx in range(n_src):
-            entries = obj[g_idx]
-            polys: dict[int, dict] = {}
-            for e in entries:
-                tgt = int(e["gen"])
-                if not 0 <= tgt < n_tgt:
-                    raise InputError(f"{where}: target gen {tgt} is not a generator index")
-                mono = tuple(int(x) for x in e["monomial"])
-                polys.setdefault(tgt, {})[mono] = _rat(e["coeff"])
-            out.append(polys)
-        return out
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed {where}: {exc}") from None
+    """Per source generator, its image's polynomial on each target generator."""
+    out = []
+    for g_idx in range(n_src):
+        polys: list[dict] = [{} for _ in range(n_tgt)]
+        for e in obj[g_idx]:
+            tgt = int(e["gen"])
+            if not 0 <= tgt < n_tgt:
+                raise InputError(f"{where}: target gen {tgt} is not a generator index")
+            mono = tuple(int(x) for x in e["monomial"])
+            polys[tgt][mono] = _rat(e["coeff"])
+        out.append(tuple(polys))
+    return tuple(out)
 
 
 def parse_ses_module(payload):
-    for key in ("sub", "total", "quotient", "first_map", "second_map"):
-        if key not in payload:
-            raise InputError(f"malformed module ses payload: missing {key!r}")
     a = parse_module(payload["sub"])
     b = parse_module(payload["total"])
     c = parse_module(payload["quotient"])
-    f_raw = _parse_module_map(
-        payload["first_map"], len(a.generators), len(b.generators), "first_map"
-    )
-    g_raw = _parse_module_map(
-        payload["second_map"], len(b.generators), len(c.generators), "second_map"
-    )
-    f = tuple(
-        tuple(f_raw[i].get(j, {}) for j in range(len(b.generators)))
-        for i in range(len(a.generators))
-    )
-    g = tuple(
-        tuple(g_raw[i].get(j, {}) for j in range(len(c.generators)))
-        for i in range(len(b.generators))
-    )
+    na, nb, nc = len(a.generators), len(b.generators), len(c.generators)
+    f = _parse_module_map(payload["first_map"], na, nb, "first_map")
+    g = _parse_module_map(payload["second_map"], nb, nc, "second_map")
     return a, b, c, f, g
 
 
-def _ses_module_report(payload):
-    """ses_cm_check on a module SES document, and the window it checks.
+# what a payload describes -> the name of its parser, looked up when it is
+# called, so that a wrapper set on the module attribute sees every call
+PARSERS = {
+    "gstar_algebra": "parse_gstar",
+    "strata_model": "parse_strata",
+    "morse_data": "parse_morse",
+    "polytope": "parse_polytope",
+    "module_presentation": "parse_module",
+    "complex ses": "parse_ses_complex",
+    "module ses": "parse_ses_module",
+}
 
-    A map of the wrong degree is bad input.
+
+def _parse(kind: str, payload: dict):
+    """The object a payload describes; a payload of the wrong shape is an InputError.
+
+    A ses payload's type has been checked already.
     """
-    a, b, c, f, g = parse_ses_module(payload)
+    what = f"{payload['type']} ses" if kind == "ses" else kind
+    parse = globals()[PARSERS[what]]
     try:
-        return ses_cm_check(a, b, c, f, g), min(a.window, b.window, c.window)
-    except PresentationError as exc:
-        raise InputError(str(exc)) from None
+        return parse(payload)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, InputError):
+            raise
+        raise InputError(f"malformed {what} payload: {exc}") from None
 
 
 # -- document envelope ----------------------------------------------------------------
@@ -524,54 +499,34 @@ def document_for(kind: str, payload: dict, max_degree: int | None = None) -> dic
 # -- subcommand implementations ---------------------------------------------------------
 
 
-def _validate_payload(doc) -> tuple[int, dict]:
-    kind = doc["kind"]
-    payload = doc["payload"]
+def _cmd_validate(obj, n_max):
+    """The issues of a parsed document; a module presentation's constructor checked it."""
     issues: list[str] = []
-    if kind == "gstar_algebra":
-        s = parse_gstar(payload)
-        issues += s.algebra.check_algebra() if s.algebra.has_products() else []
-        issues += s.lie.validate()
-        report = check_gstar_axioms(s)
+    if isinstance(obj, GStarStructure):
+        issues += obj.algebra.check_algebra() if obj.algebra.has_products() else []
+        issues += obj.lie.validate()
+        report = check_gstar_axioms(obj)
         issues += [f"{c.name}: {c.witness}" for c in report.failures()]
-    elif kind == "strata_model":
-        issues += list(validate_strata(parse_strata(payload)).issues)
-    elif kind == "morse_data":
-        d, dim_a, _basic = parse_morse(payload)
-        issues += list(d.validate(dim_a).issues)
-    elif kind == "polytope":
-        issues += list(parse_polytope(payload).validate().issues)
-    elif kind == "module_presentation":
-        parse_module(payload)  # constructor validates homogeneity
-    elif kind == "ses":
-        t = payload.get("type")
-        if t == "complex":
-            ses = parse_ses_complex(payload)
-            rep = les_exactness_check(ses)
-            if rep.input_error:
-                issues.append(rep.input_error)
-        elif t == "module":
-            rep, _window = _ses_module_report(payload)
-            if not rep.is_ses:
-                issues.append(rep.detail)
-        else:
-            raise InputError("ses payload needs type 'complex' or 'module'")
+    elif isinstance(obj, FoliationStrataModel):
+        issues += validate_strata(obj).issues
+    elif isinstance(obj, PolytopeData):
+        issues += obj.validate().issues
+    elif isinstance(obj, ShortExactSequence):
+        err = check_ses(obj)
+        issues += [err] if err else []
+    elif isinstance(obj, tuple) and isinstance(obj[0], MorseData):
+        d, dim_a, _basic = obj
+        issues += d.validate(dim_a).issues
+    elif isinstance(obj, tuple):  # a module ses
+        rep = ses_cm_check(*obj)
+        issues += [] if rep.is_ses else [rep.detail]
     code = EXIT_OK if not issues else EXIT_INVALID_INPUT
     return code, {"valid": not issues, "issues": issues}
 
 
-def _cmd_validate(doc, n_max):
-    return _validate_payload(doc)
-
-
-def _cmd_cohomology(doc, n_max):
-    kind = doc["kind"]
-    if kind == "ses":
-        t = doc["payload"].get("type")
-        if t != "complex":
-            raise InputError(f"cohomology expects a ses document of type 'complex', got {t!r}")
-        ses = parse_ses_complex(doc["payload"])
-        rep = les_exactness_check(ses)
+def _cmd_cohomology(s, n_max):
+    if isinstance(s, ShortExactSequence):
+        rep = les_exactness_check(s)
         if rep.input_error:
             raise InputError(rep.input_error)
         code = EXIT_OK if rep.ok else EXIT_VERDICT_FAILURE
@@ -580,9 +535,6 @@ def _cmd_cohomology(doc, n_max):
             "connecting_ranks": {str(k): v for k, v in (rep.connecting_ranks or {}).items()},
             "message": rep.message,
         }
-    if kind != "gstar_algebra":
-        raise InputError(f"cohomology expects gstar_algebra or ses, got {kind}")
-    s = parse_gstar(doc["payload"])
     axioms = check_gstar_axioms(s)
     if not axioms.ok:
         raise InputError(
@@ -602,14 +554,8 @@ def _cmd_cohomology(doc, n_max):
     }
 
 
-def _cmd_equivariant(doc, n_max):
-    if doc["kind"] != "gstar_algebra":
-        raise InputError("equivariant expects a gstar_algebra document")
-    s = parse_gstar(doc["payload"])
-    try:
-        e = equivariant_cohomology(s, n_max)
-    except DifferentialNotSquareZero as exc:
-        raise InputError(str(exc)) from None
+def _cmd_equivariant(s, n_max):
+    e = equivariant_cohomology(s, n_max)
     w = weil_model_cohomology(s, min(n_max, e.stable_through))
     upto = min(n_max, e.stable_through, w.stable_through)
     agree = e.dims_tuple(upto) == w.dims_tuple(upto)
@@ -623,15 +569,9 @@ def _cmd_equivariant(doc, n_max):
     }
 
 
-def _cmd_spectral(doc, n_max):
-    if doc["kind"] != "gstar_algebra":
-        raise InputError("spectral expects a gstar_algebra document")
-    s = parse_gstar(doc["payload"])
-    try:
-        e = equivariant_cohomology(s, n_max)
-        run = run_pages(s, n_max, e)
-    except (DifferentialNotSquareZero, NonInvariantAction) as exc:
-        raise InputError(str(exc)) from None
+def _cmd_spectral(s, n_max):
+    e = equivariant_cohomology(s, n_max)
+    run = run_pages(s, n_max, e)
     h = cohomology_dims(s.as_complex())
     verdict = formality_verdict(e, h.dims_tuple(n_max), s.lie.dimension, n_max)
     code = EXIT_OK
@@ -650,32 +590,18 @@ def _cmd_spectral(doc, n_max):
     }
 
 
-def _cmd_module(doc, n_max):
+def _cmd_module(m, n_max):
     """(exit code, results, window): a module is computed on its own window."""
-    kind = doc["kind"]
-    if kind == "ses":
-        t = doc["payload"].get("type")
-        if t != "module":
-            raise InputError(f"module expects a ses document of type 'module', got {t!r}")
-        rep, window = _ses_module_report(doc["payload"])
+    if isinstance(m, tuple):  # a module ses
+        rep = ses_cm_check(*m)
+        window = min(a.window for a in m[:3])
         if not rep.is_ses:
             raise InputError(rep.detail)
-        if rep.conclusion_holds is None and not rep.hypotheses_met:
-            return EXIT_OK, {
-                "is_ses": True,
-                "hypotheses_met": False,
-                "detail": rep.detail,
-            }, window
-        code = EXIT_OK if rep.conclusion_holds else EXIT_VERDICT_FAILURE
-        return code, {
-            "is_ses": True,
-            "hypotheses_met": rep.hypotheses_met,
-            "conclusion_holds": rep.conclusion_holds,
-            "detail": rep.detail,
-        }, window
-    if kind != "module_presentation":
-        raise InputError(f"module expects module_presentation or ses, got {kind}")
-    m = parse_module(doc["payload"])
+        results = {"is_ses": True, "hypotheses_met": rep.hypotheses_met, "detail": rep.detail}
+        if not rep.hypotheses_met:  # then there is no conclusion to check
+            return EXIT_OK, results, window
+        results["conclusion_holds"] = rep.conclusion_holds
+        return EXIT_OK if rep.conclusion_holds else EXIT_VERDICT_FAILURE, results, window
     h = hilbert(m)
     tor = m.tor
     fr = freeness_test(m)
@@ -702,10 +628,7 @@ def _cmd_module(doc, n_max):
     }, m.window
 
 
-def _cmd_strata(doc, n_max):
-    if doc["kind"] != "strata_model":
-        raise InputError("strata expects a strata_model document")
-    m = parse_strata(doc["payload"])
+def _cmd_strata(m, n_max):
     rep = validate_strata(m)
     if not rep.valid:
         raise InputError("; ".join(rep.issues))
@@ -728,10 +651,8 @@ def _cmd_strata(doc, n_max):
     return code, result
 
 
-def _cmd_morse(doc, n_max):
-    if doc["kind"] != "morse_data":
-        raise InputError("morse expects a morse_data document")
-    d, dim_a, basic = parse_morse(doc["payload"])
+def _cmd_morse(morse, n_max):
+    d, dim_a, basic = morse
     rep = d.validate(dim_a)
     if not rep.valid:
         raise InputError("; ".join(rep.issues))
@@ -754,10 +675,7 @@ def _cmd_morse(doc, n_max):
     return code, result
 
 
-def _cmd_polytope(doc, n_max):
-    if doc["kind"] != "polytope":
-        raise InputError("polytope expects a polytope document")
-    p = parse_polytope(doc["payload"])
+def _cmd_polytope(p, n_max):
     rep = p.validate()
     if not rep.valid:
         raise InputError("; ".join(rep.issues))
@@ -773,7 +691,7 @@ def _cmd_polytope(doc, n_max):
     }
 
 
-def _cmd_fixtures(doc, n_max, name_filter=None, list_only=False):
+def _cmd_fixtures(name_filter=None, list_only=False):
     if list_only:
         return EXIT_OK, {"fixtures": fixtures.list_fixture_names()}
     outcomes = fixtures.run_fixtures(name_filter)
@@ -791,15 +709,17 @@ def _cmd_fixtures(doc, n_max, name_filter=None, list_only=False):
     return code, {"all_passed": ok, "count": len(outcomes), "outcomes": results}
 
 
+# command -> (implementation, the document kinds it takes, the ses types it takes);
+# main checks a document against this table and hands the parsed payload on
 COMMANDS = {
-    "validate": _cmd_validate,
-    "cohomology": _cmd_cohomology,
-    "equivariant": _cmd_equivariant,
-    "spectral": _cmd_spectral,
-    "module": _cmd_module,
-    "strata": _cmd_strata,
-    "morse": _cmd_morse,
-    "polytope": _cmd_polytope,
+    "validate": (_cmd_validate, KINDS, ("complex", "module")),
+    "cohomology": (_cmd_cohomology, ("gstar_algebra", "ses"), ("complex",)),
+    "equivariant": (_cmd_equivariant, ("gstar_algebra",), ()),
+    "spectral": (_cmd_spectral, ("gstar_algebra",), ()),
+    "module": (_cmd_module, ("module_presentation", "ses"), ("module",)),
+    "strata": (_cmd_strata, ("strata_model",), ()),
+    "morse": (_cmd_morse, ("morse_data",), ()),
+    "polytope": (_cmd_polytope, ("polytope",), ()),
 }
 
 
@@ -869,22 +789,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_for(command: str, doc: dict):
+    """command's implementation; an InputError when it does not take doc's kind or ses type."""
+    run, kinds, ses_types = COMMANDS[command]
+    kind = doc["kind"]
+    if kind not in kinds:
+        if len(kinds) == 1:
+            raise InputError(f"{command} expects a {kinds[0]} document")
+        raise InputError(f"{command} expects {' or '.join(kinds)}, got {kind}")
+    t = doc["payload"].get("type")
+    if kind == "ses" and t not in ses_types:
+        if len(ses_types) == 1:
+            raise InputError(
+                f"{command} expects a ses document of type {ses_types[0]!r}, got {t!r}"
+            )
+        raise InputError("ses payload needs type " + " or ".join(map(repr, ses_types)))
+    return run
+
+
+def _finish(args, code: int, **fields) -> int:
+    """Emit the result envelope and return the exit code: 2 when it cannot be written."""
+    result_doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        **fields,
+        "diagnostics": {"notes": [], "version": __version__},
+        "exit_code": code,
+    }
+    try:
+        _emit(result_doc, args.format, args.output)
+    except OSError as exc:
+        print(f"foliacoh: cannot write {args.output or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    diagnostics = {"notes": [], "version": __version__}
-
     if args.command == "fixtures":
-        code, results = _cmd_fixtures(None, None, args.filter, args.list)
-        result_doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "fixtures",
-            "results": results,
-            "diagnostics": diagnostics,
-            "exit_code": code,
-        }
-        _emit(result_doc, args.format, args.output)
-        return code
-
+        code, results = _cmd_fixtures(args.filter, args.list)
+        return _finish(args, code, results=results)
     try:
         doc, digest = load_document(args.input)
         n_max = args.max_degree
@@ -892,29 +837,13 @@ def main(argv=None) -> int:
             n_max = doc.get("max_degree", 8)
         if n_max < 0:
             raise InputError("max degree must be >= 0")
+        run = _command_for(args.command, doc)
         # a command that computes on a window of its own returns it third
-        code, results, *window = COMMANDS[args.command](doc, n_max)
-    except InputError as exc:
-        result_doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": str(exc),
-            "diagnostics": diagnostics,
-            "exit_code": EXIT_INVALID_INPUT,
-        }
-        _emit(result_doc, args.format, args.output)
-        return EXIT_INVALID_INPUT
-    result_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "input_sha256": digest,
-        "max_degree": window[0] if window else n_max,
-        "results": results,
-        "diagnostics": diagnostics,
-        "exit_code": code,
-    }
-    _emit(result_doc, args.format, args.output)
-    return code
+        code, results, *window = run(_parse(doc["kind"], doc["payload"]), n_max)
+    except (InputError, DifferentialNotSquareZero, NonInvariantAction, PresentationError) as exc:
+        return _finish(args, EXIT_INVALID_INPUT, error=str(exc))
+    max_degree = window[0] if window else n_max
+    return _finish(args, code, input_sha256=digest, max_degree=max_degree, results=results)
 
 
 if __name__ == "__main__":

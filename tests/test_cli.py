@@ -451,6 +451,88 @@ def test_cohomology_on_module_ses_names_the_type(tmp_path, capsys):
     assert out["error"] == "cohomology expects a ses document of type 'complex', got 'module'"
 
 
+# command -> (the kinds it takes, the ses types it takes), written out apart from
+# cli.COMMANDS so that a change to the table shows here
+TAKES = {
+    "validate": (cli.KINDS, ("complex", "module")),
+    "cohomology": (("gstar_algebra", "ses"), ("complex",)),
+    "equivariant": (("gstar_algebra",), ()),
+    "spectral": (("gstar_algebra",), ()),
+    "module": (("module_presentation", "ses"), ("module",)),
+    "strata": (("strata_model",), ()),
+    "morse": (("morse_data",), ()),
+    "polytope": (("polytope",), ()),
+}
+
+
+def _refusal(command, doc):
+    """The error for a document that command does not take, or None when it takes it."""
+    kinds, ses_types = TAKES[command]
+    kind, t = doc["kind"], doc["payload"].get("type")
+    if kind not in kinds and len(kinds) == 1:
+        return f"{command} expects a {kinds[0]} document"
+    if kind not in kinds:
+        return f"{command} expects {kinds[0]} or {kinds[1]}, got {kind}"
+    if kind == "ses" and t not in ses_types and len(ses_types) == 1:
+        return f"{command} expects a ses document of type {ses_types[0]!r}, got {t!r}"
+    if kind == "ses" and t not in ses_types:
+        return "ses payload needs type 'complex' or 'module'"
+    return None
+
+
+def test_every_command_on_every_kind(tmp_path, capsys):
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))}
+    docs["module_ses"] = cli.document_for("ses", _module_ses([_entry(0, [0])]))
+    docs["chain_ses"] = cli.document_for("ses", dict(_module_ses([]), type="chain"))
+    assert {d["kind"] for d in docs.values()} == set(cli.KINDS)
+    refused = 0
+    for name, doc in docs.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        for command in TAKES:
+            where = f"{command} on {name}"
+            code, out = run_json(capsys, command, "--input", str(p))
+            assert code in (0, 1, 2, 3) and out["exit_code"] == code, where
+            assert ("error" in out) == ("results" not in out), where
+            expected = _refusal(command, doc)
+            if expected is not None:
+                refused += 1
+                assert (code, out.get("error")) == (cli.EXIT_INVALID_INPUT, expected), where
+            elif "error" in out:
+                assert code == cli.EXIT_INVALID_INPUT, where
+    assert refused > len(docs) * 4
+
+
+ONE = [[1]]
+LINE = {"dims": {"0": 1, "1": 1, "2": 1}, "d": {"0": ONE, "1": ONE}}  # d_1 d_0 = 1
+FLAT = {"dims": {"0": 1, "1": 1, "2": 1}, "d": {}}
+ZERO = {"dims": {}, "d": {}}
+IDENTITY = {"0": ONE, "1": ONE, "2": ONE}
+# the complex with d^2 != 0 -> (sub, total, quotient, inclusion, projection, error prefix).
+# A chain map from a complex onto the quotient makes its d^2 vanish too, so a
+# bad quotient under a good total is caught as a projection that is no chain map.
+BAD_SQUARE_SES = {
+    "sub": (LINE, LINE, ZERO, IDENTITY, {}, "sub: d_1 d_0 != 0"),
+    "total": (ZERO, LINE, LINE, {}, IDENTITY, "total: d_1 d_0 != 0"),
+    "quotient": (ZERO, FLAT, LINE, {}, IDENTITY, "projection is not a chain map at degree 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+@pytest.mark.parametrize("bad", sorted(BAD_SQUARE_SES))
+def test_complex_ses_with_nonzero_d_squared_exits_2(tmp_path, capsys, bad, command):
+    # a sub or total complex with d^2 != 0 used to raise a ValueError out of main
+    sub, total, quotient, inclusion, projection, prefix = BAD_SQUARE_SES[bad]
+    payload = {"type": "complex", "window": [0, 2], "sub": sub, "total": total,
+               "quotient": quotient, "inclusion": inclusion, "projection": projection}
+    p = tmp_path / "ses.json"
+    p.write_text(json.dumps(cli.document_for("ses", payload)))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    message = out["results"]["issues"][0] if command == "validate" else out["error"]
+    assert message.startswith(prefix)
+
+
 def test_module_command_builds_one_realization(capsys, monkeypatch):
     from foliacoh import module_theory
 
@@ -554,6 +636,21 @@ def test_output_file_and_text_format(tmp_path, capsys):
     code, out = run(capsys, "polytope", "--input", doc_path("segment"), "--format", "text")
     assert code == 0
     assert "basic_polynomial: [1, 0, 1]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["polytope", "--input", doc_path("segment")],
+    ["polytope", "--input", doc_path("absent")],  # bad input, and nowhere to say so
+    ["fixtures", "--list"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # an --output in a missing directory used to raise FileNotFoundError out of main
+    target = tmp_path / "missing" / "result.json"
+    code = cli.main(argv + ["--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert captured.err == f"foliacoh: cannot write {target}: No such file or directory\n"
 
 
 def test_text_format_prints_error(tmp_path, capsys):
