@@ -8,6 +8,7 @@ the zero map out of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from .ratmat import RationalMatrix, coordinates_modulo, independent_complement
 
 
@@ -97,8 +98,7 @@ class CochainComplex:
                 )
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(NamedTuple):
     ok: bool
     failing_degree: int | None = None
     witness_label: str | None = None
@@ -121,8 +121,7 @@ def verify_complex(c: CochainComplex) -> ComplexReport:
     return ComplexReport(ok=True, message="d^2 = 0 on the whole window")
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """Per-degree dimensions and canonical representative cocycles.
 
     representatives[n] holds the degree-n representatives as its columns,
@@ -183,8 +182,7 @@ def reduce_to_classes(
 # -- short exact sequences and the long exact sequence ------------------------
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(NamedTuple):
     """0 -> sub -> total -> quotient -> 0 with per-degree maps."""
 
     sub: CochainComplex
@@ -206,8 +204,7 @@ class ShortExactSequence:
         )
 
 
-@dataclass(frozen=True)
-class LESReport:
+class LESReport(NamedTuple):
     ok: bool
     input_error: str | None = None
     failing_degree: int | None = None

@@ -12,8 +12,8 @@ the window.  Truncation flags come only from the underlying algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra_core import cocycle_representatives
 from .gstar import (
@@ -44,8 +44,7 @@ class DifferentialNotSquareZero(ValueError):
     """Raised when the Cartan differential squares to nonzero in the stable range."""
 
 
-@dataclass(frozen=True)
-class CartanComplexSlice:
+class CartanComplexSlice(NamedTuple):
     """One total degree of the Cartan complex.
 
     ambient_basis lists (alpha, a_idx) pairs grouped by ascending p = |alpha|;
@@ -193,8 +192,7 @@ class CartanComplex:
         return sol
 
 
-@dataclass(frozen=True)
-class EquivariantCohomologyResult:
+class EquivariantCohomologyResult(NamedTuple):
     """Equivariant cohomology with its polynomial-module structure."""
 
     dims: dict[int, int]
@@ -344,8 +342,7 @@ def module_presentation(
 # -- commuting reduction -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutingReductionReport:
+class CommutingReductionReport(NamedTuple):
     applicable: bool
     agrees: bool | None
     lhs_dims: tuple[int, ...] | None

@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__, fixtures
 from .algebra_core import (
@@ -102,6 +103,13 @@ def _is_int(x, lo: int | None = None, hi: int | None = None) -> bool:
     return type(x) is int and (lo is None or lo <= x) and (hi is None or x < hi)
 
 
+def _int(x, where: str) -> int:
+    """x, when it is a JSON integer; otherwise an InputError that names the field."""
+    if not _is_int(x):
+        raise InputError(f"{where} must be an integer, got {x!r}")
+    return x
+
+
 def _rat_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -119,7 +127,7 @@ def _matrix_out(m: RationalMatrix):
 
 
 def _poly_in(obj, where: str, signed: bool = False) -> PoincarePolynomial:
-    if not isinstance(obj, list) or any(not isinstance(c, int) for c in obj):
+    if not isinstance(obj, list) or any(not _is_int(c) for c in obj):
         raise InputError(f"{where}: expected a list of integer coefficients")
     try:
         return PoincarePolynomial(obj, signed=signed)
@@ -136,10 +144,10 @@ def _series_out(s: PoincareSeriesRational):
 
 def parse_gstar(payload) -> GStarStructure:
     lie_obj = payload["lie"]
-    r = int(lie_obj["dimension"])
+    r = _int(lie_obj["dimension"], "lie.dimension")
     brackets = {}
     for b in lie_obj.get("brackets", []):
-        i, j, k = int(b["i"]), int(b["j"]), int(b["k"])
+        i, j, k = (_int(b[key], f"bracket {key}") for key in "ijk")
         brackets.setdefault((i, j), {})[k] = _rat(b["value"])
     lie = LieAlgebraSpec(r, brackets)
     degrees = payload["degrees"]
@@ -245,13 +253,15 @@ def parse_strata(payload) -> FoliationStrataModel:
     strata = tuple(
         Stratum(
             name=str(s.get("name", f"stratum{k}")),
-            codim=int(s["codim"]),
-            isotropy_dim=int(s["isotropy_dim"]),
+            codim=_int(s["codim"], f"strata[{k}].codim"),
+            isotropy_dim=_int(s["isotropy_dim"], f"strata[{k}].isotropy_dim"),
             quotient_poincare=_poly_in(s["quotient_poincare"], "quotient_poincare"),
         )
         for k, s in enumerate(payload["strata"])
     )
-    return FoliationStrataModel(q=int(payload["q"]), dim_a=int(payload["dim_a"]), strata=strata)
+    return FoliationStrataModel(
+        q=_int(payload["q"], "q"), dim_a=_int(payload["dim_a"], "dim_a"), strata=strata
+    )
 
 
 def strata_to_payload(m: FoliationStrataModel) -> dict:
@@ -270,19 +280,27 @@ def strata_to_payload(m: FoliationStrataModel) -> dict:
     }
 
 
-def parse_morse(payload) -> tuple[MorseData, int, PoincarePolynomial | None]:
+class MorseDocument(NamedTuple):
+    """A parsed morse_data payload."""
+
+    data: MorseData
+    dim_a: int
+    basic: PoincarePolynomial | None
+
+
+def parse_morse(payload) -> MorseDocument:
     comps = tuple(
         MorseComponent(
-            index=int(c["index"]),
+            index=_int(c["index"], f"components[{k}].index"),
             quotient_poincare=_poly_in(c["quotient_poincare"], "quotient_poincare"),
-            isotropy_dim=int(c["isotropy_dim"]),
+            isotropy_dim=_int(c["isotropy_dim"], f"components[{k}].isotropy_dim"),
         )
-        for c in payload["components"]
+        for k, c in enumerate(payload["components"])
     )
-    dim_a = int(payload["dim_a"])
+    dim_a = _int(payload["dim_a"], "dim_a")
     basic = payload.get("basic_poincare")
     basic_poly = _poly_in(basic, "basic_poincare") if basic is not None else None
-    return MorseData(comps), dim_a, basic_poly
+    return MorseDocument(MorseData(comps), dim_a, basic_poly)
 
 
 def morse_to_payload(d: MorseData, dim_a: int, basic: PoincarePolynomial | None) -> dict:
@@ -305,9 +323,11 @@ def morse_to_payload(d: MorseData, dim_a: int, basic: PoincarePolynomial | None)
 def parse_polytope(payload) -> PolytopeData:
     inc = payload.get("vertex_edge_incidence")
     return PolytopeData(
-        f_vector=tuple(int(x) for x in payload["f_vector"]),
-        q=int(payload["q"]),
-        vertex_edge_incidence=tuple(tuple(int(e) for e in v) for v in inc)
+        f_vector=tuple(_int(x, "f_vector entry") for x in payload["f_vector"]),
+        q=_int(payload["q"], "q"),
+        vertex_edge_incidence=tuple(
+            tuple(_int(e, "vertex_edge_incidence entry") for e in v) for v in inc
+        )
         if inc is not None
         else None,
     )
@@ -321,20 +341,20 @@ def polytope_to_payload(p: PolytopeData) -> dict:
 
 
 def parse_module(payload) -> GradedModulePresentation:
-    dim_a = int(payload["dim_a"])
-    gens = tuple(int(g) for g in payload["generators"])
+    dim_a = _int(payload["dim_a"], "dim_a")
+    gens = tuple(_int(g, "generator degree") for g in payload["generators"])
     rels = []
     for rel in payload.get("relations", []):
         polys = [dict() for _ in gens]
         for e in rel["entries"]:
-            g = int(e["gen"])
+            g = _int(e["gen"], "relation entry gen")
             if not 0 <= g < len(gens):
                 raise InputError(f"relation entry gen {g} is not a generator index")
-            mono = tuple(int(x) for x in e["monomial"])
+            mono = tuple(_int(x, "relation monomial exponent") for x in e["monomial"])
             polys[g][mono] = polys[g].get(mono, Fraction(0)) + _rat(e["coeff"])
         rels.append(tuple(polys))
     return GradedModulePresentation(
-        dim_a, gens, tuple(rels), window=int(payload.get("window", 12))
+        dim_a, gens, tuple(rels), window=_int(payload.get("window", 12), "window")
     )
 
 
@@ -355,7 +375,7 @@ def module_to_payload(m: GradedModulePresentation) -> dict:
 
 
 def _parse_complex(obj, window, where: str) -> CochainComplex:
-    dims = {int(n): int(d) for n, d in obj.get("dims", {}).items()}
+    dims = {int(n): _int(d, f"{where}.dims[{n}]") for n, d in obj.get("dims", {}).items()}
     space = GradedVectorSpace(dims, window=window)
     d = {}
     for n_str, m in obj.get("d", {}).items():
@@ -365,7 +385,7 @@ def _parse_complex(obj, window, where: str) -> CochainComplex:
 
 
 def parse_ses_complex(payload) -> ShortExactSequence:
-    window = tuple(int(x) for x in payload["window"])
+    window = tuple(_int(x, "window entry") for x in payload["window"])
     sub = _parse_complex(payload["sub"], window, "sub")
     total = _parse_complex(payload["total"], window, "total")
     quot = _parse_complex(payload["quotient"], window, "quotient")
@@ -409,23 +429,33 @@ def _parse_module_map(obj, n_src: int, n_tgt: int, where: str):
     for g_idx in range(n_src):
         polys: list[dict] = [{} for _ in range(n_tgt)]
         for e in obj[g_idx]:
-            tgt = int(e["gen"])
+            tgt = _int(e["gen"], f"{where} gen")
             if not 0 <= tgt < n_tgt:
                 raise InputError(f"{where}: target gen {tgt} is not a generator index")
-            mono = tuple(int(x) for x in e["monomial"])
+            mono = tuple(_int(x, f"{where} monomial exponent") for x in e["monomial"])
             polys[tgt][mono] = _rat(e["coeff"])
         out.append(tuple(polys))
     return tuple(out)
 
 
-def parse_ses_module(payload):
+class ModuleSES(NamedTuple):
+    """A parsed module ses payload: 0 -> sub -> total -> quotient -> 0."""
+
+    sub: GradedModulePresentation
+    total: GradedModulePresentation
+    quotient: GradedModulePresentation
+    first_map: tuple
+    second_map: tuple
+
+
+def parse_ses_module(payload) -> ModuleSES:
     a = parse_module(payload["sub"])
     b = parse_module(payload["total"])
     c = parse_module(payload["quotient"])
     na, nb, nc = len(a.generators), len(b.generators), len(c.generators)
     f = _parse_module_map(payload["first_map"], na, nb, "first_map")
     g = _parse_module_map(payload["second_map"], nb, nc, "second_map")
-    return a, b, c, f, g
+    return ModuleSES(a, b, c, f, g)
 
 
 # what a payload describes -> the name of its parser, looked up when it is
@@ -514,10 +544,9 @@ def _cmd_validate(obj, n_max):
     elif isinstance(obj, ShortExactSequence):
         err = check_ses(obj)
         issues += [err] if err else []
-    elif isinstance(obj, tuple) and isinstance(obj[0], MorseData):
-        d, dim_a, _basic = obj
-        issues += d.validate(dim_a).issues
-    elif isinstance(obj, tuple):  # a module ses
+    elif isinstance(obj, MorseDocument):
+        issues += obj.data.validate(obj.dim_a).issues
+    elif isinstance(obj, ModuleSES):
         rep = ses_cm_check(*obj)
         issues += [] if rep.is_ses else [rep.detail]
     code = EXIT_OK if not issues else EXIT_INVALID_INPUT
@@ -592,9 +621,9 @@ def _cmd_spectral(s, n_max):
 
 def _cmd_module(m, n_max):
     """(exit code, results, window): a module is computed on its own window."""
-    if isinstance(m, tuple):  # a module ses
+    if isinstance(m, ModuleSES):
         rep = ses_cm_check(*m)
-        window = min(a.window for a in m[:3])
+        window = min(m.sub.window, m.total.window, m.quotient.window)
         if not rep.is_ses:
             raise InputError(rep.detail)
         results = {"is_ses": True, "hypotheses_met": rep.hypotheses_met, "detail": rep.detail}

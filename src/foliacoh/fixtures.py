@@ -9,9 +9,8 @@ Morse, polytope, and module records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra_core import GradedVectorSpace
 from .gstar import (
@@ -203,15 +202,13 @@ def hopf_module() -> GradedModulePresentation:
 # -- golden suite -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     run: Callable[[], object]
     expected: object
 
 
-@dataclass(frozen=True)
-class FixtureOutcome:
+class FixtureOutcome(NamedTuple):
     name: str
     passed: bool
     expected: object

@@ -14,7 +14,7 @@ provenance is recorded in the outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import module_theory
 from .series import (
@@ -27,8 +27,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """One component of an infinitesimal orbit type manifold."""
 
     name: str
@@ -37,8 +36,7 @@ class Stratum:
     quotient_poincare: PoincarePolynomial
 
 
-@dataclass(frozen=True)
-class FoliationStrataModel:
+class FoliationStrataModel(NamedTuple):
     q: int
     dim_a: int
     strata: tuple[Stratum, ...]
@@ -50,8 +48,7 @@ class FoliationStrataModel:
         return self.dim_a - s.isotropy_dim
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     issues: tuple[str, ...]
 
@@ -107,8 +104,7 @@ def equivariant_series_from_strata(m: FoliationStrataModel) -> PoincareSeriesRat
     return total
 
 
-@dataclass(frozen=True)
-class BasicSeriesResult:
+class BasicSeriesResult(NamedTuple):
     polynomial: PoincarePolynomial
     formality_provenance: str
     identity_checked: bool
@@ -155,8 +151,7 @@ def _series_equal_on_window(a: PoincareSeriesRational, b: PoincareSeriesRational
     return a.expand(n) == b.expand(n)
 
 
-@dataclass(frozen=True)
-class BorelVerdict:
+class BorelVerdict(NamedTuple):
     inequality_holds: bool
     equality: bool
     consistent_with_formality: bool
@@ -187,8 +182,7 @@ def borel_check(dim_total_h_m: int, dim_total_h_c: int, formal: bool) -> BorelVe
     return BorelVerdict(ineq, equal, consistent, detail)
 
 
-@dataclass(frozen=True)
-class LocalizationVerdict:
+class LocalizationVerdict(NamedTuple):
     consistent: bool | None
     computed_rank: int | None
     expected_rank: int
@@ -214,15 +208,13 @@ def localization_rank_check(
 # -- Morse-Bott -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MorseComponent:
+class MorseComponent(NamedTuple):
     index: int
     quotient_poincare: PoincarePolynomial
     isotropy_dim: int
 
 
-@dataclass(frozen=True)
-class MorseData:
+class MorseData(NamedTuple):
     components: tuple[MorseComponent, ...]
 
     def validate(self, dim_a: int) -> ValidationReport:
@@ -242,8 +234,7 @@ class MorseData:
         return ValidationReport(valid=not issues, issues=tuple(issues))
 
 
-@dataclass(frozen=True)
-class MorseSeries:
+class MorseSeries(NamedTuple):
     basic: PoincarePolynomial
     equivariant: PoincareSeriesRational
 
@@ -266,8 +257,7 @@ def morse_series(d: MorseData, dim_a: int) -> MorseSeries:
     return MorseSeries(basic=basic, equivariant=equivariant)
 
 
-@dataclass(frozen=True)
-class PerfectnessVerdict:
+class PerfectnessVerdict(NamedTuple):
     perfect: bool
     gap: MorseGapResult
     detail: str
@@ -300,8 +290,7 @@ def perfectness_check(
 # -- polytopes ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolytopeData:
+class PolytopeData(NamedTuple):
     """f-vector of a simple convex polytope plus the foliation codimension.
 
     f_vector[i] counts faces of dimension i; the polytope itself is the top
@@ -346,8 +335,7 @@ class PolytopeData:
         return ValidationReport(valid=not issues, issues=tuple(issues))
 
 
-@dataclass(frozen=True)
-class PolytopeSeriesResult:
+class PolytopeSeriesResult(NamedTuple):
     polynomial: PoincarePolynomial
     induced_model: FoliationStrataModel
     cross_check_ok: bool

@@ -32,7 +32,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra_core import CochainComplex, CohomologyResult, GradedVectorSpace, cohomology_dims
 from .module_theory import monomials_of_degree
@@ -356,16 +356,14 @@ def extend_with_trivial_factor(s: GStarStructure, extra: int = 1) -> GStarStruct
 # -- axiom checking -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     ok: bool
     checked_through: int
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class GStarAxiomReport:
+class GStarAxiomReport(NamedTuple):
     checks: tuple[AxiomCheck, ...]
 
     @property
@@ -486,8 +484,7 @@ def _derivation_checks(s: GStarStructure) -> list[AxiomCheck]:
 # -- basic subcomplex -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasicSubcomplex:
+class BasicSubcomplex(NamedTuple):
     complex: CochainComplex
     embeddings: dict[int, RationalMatrix]
     stable_through: int
@@ -696,15 +693,13 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
 # -- type (C) detection -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectionElements:
+class ConnectionElements(NamedTuple):
     """Candidate degree-1 elements theta_0..theta_{r-1}."""
 
     vectors: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class TypeCVerdict:
+class TypeCVerdict(NamedTuple):
     free: bool
     type_c: bool
     detail: str = ""
@@ -847,8 +842,7 @@ def tensor_gstar(
 # -- the Weil model ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeilModelResult:
+class WeilModelResult(NamedTuple):
     dims: dict[int, int]
     stable_through: int
     cohomology: CohomologyResult

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .ratmat import RationalMatrix, coordinates_modulo, frac, independent_complement
 from .series import PoincarePolynomial, PoincareSeriesRational, divide_by_one_minus_tk
@@ -264,8 +265,7 @@ class ModuleRealization:
         return self.reduction(n + 2).select(cols)
 
 
-@dataclass(frozen=True)
-class HilbertSeriesWindow:
+class HilbertSeriesWindow(NamedTuple):
     coefficients: tuple[int, ...]
     closed_form: PoincareSeriesRational | None
     certified: bool
@@ -306,8 +306,7 @@ def certify_closed_form(
 # -- Koszul complex / Tor ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorResult:
+class TorResult(NamedTuple):
     """Graded dims of Tor_i against the residue field, i = 0..dim_a."""
 
     dims: dict[tuple[int, int], int]  # (homological i, internal degree n)
@@ -380,8 +379,7 @@ def koszul_tor(pres: GradedModulePresentation) -> TorResult:
     return TorResult(dims=dims, window=n_max, dim_a=r)
 
 
-@dataclass(frozen=True)
-class FreenessResult:
+class FreenessResult(NamedTuple):
     free: bool
     ranks: tuple[int, ...]  # degree multiset of a minimal generating set
     scoped: bool
@@ -409,8 +407,7 @@ def freeness_test(pres: GradedModulePresentation) -> FreenessResult:
     )
 
 
-@dataclass(frozen=True)
-class LocalizedRankResult:
+class LocalizedRankResult(NamedTuple):
     rank: int | None
     conclusive: bool
     detail: str = ""
@@ -436,8 +433,7 @@ def localized_rank(pres: GradedModulePresentation) -> LocalizedRankResult:
     return LocalizedRankResult(rank, True, f"numerator value at t=1 is {rank}")
 
 
-@dataclass(frozen=True)
-class DepthDimCM:
+class DepthDimCM(NamedTuple):
     depth: int | str
     krull_dim: int | str
     cohen_macaulay: bool
@@ -472,8 +468,7 @@ def depth_dim_cm(pres: GradedModulePresentation) -> DepthDimCM:
 ModuleMap = tuple[tuple[Poly, ...], ...]  # per source generator: coefficents over target generators
 
 
-@dataclass(frozen=True)
-class SESCMReport:
+class SESCMReport(NamedTuple):
     is_ses: bool
     hypotheses_met: bool
     conclusion_holds: bool | None

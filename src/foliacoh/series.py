@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -231,8 +231,7 @@ def geometric_series(den_exp: int) -> PoincareSeriesRational:
     return PoincareSeriesRational(PoincarePolynomial.one(), den_exp)
 
 
-@dataclass(frozen=True)
-class MorseGapResult:
+class MorseGapResult(NamedTuple):
     """Outcome of dividing a Morse difference by (1+t) on a window."""
 
     ok: bool

@@ -40,7 +40,7 @@ such input rather than guessing.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra_core import cohomology_dims
 from .cartan import CartanComplex, EquivariantCohomologyResult, module_presentation
@@ -52,8 +52,7 @@ class NonInvariantAction(ValueError):
     """Raised when pages are requested with nonzero L-operators or non-abelian g."""
 
 
-@dataclass(frozen=True)
-class DoubleComplexPage:
+class DoubleComplexPage(NamedTuple):
     r: int
     dims: dict[tuple[int, int], int]
     d_ranks: dict[tuple[int, int], int]
@@ -143,8 +142,7 @@ class SpectralSequence:
         return DoubleComplexPage(r=r, dims=dims, d_ranks=ranks, n_max=self.n_max)
 
 
-@dataclass(frozen=True)
-class SpectralRunResult:
+class SpectralRunResult(NamedTuple):
     pages: tuple[DoubleComplexPage, ...]
     e_infinity: DoubleComplexPage
     stabilized_at: int | None
@@ -227,8 +225,7 @@ def run_pages(
 # -- formality -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalityVerdict:
+class FormalityVerdict(NamedTuple):
     formal: bool
     method: str  # E1-collapse | odd-vanishing | hilbert-factorization | surjectivity | free-module
     witness: str

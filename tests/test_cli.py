@@ -420,6 +420,45 @@ def test_module_ses_missing_key_exits_2(tmp_path, capsys, key, command):
     assert repr(key) in out["error"]
 
 
+# integer fields used to be read with int(x): 2.5 and "2" were taken as 2, true as 1
+NON_INTEGERS = [
+    ("hopf_strata", "strata", ("q",), 2.5, "q"),
+    ("hopf_strata", "strata", ("q",), "2", "q"),
+    ("hopf_strata", "strata", ("q",), True, "q"),
+    ("hopf_strata", "strata", ("strata", 1, "codim"), 2.0, "strata[1].codim"),
+    ("hopf_strata", "strata", ("strata", 0, "quotient_poincare", 0), True, "quotient_poincare"),
+    ("hopf_morse", "morse", ("dim_a",), "1", "dim_a"),
+    ("hopf_morse", "morse", ("components", 1, "index"), 2.5, "components[1].index"),
+    ("square", "polytope", ("q",), 4.0, "q"),
+    ("square", "polytope", ("f_vector", 0), "4", "f_vector entry"),
+    ("square", "polytope", ("vertex_edge_incidence", 0, 0), False, "vertex_edge_incidence"),
+    ("hopf_module", "module", ("window",), 10.5, "window"),
+    ("hopf_module", "module", ("dim_a",), True, "dim_a"),
+    ("hopf_module", "module", ("generators", 1), "2", "generator degree"),
+    ("hopf_module", "module", ("relations", 0, "entries", 0, "gen"), 0.0, "relation entry gen"),
+    ("hopf_gstar", "equivariant", ("lie", "dimension"), "1", "lie.dimension"),
+    ("sphere3_split_ses", "cohomology", ("window", 1), 3.5, "window entry"),
+    ("sphere3_split_ses", "cohomology", ("sub", "dims", "2"), "1", "sub.dims[2]"),
+    ("module_ses", "module", ("first_map", 0, 0, "gen"), True, "first_map gen"),
+]
+
+
+@pytest.mark.parametrize("name,command,path,value,field", NON_INTEGERS)
+def test_integer_fields_must_be_json_integers(tmp_path, capsys, name, command, path, value,
+                                              field):
+    if name == "module_ses":
+        doc = cli.document_for("ses", _module_ses([_entry(0, [0])]))
+    else:
+        doc = json.loads((DATA / f"{name}.json").read_text())
+    _set_path(doc["payload"], path, value)
+    p = tmp_path / "mutant.json"
+    p.write_text(json.dumps(doc))
+    for cmd in (command, "validate"):
+        code, out = run_json(capsys, cmd, "--input", str(p))
+        assert code == cli.EXIT_INVALID_INPUT, cmd
+        assert field in out["error"], cmd
+
+
 def test_module_envelope_reports_the_window_it_used(tmp_path, capsys):
     # hopf_module.json has window 10 and no max_degree of its own
     code, out = run_json(capsys, "module", "--input", doc_path("hopf_module"))

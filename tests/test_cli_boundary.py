@@ -5,7 +5,8 @@ an ``InputError``, and ``cli.COMMANDS`` is the one place that says which
 document kinds a command takes.  This reads ``cli.py`` with ``ast`` and
 reports any other ``except`` clause that names a shape error, and any
 ``_cmd_*`` function that reads a document's ``"kind"`` or raises an
-"expects" error of its own.
+"expects" error of its own.  A parsed document is told apart by its own
+type, never by ``isinstance(obj, tuple)``: result records are tuples too.
 """
 
 import ast
@@ -20,14 +21,20 @@ def _strings(node):
             if isinstance(n, ast.Constant) and isinstance(n.value, str)]
 
 
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def boundary_leaks(source: str) -> list[str]:
     out = []
     for top in ast.parse(source).body:
         name = getattr(top, "name", "<module>")
         for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and _names(node.func) == {"isinstance"} and node.args
+                    and "tuple" in _names(node.args[-1])):
+                out.append((node.lineno, f"{name} dispatches on tuple"))
             if isinstance(node, ast.ExceptHandler) and name != "_parse" and node.type:
-                caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
-                if caught & SHAPE_ERRORS:
+                if _names(node.type) & SHAPE_ERRORS:
                     out.append((node.lineno, f"{name} catches a shape error"))
             if not name.startswith("_cmd_"):
                 continue
@@ -57,9 +64,12 @@ def test_boundary_leaks_are_reported():
         "def _cmd_x(doc, n_max):\n"
         "    if doc['kind'] != 'x':\n"
         "        raise InputError(f'x expects a {doc} document')\n"
+        "    if isinstance(doc, (list, tuple)):\n"
+        "        return doc[0]\n"
     )
     assert boundary_leaks(source) == [
         "line 4: parse_x catches a shape error",
         "line 12: _cmd_x reads the document kind",
         "line 13: _cmd_x raises an expects error",
+        "line 14: _cmd_x dispatches on tuple",
     ]
