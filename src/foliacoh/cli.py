@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import __version__, fixtures
+from . import __version__
 from .algebra_core import (
     CochainComplex,
     GradedVectorSpace,
@@ -110,6 +110,13 @@ def _int(x, where: str) -> int:
     return x
 
 
+def _str(x, where: str) -> str:
+    """x, when it is a JSON string; otherwise an InputError that names the field."""
+    if not isinstance(x, str):
+        raise InputError(f"{where} must be a string, got {x!r}")
+    return x
+
+
 def _rat_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -120,10 +127,6 @@ def _matrix_in(obj, rows: int, cols: int, where: str) -> RationalMatrix:
     ):
         raise InputError(f"{where}: expected a {rows}x{cols} matrix")
     return RationalMatrix(rows, cols, [[_rat(x) for x in r] for r in obj])
-
-
-def _matrix_out(m: RationalMatrix):
-    return [[_rat_out(x) for x in r] for r in m.tolist()]
 
 
 def _poly_in(obj, where: str, signed: bool = False) -> PoincarePolynomial:
@@ -151,6 +154,9 @@ def parse_gstar(payload) -> GStarStructure:
         brackets.setdefault((i, j), {})[k] = _rat(b["value"])
     lie = LieAlgebraSpec(r, brackets)
     degrees = payload["degrees"]
+    for n, names in degrees.items():
+        if not isinstance(names, list) or any(not isinstance(x, str) for x in names):
+            raise InputError(f"degrees[{n!r}] must be a list of label strings, got {names!r}")
     dims = {int(n): len(labels) for n, labels in degrees.items()}
     labels = {int(n): tuple(labels) for n, labels in degrees.items()}
     trunc = payload.get("truncated_above")
@@ -237,7 +243,7 @@ def gstar_to_payload(s: GStarStructure) -> dict:
         for n in sp.degrees():
             m = get(n)
             if not m.is_zero():
-                out[str(n)] = _matrix_out(m)
+                out[str(n)] = [[_rat_out(x) for x in r] for r in m.tolist()]
         return out
 
     payload["d"] = mats_out(s.op_d, 1)
@@ -252,7 +258,7 @@ def gstar_to_payload(s: GStarStructure) -> dict:
 def parse_strata(payload) -> FoliationStrataModel:
     strata = tuple(
         Stratum(
-            name=str(s.get("name", f"stratum{k}")),
+            name=_str(s.get("name", f"stratum{k}"), f"strata[{k}].name"),
             codim=_int(s["codim"], f"strata[{k}].codim"),
             isotropy_dim=_int(s["isotropy_dim"], f"strata[{k}].isotropy_dim"),
             quotient_poincare=_poly_in(s["quotient_poincare"], "quotient_poincare"),
@@ -303,23 +309,6 @@ def parse_morse(payload) -> MorseDocument:
     return MorseDocument(MorseData(comps), dim_a, basic_poly)
 
 
-def morse_to_payload(d: MorseData, dim_a: int, basic: PoincarePolynomial | None) -> dict:
-    out = {
-        "dim_a": dim_a,
-        "components": [
-            {
-                "index": c.index,
-                "quotient_poincare": list(c.quotient_poincare.coeffs),
-                "isotropy_dim": c.isotropy_dim,
-            }
-            for c in d.components
-        ],
-    }
-    if basic is not None:
-        out["basic_poincare"] = list(basic.coeffs)
-    return out
-
-
 def parse_polytope(payload) -> PolytopeData:
     inc = payload.get("vertex_edge_incidence")
     return PolytopeData(
@@ -331,13 +320,6 @@ def parse_polytope(payload) -> PolytopeData:
         if inc is not None
         else None,
     )
-
-
-def polytope_to_payload(p: PolytopeData) -> dict:
-    out = {"f_vector": list(p.f_vector), "q": p.q}
-    if p.vertex_edge_incidence is not None:
-        out["vertex_edge_incidence"] = [list(v) for v in p.vertex_edge_incidence]
-    return out
 
 
 def parse_module(payload) -> GradedModulePresentation:
@@ -356,22 +338,6 @@ def parse_module(payload) -> GradedModulePresentation:
     return GradedModulePresentation(
         dim_a, gens, tuple(rels), window=_int(payload.get("window", 12), "window")
     )
-
-
-def module_to_payload(m: GradedModulePresentation) -> dict:
-    rels = []
-    for rel in m.relations:
-        entries = []
-        for g, poly in enumerate(rel):
-            for mono, c in sorted(poly.items()):
-                entries.append({"gen": g, "monomial": list(mono), "coeff": _rat_out(c)})
-        rels.append({"entries": entries})
-    return {
-        "dim_a": m.dim_a,
-        "window": m.window,
-        "generators": list(m.generators),
-        "relations": rels,
-    }
 
 
 def _parse_complex(obj, window, where: str) -> CochainComplex:
@@ -402,25 +368,6 @@ def parse_ses_complex(payload) -> ShortExactSequence:
         for n, m in payload.get("projection", {}).items()
     }
     return ShortExactSequence(sub, total, quot, incl, proj)
-
-
-def _complex_to_payload(c: CochainComplex) -> dict:
-    return {
-        "dims": {str(n): d for n, d in sorted(c.spaces.dims.items())},
-        "d": {str(n): _matrix_out(m) for n, m in sorted(c.d.items())},
-    }
-
-
-def ses_complex_to_payload(ses: ShortExactSequence) -> dict:
-    return {
-        "type": "complex",
-        "window": list(ses.sub.spaces.window),
-        "sub": _complex_to_payload(ses.sub),
-        "total": _complex_to_payload(ses.total),
-        "quotient": _complex_to_payload(ses.quotient),
-        "inclusion": {str(n): _matrix_out(m) for n, m in sorted(ses.inclusion.items())},
-        "projection": {str(n): _matrix_out(m) for n, m in sorted(ses.projection.items())},
-    }
 
 
 def _parse_module_map(obj, n_src: int, n_tgt: int, where: str):
@@ -721,9 +668,12 @@ def _cmd_polytope(p, n_max):
 
 
 def _cmd_fixtures(name_filter=None, list_only=False):
+    from . import fixtures  # which imports this module
     if list_only:
         return EXIT_OK, {"fixtures": fixtures.list_fixture_names()}
     outcomes = fixtures.run_fixtures(name_filter)
+    if not outcomes:
+        raise InputError(f"no fixture name contains {name_filter!r}")
     results = [
         {
             "name": o.name,
@@ -733,7 +683,7 @@ def _cmd_fixtures(name_filter=None, list_only=False):
         }
         for o in outcomes
     ]
-    ok = all(o.passed for o in outcomes) and bool(outcomes)
+    ok = all(o.passed for o in outcomes)
     code = EXIT_OK if ok else EXIT_VERDICT_FAILURE
     return code, {"all_passed": ok, "count": len(outcomes), "outcomes": results}
 
@@ -856,10 +806,10 @@ def _finish(args, code: int, **fields) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "fixtures":
-        code, results = _cmd_fixtures(args.filter, args.list)
-        return _finish(args, code, results=results)
     try:
+        if args.command == "fixtures":
+            code, results = _cmd_fixtures(args.filter, args.list)
+            return _finish(args, code, results=results)
         doc, digest = load_document(args.input)
         n_max = args.max_degree
         if n_max is None:

@@ -1,34 +1,41 @@
 """Bundled models and the golden verification suite.
 
 The structures here are the small exactly-solvable inputs every other module
-is tested against: the one-line trivial algebra, an exterior line with a free
-contraction, the free-flow model on a four-dimensional algebra (the abstract
-Hopf-flow package), the three-sphere minimal model, and the matching strata,
-Morse, polytope, and module records.
+is tested against.  A model that ships as a document in ``data/`` is parsed
+from that document, which is its only definition: the one-line trivial
+algebra, an exterior line with a free contraction, the free-flow model on a
+four-dimensional algebra (the abstract Hopf-flow package), the three-sphere
+minimal model, and the matching strata, Morse, polytope and module records.
+The few models no document holds are built here in Python.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, NamedTuple
 
+from . import cli
 from .algebra_core import GradedVectorSpace
 from .gstar import (
     ConnectionElements,
     GradedAlgebraPresentation,
     GStarStructure,
     LieAlgebraSpec,
+    extend_with_trivial_factor,
 )
-from .foliation import (
-    FoliationStrataModel,
-    MorseComponent,
-    MorseData,
-    PolytopeData,
-    Stratum,
-)
+from .foliation import FoliationStrataModel, MorseData, PolytopeData
 from .module_theory import GradedModulePresentation
 from .ratmat import RationalMatrix
 from .series import PoincarePolynomial
+
+_DATA = Path(__file__).parent / "data"
+
+
+def _payload(name: str) -> dict:
+    """The payload of the bundled document ``data/<name>.json``."""
+    return json.loads((_DATA / f"{name}.json").read_text(encoding="utf-8"))["payload"]
 
 
 def _unit_products(dims: dict[int, int], extra=None):
@@ -45,21 +52,13 @@ def _unit_products(dims: dict[int, int], extra=None):
 
 
 def trivial_line(r: int = 1) -> GStarStructure:
-    """One-dimensional algebra in degree 0 with the trivial action."""
-    space = GradedVectorSpace({0: 1}, {0: ("1",)})
-    algebra = GradedAlgebraPresentation(space, _unit_products({}))
-    lie = LieAlgebraSpec.abelian(r)
-    zeros = [dict() for _ in range(r)]
-    return GStarStructure(algebra, lie, {}, zeros, [dict() for _ in range(r)])
+    """One-dimensional algebra in degree 0 with the trivial action of R^r, r >= 1."""
+    return extend_with_trivial_factor(cli.parse_gstar(_payload("trivial_line_gstar")), r - 1)
 
 
 def exterior_line_free() -> GStarStructure:
     """Lambda(theta): basis 1, theta; d = 0, i_X theta = 1, L = 0."""
-    space = GradedVectorSpace({0: 1, 1: 1}, {0: ("1",), 1: ("theta",)})
-    algebra = GradedAlgebraPresentation(space, _unit_products({1: 1}))
-    lie = LieAlgebraSpec.abelian(1)
-    i_ops = [{1: RationalMatrix.from_rows([[1]])}]
-    return GStarStructure(algebra, lie, {}, i_ops, [{}])
+    return cli.parse_gstar(_payload("exterior_line_gstar"))
 
 
 def exterior_two_free() -> GStarStructure:
@@ -84,43 +83,16 @@ def hopf_basic_model() -> GStarStructure:
     All differentials vanish; i_X theta = 1, i_X omega = 0,
     i_X(theta*omega) = omega, L_X = 0.  Its i/L-kernel has dims (1,0,1,0).
     """
-    space = GradedVectorSpace(
-        {0: 1, 1: 1, 2: 1, 3: 1},
-        {0: ("1",), 1: ("theta",), 2: ("omega",), 3: ("theta*omega",)},
-    )
-    extra = {
-        (1, 0, 2, 0): ((0, 1),),  # theta * omega
-        (2, 0, 1, 0): ((0, 1),),  # omega * theta (even times odd commute)
-    }
-    algebra = GradedAlgebraPresentation(space, _unit_products({1: 1, 2: 1, 3: 1}, extra))
-    lie = LieAlgebraSpec.abelian(1)
-    i_ops = [{
-        1: RationalMatrix.from_rows([[1]]),
-        3: RationalMatrix.from_rows([[1]]),
-    }]
-    return GStarStructure(algebra, lie, {}, i_ops, [{}])
+    return cli.parse_gstar(_payload("hopf_gstar"))
 
 
-def sphere3_minimal_model(trivial_action: bool = True) -> GStarStructure:
+def sphere3_minimal_model() -> GStarStructure:
     """S^3 minimal model: 1, theta, omega, theta*omega with d theta = omega.
 
     With the trivial action this is the odd-sphere fixture for the
     cross-model agreement tests; cohomology has dims (1, 0, 0, 1).
     """
-    space = GradedVectorSpace(
-        {0: 1, 1: 1, 2: 1, 3: 1},
-        {0: ("1",), 1: ("theta",), 2: ("omega",), 3: ("theta*omega",)},
-    )
-    extra = {
-        (1, 0, 2, 0): ((0, 1),),
-        (2, 0, 1, 0): ((0, 1),),
-    }
-    algebra = GradedAlgebraPresentation(space, _unit_products({1: 1, 2: 1, 3: 1}, extra))
-    lie = LieAlgebraSpec.abelian(1)
-    d = {1: RationalMatrix.from_rows([[1]])}
-    if not trivial_action:
-        raise ValueError("only the trivial-action variant is bundled")
-    return GStarStructure(algebra, lie, d, [{}], [{}])
+    return cli.parse_gstar(_payload("sphere3_gstar"))
 
 
 def trivial_action_on_h_1_0_1() -> GStarStructure:
@@ -143,60 +115,29 @@ def hopf_connection_candidates() -> ConnectionElements:
 
 def hopf_strata_model() -> FoliationStrataModel:
     """Two closed leaves plus the open dense stratum; q = 2, dim_a = 1."""
-    one = PoincarePolynomial.one()
-    return FoliationStrataModel(
-        q=2,
-        dim_a=1,
-        strata=(
-            Stratum("open", 0, 0, one),
-            Stratum("closed0", 2, 1, one),
-            Stratum("closed1", 2, 1, one),
-        ),
-    )
+    return cli.parse_strata(_payload("hopf_strata"))
 
 
 def hopf_morse_data() -> MorseData:
-    one = PoincarePolynomial.one()
-    return MorseData(
-        components=(
-            MorseComponent(0, one, 1),
-            MorseComponent(2, one, 1),
-        )
-    )
+    """Critical set C = the two closed leaves, of indices 0 and 2."""
+    return cli.parse_morse(_payload("hopf_morse")).data
 
 
 def segment_polytope() -> PolytopeData:
-    return PolytopeData(f_vector=(2, 1), q=2)
+    return cli.parse_polytope(_payload("segment"))
 
 
 def square_polytope() -> PolytopeData:
-    return PolytopeData(
-        f_vector=(4, 4, 1),
-        q=4,
-        vertex_edge_incidence=((0, 3), (0, 1), (1, 2), (2, 3)),
-    )
+    return cli.parse_polytope(_payload("square"))
 
 
 def triangle_polytope() -> PolytopeData:
-    return PolytopeData(
-        f_vector=(3, 3, 1),
-        q=4,
-        vertex_edge_incidence=((0, 2), (0, 1), (1, 2)),
-    )
+    return cli.parse_polytope(_payload("triangle"))
 
 
 def hopf_module() -> GradedModulePresentation:
     """Generators in degrees 0 and 2, each killed by u: the pure-torsion module."""
-    u = (1,)
-    return GradedModulePresentation(
-        dim_a=1,
-        generators=(0, 2),
-        relations=(
-            ({u: Fraction(1)}, {}),
-            ({}, {u: Fraction(1)}),
-        ),
-        window=10,
-    )
+    return cli.parse_module(_payload("hopf_module"))
 
 
 # -- golden suite -------------------------------------------------------------------

@@ -226,11 +226,6 @@ class PoincareSeriesRational:
         return f"({self.numerator}) / (1-t^2)^{self.den_exp}"
 
 
-def geometric_series(den_exp: int) -> PoincareSeriesRational:
-    """1 / (1 - t^2)^den_exp, the Poincare series of a polynomial ring."""
-    return PoincareSeriesRational(PoincarePolynomial.one(), den_exp)
-
-
 class MorseGapResult(NamedTuple):
     """Outcome of dividing a Morse difference by (1+t) on a window."""
 

@@ -7,7 +7,6 @@ from foliacoh.series import (
     PoincareSeriesRational,
     divide_by_one_minus_tk,
     euler_at_minus_one,
-    geometric_series,
     morse_gap,
     times_one_minus_t2_power,
 )
@@ -70,10 +69,6 @@ def test_product_expansion_is_cauchy_product(a, b, ka, kb):
         sum(ea[i] * eb[m - i] for i in range(m + 1)) for m in range(n + 1)
     )
     assert (sa * sb).expand(n) == cauchy
-
-
-def test_geometric_series():
-    assert geometric_series(2).expand(6) == (1, 0, 2, 0, 3, 0, 4)
 
 
 def test_morse_gap_perfect():
