@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import __version__
@@ -117,6 +118,13 @@ def _str(x, where: str) -> str:
     return x
 
 
+def _degree(key, where: str) -> int:
+    """The degree a key names; a key must be its canonical decimal, so no two name one degree."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise InputError(f"{where} key {key!r} is not a degree (a decimal integer >= 0)")
+    return int(key)
+
+
 def _rat_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -126,7 +134,10 @@ def _matrix_in(obj, rows: int, cols: int, where: str) -> RationalMatrix:
         not isinstance(r, list) or len(r) != cols for r in obj
     ):
         raise InputError(f"{where}: expected a {rows}x{cols} matrix")
-    return RationalMatrix(rows, cols, [[_rat(x) for x in r] for r in obj])
+    # a row of ints is passed on as it is, and read with no Fraction
+    return RationalMatrix(
+        rows, cols, [r if set(map(type, r)) <= {int} else [_rat(x) for x in r] for r in obj]
+    )
 
 
 def _poly_in(obj, where: str, signed: bool = False) -> PoincarePolynomial:
@@ -153,12 +164,12 @@ def parse_gstar(payload) -> GStarStructure:
         i, j, k = (_int(b[key], f"bracket {key}") for key in "ijk")
         brackets.setdefault((i, j), {})[k] = _rat(b["value"])
     lie = LieAlgebraSpec(r, brackets)
-    degrees = payload["degrees"]
-    for n, names in degrees.items():
+    labels = {}
+    for n, names in payload["degrees"].items():
         if not isinstance(names, list) or any(not isinstance(x, str) for x in names):
             raise InputError(f"degrees[{n!r}] must be a list of label strings, got {names!r}")
-    dims = {int(n): len(labels) for n, labels in degrees.items()}
-    labels = {int(n): tuple(labels) for n, labels in degrees.items()}
+        labels[_degree(n, "degrees")] = tuple(names)
+    dims = {n: len(names) for n, names in labels.items()}
     trunc = payload.get("truncated_above")
     if trunc is not None and not _is_int(trunc, 0):
         raise InputError(f"truncated_above must be an integer >= 0 or null, got {trunc!r}")
@@ -197,7 +208,7 @@ def parse_gstar(payload) -> GStarStructure:
     def mats(obj, delta, where):
         out = {}
         for n_str, m in obj.items():
-            n = int(n_str)
+            n = _degree(n_str, where)
             out[n] = _matrix_in(
                 m, space.dim(n + delta), space.dim(n), f"{where} at degree {n}"
             )
@@ -437,7 +448,50 @@ def _parse(kind: str, payload: dict):
 
 
 def canonical_bytes(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` in UTF-8, built faster.
+
+    The indented encoder runs in pure Python.  Here a list of ints or of
+    strings is one join, strings and keys go through the C string encoder,
+    and any other leaf, or a dict with a key that is not a string, is
+    written by ``json.dumps`` itself.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    return ("".join(out) + "\n").encode("utf-8")
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it at newline's depth."""
+    t = type(obj)
+    inner = newline + "  "
+    if t is str:
+        out.append(encode_basestring_ascii(obj))
+    elif t is int:
+        out.append(str(obj))
+    elif t is dict and obj and set(map(type, obj)) == {str}:
+        sep = "{" + inner
+        for k in sorted(obj):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write_json(obj[k], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif (t is list or t is tuple) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            leaves = map(str, obj)
+        elif kinds == {str}:
+            leaves = map(encode_basestring_ascii, obj)
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                _write_json(x, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+            return
+        out.append("[" + inner + ("," + inner).join(leaves) + newline + "]")
+    else:
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def load_document(path: str) -> tuple[dict, str]:
@@ -449,6 +503,8 @@ def load_document(path: str) -> tuple[dict, str]:
         raise InputError(f"cannot read {path}: {exc}") from None
     except (ValueError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -462,7 +518,10 @@ def load_document(path: str) -> tuple[dict, str]:
         raise InputError("missing payload object")
     if "max_degree" in doc and not _is_int(doc["max_degree"], 0):
         raise InputError(f"max_degree must be an integer >= 0, got {doc['max_degree']!r}")
-    digest = hashlib.sha256(canonical_bytes(doc)).hexdigest()
+    try:
+        digest = hashlib.sha256(canonical_bytes(doc)).hexdigest()
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read") from None
     return doc, digest
 
 
@@ -669,11 +728,11 @@ def _cmd_polytope(p, n_max):
 
 def _cmd_fixtures(name_filter=None, list_only=False):
     from . import fixtures  # which imports this module
-    if list_only:
-        return EXIT_OK, {"fixtures": fixtures.list_fixture_names()}
-    outcomes = fixtures.run_fixtures(name_filter)
-    if not outcomes:
+    found = (fixtures.list_fixture_names if list_only else fixtures.run_fixtures)(name_filter)
+    if not found:
         raise InputError(f"no fixture name contains {name_filter!r}")
+    if list_only:
+        return EXIT_OK, {"fixtures": found}
     results = [
         {
             "name": o.name,
@@ -681,11 +740,11 @@ def _cmd_fixtures(name_filter=None, list_only=False):
             "expected": repr(o.expected),
             "actual": repr(o.actual),
         }
-        for o in outcomes
+        for o in found
     ]
-    ok = all(o.passed for o in outcomes)
+    ok = all(o.passed for o in found)
     code = EXIT_OK if ok else EXIT_VERDICT_FAILURE
-    return code, {"all_passed": ok, "count": len(outcomes), "outcomes": results}
+    return code, {"all_passed": ok, "count": len(found), "outcomes": results}
 
 
 # command -> (implementation, the document kinds it takes, the ses types it takes);

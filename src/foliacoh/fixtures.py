@@ -242,5 +242,5 @@ def run_fixtures(name_filter: str | None = None, fixtures=None) -> list[FixtureO
     return outcomes
 
 
-def list_fixture_names() -> list[str]:
-    return [f.name for f in _fixture_list()]
+def list_fixture_names(name_filter: str | None = None) -> list[str]:
+    return [f.name for f in _fixture_list() if not name_filter or name_filter in f.name]

@@ -1,54 +1,56 @@
 """Sparse matrices over the rationals.
 
-Every entry is a ``fractions.Fraction``; no floating point enters any
-computation in this package.  Matrices act on column vectors, so an operator
-from an n-dimensional space to an m-dimensional one is an (m x n) matrix.
+No floating point enters any computation in this package.  Matrices act on
+column vectors, so an operator from an n-dimensional space to an
+m-dimensional one is an (m x n) matrix.
 
-A matrix is stored as one dict per row that maps a column to its nonzero
-entry; a zero is never stored, so ``==`` and ``is_zero`` compare stored
-entries only.  Sums, scaling, stacks, products, ``select`` and
-``nonzero_columns`` visit nonzero entries only, and a product sums each
-output row over the integers on one common denominator; only ``tolist``
-reads dense.
-
-Entries are coerced only at the public boundary: ``frac``, ``vec``,
-``RationalMatrix(...)``, ``from_rows``, ``from_cols`` and the CLI parsers.
-A matrix this module builds itself (sum, scaling, stack, selection, RREF,
-kernel, solution, coordinates) wraps its rows of Fractions with no copy and
-no coercion and may share rows with its operands, so rows are immutable by
+A matrix is stored as one pair per row: a dict that maps a column to the
+integer numerator of its nonzero entry, and one positive denominator for
+the row.  Rows are canonical: no zero is stored, the denominator is coprime
+to the gcd of the numerators, and an empty row has denominator 1; so ``==``
+and ``is_zero`` compare stored entries only.  Sums, scaling, stacks,
+products and ``select`` visit nonzero entries only and work on integers,
+with at most one gcd per output row; a product sums each output row over
+one common denominator.  Fractions appear only at the edges: the
+constructors (``RationalMatrix(...)``, ``from_rows``, ``from_cols``,
+``from_entries``) coerce entries, and a row of ints makes no Fraction;
+``tolist`` (the one dense reader), ``nonzero_columns`` and ``apply`` hand
+Fractions back.  A matrix this module builds itself wraps its rows with no
+copy and may share rows with its operands, so rows are immutable by
 convention: only a row just allocated is ever written.
 
 Canonical bases (kernels, representatives) come from the reduced row
 echelon form, which is unique and hence deterministic.  It is computed
-fraction-free: every row is scaled to coprime integers, an elimination sets
-row <- (p/g) row - (f/g) pivot_row, with p the pivot, f the row's entry in
-the pivot column and g = gcd(p, f), and then divides the row by its content;
-each column pivots on the candidate row with the fewest nonzeros, and
-Fractions are made only for the output rows.  This forward pass,
-``_echelon``, is the one elimination loop: ``rref`` adds back substitution,
-``rank()`` counts its pivots, and ``rank(p)`` counts them on the rows reduced
-mod a prime p, with row <- row - (row[c]/top[c]) top mod p.  A rank mod p is
-at most the rank over Q, so a rank mod ``PRIME`` equal to the number of
-columns proves full column rank by arithmetic the RREF does not share;
-``rank_of_columns`` falls back to the exact rank otherwise, and
-``independent_complement`` certifies its pick with it.
+fraction-free on the numerators, each row divided by its content (the gcd
+of its entries): an elimination sets row <- (p/g) row - (f/g) pivot_row,
+with p the pivot, f the row's entry in the pivot column and g = gcd(p, f),
+and divides the row by its content; each column pivots on the candidate
+row with the fewest nonzeros.  A row of the RREF is its primitive pivot row
+over its pivot entry, which is canonical as it stands.  This forward pass,
+``_echelon``, is the one elimination loop: ``pivots`` returns its pivot
+columns, ``rank()`` counts them, ``rref`` adds back substitution, and
+``rank(p)`` counts them on the rows reduced mod a prime p, with
+row <- row - (row[c]/top[c]) top mod p.  A rank mod p is at most the rank
+over Q, so a rank mod ``PRIME`` equal to the number of columns proves full
+column rank by arithmetic the RREF does not share; ``rank_of_columns``
+falls back to the exact rank otherwise, and ``independent_complement``
+certifies its pick with it.
 
 A subspace, and a batch of vectors, is always a matrix of columns, and one
 elimination serves it whole.  ``nullspace`` returns the canonical kernel
 basis; ``solve`` takes a matrix of right-hand sides and reduces ``[A | B]``
 once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
 ``independent_complement`` reads its pick off the pivot columns of one RREF
-of ``[modulo | candidates]``, and ``select`` takes the picked columns.
-``kron_identity`` and ``identity_kron`` place a matrix's entries into its
-Kronecker product with an identity, with no arithmetic; ``gstar`` writes the
-G*-axioms as identities between such products.  Single dense vectors
-(``Vec``, ``vec``, ``apply``) serve only ``gstar.detect_type_c`` and the
-tests, and stay while ``bench/spans.py`` binds ``apply`` by name.
-
-Two subspace helpers carry the linear algebra that the Cartan and Weil
-routes share: ``joint_kernel`` takes the canonical common kernel of several
-maps from one nullspace of their stack, and ``restrict`` writes an operator
-between two subspaces in their bases with one batched solve.
+of ``[modulo | candidates]``.  ``kron_identity`` and ``identity_kron``
+place a matrix's entries into its Kronecker product with an identity, with
+no arithmetic; ``gstar`` writes the G*-axioms as identities between such
+products.  Single dense vectors (``Vec``, ``vec``, ``apply``) serve only
+``gstar.detect_type_c`` and the tests, and stay while ``bench/spans.py``
+binds ``apply`` by name.  Two subspace helpers carry the linear algebra
+that the Cartan and Weil routes share: ``joint_kernel`` takes the canonical
+common kernel of several maps from one nullspace of their stack, and
+``restrict`` writes an operator between two subspaces in their bases with
+one batched solve.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-Row = dict[int, Fraction]
+Row = dict[int, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,21 +89,55 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def _integer(row: Row) -> tuple[int, dict[int, int]]:
-    """(d, r) with row = r / d over the integers, d the lcm of the row's denominators."""
-    d = math.lcm(*(x.denominator for x in row.values()))
+def _integer(row: dict) -> tuple[Row, int]:
+    """A row of nonzero ints and Fractions as (numerators, the lcm d of the denominators).
+
+    It is canonical: an entry whose denominator holds a prime p to p's full
+    power in d keeps a numerator prime to p.
+    """
+    if not row:
+        return row, 1
+    d = math.lcm(*[x.denominator for x in row.values()])
     if d == 1:
-        return 1, {j: x.numerator for j, x in row.items()}
-    return d, {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        return {j: x.numerator for j, x in row.items()}, 1
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
 
 
-def _without_content(row: dict[int, int]) -> dict[int, int]:
+def _row_in(entries: Sequence) -> tuple[Row, int]:
+    """A dense row of exact rationals as a canonical row; a row of ints makes no Fraction."""
+    if set(map(type, entries)) <= {int}:
+        return {j: x for j, x in enumerate(entries) if x}, 1
+    return _integer({j: x for j, x in enumerate(map(frac, entries)) if x})
+
+
+def _lowest(row: Row, den: int) -> tuple[Row, int]:
+    """The row row / den (den > 0) made canonical, with one gcd at most."""
+    if den == 1 or not row:
+        return row, 1
+    g = math.gcd(den, *row.values())
+    if g == 1:
+        return row, den
+    return {j: x // g for j, x in row.items()}, den // g
+
+
+def _fractions(row: Row, den: int) -> dict[int, Fraction]:
+    if den == 1:
+        return {j: Fraction(x) for j, x in row.items()}
+    return {j: Fraction(x, den) for j, x in row.items()}
+
+
+def _scaled(row: Row, s: int) -> Row:
+    """A new dict of the row times s."""
+    return {j: s * x for j, x in row.items()} if s != 1 else dict(row)
+
+
+def _without_content(row: Row) -> Row:
     """The row divided by the gcd of its entries; an empty row stays empty."""
     g = math.gcd(*row.values())
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _eliminate(row: dict[int, int], top: dict[int, int], c: int) -> dict[int, int]:
+def _eliminate(row: Row, top: Row, c: int) -> Row:
     """(p/g) row - (f/g) top over the integers, divided by its content.
 
     p = top[c] and f = row[c] are nonzero and g = gcd(p, f), so column c
@@ -124,7 +160,7 @@ def _eliminate(row: dict[int, int], top: dict[int, int], c: int) -> dict[int, in
     return _without_content(out)
 
 
-def _eliminate_mod(row: dict[int, int], top: dict[int, int], c: int, p: int) -> dict[int, int]:
+def _eliminate_mod(row: Row, top: Row, c: int, p: int) -> Row:
     """row - (row[c]/top[c]) top mod p; column c cancels and zeros are dropped."""
     f = row[c] * pow(top[c], -1, p) % p
     out = dict(row)
@@ -137,7 +173,7 @@ def _eliminate_mod(row: dict[int, int], top: dict[int, int], c: int, p: int) -> 
     return out
 
 
-def _echelon(rows: list[dict[int, int]], ncols: int, eliminate) -> tuple[list, list]:
+def _echelon(rows: list[Row], ncols: int, eliminate) -> tuple[list, list]:
     """Pivot columns and pivot rows of a forward elimination of nonempty rows.
 
     The rows not yet pivoted are kept grouped by their leading column, so
@@ -145,7 +181,7 @@ def _echelon(rows: list[dict[int, int]], ncols: int, eliminate) -> tuple[list, l
     with the fewest nonzeros, and eliminate(row, top, c) clears column c
     from the others.
     """
-    by_lead: dict[int, list[dict[int, int]]] = {}
+    by_lead: dict[int, list[Row]] = {}
     for r in rows:
         by_lead.setdefault(min(r), []).append(r)
     pivots, tops = [], []
@@ -167,29 +203,27 @@ def _echelon(rows: list[dict[int, int]], ncols: int, eliminate) -> tuple[list, l
 
 
 class RationalMatrix:
-    """Immutable-by-convention sparse matrix of Fractions, one dict per row."""
+    """Immutable-by-convention sparse rational matrix: integer rows, one denominator each."""
 
     __slots__ = ("rows", "cols", "_nz", "_rref_cache")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        self.rows = rows
-        self.cols = cols
-        self._rref_cache = None
+        self.rows, self.cols, self._rref_cache = rows, cols, None
         if entries is None:
-            self._nz = [{} for _ in range(rows)]
+            self._nz = [({}, 1) for _ in range(rows)]
             return
-        grid = [[frac(x) for x in r] for r in entries]
+        grid = [r if isinstance(r, (list, tuple)) else list(r) for r in entries]
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ValueError(f"entry grid is not {rows}x{cols}: got {len(grid)} rows")
-        self._nz = [{j: x for j, x in enumerate(r) if x} for r in grid]
+        self._nz = [_row_in(r) for r in grid]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, nz: list[Row]) -> "RationalMatrix":
-        """Wrap rows x cols nonzero Fractions, one dict per row, as they are."""
+    def _trusted(cls, rows: int, cols: int, nz: list[tuple[Row, int]]) -> "RationalMatrix":
+        """Wrap rows x cols canonical (numerators, denominator) rows as they are."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._nz, m._rref_cache = rows, cols, nz, None
         return m
@@ -200,7 +234,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._trusted(n, n, [{i: ONE} for i in range(n)])
+        return cls._trusted(n, n, [({i: 1}, 1) for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -213,14 +247,7 @@ class RationalMatrix:
         cols = [tuple(c) for c in cols]
         if any(len(c) != dim for c in cols):
             raise ValueError("column length mismatch")
-        nz = [{} for _ in range(dim)]
-        for j, c in enumerate(cols):
-            for i, x in enumerate(c):
-                if type(x) is not Fraction:
-                    x = frac(x)
-                if x:
-                    nz[i][j] = x
-        return cls._trusted(dim, len(cols), nz)
+        return cls(dim, len(cols), list(zip(*cols)) if cols else [()] * dim)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "RationalMatrix":
@@ -229,18 +256,19 @@ class RationalMatrix:
         for i, j, x in entries:
             r = nz[i]
             r[j] = r[j] + x if j in r else x
-        return cls._trusted(rows, cols, [{j: x for j, x in r.items() if x} for r in nz])
+        return cls._trusted(rows, cols, [_integer({j: x for j, x in r.items() if x}) for r in nz])
 
     # -- access ------------------------------------------------------------
 
     def tolist(self) -> list[list[Fraction]]:
-        return [[r.get(j, ZERO) for j in range(self.cols)] for r in self._nz]
+        rows = (_fractions(r, d) for r, d in self._nz)
+        return [[r.get(j, ZERO) for j in range(self.cols)] for r in rows]
 
     def nonzero_columns(self) -> list[list[tuple[int, Fraction]]]:
         """Per column, its nonzero entries as (row, value), rows ascending."""
         out = [[] for _ in range(self.cols)]
-        for i, r in enumerate(self._nz):
-            for j, x in r.items():
+        for i, (r, d) in enumerate(self._nz):
+            for j, x in _fractions(r, d).items():
                 out[j].append((i, x))
         return out
 
@@ -252,20 +280,16 @@ class RationalMatrix:
             0 <= rows <= self.rows
         ):
             raise ValueError(f"bad selection from a {self.rows}x{self.cols} matrix")
-        return RationalMatrix._trusted(
-            rows, len(pos), [{pos[j]: x for j, x in r.items() if j in pos} for r in self._nz[:rows]]
-        )
+        return RationalMatrix._trusted(rows, len(pos), [
+            _lowest({pos[j]: x for j, x in r.items() if j in pos}, d) for r, d in self._nz[:rows]
+        ])
 
     def is_zero(self) -> bool:
-        return not any(self._nz)
+        return not any(r for r, _ in self._nz)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._nz == other._nz
-        )
+        return isinstance(other, RationalMatrix) and (self.rows, self.cols, self._nz) == (
+            other.rows, other.cols, other._nz)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -273,15 +297,20 @@ class RationalMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         out = []
-        for r1, r2 in zip(self._nz, other._nz):
-            r = dict(r1)
+        for (r1, d1), (r2, d2) in zip(self._nz, other._nz):
+            if not (r1 and r2):
+                out.append((r1, d1) if r1 else (r2, d2))
+                continue
+            den = math.lcm(d1, d2)
+            r, s2 = _scaled(r1, den // d1), den // d2
             for j, y in r2.items():
-                v = r.pop(j, ZERO) + y
+                v = r.pop(j, 0) + s2 * y
                 if v:
                     r[j] = v
-            out.append(r)
+            out.append(_lowest(r, den))
         return RationalMatrix._trusted(self.rows, self.cols, out)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -294,8 +323,10 @@ class RationalMatrix:
         c = frac(c)
         if not c:
             return RationalMatrix.zeros(self.rows, self.cols)
+        p, q = c.numerator, c.denominator
         return RationalMatrix._trusted(
-            self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self._nz]
+            self.rows, self.cols, [_lowest({j: p * x for j, x in r.items()}, q * d)
+                                   for r, d in self._nz]
         )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -304,17 +335,19 @@ class RationalMatrix:
                 f"shape mismatch for product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         # each output row is summed over the integers on one common denominator
-        right = [_integer(r) for r in other._nz]
+        right = other._nz
+        mixed = any(d != 1 for _, d in right)
         out = []
-        for r in self._nz:
-            terms = [(a, right[k]) for k, a in r.items() if right[k][1]]
-            den = math.lcm(*(a.denominator * d for a, (d, _) in terms))
+        for r, da in self._nz:
+            den = math.lcm(*(right[k][1] for k in r)) if mixed else 1
             acc = {}
-            for a, (d, b) in terms:
-                s = a.numerator * (den // (a.denominator * d))
+            for k, a in r.items():
+                b, db = right[k]
+                if den != db:
+                    a *= den // db
                 for j, y in b.items():
-                    acc[j] = acc.get(j, 0) + s * y
-            out.append({j: Fraction(x, den) for j, x in acc.items() if x})
+                    acc[j] = acc.get(j, 0) + a * y
+            out.append(_lowest({j: x for j, x in acc.items() if x}, da * den))
         return RationalMatrix._trusted(self.rows, other.cols, out)
 
     def apply(self, v: Sequence) -> Vec:
@@ -324,31 +357,34 @@ class RationalMatrix:
             raise ValueError("vector length mismatch")
         nonzero = {j: x for j, x in enumerate(v) if x}
         return tuple(
-            sum((a * nonzero[j] for j, a in r.items() if j in nonzero), ZERO) for r in self._nz
+            sum((a * nonzero[j] for j, a in r.items() if j in nonzero), ZERO) / d
+            for r, d in self._nz
         )
 
     def kron_identity(self, n: int) -> "RationalMatrix":
         """self (x) 1_n: entry (i n + k, j n + k) is self[i, j], placed with no arithmetic."""
-        out = [{j * n + k: x for j, x in r.items()} for r in self._nz for k in range(n)]
+        out = [({j * n + k: x for j, x in r.items()}, d) for r, d in self._nz for k in range(n)]
         return RationalMatrix._trusted(self.rows * n, self.cols * n, out)
 
     def identity_kron(self, n: int) -> "RationalMatrix":
         """1_n (x) self: entry (k r + i, k c + j) is self[i, j] for self r x c."""
         c = self.cols
-        out = [{k * c + j: x for j, x in r.items()} for k in range(n) for r in self._nz]
+        out = [({k * c + j: x for j, x in r.items()}, d) for k in range(n) for r, d in self._nz]
         return RationalMatrix._trusted(self.rows * n, c * n, out)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
+        """[self | other]; a row over the lcm of two canonical denominators is canonical."""
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
         shift = self.cols
         out = []
-        for r1, r2 in zip(self._nz, other._nz):
+        for (r1, d1), (r2, d2) in zip(self._nz, other._nz):
             if r2:
-                r1 = dict(r1)
+                den = math.lcm(d1, d2)
+                r1, s2, d1 = _scaled(r1, den // d1), den // d2, den
                 for j, x in r2.items():
-                    r1[shift + j] = x
-            out.append(r1)
+                    r1[shift + j] = s2 * x
+            out.append((r1, d1))
         return RationalMatrix._trusted(self.rows, self.cols + other.cols, out)
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -356,19 +392,23 @@ class RationalMatrix:
             raise ValueError("vstack column mismatch")
         return RationalMatrix._trusted(self.rows + other.rows, self.cols, self._nz + other._nz)
 
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     # -- elimination ---------------------------------------------------------
+
+    def _primitive_rows(self) -> list[Row]:
+        return [_without_content(r) for r, _ in self._nz if r]
+
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot columns of the forward pass, which are the RREF's, with no back substitution."""
+        if self._rref_cache is not None:
+            return self._rref_cache[1]
+        return tuple(_echelon(self._primitive_rows(), self.cols, _eliminate)[0])
 
     def rank(self, p: int | None = None) -> int:
         """Pivot count of the forward pass: the exact rank, or the rank mod a prime p (no more)."""
-        rows = [_without_content(_integer(r)[1]) for r in self._nz if r]
         if p is None:
-            return len(_echelon(rows, self.cols, _eliminate)[0])
+            return len(self.pivots())
         # a primitive row is never zero mod p
-        rows = [{j: x % p for j, x in r.items() if x % p} for r in rows]
+        rows = [{j: x % p for j, x in r.items() if x % p} for r in self._primitive_rows()]
         return len(_echelon(rows, self.cols, functools.partial(_eliminate_mod, p=p))[0])
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
@@ -379,15 +419,16 @@ class RationalMatrix:
         """
         if self._rref_cache is not None:
             return self._rref_cache
-        rows = [_without_content(_integer(r)[1]) for r in self._nz if r]
-        pivots, tops = _echelon(rows, self.cols, _eliminate)
+        pivots, tops = _echelon(self._primitive_rows(), self.cols, _eliminate)
         for k in range(len(pivots) - 1, 0, -1):
             c, top = pivots[k], tops[k]
             for i in range(k):
                 if c in tops[i]:
                     tops[i] = _eliminate(tops[i], top, c)
-        out = [{j: Fraction(x, top[c]) for j, x in top.items()} for c, top in zip(pivots, tops)]
-        out += [{} for _ in range(self.rows - len(out))]
+        # a primitive row over its pivot entry is canonical
+        out = [(top, top[c]) if top[c] > 0 else ({j: -x for j, x in top.items()}, -top[c])
+               for c, top in zip(pivots, tops)]
+        out += [({}, 1) for _ in range(self.rows - len(out))]
         self._rref_cache = RationalMatrix._trusted(self.rows, self.cols, out), tuple(pivots)
         return self._rref_cache
 
@@ -396,12 +437,14 @@ class RationalMatrix:
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = {f: k for k, f in enumerate(f for f in range(self.cols) if f not in pivot_set)}
-        nz = [{} for _ in range(self.cols)]
+        nz = [({}, 1) for _ in range(self.cols)]
         for f, k in free.items():
-            nz[f][k] = ONE
-        # a row of the RREF is zero in every pivot column but its own
-        for row, p in zip(R._nz, pivots):
-            nz[p] = {free[f]: -x for f, x in row.items() if f != p}
+            nz[f] = ({k: 1}, 1)
+        # a row of the RREF is zero in every pivot column but its own, where
+        # its numerator is its denominator d; so d is coprime to the others,
+        # and d is 1 when there are none
+        for (row, d), p in zip(R._nz, pivots):
+            nz[p] = ({free[f]: -x for f, x in row.items() if f != p}, d)
         return RationalMatrix._trusted(self.cols, len(free), nz)
 
     def solve(self, b: "RationalMatrix") -> "RationalMatrix | None":
@@ -414,9 +457,9 @@ class RationalMatrix:
         n = self.cols
         if pivots and pivots[-1] >= n:
             return None
-        x = [{} for _ in range(n)]
-        for row, p in zip(R._nz, pivots):
-            x[p] = {j - n: v for j, v in row.items() if j >= n}
+        x = [({}, 1) for _ in range(n)]
+        for (row, d), p in zip(R._nz, pivots):
+            x[p] = _lowest({j - n: v for j, v in row.items() if j >= n}, d)
         return RationalMatrix._trusted(n, b.cols, x)
 
 

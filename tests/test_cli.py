@@ -1,7 +1,9 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from foliacoh import cli, fixtures
 from foliacoh.gstar import LieAlgebraSpec, weil_algebra
@@ -56,6 +58,21 @@ def test_schema_rejects_a_negative_truncation():
         jsonschema.validate(payload, kind_schema)
 
 
+def test_schema_rejects_a_non_canonical_degree_key():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(cli.__file__).parent / "schema" / "input-v1.json").read_text())
+    kind_schema = {"definitions": schema["definitions"], **schema["definitions"]["gstar_algebra"]}
+    payload = json.loads((DATA / "exterior_line_gstar.json").read_text())["payload"]
+    jsonschema.validate(payload, kind_schema)
+    for key in ("01", " 1", "+1", "-1"):
+        for field in ("degrees", "i"):
+            bad = json.loads(json.dumps(payload))
+            keys = bad["degrees"] if field == "degrees" else bad["i"][0]
+            keys[key] = keys.pop("1")
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, kind_schema)
+
+
 @pytest.mark.parametrize(
     "name,parse,serialize",
     [
@@ -71,6 +88,60 @@ def test_round_trip(name, parse, serialize):
     obj = parse(doc["payload"])
     again = serialize(obj)
     assert cli.canonical_bytes(again) == cli.canonical_bytes(doc["payload"])
+
+
+def indented_dump(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.integers(-10**40, 10**40)
+    | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [1, -2, 10**60], "b": ["\u00e9", "\"q\"", "\\", "\n\t\x00", "\U0001f600"],
+          "c": [[], {}, [[]], [{}]], "\u2028": [True, None, 1.5, -0.0, 1e300]})
+@example({"ints": {1: [2, 3], 2: {}}, "tuple": (1, "x", (2,))})
+@example([[[[[[["deep"]]]]]]])
+def test_canonical_bytes_are_the_indented_dump(doc):
+    assert cli.canonical_bytes(doc) == indented_dump(doc)
+
+
+def test_input_sha256_is_the_digest_of_the_indented_dump():
+    for path in sorted(DATA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        assert cli.canonical_bytes(doc) == indented_dump(doc)
+        if not path.name.startswith("bad_"):
+            assert cli.load_document(str(path))[1] == hashlib.sha256(indented_dump(doc)).hexdigest()
+
+
+def test_a_deeply_nested_document_is_bad_input(tmp_path, capsys):
+    # decoding it used to end in a RecursionError traceback
+    text = (DATA / "exterior_line_gstar.json").read_text().rstrip()
+    p = tmp_path / "deep.json"
+    p.write_text(text[:-1] + ', "extra": ' + "[" * 5000 + "]" * 5000 + "}")
+    for cmd in ("validate", "equivariant"):
+        code, out = run_json(capsys, cmd, "--input", str(p))
+        assert code == cli.EXIT_INVALID_INPUT
+        assert out["error"] == f"{p} is nested too deeply to read"
+
+
+def test_a_document_too_deep_to_hash_is_bad_input(capsys, monkeypatch):
+    # the writer meets the recursion limit a few levels before the decoder can
+    def too_deep(doc):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "canonical_bytes", too_deep)
+    path = doc_path("exterior_line_gstar")
+    code, out = run_json(capsys, "validate", "--input", path)
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"] == f"{path} is nested too deeply to read"
 
 
 def test_rejects_bad_schema_version(tmp_path, capsys):
@@ -114,6 +185,15 @@ def _set_labels(value):
     return "exterior_line_gstar", "equivariant", mutate, "degrees"
 
 
+def _set_degree_key(key, where="degrees", rename=True):
+    """A degree key that int() reads but that is not the degree's own decimal."""
+    def mutate(doc):
+        p = doc["payload"]
+        keys = p["degrees"] if where == "degrees" else p["i"][0]
+        keys[key] = keys.pop("1") if rename else ["a"]
+    return "exterior_line_gstar", "equivariant", mutate, f"{where} key {key!r}"
+
+
 def _set_stratum_name(value):
     def mutate(doc):
         doc["payload"]["strata"][1]["name"] = value
@@ -130,6 +210,9 @@ def _set_stratum_name(value):
     + [_set_product_target(v) for v in (2, 1.5, True, -1)]
     # a label string used to be split into characters, a stratum name stringified
     + [_set_labels(v) for v in ("t", {"t": 0}, [1], None)]
+    # two keys naming one degree used to merge, one of them dropped without a word
+    + [_set_degree_key("01", rename=False), _set_degree_key(" 1"), _set_degree_key("+1"),
+       _set_degree_key("-1"), _set_degree_key("01", "i[0]")]
     + [_set_stratum_name(v) for v in ([1, 2], 7, None)],
 )
 def test_rejects_values_of_the_wrong_schema_type(tmp_path, capsys, name, command, mutate,
@@ -728,6 +811,17 @@ def test_fixtures_filter_that_matches_nothing_is_bad_input(capsys):
     assert code == cli.EXIT_INVALID_INPUT
     assert out["error"] == "no fixture name contains 'nomatch'"
     assert "results" not in out
+
+
+def test_fixtures_list_applies_the_filter(capsys):
+    code, out = run_json(capsys, "fixtures", "--list", "--filter", "nomatch")
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"] == "no fixture name contains 'nomatch'"
+    code, out = run_json(capsys, "fixtures", "--list", "--filter", "polytope/")
+    assert code == 0
+    assert out["results"]["fixtures"] == [
+        n for n in fixtures.list_fixture_names() if n.startswith("polytope/")
+    ]
 
 
 def test_fixtures_list(capsys):

@@ -696,3 +696,64 @@ def test_equality_does_not_depend_on_the_route(m):
         assert_well_formed(r)
     other = M([[1]]) if (m.rows, m.cols) != (1, 1) else M([[grid[0][0] + 1]])
     assert m != other
+
+
+def canonical(m) -> bool:
+    """Whether m's storage is canonical, read through the public surface only.
+
+    A grid of Fractions is stored over the lcm of each row's denominators,
+    which is canonical, and ``==`` compares stored entries; so a matrix
+    whose rows are not in lowest terms differs from its own rebuilt grid.
+    """
+    return m == RationalMatrix(m.rows, m.cols, m.tolist())
+
+
+@FAST
+@given(systems(), st.data())
+def test_every_operation_stores_canonical_rows(system, data):
+    a, b = system
+    same = data.draw(matrices(a.rows, a.cols))
+    right = data.draw(matrices(rows=a.cols))
+    c = data.draw(st.sampled_from((2, -1, "1/3", Fraction(-5, 7), Fraction(6, 35))))
+    split = data.draw(st.integers(0, a.cols))
+    basis, modulo = a.select(range(split)), a.select(range(split, a.cols))
+    outs = [
+        a + same, a - same, a.scale(c), -a, a @ right, a.hstack(b), b.hstack(a), a.vstack(same),
+        a.kron_identity(2), a.identity_kron(2), a.rref()[0], a.solve(b), a.nullspace(),
+        a.select(range(a.cols - 1, -1, -1), a.rows // 2), coordinates_modulo(basis, modulo, b),
+        a.solve(RationalMatrix.identity(a.rows)), joint_kernel([a, same], a.cols),
+        RationalMatrix.from_entries(a.rows, a.cols, [
+            (i, j, x * y) for j, col in enumerate(a.nonzero_columns()) for i, x in col
+            for y in (Fraction(1, 3), Fraction(2, 3))]),
+    ]
+    for out in outs:
+        assert out is None or canonical(out)
+    assert a.pivots() == a.rref()[1] and a.rank() == len(a.pivots())
+
+
+def test_a_row_in_lowest_terms_is_told_from_one_that_is_not():
+    half = M([["1/2", "1/4"]])
+    assert canonical(half) and half.scale(2) == M([[1, "1/2"]]) and canonical(half.scale(2))
+    assert half + half == M([[1, "1/2"]]) and canonical(half + half)
+    assert (half @ M([[2], [0]])) == M([[1]]) and canonical(half @ M([[2], [0]]))
+    assert canonical(M([["2/3", "4/3"]]).select([1]))
+
+
+@FAST
+@given(matrices())
+def test_int_rational_string_and_fraction_grids_agree(m):
+    grid = m.tolist()
+    scale = math.lcm(*(x.denominator for r in grid for x in r))
+    ints = [[int(x * scale) for x in r] for r in grid]
+    strings = [[f"{x.numerator * 3}/{x.denominator * 3}" for x in r] for r in grid]
+    fractions = [[Fraction(x, scale) for x in r] for r in ints]
+    assert RationalMatrix(m.rows, m.cols, strings) == m
+    assert RationalMatrix(m.rows, m.cols, fractions) == m
+    assert RationalMatrix(m.rows, m.cols, ints) == m.scale(scale)
+    assert RationalMatrix(m.rows, m.cols, [[Fraction(x) for x in r] for r in ints]) == m.scale(scale)
+
+
+def test_pivots_are_the_rref_pivots_without_back_substitution():
+    m = M([[0, 2, 4, 1], [0, 1, 2, 0], [0, 0, 0, 3]])
+    assert m.pivots() == (1, 3) == m.rref()[1] and m.rank() == 2
+    assert M([[0, 0]]).pivots() == () and RationalMatrix.zeros(0, 3).pivots() == ()
