@@ -122,14 +122,9 @@ def verify_complex(c: CochainComplex) -> ComplexReport:
 
 
 class CohomologyResult(NamedTuple):
-    """Per-degree dimensions and canonical representative cocycles.
-
-    representatives[n] holds the degree-n representatives as its columns,
-    for every degree of the window (no columns where H^n = 0).
-    """
+    """Per-degree cohomology dimensions; degrees where H^n = 0 are absent."""
 
     dims: dict[int, int]
-    representatives: dict[int, RationalMatrix]
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -142,23 +137,23 @@ class CohomologyResult(NamedTuple):
 
 
 def cohomology_dims(c: CochainComplex) -> CohomologyResult:
-    """Cohomology of a verified complex with deterministic representatives.
+    """Cohomology dimensions of a verified complex.
 
-    dim H^n = dim ker d_n - rank d_{n-1}; the representatives are the
-    lexicographically first vectors of the canonical (RREF) kernel basis
-    that stay independent modulo the image of d_{n-1}.
+    dim H^n = dim C^n - rank d_n - rank d_{n-1}, each rank counted by the
+    forward elimination pass alone; ``cocycle_representatives`` gives
+    representatives where they are wanted.
     """
     rep = verify_complex(c)
     if not rep.ok:
         raise ValueError(f"not a complex: {rep.message}")
+    ranks = {n: m.rank() for n, m in c.d.items()}
     dims: dict[int, int] = {}
-    reps: dict[int, RationalMatrix] = {}
     lo, hi = c.spaces.window
     for n in range(lo, hi + 1):
-        reps[n] = cocycle_representatives(c.diff(n), c.diff(n - 1))
-        if reps[n].cols:
-            dims[n] = reps[n].cols
-    return CohomologyResult(dims=dims, representatives=reps)
+        h = c.spaces.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
+        if h:
+            dims[n] = h
+    return CohomologyResult(dims=dims)
 
 
 def cocycle_representatives(d_out: RationalMatrix, d_in: RationalMatrix) -> RationalMatrix:
@@ -173,10 +168,10 @@ def cocycle_representatives(d_out: RationalMatrix, d_in: RationalMatrix) -> Rati
 
 
 def reduce_to_classes(
-    c: CochainComplex, result: CohomologyResult, n: int, v: RationalMatrix
+    c: CochainComplex, reps: RationalMatrix, n: int, v: RationalMatrix
 ) -> RationalMatrix | None:
-    """Coordinates of the degree-n cocycles in v's columns w.r.t. the representatives."""
-    return coordinates_modulo(result.representatives[n], c.diff(n - 1), v)
+    """Coordinates of the degree-n cocycles in v's columns w.r.t. the representatives reps."""
+    return coordinates_modulo(reps, c.diff(n - 1), v)
 
 
 # -- short exact sequences and the long exact sequence ------------------------
@@ -249,14 +244,16 @@ def check_ses(ses: ShortExactSequence) -> str | None:
     return None
 
 
+def _representatives(c: CochainComplex) -> dict[int, RationalMatrix]:
+    """The cocycle representatives of every degree of the window."""
+    lo, hi = c.spaces.window
+    return {n: cocycle_representatives(c.diff(n), c.diff(n - 1)) for n in range(lo, hi + 1)}
+
+
 def _induced_map(
-    src_h: CohomologyResult,
-    dst: CochainComplex,
-    dst_h: CohomologyResult,
-    mat_per_degree,
-    n: int,
+    src_reps: RationalMatrix, dst: CochainComplex, dst_reps: RationalMatrix, m: RationalMatrix, n: int
 ) -> RationalMatrix:
-    coords = reduce_to_classes(dst, dst_h, n, mat_per_degree(n) @ src_h.representatives[n])
+    coords = reduce_to_classes(dst, dst_reps, n, m @ src_reps)
     if coords is None:
         raise ValueError(f"induced map image is not a cocycle class at degree {n}")
     return coords
@@ -273,17 +270,17 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
     if err is not None:
         return LESReport(ok=False, input_error=err, message=f"not an SES: {err}")
     a, b, c = ses.sub, ses.total, ses.quotient
-    ha, hb, hc = cohomology_dims(a), cohomology_dims(b), cohomology_dims(c)
+    ra, rb, rc = _representatives(a), _representatives(b), _representatives(c)
     lo, hi = a.spaces.window
 
-    f_star = {n: _induced_map(ha, b, hb, ses.incl, n) for n in range(lo, hi + 1)}
-    g_star = {n: _induced_map(hb, c, hc, ses.proj, n) for n in range(lo, hi + 1)}
+    f_star = {n: _induced_map(ra[n], b, rb[n], ses.incl(n), n) for n in range(lo, hi + 1)}
+    g_star = {n: _induced_map(rb[n], c, rc[n], ses.proj(n), n) for n in range(lo, hi + 1)}
 
     # the zig-zag on all representatives of a degree at once: lift along the
     # projection, differentiate, pull back along the inclusion, reduce
     delta: dict[int, RationalMatrix] = {}
     for n in range(lo, hi):
-        lifts = ses.proj(n).solve(hc.representatives[n])
+        lifts = ses.proj(n).solve(rc[n])
         if lifts is None:
             raise AssertionError("surjectivity was already checked")
         pre = ses.incl(n + 1).solve(b.diff(n) @ lifts)
@@ -294,7 +291,7 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
                 failing_node="connecting",
                 message=f"zig-zag failed at degree {n}: d(lift) not in the subcomplex",
             )
-        coords = reduce_to_classes(a, ha, n + 1, pre)
+        coords = reduce_to_classes(a, ra[n + 1], n + 1, pre)
         if coords is None:
             return LESReport(
                 ok=False,
@@ -306,26 +303,26 @@ def les_exactness_check(ses: ShortExactSequence) -> LESReport:
 
     for n in range(lo, hi + 1):
         # node H^n(A): ker f* = im delta_{n-1}
-        incoming = delta.get(n - 1, RationalMatrix.zeros(ha.dim(n), 0))
+        incoming = delta.get(n - 1, RationalMatrix.zeros(ra[n].cols, 0))
         if not (f_star[n] @ incoming).is_zero():
             return LESReport(False, failing_degree=n, failing_node="H(sub)",
                              message=f"f* o delta != 0 at degree {n}")
-        if ha.dim(n) - f_star[n].rank() != incoming.rank():
+        if ra[n].cols - f_star[n].rank() != incoming.rank():
             return LESReport(False, failing_degree=n, failing_node="H(sub)",
                              message=f"exactness fails at H^{n}(sub)")
         # node H^n(B): ker g* = im f*
         if not (g_star[n] @ f_star[n]).is_zero():
             return LESReport(False, failing_degree=n, failing_node="H(total)",
                              message=f"g* o f* != 0 at degree {n}")
-        if hb.dim(n) - g_star[n].rank() != f_star[n].rank():
+        if rb[n].cols - g_star[n].rank() != f_star[n].rank():
             return LESReport(False, failing_degree=n, failing_node="H(total)",
                              message=f"exactness fails at H^{n}(total)")
         # node H^n(C): ker delta = im g*
-        out = delta.get(n, RationalMatrix.zeros(0, hc.dim(n)))
+        out = delta.get(n, RationalMatrix.zeros(0, rc[n].cols))
         if out.cols and not (out @ g_star[n]).is_zero():
             return LESReport(False, failing_degree=n, failing_node="H(quotient)",
                              message=f"delta o g* != 0 at degree {n}")
-        if hc.dim(n) - out.rank() != g_star[n].rank():
+        if rc[n].cols - out.rank() != g_star[n].rank():
             return LESReport(False, failing_degree=n, failing_node="H(quotient)",
                              message=f"exactness fails at H^{n}(quotient)")
     return LESReport(

@@ -118,10 +118,16 @@ def _str(x, where: str) -> str:
     return x
 
 
-def _degree(key, where: str) -> int:
-    """The degree a key names; a key must be its canonical decimal, so no two name one degree."""
-    if not (isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key):
-        raise InputError(f"{where} key {key!r} is not a degree (a decimal integer >= 0)")
+def _degree(key, where: str, signed: bool = False) -> int:
+    """The degree a key names; a key must be its canonical decimal, so no two name one degree.
+
+    Degrees are >= 0, or any integer when signed (a complex ses may have a window below 0).
+    """
+    digits = key[1:] if signed and isinstance(key, str) and key[:1] == "-" else key
+    if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()
+            and str(int(key)) == key):
+        what = "a decimal integer" if signed else "a decimal integer >= 0"
+        raise InputError(f"{where} key {key!r} is not a degree ({what})")
     return int(key)
 
 
@@ -352,13 +358,23 @@ def parse_module(payload) -> GradedModulePresentation:
 
 
 def _parse_complex(obj, window, where: str) -> CochainComplex:
-    dims = {int(n): _int(d, f"{where}.dims[{n}]") for n, d in obj.get("dims", {}).items()}
+    dims = {_degree(n, f"{where}.dims", True): _int(d, f"{where}.dims[{n}]")
+            for n, d in obj.get("dims", {}).items()}
     space = GradedVectorSpace(dims, window=window)
     d = {}
     for n_str, m in obj.get("d", {}).items():
-        n = int(n_str)
+        n = _degree(n_str, f"{where}.d", True)
         d[n] = _matrix_in(m, space.dim(n + 1), space.dim(n), f"{where}.d at degree {n}")
     return CochainComplex(space, d)
+
+
+def _degree_matrices(obj, rows, cols, where: str) -> dict[int, RationalMatrix]:
+    """Per degree n, the rows(n) x cols(n) matrix obj holds under n's key."""
+    out = {}
+    for key, m in obj.items():
+        n = _degree(key, where, True)
+        out[n] = _matrix_in(m, rows.dim(n), cols.dim(n), f"{where}[{n}]")
+    return out
 
 
 def parse_ses_complex(payload) -> ShortExactSequence:
@@ -366,18 +382,8 @@ def parse_ses_complex(payload) -> ShortExactSequence:
     sub = _parse_complex(payload["sub"], window, "sub")
     total = _parse_complex(payload["total"], window, "total")
     quot = _parse_complex(payload["quotient"], window, "quotient")
-    incl = {
-        int(n): _matrix_in(
-            m, total.spaces.dim(int(n)), sub.spaces.dim(int(n)), f"inclusion[{n}]"
-        )
-        for n, m in payload.get("inclusion", {}).items()
-    }
-    proj = {
-        int(n): _matrix_in(
-            m, quot.spaces.dim(int(n)), total.spaces.dim(int(n)), f"projection[{n}]"
-        )
-        for n, m in payload.get("projection", {}).items()
-    }
+    incl = _degree_matrices(payload.get("inclusion", {}), total.spaces, sub.spaces, "inclusion")
+    proj = _degree_matrices(payload.get("projection", {}), quot.spaces, total.spaces, "projection")
     return ShortExactSequence(sub, total, quot, incl, proj)
 
 

@@ -152,7 +152,7 @@ class GradedAlgebraPresentation:
         elif not callable(products):
             self.products = {}
             for (da, ia, db, ib), terms in products.items():
-                terms = tuple((int(k), frac(c)) for k, c in terms if frac(c) != 0)
+                terms = tuple((int(k), c) for k, c in ((k, frac(c)) for k, c in terms) if c)
                 if terms:
                     self.products[(da, ia, db, ib)] = terms
         if space.dim(0) == 0 and products is not None:
@@ -576,6 +576,10 @@ def _first_factor(m: Mono) -> tuple[tuple[str, int], Mono]:
     return ("u", j), ((), alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])
 
 
+def _int_if_integral(c: Fraction) -> int | Fraction:
+    return c.numerator if c.denominator == 1 else c
+
+
 def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
     """The Koszul-acyclic universal structure on odd/even generator pairs.
 
@@ -661,9 +665,16 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
             return terms
         return op
 
+    gens = {(kind, a): _gen_mono((kind, a), r) for kind in "tu" for a in range(r)}
+
     def build_op(on_gen, k):
-        """The matrices of D, one Leibniz step per monomial, in ascending degree."""
-        derived: dict[Mono, dict[Mono, Fraction]] = {((), (0,) * r): {}}  # D(1) = 0
+        """The matrices of D, one Leibniz step per monomial, in ascending degree.
+
+        Each D(g) is computed once, with its integral coefficients as ints, so
+        integral structure constants make no Fraction here.
+        """
+        images = {g: [(_int_if_integral(c), x) for c, x in on_gen(g)] for g in gens}
+        derived: dict[Mono, dict[Mono, int | Fraction]] = {((), (0,) * r): {}}  # D(1) = 0
         mats = {}
         for n, ms in by_degree.items():
             if not 0 <= n + k <= max_degree:
@@ -673,9 +684,9 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
                 if n:
                     g, rest = _first_factor(m)
                     sign = -1 if k % 2 and g[0] == "t" else 1
-                    gm = _gen_mono(g, r)
-                    out: dict[Mono, Fraction] = {}
-                    for c, x, y in ([(c, dg, rest) for c, dg in on_gen(g)]
+                    gm = gens[g]
+                    out: dict[Mono, int | Fraction] = {}
+                    for c, x, y in ([(c, dg, rest) for c, dg in images[g]]
                                     + [(sign * c, gm, dm) for dm, c in derived[rest].items()]):
                         if res := _mono_mul(x, y):
                             out[res[1]] = out.get(res[1], 0) + res[0] * c
@@ -754,17 +765,18 @@ def tensor_gstar(
             cap = min(cap, t)
     truncated = cap < natural or a.truncated_above is not None or b.truncated_above is not None
 
+    # degree n is the direct sum over da of the blocks A^da (x) B^(n - da), each in
+    # Kronecker order, so pairs[n] is sorted by (da, ia, db, ib)
     pairs: dict[int, list[tuple[int, int, int, int]]] = {}
+    blocks: dict[int, dict[int, int]] = {}  # n -> {da: first index of its block}
     for da in a.space.degrees():
-        for ia in range(a.space.dim(da)):
-            for db in b.space.degrees():
-                n = da + db
-                if n > cap:
-                    continue
-                for ib in range(b.space.dim(db)):
-                    pairs.setdefault(n, []).append((da, ia, db, ib))
-    for n in pairs:
-        pairs[n].sort()
+        for db in b.space.degrees():
+            n, na, nb = da + db, a.space.dim(da), b.space.dim(db)
+            if n > cap or not (na and nb):
+                continue
+            lst = pairs.setdefault(n, [])
+            blocks.setdefault(n, {})[da] = len(lst)
+            lst += [(da, ia, db, ib) for ia in range(na) for ib in range(nb)]
     index = {key: (n, i) for n, lst in pairs.items() for i, key in enumerate(lst)}
     dims = {n: len(lst) for n, lst in pairs.items()}
     labels = {
@@ -806,25 +818,25 @@ def tensor_gstar(
         truncated_above=cap if truncated else None,
     )
 
-    def build(op_deg, op_a, op_b):
-        """Scatter each factor operator's nonzero entries, read once per degree."""
-        nz_a = {n: op_a(n).nonzero_columns() for n in a.space.degrees()}
-        nz_b = {n: op_b(n).nonzero_columns() for n in b.space.degrees()}
+    def build(k, op_a, op_b):
+        """D = D_A (x) 1 + (-1)^(k da) 1 (x) D_B of degree k, placed block by block."""
         mats = {}
-        for n, lst in pairs.items():
-            tgt_index = {key: i for i, key in enumerate(pairs.get(n + op_deg, ()))}
-            entries = []
-            for col, (da, ia, db, ib) in enumerate(lst):
-                for k, c in nz_a[da][ia]:
-                    pos = tgt_index.get((da + op_deg, k, db, ib))
-                    if pos is not None:
-                        entries.append((pos, col, c))
-                sign = -1 if (op_deg % 2 and da % 2) else 1
-                for k, c in nz_b[db][ib]:
-                    pos = tgt_index.get((da, ia, db + op_deg, k))
-                    if pos is not None:
-                        entries.append((pos, col, sign * c))
-            mats[n] = RationalMatrix.from_entries(len(tgt_index), len(lst), entries)
+        for n, starts in blocks.items():
+            tgt = blocks.get(n + k)
+            if tgt is None:
+                continue
+            parts = []
+            # a nonzero factor operator has a nonzero target, so its block exists
+            for da, col in starts.items():
+                db = n - da
+                m = op_a(da)
+                if not m.is_zero():
+                    parts.append((tgt[da + k], col, m.kron_identity(b.space.dim(db))))
+                m = op_b(db)
+                if not m.is_zero():
+                    m = -m if k % 2 and da % 2 else m
+                    parts.append((tgt[da], col, m.identity_kron(a.space.dim(da))))
+            mats[n] = RationalMatrix.from_blocks(len(pairs[n + k]), len(pairs[n]), parts)
         return mats
 
     d_mats = build(1, a.op_d, b.op_d)

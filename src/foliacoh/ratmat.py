@@ -44,7 +44,10 @@ once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
 of ``[modulo | candidates]``.  ``kron_identity`` and ``identity_kron``
 place a matrix's entries into its Kronecker product with an identity, with
 no arithmetic; ``gstar`` writes the G*-axioms as identities between such
-products.  Single dense vectors (``Vec``, ``vec``, ``apply``) serve only
+products.  ``from_blocks`` places matrices as blocks of a larger one and
+adds them where they overlap, with no arithmetic on a row that one block
+feeds; ``gstar`` assembles tensor-product operators from Kronecker blocks
+with it.  Single dense vectors (``Vec``, ``vec``, ``apply``) serve only
 ``gstar.detect_type_c`` and the tests, and stay while ``bench/spans.py``
 binds ``apply`` by name.  Two subspace helpers carry the linear algebra
 that the Cartan and Weil routes share: ``joint_kernel`` takes the canonical
@@ -251,12 +254,47 @@ class RationalMatrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "RationalMatrix":
-        """Zero matrix plus each Fraction x of the (i, j, x) entries at row i, column j."""
+        """Zero matrix plus each int or Fraction x of the (i, j, x) entries at row i, column j."""
         nz = [{} for _ in range(rows)]
         for i, j, x in entries:
             r = nz[i]
             r[j] = r[j] + x if j in r else x
         return cls._trusted(rows, cols, [_integer({j: x for j, x in r.items() if x}) for r in nz])
+
+    @classmethod
+    def from_blocks(cls, rows: int, cols: int, parts: Iterable) -> "RationalMatrix":
+        """Zero matrix plus each matrix m of the (row_offset, col_offset, m) parts placed there.
+
+        Where parts overlap their entries add.  A row fed by one part is that
+        part's row with its columns shifted, which is canonical as it stands;
+        a row fed by several is summed over the lcm of their denominators.
+        """
+        fed: list[list[tuple[int, Row, int]]] = [[] for _ in range(rows)]
+        for r0, c0, m in parts:
+            if not (0 <= r0 <= rows - m.rows and 0 <= c0 <= cols - m.cols):
+                raise ValueError(
+                    f"a {m.rows}x{m.cols} block at ({r0}, {c0}) leaves a {rows}x{cols} matrix")
+            for i, (r, d) in enumerate(m._nz, r0):
+                if r:
+                    fed[i].append((c0, r, d))
+        out = []
+        for row in fed:
+            if not row:
+                out.append(({}, 1))
+            elif len(row) == 1:
+                c0, r, d = row[0]
+                out.append(({c0 + j: x for j, x in r.items()} if c0 else r, d))
+            else:
+                den = math.lcm(*[d for _, _, d in row])
+                acc: Row = {}
+                get = acc.get
+                for c0, r, d in row:
+                    s = den // d
+                    for j, x in r.items():
+                        j += c0
+                        acc[j] = get(j, 0) + (s * x if s != 1 else x)
+                out.append(_lowest({j: x for j, x in acc.items() if x}, den))
+        return cls._trusted(rows, cols, out)
 
     # -- access ------------------------------------------------------------
 

@@ -1,9 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foliacoh.algebra_core import (
     CochainComplex,
     GradedVectorSpace,
     ShortExactSequence,
+    cocycle_representatives,
     cohomology_dims,
     les_exactness_check,
     reduce_to_classes,
@@ -64,12 +68,18 @@ def test_cohomology_s3_model():
     assert h.dims_tuple(3) == (1, 0, 0, 1)
 
 
+def representatives(c):
+    """cocycle_representatives of every degree of c's window."""
+    return {n: cocycle_representatives(c.diff(n), c.diff(n - 1)) for n in c.spaces.degrees()}
+
+
 def test_representatives_are_cocycles_and_independent(rng):
     for _ in range(20):
         c = random_complex(rng)
         h = cohomology_dims(c)
-        assert sorted(h.representatives) == list(c.spaces.degrees())
-        for n, reps in h.representatives.items():
+        reps_by_degree = representatives(c)
+        assert sorted(reps_by_degree) == list(c.spaces.degrees())
+        for n, reps in reps_by_degree.items():
             assert (reps.rows, reps.cols) == (c.spaces.dim(n), h.dim(n))
             d = c.diff(n)
             for v in columns(reps):
@@ -78,6 +88,14 @@ def test_representatives_are_cocycles_and_independent(rng):
             both = image.hstack(reps)
             assert rank_of_columns(both, range(both.cols)) == \
                 rank_of_columns(image, range(image.cols)) + reps.cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 5), st.integers(0, 8))
+def test_rank_dims_equal_representative_counts(seed, top, max_dim):
+    c = random_complex(random.Random(seed), top, max_dim)
+    h = cohomology_dims(c)
+    assert h.dims == {n: reps.cols for n, reps in representatives(c).items() if reps.cols}
 
 
 def test_euler_characteristic_preserved_on_random_complexes(rng):
@@ -91,11 +109,11 @@ def test_euler_characteristic_preserved_on_random_complexes(rng):
 
 def test_reduce_to_classes_identifies_coboundaries():
     c = s3_model_complex()
-    h = cohomology_dims(c)
+    reps = representatives(c)
     # omega = d(theta) is a coboundary: class is zero
     one, two = RationalMatrix.from_rows([[1]]), RationalMatrix.from_rows([[2]])
-    assert reduce_to_classes(c, h, 2, one) == RationalMatrix.zeros(0, 1)
-    assert reduce_to_classes(c, h, 3, two) == two
+    assert reduce_to_classes(c, reps[2], 2, one) == RationalMatrix.zeros(0, 1)
+    assert reduce_to_classes(c, reps[3], 3, two) == two
 
 
 def test_les_split_ses_of_s3_model():

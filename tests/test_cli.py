@@ -194,6 +194,15 @@ def _set_degree_key(key, where="degrees", rename=True):
     return "exterior_line_gstar", "equivariant", mutate, f"{where} key {key!r}"
 
 
+def _add_ses_key(part, key):
+    """A second key for degree 2 of a complex ses, next to its "2"."""
+    def mutate(doc):
+        p = doc["payload"]
+        keys = p["sub"]["dims"] if part == "sub.dims" else p[part]
+        keys[key] = keys["2"]
+    return "sphere3_split_ses", "cohomology", mutate, f"{part} key {key!r}"
+
+
 def _set_stratum_name(value):
     def mutate(doc):
         doc["payload"]["strata"][1]["name"] = value
@@ -213,6 +222,8 @@ def _set_stratum_name(value):
     # two keys naming one degree used to merge, one of them dropped without a word
     + [_set_degree_key("01", rename=False), _set_degree_key(" 1"), _set_degree_key("+1"),
        _set_degree_key("-1"), _set_degree_key("01", "i[0]")]
+    # a complex ses read its degree keys with int(): "02" and " 2" merged into degree 2
+    + [_add_ses_key("sub.dims", "02"), _add_ses_key("inclusion", " 2")]
     + [_set_stratum_name(v) for v in ([1, 2], 7, None)],
 )
 def test_rejects_values_of_the_wrong_schema_type(tmp_path, capsys, name, command, mutate,

@@ -27,7 +27,7 @@ from foliacoh.fixtures import (
     trivial_action_on_h_1_0_1,
     trivial_line,
 )
-from foliacoh.ratmat import RationalMatrix, unit_vec
+from foliacoh.ratmat import RationalMatrix, frac, unit_vec
 
 from conftest import (
     change_basis,
@@ -443,6 +443,87 @@ def test_tensor_operators_match_per_entry_build(factors):
     assert t.algebra.products == products
 
 
+def scatter_tensor_operators(a, b, cap):
+    """(d, i, L) of A (x) B through degree cap, each factor entry scattered on its own.
+
+    This is the build that placing Kronecker blocks replaced: every nonzero
+    entry of a factor operator is looked up at its target pair and signed.
+    """
+    pairs = {}
+    for da in a.space.degrees():
+        for ia in range(a.space.dim(da)):
+            for db in b.space.degrees():
+                if da + db <= cap:
+                    pairs.setdefault(da + db, []).extend(
+                        (da, ia, db, ib) for ib in range(b.space.dim(db)))
+    for n in pairs:
+        pairs[n].sort()
+
+    def build(op_deg, op_a, op_b):
+        nz_a = {n: op_a(n).nonzero_columns() for n in a.space.degrees()}
+        nz_b = {n: op_b(n).nonzero_columns() for n in b.space.degrees()}
+        mats = {}
+        for n, lst in pairs.items():
+            tgt_index = {key: i for i, key in enumerate(pairs.get(n + op_deg, ()))}
+            entries = []
+            for col, (da, ia, db, ib) in enumerate(lst):
+                for k, c in nz_a[da][ia]:
+                    pos = tgt_index.get((da + op_deg, k, db, ib))
+                    if pos is not None:
+                        entries.append((pos, col, c))
+                sign = -1 if (op_deg % 2 and da % 2) else 1
+                for k, c in nz_b[db][ib]:
+                    pos = tgt_index.get((da, ia, db + op_deg, k))
+                    if pos is not None:
+                        entries.append((pos, col, sign * c))
+            mats[n] = RationalMatrix.from_entries(len(tgt_index), len(lst), entries)
+        return mats
+
+    r = a.lie.dimension
+    d = build(1, a.op_d, b.op_d)
+    i_ops = [build(-1, lambda n, j=j: a.op_i(j, n), lambda n, j=j: b.op_i(j, n)) for j in range(r)]
+    l_ops = [build(0, lambda n, j=j: a.op_l(j, n), lambda n, j=j: b.op_l(j, n)) for j in range(r)]
+    return d, i_ops, l_ops
+
+
+@st.composite
+def weil_tensor_factors(draw):
+    """A truncated W(g) and a second factor, in either order, maybe in unit-LU bases, and a cut.
+
+    g is R, R^2 or so(3); the second factor is another truncated W(g) or a
+    fixture on the same g.
+    """
+    makers = FACTORS[draw(st.sampled_from(sorted(FACTORS)))]
+    top = 3 if makers is FACTORS["so3"] else 5
+    weil = makers[-1](draw(st.integers(0, top)))
+    make = draw(st.sampled_from(makers))
+    other = make(draw(st.integers(0, top))) if make is makers[-1] else make()
+    out = [weil, other]
+    for k in range(2):
+        if draw(st.booleans()):
+            out[k] = change_basis(out[k], random.Random(draw(st.integers(0, 2**16))))
+    if draw(st.booleans()):
+        out.reverse()
+    return out[0], out[1], draw(st.one_of(st.none(), st.integers(0, 2 * top)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weil_tensor_factors())
+@example((weil_algebra(SO3, 3), weil_algebra(SO3, 3), None)).via("so(3) on both sides")
+@example((weil_algebra(LieAlgebraSpec.abelian(2), 5), exterior_two_free(), 4)).via("a cut")
+def test_tensor_operators_match_the_scatter_build(factors):
+    a, b, max_degree = factors
+    t = tensor_gstar(a, b, max_degree=max_degree)
+    d, i_ops, l_ops = scatter_tensor_operators(a, b, t.space.window[1])
+    assert {n: t.space.dim(n) for n in t.space.degrees() if t.space.dim(n)} == \
+        {n: m.cols for n, m in d.items()}
+    for n in d:
+        assert t.op_d(n) == d[n]
+        for j in range(a.lie.dimension):
+            assert t.op_i(j, n) == i_ops[j][n]
+            assert t.op_l(j, n) == l_ops[j][n]
+
+
 def test_lazy_tables_are_built_only_when_read():
     w = weil_algebra(LieAlgebraSpec.abelian(1), 4)
     t = tensor_gstar(w, change_basis(hopf_basic_model(), random.Random(1)))
@@ -476,6 +557,24 @@ def test_dict_product_table_fails_early():
         GradedAlgebraPresentation(space, {(0, 0, 0, 0): ((0, 0.5),)})
     assert GradedAlgebraPresentation(space, {(0, 0, 0, 0): ((0, "1"), (0, 0))}).products == \
         {(0, 0, 0, 0): ((0, Fraction(1)),)}
+
+
+def test_product_terms_are_coerced_once(monkeypatch):
+    import foliacoh.gstar as gstar
+
+    seen = []
+    monkeypatch.setattr(gstar, "frac", lambda c: seen.append(c) or frac(c))
+    space = GradedVectorSpace({0: 1, 1: 1}, {0: ("1",), 1: ("t",)})
+    table = {(0, 0, 0, 0): ((0, 1),), (0, 0, 1, 0): ((0, "1/2"), (0, Fraction(1, 2)), ("x", 0))}
+    alg = GradedAlgebraPresentation(space, table)
+    assert len(seen) == 4
+    # a zero term is dropped before its index is read; a bad index or value still fails
+    assert alg.products == {(0, 0, 0, 0): ((0, Fraction(1)),),
+                            (0, 0, 1, 0): ((0, Fraction(1, 2)), (0, Fraction(1, 2)))}
+    with pytest.raises(ValueError):
+        GradedAlgebraPresentation(space, {(0, 0, 0, 0): (("x", 1),)})
+    with pytest.raises(TypeError):
+        GradedAlgebraPresentation(space, {(0, 0, 0, 0): (("x", 0.5),)})
 
 
 # -- matrix-identity axiom checks against the element-wise reference ---------------------

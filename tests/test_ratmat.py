@@ -731,6 +731,54 @@ def test_every_operation_stores_canonical_rows(system, data):
     assert a.pivots() == a.rref()[1] and a.rank() == len(a.pivots())
 
 
+@st.composite
+def block_layouts(draw):
+    """A frame of 0 to 8 rows and columns and 0 to 4 parts placed in it; parts may overlap.
+
+    A part is sometimes followed by its negation or a rescaling at an
+    overlapping offset, so that sums cancel in part or in whole.
+    """
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(matrices(draw(st.integers(0, rows)), draw(st.integers(0, cols))))
+        parts.append((draw(st.integers(0, rows - m.rows)), draw(st.integers(0, cols - m.cols)), m))
+        twin = draw(st.sampled_from((None, -1, Fraction(-1, 2), 3)))
+        if twin is not None:
+            r0, c0, _ = parts[-1]
+            parts.append((draw(st.integers(max(r0 - 1, 0), min(r0 + 1, rows - m.rows))),
+                          draw(st.integers(max(c0 - 1, 0), min(c0 + 1, cols - m.cols))),
+                          m.scale(twin)))
+    return rows, cols, parts
+
+
+@FAST
+@given(block_layouts())
+@example((3, 3, [(1, 1, M([["1/2", "1/3"], [0, 1]])), (1, 1, M([["-1/2", "-1/3"], [0, -1]]))]))
+@example((2, 4, [(0, 0, M([["1/6", 1]])), (0, 1, M([["1/10", "1/15"]])), (1, 2, M([["2/4"]]))]))
+def test_from_blocks_matches_dense_sum(layout):
+    rows, cols, parts = layout
+    want = [[Fraction(0)] * cols for _ in range(rows)]
+    for r0, c0, m in parts:
+        for i, r in enumerate(m.tolist()):
+            for j, x in enumerate(r):
+                want[r0 + i][c0 + j] += x
+    got = RationalMatrix.from_blocks(rows, cols, parts)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.tolist() == want
+    assert canonical(got)
+    assert_well_formed(got)
+
+
+def test_from_blocks_rejects_a_part_outside_the_frame():
+    m = M([[1, 2], [3, 4]])
+    assert RationalMatrix.from_blocks(2, 2, [(0, 0, m)]) == m
+    assert RationalMatrix.from_blocks(0, 0, []) == RationalMatrix.zeros(0, 0)
+    for r0, c0 in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            RationalMatrix.from_blocks(2, 2, [(r0, c0, m)])
+
+
 def test_a_row_in_lowest_terms_is_told_from_one_that_is_not():
     half = M([["1/2", "1/4"]])
     assert canonical(half) and half.scale(2) == M([[1, "1/2"]]) and canonical(half.scale(2))
