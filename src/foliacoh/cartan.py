@@ -5,6 +5,10 @@ Degree-n slice: polynomial monomials tensor algebra basis elements with
 are nonzero.  The differential is d + delta with delta contracting against
 each generator while multiplying by its dual variable.
 
+A slice is the blocks S^p (x) A^(n-2p) in ascending p, stored as their
+offsets (``CartanComplexSlice.below``), and every operator is placed as
+Kronecker blocks with ``RationalMatrix.from_blocks``.
+
 The polynomial factor is never truncated on its own: total degree n only
 ever sees symmetric degrees p <= n/2, so each slice is exact regardless of
 the window.  Truncation flags come only from the underlying algebra.
@@ -12,7 +16,8 @@ the window.  Truncation flags come only from the underlying algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
+import itertools
 from typing import NamedTuple
 
 from .algebra_core import cocycle_representatives
@@ -27,6 +32,7 @@ from .gstar import (
 from .module_theory import (
     GradedModulePresentation,
     Poly,
+    dim_sym,
     free_basis,
     monomials_of_degree,
     relation_columns,
@@ -47,22 +53,47 @@ class DifferentialNotSquareZero(ValueError):
 class CartanComplexSlice(NamedTuple):
     """One total degree of the Cartan complex.
 
-    ambient_basis lists (alpha, a_idx) pairs grouped by ascending p = |alpha|;
-    embedding is None when the invariants are the whole ambient slice,
-    otherwise its columns embed the invariant basis into the ambient one.
+    The ambient slice is the blocks S^p (x) A^(n-2p) for p = 0..n//2 in
+    ascending p, each in Kronecker order (monomial major); below[p] is the
+    first index of block p, so block p holds the vectors of polynomial
+    degree p, and below[-1] is the ambient dimension.  embedding is None
+    when the invariants are the whole ambient slice, otherwise its columns
+    embed the invariant basis into the ambient one.
     """
 
     n: int
-    ambient_basis: tuple[tuple[tuple[int, ...], int], ...]
+    below: tuple[int, ...]
     embedding: RationalMatrix | None
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.ambient_basis)
+        return self.below[-1]
 
     @property
     def dim(self) -> int:
         return self.ambient_dim if self.embedding is None else self.embedding.cols
+
+
+@functools.cache
+def _shifted(r: int, p: int, j: int) -> tuple[int, ...]:
+    """Per monomial u^alpha of S^p, in order, the position of u_j u^alpha in S^(p+1)."""
+    pos = {alpha: k for k, alpha in enumerate(monomials_of_degree(r, p + 1))}
+    return tuple(pos[alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]]
+                 for alpha in monomials_of_degree(r, p))
+
+
+def _u_times(shifted: tuple[int, ...], op: RationalMatrix, row0: int, col0: int) -> list:
+    """u_j (x) op as blocks: op once per monomial k of S^p, at block shifted[k] of S^(p+1)."""
+    return [(row0 + row * op.rows, col0 + k * op.cols, op) for k, row in enumerate(shifted)]
+
+
+def _coadjoint(lie: LieAlgebraSpec, j: int, p: int) -> RationalMatrix:
+    """The derivation of S^p extending u_b -> -c^b_{jc} u_c, as sum_{b,c} -c^b_{jc} u_c d/du_b."""
+    r, low = lie.dimension, monomials_of_degree(lie.dimension, p - 1)
+    entries = [(to, at, -lie.structure_constant(j, c, b) * (alpha[b] + 1))
+               for b, c in itertools.product(range(r), repeat=2)
+               for alpha, at, to in zip(low, _shifted(r, p - 1, b), _shifted(r, p - 1, c))]
+    return RationalMatrix.from_entries(dim_sym(r, p), dim_sym(r, p), entries)
 
 
 class CartanComplex:
@@ -78,23 +109,13 @@ class CartanComplex:
         self.slices: list[CartanComplexSlice] = []
         invariant_everywhere = s.all_l_zero() and s.lie.is_abelian
         for n in range(n_max + 2):
-            basis = []
-            for p in range(n // 2 + 1):
-                m = n - 2 * p
-                if sp.dim(m) == 0:
-                    continue
-                for alpha in monomials_of_degree(r, p):
-                    for a_idx in range(sp.dim(m)):
-                        basis.append((alpha, a_idx))
-            basis.sort(key=lambda t: (sum(t[0]), t[0], t[1]))
-            emb = None
+            below = tuple(itertools.accumulate(
+                (dim_sym(r, p) * sp.dim(n - 2 * p) for p in range(n // 2 + 1)), initial=0))
+            sl = CartanComplexSlice(n, below, None)
             if not invariant_everywhere:
-                l_total = [self._l_total_matrix(j, n, basis) for j in range(r)]
-                emb = joint_kernel(l_total, len(basis))
-            self.slices.append(CartanComplexSlice(n, tuple(basis), emb))
-        self._index = [
-            {key: i for i, key in enumerate(sl.ambient_basis)} for sl in self.slices
-        ]
+                l_total = [self._l_total_matrix(j, sl) for j in range(r)]
+                sl = sl._replace(embedding=joint_kernel(l_total, sl.ambient_dim))
+            self.slices.append(sl)
         self.d: dict[int, RationalMatrix] = {}
         for n in range(n_max + 1):
             self.d[n] = self._differential(n)
@@ -102,49 +123,31 @@ class CartanComplex:
 
     # -- construction helpers ---------------------------------------------
 
-    def _l_total_matrix(self, j: int, n: int, basis) -> RationalMatrix:
-        """L_j on the ambient slice: coadjoint on the polynomial factor plus L on A."""
+    def _l_total_matrix(self, j: int, sl: CartanComplexSlice) -> RationalMatrix:
+        """L_j on an ambient slice: L on A plus the coadjoint action on S^p, per block p."""
         s = self.structure
-        lie = s.lie
-        sp = s.space
-        pos = {key: i for i, key in enumerate(basis)}
-        l_cols = {m: s.op_l(j, m).nonzero_columns() for m in range(n % 2, n + 1, 2)}
-        entries = []
-        for col, (alpha, a_idx) in enumerate(basis):
-            for k, c in l_cols[n - 2 * sum(alpha)][a_idx]:
-                entries.append((pos[(alpha, k)], col, c))
-            # coadjoint derivation on u^alpha: u_b -> -c^b_{jc} u_c
-            for b in range(lie.dimension):
-                if alpha[b] == 0:
-                    continue
-                for cgen in range(lie.dimension):
-                    coef = lie.structure_constant(j, cgen, b)
-                    if coef == 0:
-                        continue
-                    alpha2 = list(alpha)
-                    alpha2[b] -= 1
-                    alpha2[cgen] += 1
-                    entries.append((pos[(tuple(alpha2), a_idx)], col, -coef * alpha[b]))
-        return RationalMatrix.from_entries(len(basis), len(basis), entries)
+        parts = []
+        for p, at in enumerate(sl.below[:-1]):
+            m = sl.n - 2 * p
+            l_a, coad = s.op_l(j, m), _coadjoint(s.lie, j, p)
+            if not l_a.is_zero():
+                parts.append((at, at, l_a.identity_kron(coad.rows)))
+            if not coad.is_zero():
+                parts.append((at, at, coad.kron_identity(l_a.rows)))
+        return RationalMatrix.from_blocks(sl.ambient_dim, sl.ambient_dim, parts)
 
     def _ambient_differential(self, n: int) -> RationalMatrix:
+        """d on each block S^p (x) A^m plus sum_j u_j i_j into S^(p+1), slice n to n + 1."""
         s = self.structure
         r = s.lie.dimension
-        src = self.slices[n].ambient_basis
-        tgt_index = self._index[n + 1]
-        degrees = range(n % 2, n + 1, 2)
-        d_cols = {m: s.op_d(m).nonzero_columns() for m in degrees}
-        i_cols = [{m: s.op_i(j, m).nonzero_columns() for m in degrees} for j in range(r)]
-        entries = []
-        for col, (alpha, a_idx) in enumerate(src):
-            m = n - 2 * sum(alpha)
-            for k, c in d_cols[m][a_idx]:
-                entries.append((tgt_index[(alpha, k)], col, c))
+        src, tgt = self.slices[n].below, self.slices[n + 1].below
+        parts = []
+        for p, col in enumerate(src[:-1]):
+            m = n - 2 * p
+            parts.append((tgt[p], col, s.op_d(m).identity_kron(dim_sym(r, p))))
             for j in range(r):
-                alpha2 = tuple(a + (1 if b == j else 0) for b, a in enumerate(alpha))
-                for k, c in i_cols[j][m][a_idx]:
-                    entries.append((tgt_index[(alpha2, k)], col, c))
-        return RationalMatrix.from_entries(len(tgt_index), len(src), entries)
+                parts += _u_times(_shifted(r, p, j), s.op_i(j, m), tgt[p + 1], col)
+        return RationalMatrix.from_blocks(tgt[-1], src[-1], parts)
 
     def _differential(self, n: int) -> RationalMatrix:
         src, tgt = self.slices[n], self.slices[n + 1]
@@ -178,14 +181,11 @@ class CartanComplex:
         """Multiplication by the j-th dual variable, slice n to slice n + 2."""
         if not self.structure.lie.is_abelian:
             raise ValueError("polynomial module action requires an abelian Lie algebra")
+        r, sp = self.structure.lie.dimension, self.structure.space
         src, tgt = self.slices[n], self.slices[n + 2]
-        pos = self._index[n + 2]
-        one = Fraction(1)
-        entries = []
-        for col, (alpha, a_idx) in enumerate(src.ambient_basis):
-            alpha2 = tuple(a + (1 if b == j else 0) for b, a in enumerate(alpha))
-            entries.append((pos[(alpha2, a_idx)], col, one))
-        shift = RationalMatrix.from_entries(tgt.ambient_dim, src.ambient_dim, entries)
+        parts = [part for p, col in enumerate(src.below[:-1]) for part in _u_times(
+            _shifted(r, p, j), RationalMatrix.identity(sp.dim(n - 2 * p)), tgt.below[p + 1], col)]
+        shift = RationalMatrix.from_blocks(tgt.ambient_dim, src.ambient_dim, parts)
         sol = restrict(shift, src.embedding, tgt.embedding)
         if sol is None:
             raise ValueError("u-multiplication left the invariant subspace")
@@ -320,10 +320,8 @@ def module_presentation(
         fb = free_basis(gen_degrees, r, n)
         if not fb:
             continue
-        images = [evaluate(*key).nonzero_columns()[0] for key in fb]
-        ev = RationalMatrix.from_entries(
-            e.dim(n), len(fb), [(i, k, x) for k, col in enumerate(images) for i, x in col]
-        )
+        ev = RationalMatrix.from_blocks(
+            e.dim(n), len(fb), [(0, k, evaluate(*key)) for k, key in enumerate(fb)])
         kernel = ev.nullspace()
         if not kernel.cols:
             continue

@@ -378,7 +378,12 @@ def _degree_matrices(obj, rows, cols, where: str) -> dict[int, RationalMatrix]:
 
 
 def parse_ses_complex(payload) -> ShortExactSequence:
-    window = tuple(_int(x, "window entry") for x in payload["window"])
+    window = payload["window"]
+    if not isinstance(window, list) or len(window) != 2:
+        raise InputError(f"window must be a two-element list [lo, hi], got {window!r}")
+    window = tuple(_int(x, "window entry") for x in window)
+    if window[0] > window[1]:
+        raise InputError(f"window {list(window)} has lo > hi")
     sub = _parse_complex(payload["sub"], window, "sub")
     total = _parse_complex(payload["total"], window, "total")
     quot = _parse_complex(payload["quotient"], window, "quotient")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -324,59 +324,39 @@ class TorResult(NamedTuple):
         return sum(self.tor_dims(i).values())
 
 
+def _koszul_boundary(real: ModuleRealization, r: int, i: int, n: int) -> RationalMatrix:
+    """The Koszul boundary K_i^n -> K_{i-1}^n, placed as blocks.
+
+    K_i^n has a block M^(n-2i) per i-subset S, in ``combinations`` order;
+    the block of S goes to that of S - {j} by (-1)^t u_j, j the t-th of S.
+    """
+    src, tgt = real.dim(n - 2 * i), real.dim(n - 2 * i + 2)
+    pos = {S: k for k, S in enumerate(itertools.combinations(range(r), i - 1))}
+    u = [real.u_matrix(j, n - 2 * i) for j in range(r)]
+    parts = [(pos[S[:t] + S[t + 1:]] * tgt, k * src, -u[j] if t % 2 else u[j])
+             for k, S in enumerate(itertools.combinations(range(r), i)) for t, j in enumerate(S)]
+    return RationalMatrix.from_blocks(len(pos) * tgt, comb(r, i) * src, parts)
+
+
 def koszul_tor(pres: GradedModulePresentation) -> TorResult:
     """Homology of the exterior-algebra complex on the ring variables.
 
-    K_i = M tensor Lambda^i in internal degree n uses M in degree n - 2i;
-    the boundary contracts one exterior factor against its variable.  Each
-    boundary is built and ranked once, serving as the kernel side of H_i and
-    the image side of H_{i-1}.  ``pres.tor`` is this result, computed once
-    per presentation object.
+    K_i = M tensor Lambda^i in internal degree n uses M in degree n - 2i, so
+    dim K_i^n = C(r, i) dim M^(n-2i); the boundary contracts one exterior
+    factor against its variable.  Each boundary is built and ranked once,
+    serving as the kernel side of H_i and the image side of H_{i-1}.
+    ``pres.tor`` is this result, computed once per presentation object.
     """
     real = pres.realization
     r = pres.dim_a
-    n_max = pres.window
-    subsets = {i: list(itertools.combinations(range(r), i)) for i in range(r + 1)}
 
-    def k_basis(i, n):
-        return [
-            (m_idx, S)
-            for S in subsets[i]
-            for m_idx in range(real.dim(n - 2 * i))
-        ] if 0 <= n - 2 * i else []
+    @cache
+    def rank(i: int, n: int) -> int:
+        return _koszul_boundary(real, r, i, n).rank() if 1 <= i <= r and real.dim(n - 2 * i) else 0
 
-    def boundary_rank(i, n) -> int:
-        """rank of partial: K_i^n -> K_{i-1}^n."""
-        src = k_basis(i, n)
-        if not src:
-            return 0
-        tgt = k_basis(i - 1, n)
-        pos = {key: idx for idx, key in enumerate(tgt)}
-        u_cols = {j: real.u_matrix(j, n - 2 * i).nonzero_columns() for j in range(r)}
-        entries = []
-        for col, (m_idx, S) in enumerate(src):
-            for t, j in enumerate(S):
-                sign = (-1) ** t
-                S2 = tuple(s for s in S if s != j)
-                for k2, c in u_cols[j][m_idx]:
-                    entries.append((pos[(k2, S2)], col, sign * c))
-        return RationalMatrix.from_entries(len(tgt), len(src), entries).rank()
-
-    ranks = {
-        (i, n): boundary_rank(i, n)
-        for n in range(n_max + 1)
-        for i in range(1, r + 1)
-        if n - 2 * i >= 0
-    }
-    dims: dict[tuple[int, int], int] = {}
-    for n in range(n_max + 1):
-        for i in range(r + 1):
-            if n - 2 * i < 0:
-                continue
-            h = len(k_basis(i, n)) - ranks.get((i, n), 0) - ranks.get((i + 1, n), 0)
-            if h:
-                dims[(i, n)] = h
-    return TorResult(dims=dims, window=n_max, dim_a=r)
+    dims = {(i, n): h for n in range(pres.window + 1) for i in range(min(r, n // 2) + 1)
+            if (h := comb(r, i) * real.dim(n - 2 * i) - rank(i, n) - rank(i + 1, n))}
+    return TorResult(dims=dims, window=pres.window, dim_a=r)
 
 
 class FreenessResult(NamedTuple):

@@ -46,8 +46,10 @@ place a matrix's entries into its Kronecker product with an identity, with
 no arithmetic; ``gstar`` writes the G*-axioms as identities between such
 products.  ``from_blocks`` places matrices as blocks of a larger one and
 adds them where they overlap, with no arithmetic on a row that one block
-feeds; ``gstar`` assembles tensor-product operators from Kronecker blocks
-with it.  Single dense vectors (``Vec``, ``vec``, ``apply``) serve only
+feeds; with it ``gstar`` assembles tensor-product operators from Kronecker
+blocks, ``cartan`` the ambient d, L and u-multiplication of the Cartan
+complex, and ``module_theory`` the Koszul boundaries, as does
+``cartan.module_presentation`` its evaluation map.  Single dense vectors (``Vec``, ``vec``, ``apply``) serve only
 ``gstar.detect_type_c`` and the tests, and stay while ``bench/spans.py``
 binds ``apply`` by name.  Two subspace helpers carry the linear algebra
 that the Cartan and Weil routes share: ``joint_kernel`` takes the canonical

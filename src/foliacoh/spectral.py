@@ -7,10 +7,10 @@ dual variables, raising p by one.  Page r differentials go (p, q) to
 (p + r, q + 1 - r).
 
 Pages are read off the rank invariant of each differential d_n.  For abelian
-g with vanishing L-operators the Cartan slice is its ambient basis, sorted by
-polynomial degree, so every filtration step F^p is a coordinate subspace.
-With r_n(a, b) the exact rank of the block of d_n from sources of degree
-p >= a to targets of degree p < b,
+g with vanishing L-operators the Cartan slice is ambient, in blocks of rising
+polynomial degree (``CartanComplexSlice.below``), so every filtration step F^p
+is a coordinate subspace.  With r_n(a, b) the exact rank of the block of d_n
+from sources of degree p >= a to targets of degree p < b,
 
     N_n(a, b) = r_n(a, b+1) - r_n(a+1, b+1) - r_n(a, b) + r_n(a+1, b)
 
@@ -95,17 +95,12 @@ class SpectralSequence:
         self.cx: CartanComplex = CartanComplex(s, n_max) if cx is None else cx
         self.top_a = s.space.window[1]
         self.r_stop = (self.top_a + 1) // 2 + 1
-        # below[n][p]: basis vectors of slice n of polynomial degree < p
-        self._below = []
-        for sl in self.cx.slices[: n_max + 2]:
-            degrees = [sum(alpha) for alpha, _a in sl.ambient_basis]
-            self._below.append([bisect_left(degrees, p) for p in range(sl.n // 2 + 2)])
         self._pairs = [self._persistence_pairs(n) for n in range(n_max + 1)]
 
     def _persistence_pairs(self, n: int) -> dict[tuple[int, int], int]:
         """N_n(a, b) where nonzero, from the pivots of d_n per target bound b."""
         d = self.cx.d[n]
-        src, tgt = self._below[n], self._below[n + 1]
+        src, tgt = self.cx.slices[n].below, self.cx.slices[n + 1].below
         pivots = [d.select(range(d.cols - 1, -1, -1), rows).pivots() for rows in tgt]
         rk = [[bisect_left(piv, d.cols - c0) for piv in pivots] for c0 in src]
         counts = {(a, b): rk[a][b + 1] - rk[a + 1][b + 1] - rk[a][b] + rk[a + 1][b]
@@ -126,7 +121,7 @@ class SpectralSequence:
         ranks = {}
         for (p, q) in self.cells():
             n = p + q
-            below = self._below[n]
+            below = self.cx.slices[n].below
             out = self._pairs[n]
             incoming = self._pairs[n - 1] if n else {}
             d = (

@@ -10,6 +10,7 @@ from foliacoh.gstar import (
     AxiomCheck,
     GradedAlgebraPresentation,
     GStarStructure,
+    LieAlgebraSpec,
     _mono_degree,
     _mono_label,
     _mono_mul,
@@ -420,6 +421,36 @@ def random_split_ses(rng: random.Random, top: int = 3, max_dim: int = 6):
         proj[n] = g @ t_inv[n]
     total = CochainComplex(space, diffs)
     return ShortExactSequence(sub, total, quot, incl, proj)
+
+
+# -- the Cartan complex, written out element by element --------------------------------
+
+
+def cartan_basis(s, n):
+    """The ambient basis of Cartan slice n as (alpha, a) pairs, in the documented order.
+
+    Sorted by polynomial degree |alpha|, then alpha lexicographically, then the
+    algebra basis index a; enumerated from every exponent tuple, so it does not
+    depend on ``monomials_of_degree`` or on ``CartanComplexSlice.below``.
+    """
+    alphas = [alpha for alpha in itertools.product(range(n // 2 + 1), repeat=s.lie.dimension)
+              if 2 * sum(alpha) <= n]
+    return sorted(((alpha, a) for alpha in alphas for a in range(s.space.dim(n - 2 * sum(alpha)))),
+                  key=lambda t: (sum(t[0]), t[0], t[1]))
+
+
+def circle_action():
+    """The circle acting on itself by rotation, as operators only: free, with L != 0.
+
+    A^0 = <1, c, s> and A^1 = <theta, c theta, s theta>; d c = -s theta and
+    d s = c theta, i is the identity A^1 -> A^0, and L = d i + i d.  Its
+    equivariant cohomology is that of a point.
+    """
+    sp = GradedVectorSpace({0: 3, 1: 3}, {0: ("1", "c", "s"), 1: ("t", "ct", "st")})
+    rot = RationalMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    one = RationalMatrix.identity(3)
+    return GStarStructure(GradedAlgebraPresentation(sp, None), LieAlgebraSpec.abelian(1),
+                          {0: rot}, [{1: one}], [{0: one @ rot, 1: rot @ one}])
 
 
 @pytest.fixture

@@ -1,10 +1,15 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from foliacoh.algebra_core import cohomology_dims
+from foliacoh import cli
+from foliacoh.algebra_core import GradedVectorSpace, cohomology_dims
 from foliacoh.cartan import (
     CartanComplex,
+    DifferentialNotSquareZero,
     commuting_reduction_check,
     equivariant_cohomology,
     module_presentation,
@@ -18,13 +23,22 @@ from foliacoh.fixtures import (
     trivial_line,
 )
 from foliacoh.gstar import (
+    GradedAlgebraPresentation,
     GStarStructure,
+    LieAlgebraSpec,
     basic_subcomplex,
+    check_gstar_axioms,
     extend_with_trivial_factor,
+    weil_algebra,
     weil_model_cohomology,
 )
 from foliacoh.module_theory import hilbert
-from foliacoh.ratmat import RationalMatrix
+from foliacoh.ratmat import RationalMatrix, restrict
+from foliacoh.spectral import run_pages
+
+from conftest import cartan_basis, circle_action
+
+SO3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
 
 ALL_FIXTURES = [
     trivial_line,
@@ -292,3 +306,144 @@ def test_commuting_reduction_refuses_bad_input():
     rep = commuting_reduction_check(s, hopf_connection_candidates(), 6)
     assert not rep.applicable
     assert "nontrivially" in rep.detail
+
+
+def test_circle_action_is_a_free_action():
+    s = circle_action()
+    assert check_gstar_axioms(s).ok
+    assert equivariant_cohomology(s, 6).dims_tuple(6) == (1, 0, 0, 0, 0, 0, 0)
+    assert weil_model_cohomology(s, 6).dims_tuple(6) == (1, 0, 0, 0, 0, 0, 0)
+
+
+def test_error_paths_raise():
+    s = circle_action()
+    # d 1 = c theta is not invariant, while 1 is
+    d = RationalMatrix.from_rows([[0, 0, 0], [1, 0, 1], [0, -1, 0]])
+    bad = GStarStructure(s.algebra, s.lie, {0: d}, [s.i_operators(0)], [s.l_operators(0)])
+    with pytest.raises(ValueError, match="does not preserve invariants at degree 0"):
+        CartanComplex(bad, 2)
+    # d^2 != 0 on an untruncated algebra
+    sp = GradedVectorSpace({0: 1, 1: 1, 2: 1})
+    one = RationalMatrix.identity(1)
+    bad = GStarStructure(GradedAlgebraPresentation(sp, None), LieAlgebraSpec.abelian(1),
+                         {0: one, 1: one}, [{}], [{}])
+    with pytest.raises(DifferentialNotSquareZero, match="at 0"):
+        CartanComplex(bad, 2)
+
+
+# -- block-built operators against the scatter build ----------------------------------------
+
+
+def scatter_cartan_operators(s, n_max):
+    """The ambient Cartan operators built entry by entry, as the package once did.
+
+    Every ambient basis vector (alpha, a) of ``cartan_basis`` is looked up in a
+    position dict, and the nonzero columns of each factor operator are
+    scattered into ``from_entries``.  Returns the ambient d per degree n, and
+    L_total and multiplication by u_j per (j, n), through slice n_max + 1.
+    """
+    lie, r = s.lie, s.lie.dimension
+    bases = [cartan_basis(s, n) for n in range(n_max + 4)]
+    index = [{key: i for i, key in enumerate(b)} for b in bases]
+
+    def bump(alpha, j):
+        return tuple(a + (b == j) for b, a in enumerate(alpha))
+
+    def cols(op, m):
+        return op(m).nonzero_columns()
+
+    d, l_total, shift = {}, {}, {}
+    for n in range(n_max + 2):
+        src, tgt = bases[n], index[n + 1]
+        entries = []
+        for col, (alpha, a) in enumerate(src):
+            m = n - 2 * sum(alpha)
+            entries += [(tgt[(alpha, k)], col, c) for k, c in cols(s.op_d, m)[a]]
+            for j in range(r):
+                entries += [(tgt[(bump(alpha, j), k)], col, c)
+                            for k, c in cols(lambda m: s.op_i(j, m), m)[a]]
+        d[n] = RationalMatrix.from_entries(len(tgt), len(src), entries)
+        for j in range(r):
+            pos = index[n]
+            entries = []
+            for col, (alpha, a) in enumerate(src):
+                entries += [(pos[(alpha, k)], col, c)
+                            for k, c in cols(lambda m: s.op_l(j, m), n - 2 * sum(alpha))[a]]
+                # coadjoint derivation on u^alpha: u_b -> -c^b_{jc} u_c
+                for b in range(r):
+                    for c in range(r):
+                        coef = lie.structure_constant(j, c, b)
+                        if alpha[b] and coef:
+                            alpha2 = bump(alpha, c)
+                            alpha2 = alpha2[:b] + (alpha2[b] - 1,) + alpha2[b + 1:]
+                            entries.append((pos[(alpha2, a)], col, -coef * alpha[b]))
+            l_total[j, n] = RationalMatrix.from_entries(len(src), len(src), entries)
+            tgt2 = index[n + 2]
+            shift[j, n] = RationalMatrix.from_entries(
+                len(tgt2), len(src),
+                [(tgt2[(bump(alpha, j), a)], col, 1) for col, (alpha, a) in enumerate(src)])
+    return d, l_total, shift
+
+
+@st.composite
+def cartan_structures(draw):
+    """W(R^r), r <= 2, and W(so(3)) truncated at N <= 6, the untruncated fixtures and the
+    circle action (L != 0), each in its own basis or a unit-LU change of it."""
+    kind = draw(st.sampled_from(["abelian", "so3", "fixture", "circle"]))
+    if kind == "abelian":
+        s = weil_algebra(LieAlgebraSpec.abelian(draw(st.integers(1, 2))), draw(st.integers(0, 6)))
+    elif kind == "so3":
+        s = weil_algebra(SO3, draw(st.integers(0, 6)))
+    else:
+        s = draw(st.sampled_from(ALL_FIXTURES))() if kind == "fixture" else circle_action()
+    if draw(st.booleans()):  # the operators only: the Cartan complex reads no products
+        s = conjugated_structure(random.Random(draw(st.integers(0, 2**16))), s)
+    return s, draw(st.integers(0, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cartan_structures())
+@example((weil_algebra(SO3, 6), 6))
+@example((circle_action(), 5))
+def test_block_operators_match_the_scatter_build(case):
+    s, n_max = case
+    cx = CartanComplex(s, n_max)
+    d, l_total, shift = scatter_cartan_operators(s, n_max)
+    for n, sl in enumerate(cx.slices):
+        degrees = [sum(alpha) for alpha, _a in cartan_basis(s, n)]
+        assert sl.below == tuple(sum(p < q for p in degrees) for q in range(n // 2 + 2))
+        for j in range(s.lie.dimension):
+            assert cx._l_total_matrix(j, sl) == l_total[j, n], (j, n)
+    for n in range(n_max + 1):
+        assert cx._ambient_differential(n) == d[n], n
+    if s.lie.is_abelian:
+        for j in range(s.lie.dimension):
+            for n in range(n_max):
+                src, tgt = cx.slices[n].embedding, cx.slices[n + 2].embedding
+                assert cx.u_multiplication(j, n) == restrict(shift[j, n], src, tgt), (j, n)
+
+
+# -- Cartan, Weil and E-infinity on a generated family ----------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lie,top", [(LieAlgebraSpec.abelian(1), 10),
+                                     (LieAlgebraSpec.abelian(2), 8), (SO3, 6)],
+                         ids=["R1", "R2", "so3"])
+@pytest.mark.parametrize("basis", ["monomial", "unit-LU"])
+def test_cartan_weil_and_e_infinity_agree_on_generated_documents(lie, top, basis):
+    """W(g) truncated at every N <= top, read back from its document, on its window N.
+
+    The unit-LU copy conjugates the operators only (seeded by N): neither route
+    reads the product table, whose transport would cost most of the run.
+    """
+    for n in range(top + 1):
+        doc = cli.document_for("gstar_algebra", cli.gstar_to_payload(weil_algebra(lie, n)), n)
+        s = cli.parse_gstar(json.loads(json.dumps(doc))["payload"])
+        if basis == "unit-LU":
+            s = conjugated_structure(random.Random(n), s)
+        e = equivariant_cohomology(s, n)
+        upto = e.stable_through
+        assert e.dims_tuple(upto) == weil_model_cohomology(s, n).dims_tuple(upto), n
+        if lie.is_abelian:
+            assert run_pages(s, n, e).e_infinity.total_dims(upto) == e.dims_tuple(upto), n

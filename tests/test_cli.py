@@ -203,6 +203,12 @@ def _add_ses_key(part, key):
     return "sphere3_split_ses", "cohomology", mutate, f"{part} key {key!r}"
 
 
+def _set_ses_window(value, message="window must be a two-element list"):
+    def mutate(doc):
+        doc["payload"]["window"] = value
+    return "sphere3_split_ses", "cohomology", mutate, message
+
+
 def _set_stratum_name(value):
     def mutate(doc):
         doc["payload"]["strata"][1]["name"] = value
@@ -224,6 +230,9 @@ def _set_stratum_name(value):
        _set_degree_key("-1"), _set_degree_key("01", "i[0]")]
     # a complex ses read its degree keys with int(): "02" and " 2" merged into degree 2
     + [_add_ses_key("sub.dims", "02"), _add_ses_key("inclusion", " 2")]
+    # a complex ses window of three entries was cut to two, one of one entry was an IndexError
+    + [_set_ses_window(v) for v in ([0, 3, 7], [0], [])]
+    + [_set_ses_window([3, 0], "window [3, 0] has lo > hi")]
     + [_set_stratum_name(v) for v in ([1, 2], 7, None)],
 )
 def test_rejects_values_of_the_wrong_schema_type(tmp_path, capsys, name, command, mutate,

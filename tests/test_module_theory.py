@@ -2,13 +2,22 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from foliacoh.fixtures import hopf_module
+from foliacoh.cartan import equivariant_cohomology, module_presentation
+from foliacoh.fixtures import (
+    exterior_line_free,
+    hopf_basic_model,
+    hopf_module,
+    sphere3_minimal_model,
+    trivial_action_on_h_1_0_1,
+)
+from foliacoh.gstar import extend_with_trivial_factor
 from foliacoh.module_theory import (
     GradedModulePresentation,
     ModuleRealization,
     PresentationError,
+    _koszul_boundary,
     certify_closed_form,
     depth_dim_cm,
     dim_sym,
@@ -23,7 +32,7 @@ from foliacoh.module_theory import (
 )
 from foliacoh.ratmat import RationalMatrix, unit_vec
 
-from conftest import columns
+from conftest import circle_action, columns
 
 # the five bundled module fixtures of the verification suite
 FREE_R2 = GradedModulePresentation.free(2, (0,), window=10)
@@ -352,4 +361,62 @@ def test_reduction_matches_per_vector_path(pres):
         if n + 2 <= pres.window:
             for j in range(pres.dim_a):
                 assert real.u_matrix(j, n) == per_vector_u_matrix(real, j, n)
+    assert koszul_tor(pres).dims == per_vector_tor_dims(pres, real)
+
+
+# -- Koszul boundaries against the scatter build ---------------------------------------
+
+
+def scatter_koszul_boundary(real, r, i, n):
+    """The Koszul boundary K_i^n -> K_{i-1}^n built entry by entry, as the package once did.
+
+    K_i^n is listed as (m, S) pairs, S an i-subset in ``combinations`` order and
+    m a basis index of M^(n-2i); the nonzero columns of each u_j are scattered
+    through a position dict into ``from_entries``.
+    """
+    def k_basis(k):
+        return [(m, S) for S in itertools.combinations(range(r), k)
+                for m in range(real.dim(n - 2 * k))]
+
+    src, tgt = k_basis(i), k_basis(i - 1)
+    pos = {key: idx for idx, key in enumerate(tgt)}
+    u_cols = {j: real.u_matrix(j, n - 2 * i).nonzero_columns() for j in range(r)}
+    entries = [(pos[(k2, tuple(x for x in S if x != j))], col, (-1) ** t * c)
+               for col, (m, S) in enumerate(src) for t, j in enumerate(S) for k2, c in u_cols[j][m]]
+    return RationalMatrix.from_entries(len(tgt), len(src), entries)
+
+
+@st.composite
+def koszul_modules(draw):
+    """Random presentations, monomial quotients over up to three variables, and the
+    equivariant cohomology modules of abelian structures (the circle action among them)."""
+    kind = draw(st.sampled_from(["random", "monomial", "cartan"]))
+    if kind == "random":
+        return draw(presentations())
+    if kind == "monomial":
+        r = draw(st.integers(1, 3))
+        monos = [m for p in (1, 2) for m in monomials_of_degree(r, p)]
+        picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        pres = GradedModulePresentation.quotient_by_monomials(r, picked, draw(st.integers(2, 8)))
+        if draw(st.booleans()):
+            pres = pres.direct_sum(GradedModulePresentation.free(r, (2,), pres.window))
+        return pres
+    make = draw(st.sampled_from([exterior_line_free, hopf_basic_model, sphere3_minimal_model,
+                                 trivial_action_on_h_1_0_1, circle_action]))
+    s = make()
+    if draw(st.booleans()):
+        s = extend_with_trivial_factor(s, draw(st.integers(1, 2)))
+    return module_presentation(equivariant_cohomology(s, draw(st.integers(2, 8))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(koszul_modules())
+@example(GradedModulePresentation.residue_field(3, window=8))
+@example(module_presentation(equivariant_cohomology(
+    extend_with_trivial_factor(hopf_basic_model(), 2), 8)))
+def test_koszul_boundaries_match_the_scatter_build(pres):
+    real, r = pres.realization, pres.dim_a
+    for n in range(pres.window + 1):
+        for i in range(1, min(r, n // 2) + 1):
+            assert _koszul_boundary(real, r, i, n) == scatter_koszul_boundary(real, r, i, n), (i, n)
     assert koszul_tor(pres).dims == per_vector_tor_dims(pres, real)

@@ -24,7 +24,7 @@ from foliacoh.spectral import (
     run_pages,
 )
 
-from conftest import change_basis, columns
+from conftest import cartan_basis, change_basis, columns
 from test_ratmat import dense_rank
 
 FIXTURES = [
@@ -180,7 +180,7 @@ class SubquotientPages:
         self._z = {}
 
     def _basis(self, n):
-        return self.cx.slices[n].ambient_basis if 0 <= n < len(self.cx.slices) else ()
+        return cartan_basis(self.cx.structure, n) if 0 <= n < len(self.cx.slices) else ()
 
     def _diff(self, n):
         if n in self.cx.d:
@@ -309,7 +309,7 @@ def corner_rank_pairs(cx, n):
     to the targets of degree < b; one elimination per (a, b).
     """
     def below(m):
-        degrees = [sum(alpha) for alpha, _a in cx.slices[m].ambient_basis]
+        degrees = [sum(alpha) for alpha, _a in cartan_basis(cx.structure, m)]
         return [bisect_left(degrees, p) for p in range(m // 2 + 2)]
 
     src, tgt = below(n), below(n + 1)
