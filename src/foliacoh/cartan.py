@@ -173,10 +173,6 @@ class CartanComplex:
     def dim(self, n: int) -> int:
         return self.slices[n].dim if 0 <= n < len(self.slices) else 0
 
-    def slice_dims(self, n_max: int | None = None) -> tuple[int, ...]:
-        n_max = self.n_max if n_max is None else n_max
-        return tuple(self.dim(n) for n in range(n_max + 1))
-
     def u_multiplication(self, j: int, n: int) -> RationalMatrix:
         """Multiplication by the j-th dual variable, slice n to slice n + 2."""
         if not self.structure.lie.is_abelian:

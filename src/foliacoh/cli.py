@@ -168,7 +168,9 @@ def parse_gstar(payload) -> GStarStructure:
     brackets = {}
     for b in lie_obj.get("brackets", []):
         i, j, k = (_int(b[key], f"bracket {key}") for key in "ijk")
-        brackets.setdefault((i, j), {})[k] = _rat(b["value"])
+        if k in brackets.setdefault((i, j), {}):
+            raise InputError(f"bracket ({i}, {j}, {k}) is listed twice")
+        brackets[(i, j)][k] = _rat(b["value"])
     lie = LieAlgebraSpec(r, brackets)
     labels = {}
     for n, names in payload["degrees"].items():
@@ -179,34 +181,14 @@ def parse_gstar(payload) -> GStarStructure:
     trunc = payload.get("truncated_above")
     if trunc is not None and not _is_int(trunc, 0):
         raise InputError(f"truncated_above must be an integer >= 0 or null, got {trunc!r}")
+    # a truncated algebra's window reaches its cutoff, with no basis element there or not
     top = max(dims, default=0)
-    window = (0, top if trunc is None else max(top, 0))
+    window = (0, top if trunc is None else max(top, trunc))
     space = GradedVectorSpace(dims, labels, window=window)
     unit = payload.get("unit", 0)
     if not _is_int(unit, 0, space.dim(0)):
         raise InputError(f"unit must be an integer in [0, {space.dim(0)}), got {unit!r}")
-    products = {}
-    for p in payload.get("products", []):
-        (da, ia), (db, ib) = p["left"], p["right"]
-        for deg, idx in ((da, ia), (db, ib)):
-            if not (_is_int(deg) and _is_int(idx, 0, space.dim(deg))):
-                raise InputError(
-                    f"product {p['left']} x {p['right']}: [{deg!r}, {idx!r}] is not "
-                    f"the [degree, index] of a basis element"
-                )
-        terms = []
-        for k, c in p["value"]:
-            if not _is_int(k, 0, space.dim(da + db)):
-                raise InputError(
-                    f"product {p['left']} x {p['right']}: target index {k!r} is not "
-                    f"an integer in [0, {space.dim(da + db)})"
-                )
-            terms.append((k, _rat(c)))
-        products[(da, ia, db, ib)] = tuple(terms)
-    for n, d in dims.items():
-        for i in range(d):
-            products.setdefault((0, unit, n, i), ((i, Fraction(1)),))
-            products.setdefault((n, i, 0, unit), ((i, Fraction(1)),))
+    products = _products_in(payload.get("products", []), space, unit)
     algebra = GradedAlgebraPresentation(
         space, products, unit_index=unit, truncated_above=trunc
     )
@@ -230,6 +212,50 @@ def parse_gstar(payload) -> GStarStructure:
     return GStarStructure(algebra, lie, d, i_ops, l_ops)
 
 
+def _products_in(obj, space: GradedVectorSpace, unit: int):
+    """The product matrices M_{a,b} a products list names, unit products added; None for null.
+
+    Entries go straight into per-pair (target, ia * dim_b + ib, value) lists,
+    with integer values kept as ints.  A pair listed twice is an InputError.
+    """
+    if obj is None:
+        return None
+    entries: dict[tuple[int, int], list] = {}
+    seen = set()
+    for p in obj:
+        (da, ia), (db, ib) = p["left"], p["right"]
+        for deg, idx in ((da, ia), (db, ib)):
+            if not (_is_int(deg) and _is_int(idx, 0, space.dim(deg))):
+                raise InputError(
+                    f"product {p['left']} x {p['right']}: [{deg!r}, {idx!r}] is not "
+                    f"the [degree, index] of a basis element"
+                )
+        if (da, ia, db, ib) in seen:
+            raise InputError(f"product {p['left']} x {p['right']} is listed twice")
+        seen.add((da, ia, db, ib))
+        col, dim = ia * space.dim(db) + ib, space.dim(da + db)
+        out = entries.setdefault((da, db), [])
+        for k, c in p["value"]:
+            if not _is_int(k, 0, dim):
+                raise InputError(
+                    f"product {p['left']} x {p['right']}: target index {k!r} is not "
+                    f"an integer in [0, {dim})"
+                )
+            out.append((k, col, c if type(c) is int else _rat(c)))
+    d0 = space.dim(0)
+    for n in space.degrees():
+        for i in range(space.dim(n)):
+            for key, pair, col in (((0, unit, n, i), (0, n), unit * space.dim(n) + i),
+                                   ((n, i, 0, unit), (n, 0), i * d0 + unit)):
+                if key not in seen:
+                    seen.add(key)
+                    entries.setdefault(pair, []).append((i, col, 1))
+    return {
+        (da, db): RationalMatrix.from_entries(space.dim(da + db), space.dim(da) * space.dim(db), e)
+        for (da, db), e in entries.items()
+    }
+
+
 def gstar_to_payload(s: GStarStructure) -> dict:
     sp = s.space
     lie = s.lie
@@ -243,16 +269,18 @@ def gstar_to_payload(s: GStarStructure) -> dict:
         "unit": s.algebra.unit_index,
         "truncated_above": s.algebra.truncated_above,
     }
-    products = []
+    products = None
     if s.algebra.has_products():
-        for (da, ia, db, ib), terms in sorted(s.algebra.products.items()):
-            products.append(
-                {
-                    "left": [da, ia],
-                    "right": [db, ib],
-                    "value": [[k, _rat_out(c)] for k, c in terms],
-                }
-            )
+        # one entry per nonzero column of each M_{a,b}, sorted by (da, ia, db, ib)
+        terms = []
+        for (da, db), m in s.algebra.products.items():
+            nb = sp.dim(db)
+            terms += [(da, c // nb, db, c % nb, col)
+                      for c, col in enumerate(m.nonzero_columns()) if col]
+        products = [
+            {"left": [da, ia], "right": [db, ib], "value": [[k, _rat_out(x)] for k, x in col]}
+            for da, ia, db, ib, col in sorted(terms, key=lambda t: t[:4])
+        ]
     payload["products"] = products
 
     def mats_out(get, delta):
@@ -402,7 +430,7 @@ def _parse_module_map(obj, n_src: int, n_tgt: int, where: str):
             if not 0 <= tgt < n_tgt:
                 raise InputError(f"{where}: target gen {tgt} is not a generator index")
             mono = tuple(_int(x, f"{where} monomial exponent") for x in e["monomial"])
-            polys[tgt][mono] = _rat(e["coeff"])
+            polys[tgt][mono] = polys[tgt].get(mono, Fraction(0)) + _rat(e["coeff"])
         out.append(tuple(polys))
     return tuple(out)
 

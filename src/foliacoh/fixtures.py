@@ -6,7 +6,8 @@ from that document, which is its only definition: the one-line trivial
 algebra, an exterior line with a free contraction, the free-flow model on a
 four-dimensional algebra (the abstract Hopf-flow package), the three-sphere
 minimal model, and the matching strata, Morse, polytope and module records.
-The few models no document holds are built here in Python.
+The few models no document holds are payloads written here, read by the same
+parser.
 """
 
 from __future__ import annotations
@@ -17,17 +18,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import cli
-from .algebra_core import GradedVectorSpace
-from .gstar import (
-    ConnectionElements,
-    GradedAlgebraPresentation,
-    GStarStructure,
-    LieAlgebraSpec,
-    extend_with_trivial_factor,
-)
+from .gstar import ConnectionElements, GStarStructure, LieAlgebraSpec, extend_with_trivial_factor
 from .foliation import FoliationStrataModel, MorseData, PolytopeData
 from .module_theory import GradedModulePresentation
-from .ratmat import RationalMatrix
 from .series import PoincarePolynomial
 
 _DATA = Path(__file__).parent / "data"
@@ -36,19 +29,6 @@ _DATA = Path(__file__).parent / "data"
 def _payload(name: str) -> dict:
     """The payload of the bundled document ``data/<name>.json``."""
     return json.loads((_DATA / f"{name}.json").read_text(encoding="utf-8"))["payload"]
-
-
-def _unit_products(dims: dict[int, int], extra=None):
-    """Products of 1 with everything, plus any listed extra products."""
-    products = {}
-    for n, d in dims.items():
-        for i in range(d):
-            products[(0, 0, n, i)] = ((i, Fraction(1)),)
-            products[(n, i, 0, 0)] = ((i, Fraction(1)),)
-    products[(0, 0, 0, 0)] = ((0, Fraction(1)),)
-    for key, val in (extra or {}).items():
-        products[key] = tuple((k, Fraction(c)) for k, c in val)
-    return products
 
 
 def trivial_line(r: int = 1) -> GStarStructure:
@@ -63,18 +43,14 @@ def exterior_line_free() -> GStarStructure:
 
 def exterior_two_free() -> GStarStructure:
     """Lambda(theta_0, theta_1) with i_{X_j} theta_i = delta_ij, d = 0, L = 0."""
-    space = GradedVectorSpace(
-        {0: 1, 1: 2, 2: 1}, {0: ("1",), 1: ("theta0", "theta1"), 2: ("theta0*theta1",)}
-    )
-    extra = {
-        (1, 0, 1, 1): ((0, 1),),
-        (1, 1, 1, 0): ((0, -1),),
-    }
-    algebra = GradedAlgebraPresentation(space, _unit_products({1: 2, 2: 1}, extra))
-    lie = LieAlgebraSpec.abelian(2)
-    i0 = {1: RationalMatrix.from_rows([[1, 0]]), 2: RationalMatrix.from_rows([[0], [1]])}
-    i1 = {1: RationalMatrix.from_rows([[0, 1]]), 2: RationalMatrix.from_rows([[-1], [0]])}
-    return GStarStructure(algebra, lie, {}, [i0, i1], [{}, {}])
+    return cli.parse_gstar({
+        "lie": {"dimension": 2},
+        "degrees": {"0": ["1"], "1": ["theta0", "theta1"], "2": ["theta0*theta1"]},
+        "products": [{"left": [1, 0], "right": [1, 1], "value": [[0, 1]]},
+                     {"left": [1, 1], "right": [1, 0], "value": [[0, -1]]}],
+        "i": [{"1": [[1, 0]], "2": [[0], [1]]}, {"1": [[0, 1]], "2": [[-1], [0]]}],
+        "L": [{}, {}],
+    })
 
 
 def hopf_basic_model() -> GStarStructure:
@@ -100,10 +76,8 @@ def trivial_action_on_h_1_0_1() -> GStarStructure:
 
     Model: 1 in degree 0, omega in degree 2, omega^2 = 0.
     """
-    space = GradedVectorSpace({0: 1, 2: 1}, {0: ("1",), 2: ("omega",)})
-    algebra = GradedAlgebraPresentation(space, _unit_products({2: 1}))
-    lie = LieAlgebraSpec.abelian(1)
-    return GStarStructure(algebra, lie, {}, [{}], [{}])
+    return cli.parse_gstar({"lie": {"dimension": 1}, "degrees": {"0": ["1"], "2": ["omega"]},
+                            "i": [{}], "L": [{}]})
 
 
 def hopf_connection_candidates() -> ConnectionElements:

@@ -124,22 +124,20 @@ class LieAlgebraSpec:
 
 
 class GradedAlgebraPresentation:
-    """Graded algebra given by per-degree bases and structure constants.
+    """Graded algebra given by per-degree bases and per-degree-pair product matrices.
 
-    products maps (deg_a, idx_a, deg_b, idx_b) to a sparse result
-    ((idx, coeff), ...) in degree deg_a + deg_b; absent keys mean zero, and
-    terms that share an idx add up.  A dict is coerced at once, so bad input
-    fails early; a zero-argument callable returns the table in coerced form
-    and runs on the first read of ``products`` (built structures pass one:
-    the Weil route reads only the operators).  products=None marks an
-    operator-only presentation (internal use) on which multiplication queries
-    are unavailable.
+    products maps (deg_a, deg_b) to M_{a,b}: A^a (x) A^b -> A^(a+b), whose
+    column ia * dim A^b + ib is the product e_ia e_ib; an absent pair is the
+    zero map.  A zero-argument callable returns that dict and runs on the
+    first read of ``products`` (built structures pass one: the Weil route
+    reads only the operators).  products=None marks an operator-only
+    presentation, on which multiplication queries are unavailable.
     """
 
     def __init__(
         self,
         space: GradedVectorSpace,
-        products: dict | Callable[[], dict] | None,
+        products: dict[tuple[int, int], RationalMatrix] | Callable[[], dict] | None,
         unit_index: int = 0,
         truncated_above: int | None = None,
     ):
@@ -147,48 +145,25 @@ class GradedAlgebraPresentation:
         self.unit_index = unit_index
         self.truncated_above = truncated_above
         self._make_products = products if callable(products) else None
-        if products is None:
-            self.products = None
-        elif not callable(products):
-            self.products = {}
-            for (da, ia, db, ib), terms in products.items():
-                terms = tuple((int(k), c) for k, c in ((k, frac(c)) for k, c in terms) if c)
-                if terms:
-                    self.products[(da, ia, db, ib)] = terms
+        if not callable(products):
+            self.products = products
+            for (da, db), m in (products or {}).items():
+                if (m.rows, m.cols) != (space.dim(da + db), space.dim(da) * space.dim(db)):
+                    raise ValueError(f"product matrix M_{da},{db} is {m.rows}x{m.cols}")
         if space.dim(0) == 0 and products is not None:
             raise ValueError("a unital algebra needs a degree-0 element")
 
     @functools.cached_property
-    def products(self) -> dict:
+    def products(self) -> dict[tuple[int, int], RationalMatrix]:
         return self._make_products()
 
     def has_products(self) -> bool:
         return self._make_products is not None or self.products is not None
 
-    def basis_product(self, da: int, ia: int, db: int, ib: int):
-        if self.products is None:
-            raise ValueError("operator-only presentation has no products")
-        return self.products.get((da, ia, db, ib), ())
-
-    @functools.cached_property
-    def _product_matrices(self) -> dict[tuple[int, int], RationalMatrix]:
-        """M_{a,b} for every degree pair with a product term, from one pass over the table."""
-        sp = self.space
-        entries: dict[tuple[int, int], list] = {}
-        for (da, ia, db, ib), terms in self.products.items():
-            nb = sp.dim(db)
-            if 0 <= ia < sp.dim(da) and 0 <= ib < nb and sp.dim(da + db):
-                col = ia * nb + ib
-                entries.setdefault((da, db), []).extend((k, col, c) for k, c in terms)
-        return {
-            (da, db): RationalMatrix.from_entries(sp.dim(da + db), sp.dim(da) * sp.dim(db), e)
-            for (da, db), e in entries.items()
-        }
-
     def product_matrix(self, da: int, db: int) -> RationalMatrix:
         """M_{da,db}: A^da (x) A^db -> A^(da+db); column ia * dim A^db + ib is e_ia e_ib."""
         sp = self.space
-        return self._product_matrices.get((da, db)) or RationalMatrix.zeros(
+        return self.products.get((da, db)) or RationalMatrix.zeros(
             sp.dim(da + db), sp.dim(da) * sp.dim(db)
         )
 
@@ -610,18 +585,22 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
               for alpha in monomials_of_degree(r, (n - len(odd)) // 2)]
         if ms:
             by_degree[n] = ms
-    monos = [m for ms in by_degree.values() for m in ms]
     index = {m: (n, i) for n, ms in by_degree.items() for i, m in enumerate(ms)}
     dims = {n: len(ms) for n, ms in by_degree.items()}
     labels = {n: tuple(_mono_label(m) for m in ms) for n, ms in by_degree.items()}
     space = GradedVectorSpace(dims, labels, window=(0, max_degree))
 
     def products():
-        table = {}
-        for m1, m2 in itertools.product(monos, repeat=2):
-            if _mono_degree(m1) + _mono_degree(m2) <= max_degree and (res := _mono_mul(m1, m2)):
-                table[index[m1] + index[m2]] = ((index[res[1]][1], Fraction(res[0])),)
-        return table
+        out = {}
+        for (n1, ms1), (n2, ms2) in itertools.product(by_degree.items(), repeat=2):
+            if n1 + n2 > max_degree:
+                continue
+            entries = [(index[res[1]][1], i1 * len(ms2) + i2, res[0])
+                       for i1, m1 in enumerate(ms1) for i2, m2 in enumerate(ms2)
+                       if (res := _mono_mul(m1, m2))]
+            out[(n1, n2)] = RationalMatrix.from_entries(
+                dims[n1 + n2], len(ms1) * len(ms2), entries)
+        return out
 
     algebra = GradedAlgebraPresentation(
         space, products, unit_index=0, truncated_above=max_degree
@@ -789,25 +768,32 @@ def tensor_gstar(
     space = GradedVectorSpace(dims, labels, window=(0, cap))
 
     def products():
-        table = {}
-        for n1, lst1 in pairs.items():
+        """M_{n1,n2} from (a1 (x) b1)(a2 (x) b2) = (-1)^(|b1| |a2|) a1 a2 (x) b1 b2.
+
+        Each factor product is read off a column of the factor's M_{a,b}.
+        """
+        columns = functools.cache(lambda alg, d1, d2: alg.product_matrix(d1, d2).nonzero_columns())
+        out = {}
+        for (n1, lst1), (n2, lst2) in itertools.product(pairs.items(), repeat=2):
+            if n1 + n2 > cap:
+                continue
+            entries = []
             for i1, (da1, ia1, db1, ib1) in enumerate(lst1):
-                for n2, lst2 in pairs.items():
-                    if n1 + n2 > cap:
+                for i2, (da2, ia2, db2, ib2) in enumerate(lst2):
+                    col_a = columns(a.algebra, da1, da2)[ia1 * a.space.dim(da2) + ia2]
+                    col_b = columns(b.algebra, db1, db2)[ib1 * b.space.dim(db2) + ib2]
+                    if not (col_a and col_b):
                         continue
-                    for i2, (da2, ia2, db2, ib2) in enumerate(lst2):
-                        sign = -1 if (db1 % 2 and da2 % 2) else 1
-                        terms = {}
-                        for ka, ca in a.algebra.basis_product(da1, ia1, da2, ia2):
-                            for kb, cb in b.algebra.basis_product(db1, ib1, db2, ib2):
-                                key = index.get((da1 + da2, ka, db1 + db2, kb))
-                                if key is None:
-                                    continue
-                                terms[key[1]] = terms.get(key[1], Fraction(0)) + sign * ca * cb
-                        terms = tuple((k, c) for k, c in sorted(terms.items()) if c != 0)
-                        if terms:
-                            table[(n1, i1, n2, i2)] = terms
-        return table
+                    # both factors' targets are nonzero, so their block exists
+                    start, nb = blocks[n1 + n2][da1 + da2], b.space.dim(db1 + db2)
+                    sign = -1 if db1 % 2 and da2 % 2 else 1
+                    col = i1 * len(lst2) + i2
+                    entries += [(start + ka * nb + kb, col, sign * ca * cb)
+                                for ka, ca in col_a for kb, cb in col_b]
+            if entries:
+                out[(n1, n2)] = RationalMatrix.from_entries(
+                    dims[n1 + n2], len(lst1) * len(lst2), entries)
+        return out
 
     unit_idx = index.get((0, a.algebra.unit_index if a.algebra.has_products() else 0,
                           0, b.algebra.unit_index if b.algebra.has_products() else 0),

@@ -43,19 +43,19 @@ once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
 ``independent_complement`` reads its pick off the pivot columns of one RREF
 of ``[modulo | candidates]``.  ``kron_identity`` and ``identity_kron``
 place a matrix's entries into its Kronecker product with an identity, with
-no arithmetic; ``gstar`` writes the G*-axioms as identities between such
-products.  ``from_blocks`` places matrices as blocks of a larger one and
-adds them where they overlap, with no arithmetic on a row that one block
-feeds; with it ``gstar`` assembles tensor-product operators from Kronecker
-blocks, ``cartan`` the ambient d, L and u-multiplication of the Cartan
-complex, and ``module_theory`` the Koszul boundaries, as does
-``cartan.module_presentation`` its evaluation map.  Single dense vectors (``Vec``, ``vec``, ``apply``) serve only
-``gstar.detect_type_c`` and the tests, and stay while ``bench/spans.py``
-binds ``apply`` by name.  Two subspace helpers carry the linear algebra
-that the Cartan and Weil routes share: ``joint_kernel`` takes the canonical
-common kernel of several maps from one nullspace of their stack, and
-``restrict`` writes an operator between two subspaces in their bases with
-one batched solve.
+no arithmetic; ``gstar`` holds a product as matrices M_{a,b}, which ``cli``
+fills with ``from_entries``, and writes the G*-axioms as identities between
+such products.  ``from_blocks`` places matrices as blocks of a larger one
+and adds them where they overlap, with no arithmetic on a row that one
+block feeds; with it ``gstar`` assembles tensor-product operators from
+Kronecker blocks, ``cartan`` the ambient d, L and u-multiplication of the
+Cartan complex, ``module_theory`` the Koszul boundaries and
+``cartan.module_presentation`` its evaluation map.  Dense vectors (``Vec``,
+``vec``, ``apply``) serve only ``gstar.detect_type_c`` and the tests, and
+stay while ``bench/spans.py`` binds ``apply`` by name.  ``joint_kernel``
+(the common kernel of several maps, from one nullspace of their stack) and
+``restrict`` (an operator between two subspaces in their bases, by one
+batched solve) carry the linear algebra the Cartan and Weil routes share.
 """
 
 from __future__ import annotations

@@ -40,30 +40,34 @@ def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
     return RationalMatrix.from_entries(n, n, lo) @ RationalMatrix.from_entries(n, n, up)
 
 
-def change_basis(s, rng):
-    """The same structure in the basis given by unit-LU changes per degree.
-
-    Degree 0 keeps its basis, so the unit stays a basis element, and the
-    product table is carried along with the operators.
-    """
-    sp = s.space
+def unit_lu_bases(sp, rng):
+    """(T, T^-1) per degree of sp: unit-LU changes of basis, the identity in degree 0."""
     t = {n: random_invertible(rng, sp.dim(n)) if n else RationalMatrix.identity(sp.dim(n))
          for n in sp.degrees()}
-    t_inv = {n: inverse(m) for n, m in t.items()}
+    return t, {n: inverse(m) for n, m in t.items()}
+
+
+def change_basis(s, rng):
+    """The same structure in the basis given by unit-LU changes T_n per degree.
+
+    Degree 0 keeps its basis, so the unit stays a basis element.  Operators
+    are conjugated, and each product matrix is carried along as
+    M'_{a,b} = T_{a+b} M_{a,b} (T_a^-1 (x) T_b^-1).
+    """
+    sp = s.space
+    t, t_inv = unit_lu_bases(sp, rng)
 
     def conj(get, delta):
         return {n: t[n + delta] @ get(n) @ t_inv[n] for n in sp.degrees()
                 if sp.dim(n) and sp.dim(n + delta)}
 
-    products = {}
-    for da in sp.degrees():
-        for db in sp.degrees():
-            if da + db not in t:
-                continue
-            for ia, va in enumerate(columns(t_inv[da])):
-                for ib, vb in enumerate(columns(t_inv[db])):
-                    ab = t[da + db].apply(reference_multiply(s.algebra, da, va, db, vb))
-                    products[(da, ia, db, ib)] = tuple(enumerate(ab))
+    products = None
+    if s.algebra.has_products():
+        products = {
+            (da, db): t[da + db] @ m @ (t_inv[da].kron_identity(sp.dim(db))
+                                        @ t_inv[db].identity_kron(sp.dim(da)))
+            for (da, db), m in s.algebra.products.items() if da + db in t
+        }
     algebra = GradedAlgebraPresentation(sp, products, s.algebra.unit_index,
                                         s.truncated_above)
     r = s.lie.dimension
@@ -74,10 +78,41 @@ def change_basis(s, rng):
     )
 
 
+def reference_change_basis(s, rng):
+    """The product matrices of change_basis, carried one basis pair at a time.
+
+    Each new pair e'_ia e'_ib is multiplied out by ``reference_multiply`` from
+    the columns of T_a^-1 and T_b^-1 and written back in the new basis.
+    """
+    sp = s.space
+    t, t_inv = unit_lu_bases(sp, rng)
+    products = {}
+    for da in sp.degrees():
+        for db in sp.degrees():
+            if da + db not in t:
+                continue
+            cols = [t[da + db].apply(reference_multiply(s.algebra, da, va, db, vb))
+                    for va in columns(t_inv[da]) for vb in columns(t_inv[db])]
+            products[(da, db)] = RationalMatrix.from_cols(cols, sp.dim(da + db))
+    return products
+
+
 # -- element-wise reference for the G*-axiom checks ------------------------------------
 # The package checks the axioms as identities between product matrices.  The
 # functions below are the element-wise checks they replaced, one basis tuple
 # at a time on dense vectors; tests compare the two.
+
+
+def basis_product(alg, da, ia, db, ib):
+    """e_ia e_ib as (index, coefficient) terms: column ia * dim A^db + ib of M_{da,db}."""
+    return alg.product_matrix(da, db).nonzero_columns()[ia * alg.space.dim(db) + ib]
+
+
+def product_table(alg):
+    """The nonzero product matrices of alg by degree pair; None for an operator-only one."""
+    if not alg.has_products():
+        return None
+    return {key: m for key, m in alg.products.items() if not m.is_zero()}
 
 
 def reference_multiply(alg, da, va, db, vb):
@@ -87,13 +122,14 @@ def reference_multiply(alg, da, va, db, vb):
     out = [Fraction(0)] * dim_n
     if dim_n == 0:
         return tuple(out)
+    cols = alg.product_matrix(da, db).nonzero_columns()
     for ia, ca in enumerate(va):
         if ca == 0:
             continue
         for ib, cb in enumerate(vb):
             if cb == 0:
                 continue
-            for k, c in alg.basis_product(da, ia, db, ib):
+            for k, c in cols[ia * len(vb) + ib]:
                 out[k] += ca * cb * c
     return tuple(out)
 
@@ -116,10 +152,13 @@ def reference_check_algebra(alg) -> list[str]:
     for da, db in itertools.product(degs, repeat=2):
         if da + db > top:
             continue
-        for ia in range(sp.dim(da)):
-            for ib in range(sp.dim(db)):
-                ab = dict(alg.basis_product(da, ia, db, ib))
-                ba = dict(alg.basis_product(db, ib, da, ia))
+        na, nb = sp.dim(da), sp.dim(db)
+        cols_ab = alg.product_matrix(da, db).nonzero_columns()
+        cols_ba = alg.product_matrix(db, da).nonzero_columns()
+        for ia in range(na):
+            for ib in range(nb):
+                ab = dict(cols_ab[ia * nb + ib])
+                ba = dict(cols_ba[ib * na + ia])
                 sign = -1 if (da % 2 and db % 2) else 1
                 if any(ab.get(k, 0) != sign * ba.get(k, 0) for k in set(ab) | set(ba)):
                     issues.append(
@@ -291,10 +330,13 @@ def reference_weil_algebra(lie, max_degree):
     dims = {n: len(ms) for n, ms in by_degree.items()}
     labels = {n: tuple(_mono_label(m) for m in ms) for n, ms in by_degree.items()}
     space = GradedVectorSpace(dims, labels, window=(0, max_degree))
-    products = {}
+    entries = {}
     for m1, m2 in itertools.product(monos, repeat=2):
-        if _mono_degree(m1) + _mono_degree(m2) <= max_degree and (res := _mono_mul(m1, m2)):
-            products[index[m1] + index[m2]] = ((index[res[1]][1], Fraction(res[0])),)
+        (n1, i1), (n2, i2) = index[m1], index[m2]
+        if n1 + n2 <= max_degree and (res := _mono_mul(m1, m2)):
+            entries.setdefault((n1, n2), []).append((index[res[1]][1], i1 * dims[n2] + i2, res[0]))
+    products = {(n1, n2): RationalMatrix.from_entries(dims[n1 + n2], dims[n1] * dims[n2], e)
+                for (n1, n2), e in entries.items()}
     algebra = GradedAlgebraPresentation(space, products, unit_index=0,
                                         truncated_above=max_degree)
     def d_on_gen(g):

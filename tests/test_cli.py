@@ -1,13 +1,23 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foliacoh import cli, fixtures
-from foliacoh.gstar import LieAlgebraSpec, weil_algebra
+from foliacoh.gstar import (
+    LieAlgebraSpec,
+    check_gstar_axioms,
+    extend_with_trivial_factor,
+    tensor_gstar,
+    weil_algebra,
+)
 from foliacoh.series import PoincarePolynomial
+
+from conftest import change_basis, circle_action, product_table
 
 DATA = Path(cli.__file__).parent / "data"
 
@@ -329,6 +339,100 @@ def test_rejects_names_of_missing_basis_elements(tmp_path, capsys, command, muta
     assert message in out["error"]
 
 
+SO3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
+
+
+def _hopf_with_a_second_product(doc):
+    doc["payload"]["products"].insert(0, {"left": [1, 0], "right": [2, 0], "value": [[0, 5]]})
+    return "product [1, 0] x [2, 0] is listed twice"
+
+
+def _so3_with_a_second_bracket(doc):
+    doc["payload"]["lie"]["brackets"].insert(0, {"i": 0, "j": 1, "k": 2, "value": 7})
+    return "bracket (0, 1, 2) is listed twice"
+
+
+# a repeated products entry or bracket used to keep its last copy: with a wrong
+# copy placed first, validate reported the document valid
+@pytest.mark.parametrize("command", ["validate", "equivariant"])
+@pytest.mark.parametrize("mutate", [_hopf_with_a_second_product, _so3_with_a_second_bracket])
+def test_an_entry_listed_twice_is_bad_input(tmp_path, capsys, command, mutate):
+    if mutate is _hopf_with_a_second_product:
+        doc = json.loads((DATA / "hopf_gstar.json").read_text())
+    else:
+        doc = cli.document_for("gstar_algebra", cli.gstar_to_payload(weil_algebra(SO3, 2)), 2)
+    message = mutate(doc)
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert message in out["error"]
+
+
+def test_a_written_operator_only_structure_reads_back_without_products(tmp_path, capsys):
+    # products: [] used to be written, which reads back as the unit-only algebra
+    payload = cli.gstar_to_payload(circle_action())
+    assert payload["products"] is None
+    assert cli.parse_gstar(payload).algebra.has_products() is False
+    checks = check_gstar_axioms(cli.parse_gstar(payload)).checks
+    assert checks[-1] == ("derivations", True, 1, "skipped: operator-only presentation")
+    p = tmp_path / "circle.json"
+    p.write_text(json.dumps(cli.document_for("gstar_algebra", payload)))
+    code, out = run_json(capsys, "validate", "--input", str(p))
+    assert (code, out["results"]) == (cli.EXIT_OK, {"valid": True, "issues": []})
+    payload["products"] = []
+    p.write_text(json.dumps(cli.document_for("gstar_algebra", payload)))
+    code, out = run_json(capsys, "validate", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["results"]["issues"] == [
+        "i_X derivation: i_X derivation fails on (c, t) generator 0"]
+
+
+def test_schema_accepts_null_products():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(cli.__file__).parent / "schema" / "input-v1.json").read_text())
+    kind_schema = {"definitions": schema["definitions"], **schema["definitions"]["gstar_algebra"]}
+    jsonschema.validate(cli.gstar_to_payload(circle_action()), kind_schema)
+
+
+@st.composite
+def built_structures(draw):
+    """A structure the package builds, maybe in a unit-LU basis."""
+    lie = draw(st.sampled_from([LieAlgebraSpec.abelian(r) for r in range(3)] + [SO3]))
+    top = draw(st.integers(0, 2 if lie is SO3 else 4))
+    r1 = LieAlgebraSpec.abelian(1)
+    make = draw(st.sampled_from([
+        lambda: weil_algebra(lie, top),
+        lambda: tensor_gstar(weil_algebra(r1, top), fixtures.hopf_basic_model()),
+        lambda: tensor_gstar(fixtures.exterior_line_free(), fixtures.sphere3_minimal_model(),
+                             max_degree=top),
+        lambda: extend_with_trivial_factor(fixtures.hopf_basic_model(), 2),
+        fixtures.trivial_line, fixtures.exterior_line_free, fixtures.exterior_two_free,
+        fixtures.hopf_basic_model, fixtures.sphere3_minimal_model,
+        fixtures.trivial_action_on_h_1_0_1, circle_action,
+    ]))
+    s = make()
+    if draw(st.booleans()):
+        s = change_basis(s, random.Random(draw(st.integers(0, 2**16))))
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_structures())
+@example(weil_algebra(LieAlgebraSpec.abelian(0), 3)).via("a window above the last basis element")
+def test_a_written_structure_reads_back_equal(s):
+    back = cli.parse_gstar(json.loads(json.dumps(cli.gstar_to_payload(s))))
+    assert (back.space, back.algebra.unit_index, back.truncated_above, back.lie) == \
+        (s.space, s.algebra.unit_index, s.truncated_above, s.lie)
+    for n in range(s.space.window[0] - 1, s.space.window[1] + 2):
+        assert back.op_d(n) == s.op_d(n)
+        for j in range(s.lie.dimension):
+            assert back.op_i(j, n) == s.op_i(j, n)
+            assert back.op_l(j, n) == s.op_l(j, n)
+    assert product_table(back.algebra) == product_table(s.algebra)
+    assert check_gstar_axioms(back) == check_gstar_axioms(s)
+
+
 # -- subcommands ----------------------------------------------------------------------
 
 
@@ -505,6 +609,21 @@ def test_module_ses_map_checks(tmp_path, capsys, first_map, message):
         else:
             assert code == cli.EXIT_INVALID_INPUT, command
             assert message in out["error"]
+
+
+def test_repeated_map_entries_add_up_as_relation_entries_do(tmp_path, capsys):
+    # a repeated (gen, monomial) of a map used to keep only its last coefficient
+    payload = _module_ses([_entry(0, [0], 2), _entry(1, [0]), _entry(0, [0], "-1/2")])
+    payload["sub"]["relations"] = [{"entries": [_entry(0, [1]), _entry(0, [1], 2)]}]
+    ses = cli.parse_ses_module(payload)
+    assert ses.sub.relations == (({(1,): Fraction(3)},),)
+    assert ses.first_map == (({(0,): Fraction(3, 2)}, {(0,): Fraction(1)}),)
+    p = tmp_path / "ses.json"
+    p.write_text(json.dumps(cli.document_for("ses", _module_ses([_entry(0, [0]),
+                                                                 _entry(0, [0], -1)]))))
+    code, out = run_json(capsys, "validate", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["results"]["issues"] == ["first map not injective in degree 0"]
 
 
 @pytest.mark.parametrize("command", ["validate", "module"])

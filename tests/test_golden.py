@@ -10,6 +10,9 @@ random presentations, recorded before the module layer kept one reduction
 matrix per degree; a document that exits 2 has its ``error`` pinned instead.
 The ``sphere3_split_ses`` error was re-pinned on purpose when ``module``
 began to say that it needs a ses of type ``module``.
+
+The bytes ``gstar_to_payload`` writes for nine truncated Weil algebras are
+pinned as well, since every benchmark input is written by it.
 """
 
 import hashlib
@@ -225,3 +228,31 @@ def test_golden_spectral_on_weil_documents(capsys, tmp_path, name):
     results = json.loads(capsys.readouterr().out)["results"]
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert (code, digest) == (want_code, want_digest)
+
+
+# -- writer bytes of generated Weil documents --------------------------------------------
+# Pinned before product tables were held as per-degree-pair matrices.  Every
+# benchmark input is written through gstar_to_payload, so a change in its bytes
+# shows here first.
+
+SO3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
+# (Lie algebra, N) -> sha256 of the canonical bytes of the W(g) document truncated at N
+WEIL_DOCUMENT_GOLDEN = {
+    ("R1", 4): "f8e07c24d4ed76d04420f2357fee5ee84f97f2426a0cccb0fa6006fb9193c800",
+    ("R1", 6): "049d8720b31581d489a29e4682fb236509990da4177a709518ce1d4086481052",
+    ("R1", 8): "9cd0e77314065e28fe966812763ffe9ac03ca56aad1be1bbd74d548dd1ca608d",
+    ("R2", 4): "33f9929a0d287a82fa426984433947f2dfafcd04ee325eed48f983b5837c0436",
+    ("R2", 6): "2b3969c1878730e1b3f79a0b7b7e4819c3403018ab5c56be1cbb1fc002033de3",
+    ("R2", 8): "33326351c92025812f57fbebfdee28667aa26ba464341fbb2b24eb1e8243acc5",
+    ("so3", 3): "a99e1218d2ccd2215499d03e4f341a6d2f646b22a7557612e51247bf99bcd593",
+    ("so3", 4): "26419ee1c127f0daa83c27d6355ec5a0406b5532f94fadc11e4ae2b890ffa69a",
+    ("so3", 8): "0494a96b5ae44cb2e5f9f633cfd1ac5a09bcc02bbce6811edb5caba546470005",
+}
+LIES = {"R1": LieAlgebraSpec.abelian(1), "R2": LieAlgebraSpec.abelian(2), "so3": SO3}
+
+
+@pytest.mark.parametrize("lie,n", sorted(WEIL_DOCUMENT_GOLDEN))
+def test_golden_weil_document_bytes(lie, n):
+    payload = cli.gstar_to_payload(weil_algebra(LIES[lie], n))
+    digest = hashlib.sha256(cli.canonical_bytes(cli.document_for("gstar_algebra", payload, n)))
+    assert digest.hexdigest() == WEIL_DOCUMENT_GOLDEN[(lie, n)]
