@@ -533,13 +533,27 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a key that appears twice in it is an InputError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def load_document(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     except (ValueError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from None
     except RecursionError:

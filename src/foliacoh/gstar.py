@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebra_core import CochainComplex, CohomologyResult, GradedVectorSpace, cohomology_dims
+from .algebra_core import CochainComplex, GradedVectorSpace, cohomology_dims
 from .module_theory import monomials_of_degree
 from .ratmat import (
     RationalMatrix,
@@ -843,7 +843,6 @@ def tensor_gstar(
 class WeilModelResult(NamedTuple):
     dims: dict[int, int]
     stable_through: int
-    cohomology: CohomologyResult
 
     def dims_tuple(self, n_max: int) -> tuple[int, ...]:
         return tuple(self.dims.get(n, 0) for n in range(n_max + 1))
@@ -855,10 +854,17 @@ def weil_model_cohomology(s: GStarStructure, n_max: int) -> WeilModelResult:
     Tensors the acyclic structure onto the algebra, extracts the joint
     i/L kernel, and takes cohomology.  Independent of the Cartan-complex
     route, which makes it the cross-check oracle for it.
+
+    Both factors are built through degree n_max + 1 and no further.  H^n
+    reads only B^(n-1), B^n, B^(n+1) and the maps d_(n-1), d_n; a structure
+    truncated at T keeps d exact through degree T - 1, so T = n_max + 1
+    covers every reported degree.  A window with n_max < 0 reads no degree
+    and builds nothing.
     """
-    w = weil_algebra(s.lie, n_max + 2)
-    t = tensor_gstar(w, s, max_degree=n_max + 2)
-    basic = basic_subcomplex(t)
-    h = cohomology_dims(basic.complex)
-    dims = {n: h.dim(n) for n in range(0, n_max + 1) if h.dim(n)}
-    return WeilModelResult(dims=dims, stable_through=n_max, cohomology=h)
+    if n_max < 0:
+        return WeilModelResult(dims={}, stable_through=n_max)
+    w = weil_algebra(s.lie, n_max + 1)
+    t = tensor_gstar(w, s, max_degree=n_max + 1)
+    h = cohomology_dims(basic_subcomplex(t).complex)
+    dims = {n: h.dim(n) for n in range(n_max + 1) if h.dim(n)}
+    return WeilModelResult(dims=dims, stable_through=n_max)

@@ -369,6 +369,24 @@ def test_an_entry_listed_twice_is_bad_input(tmp_path, capsys, command, mutate):
     assert message in out["error"]
 
 
+# a key repeated in one JSON object used to keep its last copy: with a second
+# "i" placed first, hopf_gstar.json still validated
+@pytest.mark.parametrize("command", ["validate", "equivariant"])
+@pytest.mark.parametrize("key,before,copy", [
+    ("i", '"i": [', '"i": [{"1": [[7]]}], '),
+    ("kind", '"kind": ', '"kind": "polytope", '),
+    ("1", '"1": [\n          [\n            1', '"1": [[7]], '),
+], ids=["payload", "envelope", "matrix"])
+def test_a_key_repeated_in_one_object_is_bad_input(tmp_path, capsys, command, key, before, copy):
+    text = (DATA / "hopf_gstar.json").read_text()
+    assert text.count(before) == 1
+    p = tmp_path / "twice.json"
+    p.write_text(text.replace(before, copy + before))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"] == f"{p}: key {key!r} appears twice in one object"
+
+
 def test_a_written_operator_only_structure_reads_back_without_products(tmp_path, capsys):
     # products: [] used to be written, which reads back as the unit-only algebra
     payload = cli.gstar_to_payload(circle_action())
