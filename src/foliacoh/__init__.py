@@ -23,6 +23,7 @@ from .cartan import (
     EquivariantCohomologyResult,
     commuting_reduction_check,
     equivariant_cohomology,
+    generator_degrees,
     module_presentation,
 )
 from .gstar import (

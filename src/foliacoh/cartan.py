@@ -9,6 +9,11 @@ A slice is the blocks S^p (x) A^(n-2p) in ascending p, stored as their
 offsets (``CartanComplexSlice.below``), and every operator is placed as
 Kronecker blocks with ``RationalMatrix.from_blocks``.
 
+``equivariant_cohomology`` counts dimensions from ranks alone, and
+``generator_degrees`` counts minimal generators from ranks of u-images of
+cocycles.  Representatives and the u-action on classes are built only for a
+module presentation (``class_u_actions``, ``module_presentation``).
+
 The polynomial factor is never truncated on its own: total degree n only
 ever sees symmetric degrees p <= n/2, so each slice is exact regardless of
 the window.  Truncation flags come only from the underlying algebra.
@@ -108,6 +113,7 @@ class CartanComplex:
         self.stable_through = n_max if trunc is None else min(n_max, trunc - 2)
         self.slices: list[CartanComplexSlice] = []
         invariant_everywhere = s.all_l_zero() and s.lie.is_abelian
+        self._coadjoints: dict[tuple[int, int], RationalMatrix] = {}  # by (j, p), as built
         for n in range(n_max + 2):
             below = tuple(itertools.accumulate(
                 (dim_sym(r, p) * sp.dim(n - 2 * p) for p in range(n // 2 + 1)), initial=0))
@@ -119,6 +125,8 @@ class CartanComplex:
         self.d: dict[int, RationalMatrix] = {}
         for n in range(n_max + 1):
             self.d[n] = self._differential(n)
+        # d_n d_(n-1) by n where it is nonzero, which only the unstable edge allows
+        self.squares: dict[int, RationalMatrix] = {}
         self._verify_d_squared()
 
     # -- construction helpers ---------------------------------------------
@@ -129,7 +137,9 @@ class CartanComplex:
         parts = []
         for p, at in enumerate(sl.below[:-1]):
             m = sl.n - 2 * p
-            l_a, coad = s.op_l(j, m), _coadjoint(s.lie, j, p)
+            if (j, p) not in self._coadjoints:
+                self._coadjoints[j, p] = _coadjoint(s.lie, j, p)
+            l_a, coad = s.op_l(j, m), self._coadjoints[j, p]
             if not l_a.is_zero():
                 parts.append((at, at, l_a.identity_kron(coad.rows)))
             if not coad.is_zero():
@@ -163,7 +173,8 @@ class CartanComplex:
             prod = self.d[n + 1] @ self.d[n]
             if not prod.is_zero():
                 if self.structure.truncated_above is not None and n + 2 > self.stable_through:
-                    continue  # unstable edge of a truncated algebra
+                    self.squares[n + 1] = prod  # unstable edge of a truncated algebra
+                    continue
                 raise DifferentialNotSquareZero(
                     f"equivariant differential does not square to zero at {n}"
                 )
@@ -189,12 +200,9 @@ class CartanComplex:
 
 
 class EquivariantCohomologyResult(NamedTuple):
-    """Equivariant cohomology with its polynomial-module structure."""
+    """Dimensions of the equivariant cohomology and the Cartan complex they come from."""
 
     dims: dict[int, int]
-    representatives: dict[int, RationalMatrix]  # per degree, columns in slice coordinates
-    u_actions: tuple[dict[int, RationalMatrix], ...]  # per variable, degree n -> n+2
-    generator_degrees: tuple[int, ...]
     n_max: int
     stable_through: int
     dim_a: int
@@ -212,21 +220,68 @@ class EquivariantCohomologyResult(NamedTuple):
 
 
 def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomologyResult:
-    """Cohomology of the Cartan complex with deterministic representatives.
+    """Dimensions of the cohomology of the Cartan complex, from ranks alone.
 
-    The u-action matrices multiply representatives and reduce modulo
-    coboundaries; minimal generator degrees via the cokernel of the
-    combined u-action out of two degrees below.
+    h_n = dim C^n - rank d_n - rank d_(n-1) + rank(d_n d_(n-1)): the cocycles
+    less their meet with the coboundaries, as dim(im A & ker B) =
+    rank A - rank BA.  The last term is nonzero only where d squares to
+    nonzero, at the unstable edge of a truncated algebra.
     """
     cx = CartanComplex(s, n_max)
-    r = s.lie.dimension
     dims: dict[int, int] = {}
+    for n in range(n_max + 1):
+        h = cx.dim(n) - sum(cx.d[k].rank() for k in (n - 1, n) if k in cx.d)
+        if n in cx.squares:
+            h += cx.squares[n].rank()
+        if h:
+            dims[n] = h
+    return EquivariantCohomologyResult(
+        dims=dims,
+        n_max=n_max,
+        stable_through=cx.stable_through,
+        dim_a=s.lie.dimension,
+        complex=cx,
+    )
+
+
+def generator_degrees(e: EquivariantCohomologyResult) -> tuple[int, ...]:
+    """Degree of each minimal generator of the cohomology module, ascending.
+
+    Over abelian g, the classes of degree n that the u-action reaches from
+    degree n - 2 span (span U + im d_(n-1)) / im d_(n-1), with U the columns
+    u_j K and K the kernel of d_(n-2): a coboundary goes to a coboundary, as
+    u commutes with d.  The generators of degree n are the h_n classes less
+    those.  Over a non-abelian g there is no u-action and every class is a
+    generator.
+    """
+    cx, r = e.complex, e.dim_a
+    acts = r > 0 and cx.structure.lie.is_abelian
+    degrees: list[int] = []
+    for n in range(e.n_max + 1):
+        h = e.dim(n)
+        if h and acts and n >= 2:
+            kernel = cx.d[n - 2].nullspace()
+            reached = functools.reduce(RationalMatrix.hstack, [
+                cx.u_multiplication(j, n - 2) @ kernel for j in range(r)])
+            if not (cx.d[n] @ reached).is_zero():
+                raise AssertionError(f"u times a cocycle is not a cocycle in degree {n}")
+            h -= len(independent_complement(reached, cx.d[n - 1]))
+        degrees += [n] * h
+    return tuple(degrees)
+
+
+def class_u_actions(e: EquivariantCohomologyResult) -> tuple[dict[int, RationalMatrix], ...]:
+    """Per variable, the u-action on classes from degree n to n + 2, n + 2 <= n_max.
+
+    Classes are the canonical representatives of ``cocycle_representatives``;
+    u times the representatives is reduced modulo coboundaries onto them.
+    Over a non-abelian Lie algebra every dict is empty.
+    """
+    cx, n_max, r = e.complex, e.n_max, e.dim_a
     reps: dict[int, RationalMatrix] = {}
     for n in range(n_max + 1):
         d_in = cx.d[n - 1] if n else RationalMatrix.zeros(cx.dim(0), 0)
         reps[n] = cocycle_representatives(cx.d[n], d_in)
-        if reps[n].cols:
-            dims[n] = reps[n].cols
 
     def reduce_classes(n: int, vs: RationalMatrix) -> RationalMatrix:
         """Class coordinates of the columns of vs (n >= 1), all from one solve."""
@@ -236,25 +291,15 @@ def equivariant_cohomology(s: GStarStructure, n_max: int) -> EquivariantCohomolo
         return coords
 
     u_actions: tuple[dict[int, RationalMatrix], ...] = tuple({} for _ in range(r))
-    if s.lie.is_abelian:
+    if cx.structure.lie.is_abelian:
         for j in range(r):
             for n in range(n_max - 1):
                 mult = cx.u_multiplication(j, n)
                 u_actions[j][n] = (
                     reduce_classes(n + 2, mult @ reps[n])
-                    if reps[n].cols else RationalMatrix.zeros(dims.get(n + 2, 0), 0)
+                    if reps[n].cols else RationalMatrix.zeros(e.dim(n + 2), 0)
                 )
-
-    return EquivariantCohomologyResult(
-        dims=dims,
-        representatives=reps,
-        u_actions=u_actions,
-        generator_degrees=tuple(n for n, _i in _module_generators(dims, u_actions, n_max)),
-        n_max=n_max,
-        stable_through=cx.stable_through,
-        dim_a=r,
-        complex=cx,
-    )
+    return u_actions
 
 
 def _module_generators(
@@ -295,7 +340,8 @@ def module_presentation(
         raise ValueError("dim_a disagrees with the computed module action")
     n_max = e.n_max
 
-    generators = _module_generators(e.dims, e.u_actions, n_max)
+    u_actions = class_u_actions(e)
+    generators = _module_generators(e.dims, u_actions, n_max)
     gen_degrees = tuple(g for g, _i in generators)
 
     def evaluate(g_idx: int, beta: tuple[int, ...]) -> RationalMatrix:
@@ -304,7 +350,7 @@ def module_presentation(
         v = RationalMatrix.identity(e.dim(deg)).select([i])
         for j in range(r):
             for _ in range(beta[j]):
-                m = e.u_actions[j].get(deg)
+                m = u_actions[j].get(deg)
                 if m is None:
                     raise ValueError("u-action unavailable at the window edge")
                 v = m @ v

@@ -35,7 +35,7 @@ from .algebra_core import (
     cohomology_dims,
     les_exactness_check,
 )
-from .cartan import DifferentialNotSquareZero, equivariant_cohomology
+from .cartan import DifferentialNotSquareZero, equivariant_cohomology, generator_degrees
 from .foliation import (
     FoliationStrataModel,
     MorseComponent,
@@ -652,7 +652,7 @@ def _cmd_equivariant(s, n_max):
         "equivariant_dims": list(e.dims_tuple(upto)),
         "weil_model_dims": list(w.dims_tuple(upto)),
         "cross_check_ok": agree,
-        "module_generator_degrees": list(e.generator_degrees),
+        "module_generator_degrees": list(generator_degrees(e)),
         "stable_through": upto,
     }
 

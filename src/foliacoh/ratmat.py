@@ -27,14 +27,15 @@ with p the pivot, f the row's entry in the pivot column and g = gcd(p, f),
 and divides the row by its content; each column pivots on the candidate
 row with the fewest nonzeros.  A row of the RREF is its primitive pivot row
 over its pivot entry, which is canonical as it stands.  This forward pass,
-``_echelon``, is the one elimination loop: ``pivots`` returns its pivot
-columns, ``rank()`` counts them, ``rref`` adds back substitution, and
-``rank(p)`` counts them on the rows reduced mod a prime p, with
-row <- row - (row[c]/top[c]) top mod p.  A rank mod p is at most the rank
-over Q, so a rank mod ``PRIME`` equal to the number of columns proves full
-column rank by arithmetic the RREF does not share; ``rank_of_columns``
-falls back to the exact rank otherwise, and ``independent_complement``
-certifies its pick with it.
+``_echelon``, is the one elimination loop, and a matrix runs it once: its
+pivot columns and rows are kept, ``pivots`` returns the columns, ``rank()``
+counts them and ``rref`` back-substitutes on a copy of the rows, so a rank
+and a later kernel share one pass.  ``rank(p)`` counts pivots on the rows
+reduced mod a prime p, with row <- row - (row[c]/top[c]) top mod p.  A rank
+mod p is at most the rank over Q, so a rank mod ``PRIME`` equal to the
+number of columns proves full column rank by arithmetic the RREF does not
+share; ``rank_of_columns`` falls back to the exact rank otherwise, and
+``independent_complement`` certifies its pick with it.
 
 A subspace, and a batch of vectors, is always a matrix of columns, and one
 elimination serves it whole.  ``nullspace`` returns the canonical kernel
@@ -210,12 +211,12 @@ def _echelon(rows: list[Row], ncols: int, eliminate) -> tuple[list, list]:
 class RationalMatrix:
     """Immutable-by-convention sparse rational matrix: integer rows, one denominator each."""
 
-    __slots__ = ("rows", "cols", "_nz", "_rref_cache")
+    __slots__ = ("rows", "cols", "_nz", "_forward", "_rref_cache")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        self.rows, self.cols, self._rref_cache = rows, cols, None
+        self.rows, self.cols, self._forward, self._rref_cache = rows, cols, None, None
         if entries is None:
             self._nz = [({}, 1) for _ in range(rows)]
             return
@@ -230,7 +231,7 @@ class RationalMatrix:
     def _trusted(cls, rows: int, cols: int, nz: list[tuple[Row, int]]) -> "RationalMatrix":
         """Wrap rows x cols canonical (numerators, denominator) rows as they are."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._nz, m._rref_cache = rows, cols, nz, None
+        m.rows, m.cols, m._nz, m._forward, m._rref_cache = rows, cols, nz, None, None
         return m
 
     @classmethod
@@ -438,10 +439,11 @@ class RationalMatrix:
         return [_without_content(r) for r, _ in self._nz if r]
 
     def pivots(self) -> tuple[int, ...]:
-        """Pivot columns of the forward pass, which are the RREF's, with no back substitution."""
-        if self._rref_cache is not None:
-            return self._rref_cache[1]
-        return tuple(_echelon(self._primitive_rows(), self.cols, _eliminate)[0])
+        """Pivot columns of the forward pass, which are the RREF's; the pass runs once."""
+        if self._forward is None:
+            pivots, tops = _echelon(self._primitive_rows(), self.cols, _eliminate)
+            self._forward = tuple(pivots), tops
+        return self._forward[0]
 
     def rank(self, p: int | None = None) -> int:
         """Pivot count of the forward pass: the exact rank, or the rank mod a prime p (no more)."""
@@ -452,14 +454,11 @@ class RationalMatrix:
         return len(_echelon(rows, self.cols, functools.partial(_eliminate_mod, p=p))[0])
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Unique reduced row echelon form and its pivot columns.
-
-        The forward pass is ``_echelon``; back substitution then clears each
-        pivot column from the pivot rows above it, last pivot first.
-        """
+        """Unique RREF and pivot columns: the kept forward pass, then back substitution."""
         if self._rref_cache is not None:
             return self._rref_cache
-        pivots, tops = _echelon(self._primitive_rows(), self.cols, _eliminate)
+        pivots = self.pivots()
+        tops = list(self._forward[1])  # clear each pivot column above it, last pivot first
         for k in range(len(pivots) - 1, 0, -1):
             c, top = pivots[k], tops[k]
             for i in range(k):
@@ -469,7 +468,7 @@ class RationalMatrix:
         out = [(top, top[c]) if top[c] > 0 else ({j: -x for j, x in top.items()}, -top[c])
                for c, top in zip(pivots, tops)]
         out += [({}, 1) for _ in range(self.rows - len(out))]
-        self._rref_cache = RationalMatrix._trusted(self.rows, self.cols, out), tuple(pivots)
+        self._rref_cache = RationalMatrix._trusted(self.rows, self.cols, out), pivots
         return self._rref_cache
 
     def nullspace(self) -> "RationalMatrix":

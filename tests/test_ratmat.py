@@ -312,6 +312,53 @@ def test_batched_coordinates_match_per_vector(system, data):
     assert columns(got) == [columns(c)[0] for c in per_vector]
 
 
+def fresh(m: RationalMatrix) -> RationalMatrix:
+    """The same matrix, rebuilt from its entries, with no elimination run on it."""
+    return RationalMatrix(m.rows, m.cols, m.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_a_kept_forward_pass_gives_what_a_fresh_matrix_gives(system):
+    a, b = system
+    for call in (RationalMatrix.rref, RationalMatrix.nullspace, lambda m: m.solve(b)):
+        kept = fresh(a)
+        rank = kept.rank()
+        assert call(kept) == call(fresh(a))
+        # back substitution works on a copy: the pass and the rows stay as they were
+        assert kept.pivots() == fresh(a).pivots() and kept.rank() == rank and kept == a
+
+
+def transpose(m: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix.from_cols(m.tolist(), m.cols)
+
+
+@st.composite
+def composable_pairs(draw):
+    """(A, B) with B @ A defined; B kills all of im A, part of it, or none by design."""
+    a = draw(matrices())
+    kind = draw(st.sampled_from(("any", "kills", "kills part")))
+    if kind == "any":
+        return a, draw(matrices(cols=a.rows))
+    # rows in the left kernel of A
+    left = transpose(transpose(a).nullspace())
+    b = draw(matrices(cols=left.rows)) @ left
+    if kind == "kills part":
+        b = b.vstack(draw(matrices(cols=a.rows)))
+    return a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(composable_pairs())
+@example((M([[1], [0]]), M([[0, 1]]))).via("B A = 0")
+@example((M([[1], [0]]), M([[1, 0]]))).via("B A != 0")
+def test_a_complement_of_a_kernel_is_counted_by_ranks(pair):
+    # dim(ker B + im A) - rank A = nullity(B) - (rank A - rank BA)
+    a, b = pair
+    picked = independent_complement(b.nullspace(), a)
+    assert len(picked) == b.cols - b.rank() - a.rank() + (b @ a).rank()
+
+
 def test_batched_coordinates_edge_shapes():
     none = RationalMatrix.zeros(2, 0)
     assert coordinates_modulo(none, none, RationalMatrix.zeros(2, 3)) == RationalMatrix.zeros(0, 3)
