@@ -16,6 +16,10 @@ class DimensionMismatch(ValueError):
     """Matrix shapes incompatible with declared graded dimensions."""
 
 
+class InconsistentOperatorData(ValueError):
+    """Operators that contradict each other: d^2 != 0, or d leaving a subspace they cut out."""
+
+
 @dataclass(frozen=True)
 class GradedVectorSpace:
     """Finite-dimensional graded vector space on a window of degrees."""
@@ -145,7 +149,7 @@ def cohomology_dims(c: CochainComplex) -> CohomologyResult:
     """
     rep = verify_complex(c)
     if not rep.ok:
-        raise ValueError(f"not a complex: {rep.message}")
+        raise InconsistentOperatorData(f"not a complex: {rep.message}")
     ranks = {n: m.rank() for n, m in c.d.items()}
     dims: dict[int, int] = {}
     lo, hi = c.spaces.window

@@ -25,7 +25,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .algebra_core import cocycle_representatives
+from .algebra_core import InconsistentOperatorData, cocycle_representatives
 from .gstar import (
     ConnectionElements,
     GradedAlgebraPresentation,
@@ -163,7 +163,7 @@ class CartanComplex:
         src, tgt = self.slices[n], self.slices[n + 1]
         sol = restrict(self._ambient_differential(n), src.embedding, tgt.embedding)
         if sol is None:
-            raise ValueError(
+            raise InconsistentOperatorData(
                 f"equivariant differential does not preserve invariants at degree {n}"
             )
         return sol

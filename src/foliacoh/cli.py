@@ -30,6 +30,7 @@ from . import __version__
 from .algebra_core import (
     CochainComplex,
     GradedVectorSpace,
+    InconsistentOperatorData,
     ShortExactSequence,
     check_ses,
     cohomology_dims,
@@ -931,7 +932,8 @@ def main(argv=None) -> int:
         run = _command_for(args.command, doc)
         # a command that computes on a window of its own returns it third
         code, results, *window = run(_parse(doc["kind"], doc["payload"]), n_max)
-    except (InputError, DifferentialNotSquareZero, NonInvariantAction, PresentationError) as exc:
+    except (InputError, DifferentialNotSquareZero, InconsistentOperatorData, NonInvariantAction,
+            PresentationError) as exc:
         return _finish(args, EXIT_INVALID_INPUT, error=str(exc))
     max_degree = window[0] if window else n_max
     return _finish(args, code, input_sha256=digest, max_degree=max_degree, results=results)

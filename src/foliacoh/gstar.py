@@ -34,7 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebra_core import CochainComplex, GradedVectorSpace, cohomology_dims
+from .algebra_core import (
+    CochainComplex,
+    GradedVectorSpace,
+    InconsistentOperatorData,
+    cohomology_dims,
+)
 from .module_theory import monomials_of_degree
 from .ratmat import (
     RationalMatrix,
@@ -497,7 +502,7 @@ def basic_subcomplex(s: GStarStructure) -> BasicSubcomplex:
             continue
         diffs[n] = restrict(s.op_d(n), kernels[n], kernels.get(n + 1))
         if diffs[n] is None:
-            raise ValueError(
+            raise InconsistentOperatorData(
                 f"differential does not restrict to the basic subcomplex "
                 f"at degree {n} (operator data inconsistent)"
             )

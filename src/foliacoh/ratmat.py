@@ -30,18 +30,19 @@ over its pivot entry, which is canonical as it stands.  This forward pass,
 ``_echelon``, is the one elimination loop, and a matrix runs it once: its
 pivot columns and rows are kept, ``pivots`` returns the columns, ``rank()``
 counts them and ``rref`` back-substitutes on a copy of the rows, so a rank
-and a later kernel share one pass.  ``rank(p)`` counts pivots on the rows
-reduced mod a prime p, with row <- row - (row[c]/top[c]) top mod p.  A rank
-mod p is at most the rank over Q, so a rank mod ``PRIME`` equal to the
-number of columns proves full column rank by arithmetic the RREF does not
-share; ``rank_of_columns`` falls back to the exact rank otherwise, and
+and a later kernel share one pass; ``prefix_pivots`` runs it per block of
+rows, for the pivots of each leading-row prefix.  ``rank(p)`` counts pivots
+on the rows reduced mod a prime p: row <- row - (row[c]/top[c]) top mod p.
+A rank mod p is at most the rank over Q, so a rank mod ``PRIME`` equal to
+the number of columns proves full column rank by arithmetic the RREF does
+not share; ``rank_of_columns`` falls back to the exact rank otherwise, and
 ``independent_complement`` certifies its pick with it.
 
 A subspace, and a batch of vectors, is always a matrix of columns, and one
 elimination serves it whole.  ``nullspace`` returns the canonical kernel
 basis; ``solve`` takes a matrix of right-hand sides and reduces ``[A | B]``
 once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
-``independent_complement`` reads its pick off the pivot columns of one RREF
+``independent_complement`` reads its pick off the pivots of one forward pass
 of ``[modulo | candidates]``.  ``kron_identity`` and ``identity_kron``
 place a matrix's entries into its Kronecker product with an identity, with
 no arithmetic; ``gstar`` holds a product as matrices M_{a,b}, which ``cli``
@@ -445,6 +446,19 @@ class RationalMatrix:
             self._forward = tuple(pivots), tops
         return self._forward[0]
 
+    def prefix_pivots(self, bounds: Sequence[int]) -> list[tuple[int, ...]]:
+        """Pivots of the first b rows, per ascending bound b, from ``_echelon`` on each block of
+        rows and the tops above it: they span the rows above, and a span has one set of pivots.
+        """
+        out, tops = [], []
+        for start, b in zip([0, *bounds], bounds):
+            if not 0 <= start <= b <= self.rows:
+                raise ValueError(f"row bounds {list(bounds)} do not ascend within {self.rows}")
+            block = [_without_content(r) for r, _ in self._nz[start:b] if r]
+            pivots, tops = _echelon(tops + block, self.cols, _eliminate)
+            out.append(tuple(pivots))
+        return out
+
     def rank(self, p: int | None = None) -> int:
         """Pivot count of the forward pass: the exact rank, or the rank mod a prime p (no more)."""
         if p is None:
@@ -520,14 +534,14 @@ def independent_complement(candidates: RationalMatrix, modulo: RationalMatrix) -
 
     Deterministic: candidates are taken in the given order whenever they
     increase the accumulated rank.  Those are exactly the pivot columns past
-    ``modulo`` in the RREF of ``[modulo | candidates]``; the pick is
+    ``modulo`` in the forward pass of ``[modulo | candidates]``; the pick is
     certified by the full column rank of the pivot columns.
     """
     if not candidates.cols:
         return []
     k = modulo.cols
     stacked = modulo.hstack(candidates)
-    pivots = stacked.rref()[1]
+    pivots = stacked.pivots()
     if rank_of_columns(stacked, pivots) != len(pivots):
         raise ArithmeticError("RREF pivot columns are not independent")
     return [p - k for p in pivots if p >= k]

@@ -14,11 +14,15 @@ from sources of degree p >= a to targets of degree p < b,
 
     N_n(a, b) = r_n(a, b+1) - r_n(a+1, b+1) - r_n(a, b) + r_n(a+1, b)
 
-counts the persistence pairs of d_n from filtration a to filtration b.  One
-forward elimination of the rows of degree < b, columns in descending order,
-gives r_n(a, b) for every a: the sources of degree >= a are then a prefix of
-the columns, and r_n(a, b) is the number of pivots in it.  A pair of gap
-b - a is a nonzero d_{b-a} from (a, n - a), so
+counts the persistence pairs of d_n from filtration a to filtration b
+(Edelsbrunner, Letscher and Zomorodian, *Topological persistence and
+simplification*, 2002).  With the columns in descending order, the sources
+of degree >= a are a prefix of the columns, so the pivots of the rows of
+degree < b give r_n(a, b) for every a as the number of pivots in that
+prefix.  One forward pass per differential serves every b: the rows go in
+one polynomial degree at a time (``RationalMatrix.prefix_pivots``), each
+block with the echelon rows kept from the blocks before it.  A pair of gap b - a is a
+nonzero d_{b-a} from (a, n - a), so
 
     rank d_r(p, q) = N_n(p, p + r),
     dim E_r(p, q) = #{basis vectors of slice n at degree p}
@@ -35,6 +39,13 @@ the run.
 For a transverse action whose L-operators are nonzero, or a non-abelian Lie
 algebra, the ambient basis is not the invariant one; the builder refuses
 such input rather than guessing.
+
+Formality (``formality_verdict``) needs no module presentation.  The free
+module F on the minimal generators of H_G maps onto H_G in every degree, and
+H_G is free on the window exactly when that map has no kernel there, that
+is, when h_n = sum of dim S^((n-g)/2) over the generator degrees g <= n
+with n - g even, for every n <= n_max.  The generator degrees come from
+ranks (``cartan.generator_degrees``), so the test is a count.
 """
 
 from __future__ import annotations
@@ -43,9 +54,9 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .algebra_core import cohomology_dims
-from .cartan import CartanComplex, EquivariantCohomologyResult, module_presentation
+from .cartan import CartanComplex, EquivariantCohomologyResult, generator_degrees
 from .gstar import GStarStructure
-from .module_theory import dim_sym, freeness_test
+from .module_theory import dim_sym
 
 
 class NonInvariantAction(ValueError):
@@ -101,7 +112,7 @@ class SpectralSequence:
         """N_n(a, b) where nonzero, from the pivots of d_n per target bound b."""
         d = self.cx.d[n]
         src, tgt = self.cx.slices[n].below, self.cx.slices[n + 1].below
-        pivots = [d.select(range(d.cols - 1, -1, -1), rows).pivots() for rows in tgt]
+        pivots = d.select(range(d.cols - 1, -1, -1)).prefix_pivots(tgt)
         rk = [[bisect_left(piv, d.cols - c0) for piv in pivots] for c0 in src]
         counts = {(a, b): rk[a][b + 1] - rk[a + 1][b + 1] - rk[a][b] + rk[a + 1][b]
                   for a in range(len(src) - 1) for b in range(len(tgt) - 1)}
@@ -227,6 +238,26 @@ class FormalityVerdict(NamedTuple):
     stable_through: int
 
 
+def _free_by_count(e: EquivariantCohomologyResult) -> tuple[bool, int]:
+    """Whether the cohomology is free on the window, and the window that test needs.
+
+    The free module F on the minimal generators maps onto H in every degree,
+    so H is free on the window exactly when dim F^n = h_n for n <= n_max:
+    the sum over generator degrees g <= n with n - g even of dim S^((n-g)/2).
+    """
+    gens, r = generator_degrees(e), e.dim_a
+    if not e.complex.structure.lie.is_abelian and gens and gens[0] <= e.n_max - 2:
+        raise ValueError(
+            f"non-abelian Lie algebra: no u-action on classes, so the free-module "
+            f"test cannot multiply the generator of degree {gens[0]} within degree {e.n_max}"
+        )
+    free = all(
+        e.dim(n) == sum(dim_sym(r, (n - g) // 2) for g in gens if g <= n and (n - g) % 2 == 0)
+        for n in range(e.n_max + 1)
+    )
+    return free, 2 * r + (gens[-1] if gens else 0)
+
+
 def formality_verdict(
     e: EquivariantCohomologyResult,
     base_cohomology: tuple[int, ...],
@@ -241,6 +272,12 @@ def formality_verdict(
     Conclusive methods must agree; a conflict raises, as it would mean a bug.
     The free-module test is conclusive only on the window it needs, so it is
     compared with the factorization only when that is checked through it.
+
+    The free-module test is a count from the generator degrees
+    (``_free_by_count``); it decides what ``freeness_test`` decides on
+    ``module_presentation(e)``, whose relations are exactly the kernel the
+    count detects.  Over a non-abelian Lie algebra there is no u-action, so a
+    generator at or below degree n_max - 2 raises ValueError.
     """
     upto = min(n_max, e.stable_through, len(base_cohomology) - 1)
     odd_vanishing = all(
@@ -258,15 +295,14 @@ def formality_verdict(
             break
     hilbert_ok = mismatch is None
 
-    pres = module_presentation(e)
-    fr = freeness_test(pres)
+    free, needed_window = _free_by_count(e)
 
     if odd_vanishing and not hilbert_ok:
         raise RuntimeError(
             "internal error: odd cohomology vanishes but the Hilbert "
             f"factorization fails at degree {mismatch[0]}"
         )
-    if upto >= fr.needed_window and fr.free != hilbert_ok:
+    if upto >= needed_window and free != hilbert_ok:
         raise RuntimeError(
             "internal error: free-module test and Hilbert factorization disagree"
         )
@@ -276,7 +312,7 @@ def formality_verdict(
             True,
             "odd-vanishing",
             f"odd base cohomology vanishes through degree {upto}; "
-            f"free-module test: free={fr.free}",
+            f"free-module test: free={free}",
             upto,
         )
     if hilbert_ok:
@@ -284,7 +320,7 @@ def formality_verdict(
             True,
             "hilbert-factorization",
             f"equivariant dims factor as S(a*) x base through degree {upto}; "
-            f"free-module test: free={fr.free}",
+            f"free-module test: free={free}",
             upto,
         )
     n, want, got = mismatch
@@ -292,6 +328,6 @@ def formality_verdict(
         False,
         "hilbert-factorization",
         f"witness at t^{n}: expected {want}, computed {got}; "
-        f"free-module test: free={fr.free}",
+        f"free-module test: free={free}",
         upto,
     )

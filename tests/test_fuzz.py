@@ -1,18 +1,23 @@
 """Seeded fuzz of the document boundary.
 
-Every mutant of a bundled document, run through ``cli.main`` in-process,
-must end in a clean envelope: no exception, an exit code in {0, 1, 2, 3},
-JSON on stdout, and an ``error`` exactly on exit 2.  ``validate`` is the one
-command that may also exit 2 without one: it reports a parsed but invalid
-document as ``valid: false`` with its issues.
+Every mutant, run through ``cli.main`` in-process, must end in a clean
+envelope: no exception, an exit code in {0, 1, 2, 3}, JSON on stdout, and an
+``error`` exactly on exit 2.  ``validate`` is the one command that may also
+exit 2 without one: it reports a parsed but invalid document as
+``valid: false`` with its issues.  The mutants are the bundled documents
+with one leaf replaced by junk or one key deleted, and truncated Weil
+documents with one operator entry moved by an integer, which leaves a
+well-formed document whose operators contradict each other.
 """
 
 import copy
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from foliacoh import cli
+from foliacoh.gstar import LieAlgebraSpec, weil_algebra
 
 DATA = Path(cli.__file__).parent / "data"
 JUNK = (-7, 1.5, "1/0", [], {}, "", True, None)
@@ -25,6 +30,10 @@ COMMANDS = {
     "ses": ("cohomology", "module"),
 }
 MUTANTS_PER_DOCUMENT = 12
+# W(R^r) truncated at N, as (r, N), and the moves of one operator entry in them
+WEIL_DOCUMENTS = ((1, 3), (1, 4), (2, 3), (2, 4))
+OPERATOR_MOVES = (-1, 1, 2)
+OPERATOR_MUTANTS_PER_DOCUMENT = 10
 
 
 def _module_ses_document():
@@ -78,14 +87,43 @@ def _mutant(doc, rng):
     return doc, f"{path} = {junk!r}"
 
 
+def _operator_mutant(doc, rng):
+    """doc with one entry of d, an i_j or an L_j moved by an integer, and what was done.
+
+    An operator matrix the document leaves out is the zero matrix, so a move
+    may write the first entry of one.
+    """
+    doc = copy.deepcopy(doc)
+    p = doc["payload"]
+    dims = {int(n): len(labels) for n, labels in p["degrees"].items()}
+    op = rng.choice(("d", "i", "L"))
+    mats = p["d"] if op == "d" else rng.choice(p[op])
+    shift = {"d": 1, "i": -1, "L": 0}[op]
+    n = rng.choice([n for n in sorted(dims) if dims.get(n + shift)])
+    m = mats.setdefault(str(n), [[0] * dims[n] for _ in range(dims[n + shift])])
+    i, j = rng.randrange(len(m)), rng.randrange(dims[n])
+    x = Fraction(m[i][j]) + rng.choice(OPERATOR_MOVES)
+    m[i][j] = x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return doc, f"{op} at degree {n} [{i}][{j}] = {m[i][j]!r}"
+
+
+def _weil_documents():
+    """W(R^r) truncated at N, for each (r, N) of WEIL_DOCUMENTS, as documents."""
+    for r, top in WEIL_DOCUMENTS:
+        payload = cli.gstar_to_payload(weil_algebra(LieAlgebraSpec.abelian(r), top))
+        yield cli.document_for("gstar_algebra", payload, top)
+
+
 def test_mutated_documents_exit_cleanly(tmp_path, capsys):
     rng = random.Random(20261018)
     docs = [json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))]
     docs.append(_module_ses_document())
     assert len(docs) > 10
-    for doc in docs:
-        for _ in range(MUTANTS_PER_DOCUMENT):
-            mutant, change = _mutant(doc, rng)
+    cases = [(doc, _mutant, MUTANTS_PER_DOCUMENT) for doc in docs]
+    cases += [(doc, _operator_mutant, OPERATOR_MUTANTS_PER_DOCUMENT) for doc in _weil_documents()]
+    for doc, mutate, count in cases:
+        for _ in range(count):
+            mutant, change = mutate(doc, rng)
             p = tmp_path / "mutant.json"
             p.write_text(json.dumps(mutant))
             for command in ("validate",) + COMMANDS[doc["kind"]]:

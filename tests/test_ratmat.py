@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -329,6 +331,35 @@ def test_a_kept_forward_pass_gives_what_a_fresh_matrix_gives(system):
         assert kept.pivots() == fresh(a).pivots() and kept.rank() == rank and kept == a
 
 
+@st.composite
+def row_blocks(draw):
+    """(m, bounds): blocks of rows of mixed kinds and zero blocks, in no echelon order.
+
+    The bounds ascend and hold every block end and a few other row counts.
+    """
+    cols = draw(st.integers(0, 6))
+    zeros = st.integers(1, 2).map(lambda k: RationalMatrix.zeros(k, cols))
+    parts = draw(st.lists(st.one_of(matrices(cols=cols), zeros), max_size=4))
+    m = functools.reduce(RationalMatrix.vstack, parts, RationalMatrix.zeros(0, cols))
+    ends = list(itertools.accumulate(part.rows for part in parts))
+    return m, sorted(ends + draw(st.lists(st.integers(0, m.rows), max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_blocks())
+def test_prefix_pivots_match_a_pass_per_prefix(case):
+    m, bounds = case
+    assert m.prefix_pivots(bounds) == [m.select(range(m.cols), b).pivots() for b in bounds]
+
+
+def test_prefix_pivots_want_ascending_bounds():
+    m = M([[0, 3], [2, 1], [0, 0]])
+    assert m.prefix_pivots([0, 1, 1, 3]) == [(), (1,), (1,), (0, 1)]
+    for bounds in ([2, 1], [4], [-1]):
+        with pytest.raises(ValueError):
+            m.prefix_pivots(bounds)
+
+
 def transpose(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_cols(m.tolist(), m.cols)
 
@@ -386,9 +417,12 @@ def test_independent_complement_certificate(monkeypatch):
 
 
 def test_a_dependent_pick_fails_the_certificate(monkeypatch):
-    # columns 0 and 1 are equal, so an RREF that pivots on both reports a dependent pick
+    # columns 0 and 1 are equal, so a forward pass that pivots on both reports a dependent
+    # pick; only the 2x3 stacked matrix lies, so the certificate's exact rank still runs
     m = M([[1, 1, 0], [2, 2, 1]])
-    monkeypatch.setattr(RationalMatrix, "rref", lambda self: (self, (0, 1)))
+    pivots = RationalMatrix.pivots
+    monkeypatch.setattr(RationalMatrix, "pivots",
+                        lambda self: (0, 1) if (self.rows, self.cols) == (2, 3) else pivots(self))
     with pytest.raises(ArithmeticError):
         independent_complement(m.select([1, 2]), m.select([0]))
 

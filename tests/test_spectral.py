@@ -1,11 +1,16 @@
+import json
 import random
+import sys
 from bisect import bisect_left
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from foliacoh import cartan, cli, module_theory, spectral
 from foliacoh.algebra_core import cohomology_dims
-from foliacoh.cartan import CartanComplex, equivariant_cohomology
+from foliacoh.cartan import CartanComplex, equivariant_cohomology, module_presentation
 from foliacoh.fixtures import (
     exterior_line_free,
     exterior_two_free,
@@ -14,7 +19,14 @@ from foliacoh.fixtures import (
     trivial_action_on_h_1_0_1,
     trivial_line,
 )
-from foliacoh.gstar import GStarStructure, LieAlgebraSpec, tensor_gstar, weil_algebra
+from foliacoh.gstar import (
+    GStarStructure,
+    LieAlgebraSpec,
+    extend_with_trivial_factor,
+    tensor_gstar,
+    weil_algebra,
+)
+from foliacoh.module_theory import freeness_test
 from foliacoh.ratmat import RationalMatrix, rank_of_columns, unit_vec
 from foliacoh.spectral import (
     NonInvariantAction,
@@ -24,9 +36,11 @@ from foliacoh.spectral import (
     run_pages,
 )
 
-from conftest import cartan_basis, change_basis, columns
+from conftest import cartan_basis, change_basis, circle_action, columns
+from test_equivariant_ranks import SO3, truncated_weil_algebras
 from test_ratmat import dense_rank
 
+DATA = Path(cli.__file__).parent / "data"
 FIXTURES = [
     trivial_line,
     exterior_line_free,
@@ -344,3 +358,79 @@ def test_persistence_pairs_match_corner_ranks(case):
     ss = SpectralSequence(s, n_max)
     for n in range(n_max + 1):
         assert ss._persistence_pairs(n) == corner_rank_pairs(ss.cx, n), n
+
+
+# -- formality from generator degrees against the module presentation ------------------
+
+
+def presentation_free_test(e):
+    """(free, needed window) as a module presentation decides it: Koszul Tor_1 vanishes."""
+    fr = freeness_test(module_presentation(e))
+    return fr.free, fr.needed_window
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the ValueError or RuntimeError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def assert_formality_matches_the_presentation(s, n_max):
+    e = equivariant_cohomology(s, n_max)
+    args = (e, cohomology_dims(s.as_complex()).dims_tuple(n_max), s.lie.dimension, n_max)
+    assert outcome(spectral._free_by_count, e) == outcome(presentation_free_test, e), n_max
+    verdict = outcome(formality_verdict, *args)
+    with mock.patch.object(spectral, "_free_by_count", presentation_free_test):
+        assert outcome(formality_verdict, *args) == verdict, n_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(truncated_weil_algebras())
+@example((weil_algebra(LieAlgebraSpec.abelian(3), 6), 10)).via("R3 generators past the window")
+@example((weil_algebra(LieAlgebraSpec.abelian(1), 5), 7)).via("both raise RuntimeError")
+@example((weil_algebra(SO3, 4), 8)).via("so(3): no u-action within the window")
+@example((weil_algebra(SO3, 4), 2)).via("so(3): the unit two degrees below the top")
+@example((weil_algebra(SO3, 4), 1)).via("so(3): every generator at the window top")
+def test_formality_from_generator_degrees_matches_the_presentation(case):
+    assert_formality_matches_the_presentation(*case)
+
+
+@pytest.mark.parametrize("make", [
+    hopf_basic_model, exterior_line_free, exterior_two_free, circle_action,
+    lambda: extend_with_trivial_factor(hopf_basic_model()),
+], ids=["hopf", "exterior line", "exterior two", "circle", "trivial factor"])
+@pytest.mark.parametrize("basis", ["monomial", "unit-LU"])
+def test_formality_from_generator_degrees_matches_the_presentation_on_fixtures(make, basis):
+    s = make()
+    if basis == "unit-LU":
+        s = change_basis(s, random.Random(3))
+    for n_max in range(9):
+        assert_formality_matches_the_presentation(s, n_max)
+
+
+@pytest.mark.parametrize("basis", ["monomial", "unit-LU"])
+def test_spectral_builds_no_module_presentation(monkeypatch, tmp_path, capsys, basis):
+    s = weil_algebra(LieAlgebraSpec.abelian(2), 5)
+    if basis == "unit-LU":
+        s = change_basis(s, random.Random(7))
+    p = tmp_path / "weil.json"
+    p.write_text(json.dumps(cli.document_for("gstar_algebra", cli.gstar_to_payload(s), 5)))
+    assert cli.main(["spectral", "--input", str(p)]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral built a module presentation")
+
+    originals = {cartan.module_presentation, cartan.class_u_actions, module_theory.koszul_tor}
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "foliacoh":
+            for key, val in list(vars(mod).items()):
+                if any(val is f for f in originals):
+                    monkeypatch.setattr(mod, key, refuse)
+    assert cli.main(["spectral", "--input", str(p)]) == 0
+    assert capsys.readouterr().out == expected
+    # the guard bites where a module is computed
+    with pytest.raises(AssertionError, match="built a module presentation"):
+        cli.main(["module", "--input", str(DATA / "hopf_module.json")])
