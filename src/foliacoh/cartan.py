@@ -109,8 +109,7 @@ class CartanComplex:
         self.n_max = n_max
         r = s.lie.dimension
         sp = s.space
-        trunc = s.truncated_above
-        self.stable_through = n_max if trunc is None else min(n_max, trunc - 2)
+        self.stable_through = s.algebra.window_tops.through(n_max, "d_squared")
         self.slices: list[CartanComplexSlice] = []
         invariant_everywhere = s.all_l_zero() and s.lie.is_abelian
         self._coadjoints: dict[tuple[int, int], RationalMatrix] = {}  # by (j, p), as built
@@ -122,10 +121,8 @@ class CartanComplex:
                 l_total = [self._l_total_matrix(j, sl) for j in range(r)]
                 sl = sl._replace(embedding=joint_kernel(l_total, sl.ambient_dim))
             self.slices.append(sl)
-        self.d: dict[int, RationalMatrix] = {}
-        for n in range(n_max + 1):
-            self.d[n] = self._differential(n)
-        # d_n d_(n-1) by n where it is nonzero, which only the unstable edge allows
+        self.d = {n: self._differential(n) for n in range(n_max + 1)}
+        # d_n d_(n-1) by n where it is nonzero, which only the edge above d_squared allows
         self.squares: dict[int, RationalMatrix] = {}
         self._verify_d_squared()
 
@@ -169,15 +166,17 @@ class CartanComplex:
         return sol
 
     def _verify_d_squared(self):
+        """d_(n+1) d_n = 0 wherever the structure's ``d_squared`` top certifies d^2 = 0."""
+        tops = self.structure.algebra.window_tops
         for n in range(self.n_max):
             prod = self.d[n + 1] @ self.d[n]
-            if not prod.is_zero():
-                if self.structure.truncated_above is not None and n + 2 > self.stable_through:
-                    self.squares[n + 1] = prod  # unstable edge of a truncated algebra
-                    continue
+            if prod.is_zero():
+                continue
+            if not tops.truncated or n <= tops.d_squared:
                 raise DifferentialNotSquareZero(
                     f"equivariant differential does not square to zero at {n}"
                 )
+            self.squares[n + 1] = prod
 
     # -- queries ------------------------------------------------------------
 

@@ -632,21 +632,18 @@ def _cmd_cohomology(s, n_max):
         )
     basic = basic_subcomplex(s)
     h = cohomology_dims(basic.complex)
-    # a genuinely finite algebra is exactly zero above its top degree
-    top = n_max if s.truncated_above is None else min(n_max, basic.stable_through)
+    top = s.algebra.window_tops.through(n_max, "homotopy")
     return EXIT_OK, {
-        "basic_dims": list(
-            basic.complex.spaces.dim(n) for n in range(top + 1)
-        ),
-        "basic_cohomology": list(h.dim(n) for n in range(top + 1)),
+        "basic_dims": [basic.complex.spaces.dim(n) for n in range(top + 1)],
+        "basic_cohomology": [h.dim(n) for n in range(top + 1)],
         "stable_through": top,
     }
 
 
 def _cmd_equivariant(s, n_max):
     e = equivariant_cohomology(s, n_max)
-    w = weil_model_cohomology(s, min(n_max, e.stable_through))
-    upto = min(n_max, e.stable_through, w.stable_through)
+    upto = e.stable_through
+    w = weil_model_cohomology(s, upto)
     agree = e.dims_tuple(upto) == w.dims_tuple(upto)
     code = EXIT_OK if agree else EXIT_VERDICT_FAILURE
     return code, {

@@ -13,7 +13,9 @@ three operators with respect to the product.
 
 Truncation honesty: an algebra may be a degree-truncated stand-in for an
 infinite one (the Weil algebra); every check and every cohomology result
-then carries an explicit stable-degree bound.
+then carries an explicit stable-degree bound.  Each such bound is read off
+one function, ``GradedAlgebraPresentation.window_tops`` (``WindowTops``),
+and nowhere else derived from ``truncated_above``.
 
 The Weil algebra W(g) lives on its monomial basis t_S u^alpha.  Each of its
 operators D is known on the generators and reaches a monomial m = g rest,
@@ -128,6 +130,30 @@ class LieAlgebraSpec:
 # -- graded algebra presentation ----------------------------------------------
 
 
+class WindowTops(NamedTuple):
+    """The top total degree through which each law of a structure is exact.
+
+    A structure truncated at T stores degrees through T and nothing above;
+    one that is not truncated is exactly zero above its window, so there
+    every top is the window top and a result is exact on any window n_max.
+
+    - products: T; a product of total degree <= T lands in a stored degree.
+    - homotopy: T - 1; d reads degree n + 1, so the d-derivation law,
+      L = d i + i d and the basic subcomplex hold through T - 1.
+    - d_squared: T - 2; d d reads degree n + 2, so d^2 = 0 and the Cartan
+      complex hold through T - 2.
+    """
+
+    products: int
+    homotopy: int
+    d_squared: int
+    truncated: bool
+
+    def through(self, n_max: int, law: str) -> int:
+        """The bound of a result on the window n_max that rests on law, a field name."""
+        return min(n_max, getattr(self, law)) if self.truncated else n_max
+
+
 class GradedAlgebraPresentation:
     """Graded algebra given by per-degree bases and per-degree-pair product matrices.
 
@@ -172,11 +198,16 @@ class GradedAlgebraPresentation:
             sp.dim(da + db), sp.dim(da) * sp.dim(db)
         )
 
+    @functools.cached_property
+    def window_tops(self) -> WindowTops:
+        """The one derivation of every window bound from ``truncated_above``."""
+        t = self.truncated_above
+        hi = self.space.window[1]
+        return WindowTops(hi, hi, hi, False) if t is None else WindowTops(t, t - 1, t - 2, True)
+
     def stable_product_top(self) -> int:
         """Largest total degree whose products are exactly known."""
-        if self.truncated_above is None:
-            return self.space.window[1]
-        return self.truncated_above
+        return self.window_tops.products
 
     def check_algebra(self) -> list[str]:
         """Unit, graded commutativity and associativity as product-matrix identities.
@@ -358,11 +389,11 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
     """Verify the five Cartan relations and the three derivation laws.
 
     On a truncated algebra, identities whose composite leaves the stored
-    window are only checked through the stable bound (reported per axiom).
+    window are only checked through their ``window_tops`` bound (reported per axiom).
     """
     sp = s.space
     lo, hi = sp.window
-    trunc = s.truncated_above
+    tops = s.algebra.window_tops
     r = s.lie.dimension
     checks: list[AxiomCheck] = []
 
@@ -385,7 +416,7 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
         return [(op(b, n), RationalMatrix.identity(sp.dim(n)).scale(-c))
                 for b, c in s.lie.bracket(j, k).items()]
 
-    run("d^2 = 0", hi if trunc is None else trunc - 2, lambda n: [
+    run("d^2 = 0", tops.d_squared, lambda n: [
         ([(s.op_d(n + 1), s.op_d(n))], f"degree {n}, witness {{w}}")])
     run("i_X^2 = 0", hi, lambda n: (
         ([(s.op_i(j, n - 1), s.op_i(k, n)), (s.op_i(k, n - 1), s.op_i(j, n))],
@@ -401,18 +432,14 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
          + bracket(s.op_i, j, k, n),
          f"[L_X{j}, i_X{k}] != i_[X{j},X{k}] at degree {n}")
         for j in range(r) for k in range(r)))
-    run("L_X = d i_X + i_X d", hi if trunc is None else trunc - 1, lambda n: (
+    run("L_X = d i_X + i_X d", tops.homotopy, lambda n: (
         ([(s.op_d(n - 1), s.op_i(j, n)), (s.op_i(j, n + 1), s.op_d(n)),
           (s.op_l(j, n), RationalMatrix.identity(sp.dim(n)).scale(-1))],
          f"L_X{j} != d i_X{j} + i_X{j} d at degree {n}, witness {{w}}")
         for j in range(r)))
 
-    if s.algebra.has_products():
-        checks.extend(_derivation_checks(s))
-    else:
-        checks.append(
-            AxiomCheck("derivations", True, hi, "skipped: operator-only presentation")
-        )
+    checks += (_derivation_checks(s) if s.algebra.has_products()
+               else [AxiomCheck("derivations", True, hi, "skipped: operator-only presentation")])
     return GStarAxiomReport(tuple(checks))
 
 
@@ -427,15 +454,13 @@ def _derivation_checks(s: GStarStructure) -> list[AxiomCheck]:
     sp = s.space
     prod = s.algebra.product_matrix
     neg = functools.cache(lambda da, db: -prod(da, db))
-    prod_top = s.algebra.stable_product_top()
-    r = s.lie.dimension
-    specs = [("d derivation", 1, [s.op_d]),
-             ("i_X derivation", -1, [functools.partial(s.op_i, j) for j in range(r)]),
-             ("L_X derivation", 0, [functools.partial(s.op_l, j) for j in range(r)])]
+    tops, r = s.algebra.window_tops, s.lie.dimension
+    specs = [("d derivation", 1, [s.op_d], tops.homotopy)] + [
+        (f"{x}_X derivation", k, [functools.partial(op, j) for j in range(r)], tops.products)
+        for x, k, op in (("i", -1, s.op_i), ("L", 0, s.op_l))]
     degs = [n for n in sp.degrees() if sp.dim(n)]
     out = []
-    for name, k, ops in specs:
-        top = prod_top - 1 if (k == 1 and s.truncated_above is not None) else prod_top
+    for name, k, ops, top in specs:
         bad = ""
         for da, db in itertools.product(degs, repeat=2):
             if da + db > top:
@@ -506,8 +531,8 @@ def basic_subcomplex(s: GStarStructure) -> BasicSubcomplex:
                 f"differential does not restrict to the basic subcomplex "
                 f"at degree {n} (operator data inconsistent)"
             )
-    stable = hi if s.truncated_above is None else s.truncated_above - 1
-    return BasicSubcomplex(CochainComplex(spaces, diffs), embeddings, stable)
+    return BasicSubcomplex(CochainComplex(spaces, diffs), embeddings,
+                           s.algebra.window_tops.homotopy)
 
 
 # -- Weil algebra ----------------------------------------------------------------

@@ -190,26 +190,19 @@ def run_pages(
     is smaller than the requested one.  The pages reuse the Cartan complex
     of the equivariant result when it reaches degree n_max.
     """
-    cx = None
-    if equivariant is not None and equivariant.n_max >= n_max:
-        cx = equivariant.complex
-    ss = SpectralSequence(s, n_max, cx)
-    stable = min(n_max, ss.cx.stable_through)
+    reuse = equivariant is not None and equivariant.n_max >= n_max
+    ss = SpectralSequence(s, n_max, equivariant.complex if reuse else None)
+    stable = s.algebra.window_tops.through(n_max, "d_squared")
     pages = [ss.page(r) for r in range(1, ss.r_stop + 1)]
     e_inf = ss.page(ss.r_stop + 1)
-    stabilized = None
-    for idx in range(len(pages) - 1, -1, -1):
-        if pages[idx].differentials_vanish():
-            stabilized = pages[idx].r
-        else:
-            break
-    if stabilized is None:
-        stabilized = ss.r_stop + 1
-    totals_match = None
-    eq_dims = None
+    # the first page from which every differential vanishes; page r is pages[r - 1]
+    stabilized = ss.r_stop + 1
+    while stabilized > 1 and pages[stabilized - 2].differentials_vanish():
+        stabilized -= 1
+    totals_match = eq_dims = None
     detail = ""
     if equivariant is not None:
-        upto = min(n_max, stable, equivariant.stable_through)
+        upto = min(stable, equivariant.stable_through)
         eq_dims = equivariant.dims_tuple(upto)
         totals_match = e_inf.total_dims(upto) == eq_dims
         detail = f"E_infinity totals compared through degree {upto}"
@@ -307,27 +300,12 @@ def formality_verdict(
             "internal error: free-module test and Hilbert factorization disagree"
         )
 
+    method = "odd-vanishing" if odd_vanishing else "hilbert-factorization"
     if odd_vanishing:
-        return FormalityVerdict(
-            True,
-            "odd-vanishing",
-            f"odd base cohomology vanishes through degree {upto}; "
-            f"free-module test: free={free}",
-            upto,
-        )
-    if hilbert_ok:
-        return FormalityVerdict(
-            True,
-            "hilbert-factorization",
-            f"equivariant dims factor as S(a*) x base through degree {upto}; "
-            f"free-module test: free={free}",
-            upto,
-        )
-    n, want, got = mismatch
-    return FormalityVerdict(
-        False,
-        "hilbert-factorization",
-        f"witness at t^{n}: expected {want}, computed {got}; "
-        f"free-module test: free={free}",
-        upto,
-    )
+        witness = f"odd base cohomology vanishes through degree {upto}"
+    elif hilbert_ok:
+        witness = f"equivariant dims factor as S(a*) x base through degree {upto}"
+    else:
+        n, want, got = mismatch
+        witness = f"witness at t^{n}: expected {want}, computed {got}"
+    return FormalityVerdict(hilbert_ok, method, f"{witness}; free-module test: free={free}", upto)

@@ -7,7 +7,9 @@ exit 2 without one: it reports a parsed but invalid document as
 ``valid: false`` with its issues.  The mutants are the bundled documents
 with one leaf replaced by junk or one key deleted, and truncated Weil
 documents with one operator entry moved by an integer, which leaves a
-well-formed document whose operators contradict each other.
+well-formed document whose operators contradict each other.  ``spectral``
+must not exit 1 on such a mutant when ``validate`` rejects it: exit 1 would
+claim that a property was verified and failed.
 """
 
 import copy
@@ -134,6 +136,10 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
                     raise AssertionError(f"{where} raised {exc!r}") from exc
                 out = json.loads(capsys.readouterr().out)
                 assert code in (0, 1, 2, 3) and out["exit_code"] == code, where
+                if command == "validate":
+                    rejected = code == 2
+                elif command == "spectral" and mutate is _operator_mutant and rejected:
+                    assert code != 1, where  # exit 1 would claim a verified property failed
                 if "error" in out:
                     assert code == 2, where
                 elif code == 2:
