@@ -56,6 +56,7 @@ from .gstar import (
     LieAlgebraSpec,
     basic_subcomplex,
     check_gstar_axioms,
+    check_operator_laws,
     weil_model_cohomology,
 )
 from .module_theory import (
@@ -119,15 +120,15 @@ def _str(x, where: str) -> str:
     return x
 
 
-def _degree(key, where: str, signed: bool = False) -> int:
+def _degree(key, where: str, negative: bool = False) -> int:
     """The degree a key names; a key must be its canonical decimal, so no two name one degree.
 
-    Degrees are >= 0, or any integer when signed (a complex ses may have a window below 0).
+    Degrees are >= 0 unless ``negative`` is set (a complex ses may have a window below 0).
     """
-    digits = key[1:] if signed and isinstance(key, str) and key[:1] == "-" else key
+    digits = key[1:] if negative and isinstance(key, str) and key[:1] == "-" else key
     if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()
             and str(int(key)) == key):
-        what = "a decimal integer" if signed else "a decimal integer >= 0"
+        what = "a decimal integer" if negative else "a decimal integer >= 0"
         raise InputError(f"{where} key {key!r} is not a degree ({what})")
     return int(key)
 
@@ -147,13 +148,13 @@ def _matrix_in(obj, rows: int, cols: int, where: str) -> RationalMatrix:
     )
 
 
-def _poly_in(obj, where: str, signed: bool = False) -> PoincarePolynomial:
+def _poly_in(obj, where: str) -> PoincarePolynomial:
+    """A dimension polynomial: a list of integer coefficients, none negative."""
     if not isinstance(obj, list) or any(not _is_int(c) for c in obj):
         raise InputError(f"{where}: expected a list of integer coefficients")
-    try:
-        return PoincarePolynomial(obj, signed=signed)
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from None
+    if any(c < 0 for c in obj):
+        raise InputError(f"{where}: negative coefficient in an unsigned dimension polynomial")
+    return PoincarePolynomial(obj)
 
 
 def _series_out(s: PoincareSeriesRational):
@@ -624,7 +625,7 @@ def _cmd_cohomology(s, n_max):
             "connecting_ranks": {str(k): v for k, v in (rep.connecting_ranks or {}).items()},
             "message": rep.message,
         }
-    axioms = check_gstar_axioms(s)
+    axioms = check_operator_laws(s)
     if not axioms.ok:
         raise InputError(
             "operator package violates the structure axioms: "

@@ -70,7 +70,7 @@ def validate_strata(m: FoliationStrataModel) -> ValidationReport:
             issues.append(f"stratum {s.name}: negative codim")
         if not 0 <= s.isotropy_dim <= m.dim_a:
             issues.append(f"stratum {s.name}: isotropy_dim outside 0..dim_a")
-        if s.quotient_poincare.signed:
+        if any(c < 0 for c in s.quotient_poincare.coeffs):
             issues.append(f"stratum {s.name}: quotient Poincare polynomial must be unsigned")
     closed = m.closed_leaf_strata()
     for s in closed:
@@ -122,17 +122,15 @@ def basic_series_formal(
     report = validate_strata(m)
     if not report.valid:
         raise ValueError("invalid strata model: " + "; ".join(report.issues))
-    total = PoincarePolynomial.zero().as_signed()
+    poly = PoincarePolynomial.zero()
     for s in m.strata:
-        total = total + times_one_minus_t2_power(
-            s.quotient_poincare.as_signed().shift(s.codim), m.trdim(s))
-    if any(c < 0 for c in total.coeffs):
-        bad = next(i for i, c in enumerate(total.coeffs) if c < 0)
+        poly = poly + times_one_minus_t2_power(s.quotient_poincare.shift(s.codim), m.trdim(s))
+    if any(c < 0 for c in poly.coeffs):
+        bad = next(i for i, c in enumerate(poly.coeffs) if c < 0)
         raise ValueError(
             f"model inconsistent with formality: coefficient of t^{bad} "
             f"in the basic series is negative"
         )
-    poly = total.as_unsigned()
     # proof identity: the equivariant series times (1-t^2)^dim_a is this polynomial
     eq = equivariant_series_from_strata(m)
     shifted = PoincareSeriesRational(poly, m.dim_a)
@@ -229,7 +227,7 @@ class MorseData(NamedTuple):
                 issues.append(
                     f"component {k}: isotropy dimension {c.isotropy_dim} exceeds dim_a = {dim_a}"
                 )
-            if c.quotient_poincare.signed:
+            if any(x < 0 for x in c.quotient_poincare.coeffs):
                 issues.append(f"component {k}: signed Poincare polynomial")
         return ValidationReport(valid=not issues, issues=tuple(issues))
 
@@ -332,7 +330,24 @@ class PolytopeData(NamedTuple):
                             f"vertex {v} meets {len(set(edges))} edges, "
                             f"simpleness needs exactly {n}"
                         )
+        # last, on an f-vector that passes the rest: for a simple polytope the
+        # face-vector polynomial is the h-polynomial in t^2
+        if not issues:
+            bad = [k for k, c in enumerate(self.face_polynomial().coeffs) if c < 0]
+            if bad:
+                issues.append(
+                    f"face-vector polynomial has a negative coefficient of t^{bad[0]}, "
+                    f"which no simple polytope has"
+                )
         return ValidationReport(valid=not issues, issues=tuple(issues))
+
+    def face_polynomial(self) -> PoincarePolynomial:
+        """Sum of lambda_i t^{q-2i} (1-t^2)^i; defined when q >= 2 * dimension."""
+        total = PoincarePolynomial.zero()
+        for i, lam in enumerate(self.f_vector):
+            total = total + times_one_minus_t2_power(
+                PoincarePolynomial.monomial(self.q - 2 * i, lam), i)
+        return total
 
 
 class PolytopeSeriesResult(NamedTuple):
@@ -355,11 +370,7 @@ def polytope_series(p: PolytopeData) -> PolytopeSeriesResult:
     if not report.valid:
         raise ValueError("invalid polytope data: " + "; ".join(report.issues))
     n = p.dimension
-    total = PoincarePolynomial.zero().as_signed()
-    for i, lam in enumerate(p.f_vector):
-        total = total + times_one_minus_t2_power(
-            PoincarePolynomial.monomial(p.q - 2 * i, lam).as_signed(), i)
-    poly = total.as_unsigned()
+    poly = p.face_polynomial()
     strata = []
     for i, lam in enumerate(p.f_vector):
         for k in range(lam):

@@ -386,8 +386,17 @@ class GStarAxiomReport(NamedTuple):
 
 
 def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
-    """Verify the five Cartan relations and the three derivation laws.
+    """Verify the five Cartan relations, then the three derivation laws."""
+    checks = check_operator_laws(s).checks
+    derivations = (_derivation_checks(s) if s.algebra.has_products() else [
+        AxiomCheck("derivations", True, s.space.window[1], "skipped: operator-only presentation")])
+    return GStarAxiomReport(checks + tuple(derivations))
 
+
+def check_operator_laws(s: GStarStructure) -> GStarAxiomReport:
+    """Verify the five Cartan relations: d^2, i^2, [L, L], [L, i] and L = d i + i d.
+
+    These are the laws basic cohomology rests on; the product laws are not read.
     On a truncated algebra, identities whose composite leaves the stored
     window are only checked through their ``window_tops`` bound (reported per axiom).
     """
@@ -437,9 +446,6 @@ def check_gstar_axioms(s: GStarStructure) -> GStarAxiomReport:
           (s.op_l(j, n), RationalMatrix.identity(sp.dim(n)).scale(-1))],
          f"L_X{j} != d i_X{j} + i_X{j} d at degree {n}, witness {{w}}")
         for j in range(r)))
-
-    checks += (_derivation_checks(s) if s.algebra.has_products()
-               else [AxiomCheck("derivations", True, hi, "skipped: operator-only presentation")])
     return GStarAxiomReport(tuple(checks))
 
 

@@ -298,7 +298,7 @@ def certify_closed_form(
         if last < 0:
             return PoincareSeriesRational(PoincarePolynomial(()), 0)
         if n_max - last >= k + last + 2:
-            num = PoincarePolynomial(q[: last + 1], signed=True)
+            num = PoincarePolynomial(q[: last + 1])
             return PoincareSeriesRational(num, k)
     return None
 

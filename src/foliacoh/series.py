@@ -1,14 +1,15 @@
 """Poincare polynomials and rational series with denominator (1-t^2)^k.
 
-The signed variant of a polynomial is a distinct flagged state so that
-dimension series keep their non-negativity invariant; Morse differences are
-signed mid-computation and carry the flag.
+A polynomial is its integer coefficients, of either sign: differences and
+(1 - t^2) factors are negative mid-computation.  Where a polynomial counts
+dimensions, the non-negativity of its coefficients is a fact about the data,
+checked where the data enters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -21,22 +22,12 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PoincarePolynomial:
-    """Integer-coefficient polynomial in t; ``signed`` permits negatives.
-
-    The flag marks provenance, not value: equality compares coefficients only.
-    """
+    """Integer-coefficient polynomial in t, held as its trimmed coefficients."""
 
     coeffs: tuple[int, ...]
-    signed: bool = field(default=False, compare=False)
 
-    def __init__(self, coeffs: Iterable[int], signed: bool = False):
-        coeffs = _trim([int(c) for c in coeffs])
-        if not signed and any(c < 0 for c in coeffs):
-            raise ValueError(
-                "negative coefficient in an unsigned dimension polynomial"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "signed", signed)
+    def __init__(self, coeffs: Iterable[int]):
+        object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
 
     # -- basics --------------------------------------------------------------
 
@@ -52,7 +43,7 @@ class PoincarePolynomial:
     def monomial(cls, degree: int, coeff: int = 1) -> "PoincarePolynomial":
         if degree < 0:
             raise ValueError("negative degree")
-        return cls((0,) * degree + (coeff,), signed=coeff < 0)
+        return cls((0,) * degree + (coeff,))
 
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
@@ -64,45 +55,35 @@ class PoincarePolynomial:
     def coeff(self, n: int) -> int:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
-    def as_signed(self) -> "PoincarePolynomial":
-        return PoincarePolynomial(self.coeffs, signed=True)
-
-    def as_unsigned(self) -> "PoincarePolynomial":
-        return PoincarePolynomial(self.coeffs, signed=False)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coeff(i) + other.coeff(i) for i in range(n)]
-        return PoincarePolynomial(out, signed=self.signed or other.signed)
+        return PoincarePolynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coeff(i) - other.coeff(i) for i in range(n)]
-        return PoincarePolynomial(out, signed=True)
+        return PoincarePolynomial([self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
         if self.is_zero() or other.is_zero():
-            return PoincarePolynomial((), signed=self.signed or other.signed)
+            return PoincarePolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] += a * b
-        return PoincarePolynomial(out, signed=self.signed or other.signed)
+        return PoincarePolynomial(out)
 
     def scale(self, c: int) -> "PoincarePolynomial":
-        return PoincarePolynomial(
-            [c * x for x in self.coeffs], signed=self.signed or c < 0
-        )
+        return PoincarePolynomial([c * x for x in self.coeffs])
 
     def shift(self, k: int) -> "PoincarePolynomial":
         """Multiply by t^k."""
         if self.is_zero():
             return self
-        return PoincarePolynomial((0,) * k + self.coeffs, signed=self.signed)
+        return PoincarePolynomial((0,) * k + self.coeffs)
 
     def evaluate(self, t: int) -> int:
         acc = 0
@@ -127,20 +108,20 @@ class PoincarePolynomial:
 
 
 def times_one_minus_t2_power(p: PoincarePolynomial, k: int) -> PoincarePolynomial:
-    """p (1 - t^2)^k in one product with the binomial expansion; signed when k > 0."""
+    """p (1 - t^2)^k in one product with the binomial expansion."""
     if k == 0:
         return p
     binomial, c = [0] * (2 * k + 1), 1
     for j in range(k + 1):
         binomial[2 * j] = -c if j % 2 else c
         c = c * (k - j) // (j + 1)
-    return p * PoincarePolynomial(binomial, signed=True)
+    return p * PoincarePolynomial(binomial)
 
 
 def divide_by_one_minus_tk(p: PoincarePolynomial, k: int) -> PoincarePolynomial | None:
     """Exact quotient p / (1 - t^k) for k >= 1, or None if not divisible."""
     if p.is_zero():
-        return PoincarePolynomial((), signed=p.signed)
+        return p
     d = p.degree()
     if d < k:
         return None
@@ -148,10 +129,9 @@ def divide_by_one_minus_tk(p: PoincarePolynomial, k: int) -> PoincarePolynomial 
     q = [0] * (d - k + 1)
     for i in range(d - k + 1):
         q[i] = p.coeff(i) + (q[i - k] if i >= k else 0)
-    one_minus_tk = PoincarePolynomial((1,) + (0,) * (k - 1) + (-1,), signed=True)
-    if PoincarePolynomial(q, signed=True) * one_minus_tk == p.as_signed():
-        return PoincarePolynomial(q, signed=p.signed or any(c < 0 for c in q))
-    return None
+    quotient = PoincarePolynomial(q)
+    one_minus_tk = PoincarePolynomial((1,) + (0,) * (k - 1) + (-1,))
+    return quotient if quotient * one_minus_tk == p else None
 
 
 @dataclass(frozen=True)

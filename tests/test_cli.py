@@ -467,6 +467,38 @@ def test_validate_rejects_tampered_polytopes(capsys):
         assert code == cli.EXIT_INVALID_INPUT, name
 
 
+# both pass the Euler relation, yet sum lambda_i t^(q-2i) (1-t^2)^i has a negative
+# coefficient, so no simple polytope has them; polytope used to raise on them
+@pytest.mark.parametrize("f_vector,q", [([1, 1, 1], 4), ([5, 3, 0, 1], 6)])
+def test_a_face_vector_with_a_negative_polynomial_is_bad_input(tmp_path, capsys, f_vector, q):
+    p = tmp_path / "polytope.json"
+    p.write_text(json.dumps(cli.document_for("polytope", {"f_vector": f_vector, "q": q})))
+    message = "face-vector polynomial has a negative coefficient of t^2"
+    code, out = run_json(capsys, "validate", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert [i for i in out["results"]["issues"] if i.startswith(message)]
+    code, out = run_json(capsys, "polytope", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"].startswith(message)
+
+
+@pytest.mark.parametrize("name,command,path", [
+    ("hopf_strata", "strata", ("strata", 0, "quotient_poincare")),
+    ("hopf_morse", "morse", ("components", 1, "quotient_poincare")),
+    ("hopf_morse", "morse", ("basic_poincare",)),
+])
+def test_a_negative_dimension_coefficient_is_bad_input(tmp_path, capsys, name, command, path):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    _set_path(doc["payload"], path, [1, 0, -1])
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps(doc))
+    for cmd in ("validate", command):
+        code, out = run_json(capsys, cmd, "--input", str(p))
+        assert code == cli.EXIT_INVALID_INPUT, cmd
+        assert out["error"] == (
+            f"{path[-1]}: negative coefficient in an unsigned dimension polynomial"), cmd
+
+
 def test_validate_accepts_fixture_documents(capsys):
     for name in ("hopf_gstar", "hopf_strata", "hopf_morse", "segment", "square",
                  "triangle", "hopf_module", "sphere3_split_ses"):
@@ -489,6 +521,29 @@ def test_cohomology_gstar(capsys):
     code, out = run_json(capsys, "cohomology", "--input", doc_path("hopf_gstar"))
     assert code == 0
     assert out["results"]["basic_cohomology"] == [1, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+def test_cohomology_reads_only_the_operator_laws(tmp_path, capsys):
+    doc = json.loads((DATA / "hopf_gstar.json").read_text())
+    for entry in doc["payload"]["products"]:
+        if entry["left"] == [1, 0] and entry["right"] == [2, 0]:
+            entry["value"] = [[0, 2]]  # theta omega = 2 theta*omega breaks a product law only
+    p = tmp_path / "product.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "validate", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "i_X derivation: i_X derivation fails on (theta, omega) generator 0" in (
+        out["results"]["issues"])
+    code, out = run_json(capsys, "cohomology", "--input", str(p))
+    assert code == 0
+    assert out["results"]["basic_cohomology"] == [1, 0, 1, 0, 0, 0, 0, 0, 0]
+    # an operator law broken as well is reported alone
+    doc["payload"]["L"][0]["1"] = [[1]]
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "cohomology", "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"].startswith("operator package violates the structure axioms: ")
+    assert "L_X = d i_X + i_X d" in out["error"] and "derivation" not in out["error"]
 
 
 def test_cohomology_ses(capsys):

@@ -9,7 +9,10 @@ with one leaf replaced by junk or one key deleted, and truncated Weil
 documents with one operator entry moved by an integer, which leaves a
 well-formed document whose operators contradict each other.  ``spectral``
 must not exit 1 on such a mutant when ``validate`` rejects it: exit 1 would
-claim that a property was verified and failed.
+claim that a property was verified and failed.  ``cohomology`` must exit 2 on
+such a mutant exactly when it breaks an operator law.  Small random record
+documents (polytopes, strata models, Morse data) must end in a clean
+envelope too, under ``validate`` and under their own command.
 """
 
 import copy
@@ -19,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from foliacoh import cli
-from foliacoh.gstar import LieAlgebraSpec, weil_algebra
+from foliacoh.gstar import LieAlgebraSpec, check_operator_laws, weil_algebra
 
 DATA = Path(cli.__file__).parent / "data"
 JUNK = (-7, 1.5, "1/0", [], {}, "", True, None)
@@ -36,6 +39,7 @@ MUTANTS_PER_DOCUMENT = 12
 WEIL_DOCUMENTS = ((1, 3), (1, 4), (2, 3), (2, 4))
 OPERATOR_MOVES = (-1, 1, 2)
 OPERATOR_MUTANTS_PER_DOCUMENT = 10
+RECORD_DOCUMENTS_PER_KIND = 60
 
 
 def _module_ses_document():
@@ -116,6 +120,43 @@ def _weil_documents():
         yield cli.document_for("gstar_algebra", payload, top)
 
 
+def _record_document(kind, rng):
+    """A random polytope, strata_model or morse_data document: dimension <= 3, entries 0..6.
+
+    A polytope's top face count is 1, so that about a third of them pass ``validate``.
+    """
+    def entries(k):
+        return [rng.randint(0, 6) for _ in range(k)]
+
+    dim = rng.randint(0, 3)
+    if kind == "polytope":
+        return cli.document_for(kind, {"f_vector": entries(dim) + [1], "q": 2 * dim})
+    parts = [{"codim" if kind == "strata_model" else "index": rng.randint(0, 6),
+              "isotropy_dim": rng.randint(0, dim),
+              "quotient_poincare": entries(rng.randint(1, 3))}
+             for _ in range(rng.randint(1, 3))]
+    if kind == "strata_model":
+        return cli.document_for(kind, {"q": rng.randint(0, 6), "dim_a": dim, "strata": parts})
+    return cli.document_for(
+        kind, {"dim_a": dim, "components": parts, "basic_poincare": entries(rng.randint(1, 4))})
+
+
+def _run_clean(command, path, capsys, where):
+    """The exit code of one in-process run, which must end in a clean envelope."""
+    try:
+        code = cli.main([command, "--input", str(path)])
+    except Exception as exc:
+        raise AssertionError(f"{where} raised {exc!r}") from exc
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 1, 2, 3) and out["exit_code"] == code, where
+    if "error" in out:
+        assert code == 2, where
+    elif code == 2:
+        assert command == "validate" and out["results"]["valid"] is False, where
+        assert out["results"]["issues"], where
+    return code
+
+
 def test_mutated_documents_exit_cleanly(tmp_path, capsys):
     rng = random.Random(20261018)
     docs = [json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))]
@@ -128,20 +169,25 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
             mutant, change = mutate(doc, rng)
             p = tmp_path / "mutant.json"
             p.write_text(json.dumps(mutant))
+            if mutate is _operator_mutant:
+                laws_hold = check_operator_laws(cli._parse(doc["kind"], mutant["payload"])).ok
             for command in ("validate",) + COMMANDS[doc["kind"]]:
                 where = f"{command} on {doc['kind']} with {change}"
-                try:
-                    code = cli.main([command, "--input", str(p)])
-                except Exception as exc:
-                    raise AssertionError(f"{where} raised {exc!r}") from exc
-                out = json.loads(capsys.readouterr().out)
-                assert code in (0, 1, 2, 3) and out["exit_code"] == code, where
+                code = _run_clean(command, p, capsys, where)
                 if command == "validate":
                     rejected = code == 2
                 elif command == "spectral" and mutate is _operator_mutant and rejected:
                     assert code != 1, where  # exit 1 would claim a verified property failed
-                if "error" in out:
-                    assert code == 2, where
-                elif code == 2:
-                    assert command == "validate" and out["results"]["valid"] is False, where
-                    assert out["results"]["issues"], where
+                elif command == "cohomology" and mutate is _operator_mutant:
+                    assert (code == 2) == (not laws_hold), where
+
+
+def test_record_documents_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(20261019)
+    p = tmp_path / "record.json"
+    for kind in ("polytope", "strata_model", "morse_data"):
+        for _ in range(RECORD_DOCUMENTS_PER_KIND):
+            doc = _record_document(kind, rng)
+            p.write_text(json.dumps(doc))
+            for command in ("validate",) + COMMANDS[kind]:
+                _run_clean(command, p, capsys, f"{command} on {doc['payload']}")

@@ -88,8 +88,8 @@ HASHABLE = [
     ),
     (
         lambda: MorseComponent(2, PoincarePolynomial((1, 1)), 1),
-        "MorseComponent(index=2, quotient_poincare=PoincarePolynomial(coeffs=(1, 1), "
-        "signed=False), isotropy_dim=1)",
+        "MorseComponent(index=2, quotient_poincare=PoincarePolynomial(coeffs=(1, 1)), "
+        "isotropy_dim=1)",
     ),
 ]
 UNHASHABLE = [

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from foliacoh.series import (
@@ -12,18 +11,12 @@ from foliacoh.series import (
 )
 
 
-def poly(*coeffs, signed=False):
-    return PoincarePolynomial(coeffs, signed=signed)
+def poly(*coeffs):
+    return PoincarePolynomial(coeffs)
 
 
 def series(coeffs, k):
-    return PoincareSeriesRational(PoincarePolynomial(coeffs, signed=True), k)
-
-
-def test_unsigned_rejects_negative():
-    with pytest.raises(ValueError):
-        poly(1, -1)
-    poly(1, -1, signed=True)
+    return PoincareSeriesRational(PoincarePolynomial(coeffs), k)
 
 
 def test_series_addition_canonical():
@@ -117,21 +110,20 @@ def test_euler_at_minus_one():
 @given(st.lists(st.integers(-4, 4), max_size=6), st.lists(st.integers(-4, 4), max_size=6),
        st.integers(1, 3))
 def test_divide_by_one_minus_tk_is_exact_division(q, p, k):
-    one_minus_tk = poly(*((1,) + (0,) * (k - 1) + (-1,)), signed=True)
-    q = poly(*q, signed=True)
+    one_minus_tk = poly(*((1,) + (0,) * (k - 1) + (-1,)))
+    q = poly(*q)
     assert divide_by_one_minus_tk(q * one_minus_tk, k) == q
-    p = poly(*p, signed=True)
+    p = poly(*p)
     got = divide_by_one_minus_tk(p, k)
     assert got is None or got * one_minus_tk == p
     if k == 1 and not p.is_zero():
         assert (got is None) == (p.evaluate(1) != 0)
 
 
-@given(st.lists(st.integers(-4, 4), max_size=6), st.booleans(), st.integers(0, 12))
-def test_times_one_minus_t2_power_is_repeated_multiplication(coeffs, signed, k):
-    p = poly(*(abs(c) for c in coeffs)) if not signed else poly(*coeffs, signed=True)
+@given(st.lists(st.integers(-4, 4), max_size=6), st.integers(0, 12))
+def test_times_one_minus_t2_power_is_repeated_multiplication(coeffs, k):
+    p = poly(*coeffs)
     want = p
     for _ in range(k):
-        want = want * poly(1, 0, -1, signed=True)
-    got = times_one_minus_t2_power(p, k)
-    assert got == want and got.signed == want.signed
+        want = want * poly(1, 0, -1)
+    assert times_one_minus_t2_power(p, k) == want
