@@ -7,7 +7,7 @@ the zero map out of the complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from typing import NamedTuple
 from .ratmat import RationalMatrix, coordinates_modulo, independent_complement
 
@@ -20,13 +20,13 @@ class InconsistentOperatorData(ValueError):
     """Operators that contradict each other: d^2 != 0, or d leaving a subspace they cut out."""
 
 
-@dataclass(frozen=True)
 class GradedVectorSpace:
-    """Finite-dimensional graded vector space on a window of degrees."""
+    """Finite-dimensional graded vector space on a window of degrees.
 
-    dims: dict[int, int]
-    labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    window: tuple[int, int] = (0, 0)
+    Labels are given per degree (a document's, whose count is checked) or
+    made by a function name(n, i), ``e{n}_{i}`` by default; a made label is
+    formatted only when ``label`` or ``labels`` reads it.
+    """
 
     def __init__(self, dims, labels=None, window=None):
         dims = {int(n): int(d) for n, d in dims.items() if d}
@@ -38,23 +38,34 @@ class GradedVectorSpace:
             window = (lo, top)
         if any(n < window[0] or n > window[1] for n in dims):
             raise ValueError("dimension declared outside the window")
-        labels = dict(labels or {})
+        given = {} if callable(labels) else {n: tuple(x) for n, x in (labels or {}).items()}
         for n, d in dims.items():
-            if n not in labels:
-                labels[n] = tuple(f"e{n}_{i}" for i in range(d))
-            else:
-                labels[n] = tuple(labels[n])
-                if len(labels[n]) != d:
-                    raise ValueError(f"label count mismatch in degree {n}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "window", (int(window[0]), int(window[1])))
+            if n in given and len(given[n]) != d:
+                raise ValueError(f"label count mismatch in degree {n}")
+        self.dims = dims
+        self.window = (int(window[0]), int(window[1]))
+        self._given = given
+        self._name = labels if callable(labels) else lambda n, i: f"e{n}_{i}"
+
+    @functools.cached_property
+    def labels(self) -> dict[int, tuple[str, ...]]:
+        """Every label, per degree."""
+        made = {n: tuple(map(functools.partial(self._name, n), range(d)))
+                for n, d in self.dims.items() if n not in self._given}
+        return {**self._given, **made}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GradedVectorSpace) and (self.dims, self.labels, self.window) == (
+            other.dims, other.labels, other.window)
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
     def label(self, n: int, i: int) -> str:
-        return self.labels.get(n, tuple())[i] if self.dim(n) else ""
+        if not self.dim(n):
+            return ""
+        given = self._given.get(n)
+        return given[i] if given is not None else self._name(n, range(self.dims[n])[i])
 
     def degrees(self) -> range:
         return range(self.window[0], self.window[1] + 1)

@@ -138,9 +138,9 @@ class CartanComplex:
                 self._coadjoints[j, p] = _coadjoint(s.lie, j, p)
             l_a, coad = s.op_l(j, m), self._coadjoints[j, p]
             if not l_a.is_zero():
-                parts.append((at, at, l_a.identity_kron(coad.rows)))
+                parts.append((at, at, l_a, coad.rows, 1))
             if not coad.is_zero():
-                parts.append((at, at, coad.kron_identity(l_a.rows)))
+                parts.append((at, at, coad, 1, l_a.rows))
         return RationalMatrix.from_blocks(sl.ambient_dim, sl.ambient_dim, parts)
 
     def _ambient_differential(self, n: int) -> RationalMatrix:
@@ -151,7 +151,7 @@ class CartanComplex:
         parts = []
         for p, col in enumerate(src[:-1]):
             m = n - 2 * p
-            parts.append((tgt[p], col, s.op_d(m).identity_kron(dim_sym(r, p))))
+            parts.append((tgt[p], col, s.op_d(m), dim_sym(r, p), 1))
             for j in range(r):
                 parts += _u_times(_shifted(r, p, j), s.op_i(j, m), tgt[p + 1], col)
         return RationalMatrix.from_blocks(tgt[-1], src[-1], parts)

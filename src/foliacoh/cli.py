@@ -39,6 +39,7 @@ from .algebra_core import (
 from .cartan import DifferentialNotSquareZero, equivariant_cohomology, generator_degrees
 from .foliation import (
     FoliationStrataModel,
+    InvalidRecord,
     MorseComponent,
     MorseData,
     PolytopeData,
@@ -215,10 +216,12 @@ def parse_gstar(payload) -> GStarStructure:
 
 
 def _products_in(obj, space: GradedVectorSpace, unit: int):
-    """The product matrices M_{a,b} a products list names, unit products added; None for null.
+    """A callable building the M_{a,b} of a products list, unit products added; None for null.
 
-    Entries go straight into per-pair (target, ia * dim_b + ib, value) lists,
-    with integer values kept as ints.  A pair listed twice is an InputError.
+    Every entry is checked here and goes straight into per-pair (target,
+    ia * dim_b + ib, value) lists, with integer values kept as ints; a pair
+    listed twice is an InputError.  The matrices are built on the first read
+    of the algebra's ``products``, which only ``validate`` makes.
     """
     if obj is None:
         return None
@@ -252,7 +255,7 @@ def _products_in(obj, space: GradedVectorSpace, unit: int):
                 if key not in seen:
                     seen.add(key)
                     entries.setdefault(pair, []).append((i, col, 1))
-    return {
+    return lambda: {
         (da, db): RationalMatrix.from_entries(space.dim(da + db), space.dim(da) * space.dim(db), e)
         for (da, db), e in entries.items()
     }
@@ -716,17 +719,17 @@ def _cmd_module(m, n_max):
 
 
 def _cmd_strata(m, n_max):
-    rep = validate_strata(m)
-    if not rep.valid:
-        raise InputError("; ".join(rep.issues))
-    eq = equivariant_series_from_strata(m)
+    try:
+        eq = equivariant_series_from_strata(m)  # the one validation
+    except InvalidRecord as exc:
+        raise InputError("; ".join(exc.issues)) from None
     result = {
         "equivariant_series": _series_out(eq),
         "equivariant_expansion": list(eq.expand(n_max)),
         "stable_through": n_max,
     }
     try:
-        basic = basic_series_formal(m)
+        basic = basic_series_formal(m, equivariant=eq)
         result["basic_polynomial"] = list(basic.polynomial.coeffs)
         result["euler_characteristic"] = euler_at_minus_one(basic.polynomial)
         result["formality_provenance"] = basic.formality_provenance
@@ -763,10 +766,10 @@ def _cmd_morse(morse, n_max):
 
 
 def _cmd_polytope(p, n_max):
-    rep = p.validate()
-    if not rep.valid:
-        raise InputError("; ".join(rep.issues))
-    r = polytope_series(p)
+    try:
+        r = polytope_series(p)  # the one validation
+    except InvalidRecord as exc:
+        raise InputError("; ".join(exc.issues)) from None
     code = EXIT_OK if r.cross_check_ok else EXIT_VERDICT_FAILURE
     return code, {
         "basic_polynomial": list(r.polynomial.coeffs),

@@ -53,6 +53,14 @@ class ValidationReport(NamedTuple):
     issues: tuple[str, ...]
 
 
+class InvalidRecord(ValueError):
+    """A record that fails its validation; ``issues`` are the report's."""
+
+    def __init__(self, what: str, report: ValidationReport):
+        super().__init__(f"invalid {what}: " + "; ".join(report.issues))
+        self.issues = report.issues
+
+
 def validate_strata(m: FoliationStrataModel) -> ValidationReport:
     """Check the record-level invariants of a stratification model.
 
@@ -94,7 +102,7 @@ def equivariant_series_from_strata(m: FoliationStrataModel) -> PoincareSeriesRat
     """Sum over strata of t^codim / (1-t^2)^isotropy times the quotient series."""
     report = validate_strata(m)
     if not report.valid:
-        raise ValueError("invalid strata model: " + "; ".join(report.issues))
+        raise InvalidRecord("strata model", report)
     total = PoincareSeriesRational.zero()
     for s in m.strata:
         term = PoincareSeriesRational(
@@ -110,18 +118,17 @@ class BasicSeriesResult(NamedTuple):
     identity_checked: bool
 
 
-def basic_series_formal(
-    m: FoliationStrataModel, formality_provenance: str = "caller-asserted"
-) -> BasicSeriesResult:
+def basic_series_formal(m: FoliationStrataModel, formality_provenance: str = "caller-asserted",
+                        equivariant: PoincareSeriesRational | None = None) -> BasicSeriesResult:
     """Basic Poincare polynomial of a formal model from its strata.
 
     Computes sum over strata of t^codim (1-t^2)^trdim P(X) and verifies it
     against the equivariant series times (1-t^2)^dim_a; a non-polynomial or
-    negative outcome means the data cannot come from a formal action.
+    negative outcome means the data cannot come from a formal action.  The
+    equivariant series is ``equivariant_series_from_strata(m)``, which
+    validates m; a caller that holds it passes it, and neither is repeated.
     """
-    report = validate_strata(m)
-    if not report.valid:
-        raise ValueError("invalid strata model: " + "; ".join(report.issues))
+    eq = equivariant_series_from_strata(m) if equivariant is None else equivariant
     poly = PoincarePolynomial.zero()
     for s in m.strata:
         poly = poly + times_one_minus_t2_power(s.quotient_poincare.shift(s.codim), m.trdim(s))
@@ -132,7 +139,6 @@ def basic_series_formal(
             f"in the basic series is negative"
         )
     # proof identity: the equivariant series times (1-t^2)^dim_a is this polynomial
-    eq = equivariant_series_from_strata(m)
     shifted = PoincareSeriesRational(poly, m.dim_a)
     identity = _series_equal_on_window(
         shifted, eq, max(poly.degree(), 0) + 2 * m.dim_a + 4
@@ -368,7 +374,7 @@ def polytope_series(p: PolytopeData) -> PolytopeSeriesResult:
     """
     report = p.validate()
     if not report.valid:
-        raise ValueError("invalid polytope data: " + "; ".join(report.issues))
+        raise InvalidRecord("polytope data", report)
     n = p.dimension
     poly = p.face_polynomial()
     strata = []

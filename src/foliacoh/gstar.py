@@ -20,7 +20,9 @@ and nowhere else derived from ``truncated_above``.
 The Weil algebra W(g) lives on its monomial basis t_S u^alpha.  Each of its
 operators D is known on the generators and reaches a monomial m = g rest,
 g the first factor of m, by one Leibniz step,
-D(m) = D(g) rest +- g D(rest), with D(rest) read off a lower degree.
+D(m) = D(g) rest +- g D(rest), with D(rest) read off a lower degree; a
+family whose generator images all vanish (each L over abelian g) is
+skipped.  Product tables and built labels are made when first read.
 
 A free structure with an invariant span of connection elements is of type
 (C); when a free structure arises from a compact-group action it is
@@ -160,8 +162,8 @@ class GradedAlgebraPresentation:
     products maps (deg_a, deg_b) to M_{a,b}: A^a (x) A^b -> A^(a+b), whose
     column ia * dim A^b + ib is the product e_ia e_ib; an absent pair is the
     zero map.  A zero-argument callable returns that dict and runs on the
-    first read of ``products`` (built structures pass one: the Weil route
-    reads only the operators).  products=None marks an operator-only
+    first read of ``products`` (built structures and parsed documents pass
+    one: only the product laws read it).  products=None marks an operator-only
     presentation, on which multiplication queries are unavailable.
     """
 
@@ -510,12 +512,11 @@ def basic_subcomplex(s: GStarStructure) -> BasicSubcomplex:
     """
     sp = s.space
     lo, hi = sp.window
-    r = s.lie.dimension
-    # joint kernel per degree of positive dimension; None is the whole space
+    # joint kernel per degree of positive dimension, from the stored nonzero
+    # i_X and L_X; None is the whole space
+    families = [f for j in range(s.lie.dimension) for f in (s.i_operators(j), s.l_operators(j))]
     kernels = {
-        n: joint_kernel(
-            [m for j in range(r) for m in (s.op_i(j, n), s.op_l(j, n))], sp.dim(n)
-        )
+        n: joint_kernel([f[n] for f in families if n in f], sp.dim(n))
         for n in range(lo, hi + 1)
         if sp.dim(n)
     }
@@ -525,13 +526,13 @@ def basic_subcomplex(s: GStarStructure) -> BasicSubcomplex:
         if k is None or k.cols
     }
     dims = {n: e.cols for n, e in embeddings.items()}
-    labels = {n: tuple(f"b{n}_{i}" for i in range(dim)) for n, dim in dims.items()}
-    spaces = GradedVectorSpace(dims, labels, window=sp.window)
+    spaces = GradedVectorSpace(dims, lambda n, i: f"b{n}_{i}", window=sp.window)
     diffs: dict[int, RationalMatrix] = {}
+    d = s.d_operators()
     for n in range(lo, hi):
-        if n not in dims:
-            continue
-        diffs[n] = restrict(s.op_d(n), kernels[n], kernels.get(n + 1))
+        if n not in dims or n not in d:
+            continue  # a zero d restricts to zero
+        diffs[n] = restrict(d[n], kernels[n], kernels.get(n + 1))
         if diffs[n] is None:
             raise InconsistentOperatorData(
                 f"differential does not restrict to the basic subcomplex "
@@ -623,8 +624,7 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
             by_degree[n] = ms
     index = {m: (n, i) for n, ms in by_degree.items() for i, m in enumerate(ms)}
     dims = {n: len(ms) for n, ms in by_degree.items()}
-    labels = {n: tuple(_mono_label(m) for m in ms) for n, ms in by_degree.items()}
-    space = GradedVectorSpace(dims, labels, window=(0, max_degree))
+    space = GradedVectorSpace(dims, lambda n, i: _mono_label(by_degree[n][i]), (0, max_degree))
 
     def products():
         out = {}
@@ -686,9 +686,12 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
         """The matrices of D, one Leibniz step per monomial, in ascending degree.
 
         Each D(g) is computed once, with its integral coefficients as ints, so
-        integral structure constants make no Fraction here.
+        integral structure constants make no Fraction here.  D vanishes when
+        every D(g) does (each L over abelian g), and then no degree is built.
         """
         images = {g: [(_int_if_integral(c), x) for c, x in on_gen(g)] for g in gens}
+        if not any(images.values()):
+            return {}
         derived: dict[Mono, dict[Mono, int | Fraction]] = {((), (0,) * r): {}}  # D(1) = 0
         mats = {}
         for n, ms in by_degree.items():
@@ -794,14 +797,12 @@ def tensor_gstar(
             lst += [(da, ia, db, ib) for ia in range(na) for ib in range(nb)]
     index = {key: (n, i) for n, lst in pairs.items() for i, key in enumerate(lst)}
     dims = {n: len(lst) for n, lst in pairs.items()}
-    labels = {
-        n: tuple(
-            f"{a.space.label(da, ia)}(x){b.space.label(db, ib)}"
-            for (da, ia, db, ib) in lst
-        )
-        for n, lst in pairs.items()
-    }
-    space = GradedVectorSpace(dims, labels, window=(0, cap))
+
+    def label(n, i):
+        da, ia, db, ib = pairs[n][i]
+        return f"{a.space.label(da, ia)}(x){b.space.label(db, ib)}"
+
+    space = GradedVectorSpace(dims, label, window=(0, cap))
 
     def products():
         """M_{n1,n2} from (a1 (x) b1)(a2 (x) b2) = (-1)^(|b1| |a2|) a1 a2 (x) b1 b2.
@@ -840,8 +841,8 @@ def tensor_gstar(
         truncated_above=cap if truncated else None,
     )
 
-    def build(k, op_a, op_b):
-        """D = D_A (x) 1 + (-1)^(k da) 1 (x) D_B of degree k, placed block by block."""
+    def build(k, ops_a, ops_b):
+        """D = D_A (x) 1 + (-1)^(k da) 1 (x) D_B of degree k, from the factors' stored D."""
         mats = {}
         for n, starts in blocks.items():
             tgt = blocks.get(n + k)
@@ -851,25 +852,19 @@ def tensor_gstar(
             # a nonzero factor operator has a nonzero target, so its block exists
             for da, col in starts.items():
                 db = n - da
-                m = op_a(da)
-                if not m.is_zero():
-                    parts.append((tgt[da + k], col, m.kron_identity(b.space.dim(db))))
-                m = op_b(db)
-                if not m.is_zero():
+                if (m := ops_a.get(da)) is not None:
+                    parts.append((tgt[da + k], col, m, 1, b.space.dim(db)))
+                if (m := ops_b.get(db)) is not None:
                     m = -m if k % 2 and da % 2 else m
-                    parts.append((tgt[da], col, m.identity_kron(a.space.dim(da))))
-            mats[n] = RationalMatrix.from_blocks(len(pairs[n + k]), len(pairs[n]), parts)
+                    parts.append((tgt[da], col, m, a.space.dim(da), 1))
+            if parts:
+                mats[n] = RationalMatrix.from_blocks(len(pairs[n + k]), len(pairs[n]), parts)
         return mats
 
-    d_mats = build(1, a.op_d, b.op_d)
-    i_mats = [
-        build(-1, lambda n, j=j: a.op_i(j, n), lambda n, j=j: b.op_i(j, n))
-        for j in range(lie.dimension)
-    ]
-    l_mats = [
-        build(0, lambda n, j=j: a.op_l(j, n), lambda n, j=j: b.op_l(j, n))
-        for j in range(lie.dimension)
-    ]
+    r = lie.dimension
+    d_mats = build(1, a.d_operators(), b.d_operators())
+    i_mats = [build(-1, a.i_operators(j), b.i_operators(j)) for j in range(r)]
+    l_mats = [build(0, a.l_operators(j), b.l_operators(j)) for j in range(r)]
     return GStarStructure(algebra, lie, d_mats, i_mats, l_mats)
 
 

@@ -41,28 +41,32 @@ not share; ``rank_of_columns`` falls back to the exact rank otherwise, and
 A subspace, and a batch of vectors, is always a matrix of columns, and one
 elimination serves it whole.  ``nullspace`` returns the canonical kernel
 basis; ``solve`` takes a matrix of right-hand sides and reduces ``[A | B]``
-once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
+once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``.
+On a ``nullspace`` basis, the identity on its free rows, ``solve`` reads
+coordinates off those rows and checks them by one product.
 ``independent_complement`` reads its pick off the pivots of one forward pass
-of ``[modulo | candidates]``.  ``kron_identity`` and ``identity_kron``
-place a matrix's entries into its Kronecker product with an identity, with
-no arithmetic; ``gstar`` holds a product as matrices M_{a,b}, which ``cli``
+of ``[modulo | candidates]``.  ``kron_identity`` and ``identity_kron`` place
+a matrix's entries into its Kronecker product with an identity, with no
+arithmetic; ``gstar`` holds a product as matrices M_{a,b}, which ``cli``
 fills with ``from_entries``, and writes the G*-axioms as identities between
-such products.  ``from_blocks`` places matrices as blocks of a larger one
-and adds them where they overlap, with no arithmetic on a row that one
-block feeds; with it ``gstar`` assembles tensor-product operators from
-Kronecker blocks, ``cartan`` the ambient d, L and u-multiplication of the
-Cartan complex, ``module_theory`` the Koszul boundaries and
-``cartan.module_presentation`` its evaluation map.  Dense vectors (``Vec``,
-``vec``, ``apply``) serve only ``gstar.detect_type_c`` and the tests, and
-stay while ``bench/spans.py`` binds ``apply`` by name.  ``joint_kernel``
-(the common kernel of several maps, from one nullspace of their stack) and
-``restrict`` (an operator between two subspaces in their bases, by one
-batched solve) carry the linear algebra the Cartan and Weil routes share.
+such products.  ``from_blocks`` places matrices, and their Kronecker
+products with identities, as blocks of a larger one and adds them where they
+overlap, with no arithmetic on a row that one block feeds; with it ``gstar``
+assembles tensor-product operators, ``cartan`` the ambient d, L and
+u-multiplication of the Cartan complex, ``module_theory`` the Koszul
+boundaries and ``cartan.module_presentation`` its evaluation map.  Dense
+vectors (``Vec``, ``vec``, ``apply``) serve only ``gstar.detect_type_c`` and
+the tests, and stay while ``bench/spans.py`` binds ``apply`` by name.
+``joint_kernel`` (the common kernel of several maps, from one nullspace of
+their stack) and ``restrict`` (an operator between two subspaces in their
+bases, by one batched solve) carry the linear algebra the Cartan and Weil
+routes share.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -212,12 +216,13 @@ def _echelon(rows: list[Row], ncols: int, eliminate) -> tuple[list, list]:
 class RationalMatrix:
     """Immutable-by-convention sparse rational matrix: integer rows, one denominator each."""
 
-    __slots__ = ("rows", "cols", "_nz", "_forward", "_rref_cache")
+    __slots__ = ("rows", "cols", "_nz", "_forward", "_rref_cache", "_units")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        self.rows, self.cols, self._forward, self._rref_cache = rows, cols, None, None
+        self.rows, self.cols = rows, cols
+        self._forward = self._rref_cache = self._units = None
         if entries is None:
             self._nz = [({}, 1) for _ in range(rows)]
             return
@@ -232,7 +237,8 @@ class RationalMatrix:
     def _trusted(cls, rows: int, cols: int, nz: list[tuple[Row, int]]) -> "RationalMatrix":
         """Wrap rows x cols canonical (numerators, denominator) rows as they are."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._nz, m._forward, m._rref_cache = rows, cols, nz, None, None
+        m.rows, m.cols, m._nz = rows, cols, nz
+        m._forward = m._rref_cache = m._units = None
         return m
 
     @classmethod
@@ -267,35 +273,40 @@ class RationalMatrix:
 
     @classmethod
     def from_blocks(cls, rows: int, cols: int, parts: Iterable) -> "RationalMatrix":
-        """Zero matrix plus each matrix m of the (row_offset, col_offset, m) parts placed there.
+        """Zero matrix plus each block of the parts placed there; where blocks overlap they add.
 
-        Where parts overlap their entries add.  A row fed by one part is that
-        part's row with its columns shifted, which is canonical as it stands;
-        a row fed by several is summed over the lcm of their denominators.
+        A part (r0, c0, m) places m at row r0 and column c0, and (r0, c0, m,
+        p, q) places 1_p (x) m (x) 1_q there without building it.  A row fed
+        by one block is a row of m spread and shifted, canonical as it
+        stands; a row fed by several is summed over the lcm of their
+        denominators.
         """
-        fed: list[list[tuple[int, Row, int]]] = [[] for _ in range(rows)]
-        for r0, c0, m in parts:
-            if not (0 <= r0 <= rows - m.rows and 0 <= c0 <= cols - m.cols):
-                raise ValueError(
-                    f"a {m.rows}x{m.cols} block at ({r0}, {c0}) leaves a {rows}x{cols} matrix")
-            for i, (r, d) in enumerate(m._nz, r0):
-                if r:
-                    fed[i].append((c0, r, d))
+        fed: list[list[tuple[int, int, Row, int]]] = [[] for _ in range(rows)]
+        for r0, c0, m, *pq in parts:
+            p, q = pq or (1, 1)
+            h, w = p * q * m.rows, p * q * m.cols
+            if not (0 <= r0 <= rows - h and 0 <= c0 <= cols - w):
+                raise ValueError(f"a {h}x{w} block at ({r0}, {c0}) leaves a {rows}x{cols} matrix")
+            for a, b in itertools.product(range(p), range(q)):  # the p q copies of m
+                i0, j0 = r0 + a * m.rows * q + b, c0 + a * m.cols * q + b
+                for i, (r, d) in enumerate(m._nz):
+                    if r:
+                        fed[i0 + i * q].append((j0, q, r, d))
         out = []
         for row in fed:
             if not row:
                 out.append(({}, 1))
             elif len(row) == 1:
-                c0, r, d = row[0]
-                out.append(({c0 + j: x for j, x in r.items()} if c0 else r, d))
+                c0, q, r, d = row[0]
+                out.append(({c0 + q * j: x for j, x in r.items()} if c0 or q != 1 else r, d))
             else:
-                den = math.lcm(*[d for _, _, d in row])
+                den = math.lcm(*[d for _, _, _, d in row])
                 acc: Row = {}
                 get = acc.get
-                for c0, r, d in row:
+                for c0, q, r, d in row:
                     s = den // d
                     for j, x in r.items():
-                        j += c0
+                        j = c0 + q * j
                         acc[j] = get(j, 0) + (s * x if s != 1 else x)
                 out.append(_lowest({j: x for j, x in acc.items() if x}, den))
         return cls._trusted(rows, cols, out)
@@ -381,6 +392,9 @@ class RationalMatrix:
         mixed = any(d != 1 for _, d in right)
         out = []
         for r, da in self._nz:
+            if not r:
+                out.append((r, 1))
+                continue
             den = math.lcm(*(right[k][1] for k in r)) if mixed else 1
             acc = {}
             for k, a in r.items():
@@ -498,14 +512,23 @@ class RationalMatrix:
         # and d is 1 when there are none
         for (row, d), p in zip(R._nz, pivots):
             nz[p] = ({free[f]: -x for f, x in row.items() if f != p}, d)
-        return RationalMatrix._trusted(self.cols, len(free), nz)
+        basis = RationalMatrix._trusted(self.cols, len(free), nz)
+        basis._units = tuple(free)  # read by ``solve``
+        return basis
 
     def solve(self, b: "RationalMatrix") -> "RationalMatrix | None":
         """One solution X of self @ X = b (free variables zero), or None.
 
         All columns of b are solved from one RREF of ``[self | b]``; None
-        means some column is inconsistent.
+        means some column is inconsistent.  A ``nullspace`` basis, whose row f
+        is e_k for its k-th free column f, skips the RREF: any solution equals
+        b on those rows, so X is read off them and kept if self @ X == b.
         """
+        if self._units is not None:
+            if self.rows != b.rows:
+                raise ValueError("hstack row mismatch")
+            x = RationalMatrix._trusted(self.cols, b.cols, [b._nz[i] for i in self._units])
+            return x if self @ x == b else None
         R, pivots = self.hstack(b).rref()
         n = self.cols
         if pivots and pivots[-1] >= n:

@@ -231,12 +231,12 @@ class FormalityVerdict(NamedTuple):
     stable_through: int
 
 
-def _free_by_count(e: EquivariantCohomologyResult) -> tuple[bool, int]:
-    """Whether the cohomology is free on the window, and the window that test needs.
+def _free_by_count(e: EquivariantCohomologyResult, upto: int) -> tuple[bool, int]:
+    """Whether the cohomology is free through degree upto, and the window that test needs.
 
     The free module F on the minimal generators maps onto H in every degree,
-    so H is free on the window exactly when dim F^n = h_n for n <= n_max:
-    the sum over generator degrees g <= n with n - g even of dim S^((n-g)/2).
+    so H is free through upto exactly when dim F^n = h_n for n <= upto: the
+    sum over generator degrees g <= n with n - g even of dim S^((n-g)/2).
     """
     gens, r = generator_degrees(e), e.dim_a
     if not e.complex.structure.lie.is_abelian and gens and gens[0] <= e.n_max - 2:
@@ -246,7 +246,7 @@ def _free_by_count(e: EquivariantCohomologyResult) -> tuple[bool, int]:
         )
     free = all(
         e.dim(n) == sum(dim_sym(r, (n - g) // 2) for g in gens if g <= n and (n - g) % 2 == 0)
-        for n in range(e.n_max + 1)
+        for n in range(upto + 1)
     )
     return free, 2 * r + (gens[-1] if gens else 0)
 
@@ -263,14 +263,17 @@ def formality_verdict(
     P^a * (1-t^2)^dim_a = P coefficientwise (necessary and sufficient within
     the window by the definition), then the free-module test as confirmation.
     Conclusive methods must agree; a conflict raises, as it would mean a bug.
-    The free-module test is conclusive only on the window it needs, so it is
-    compared with the factorization only when that is checked through it.
+    Both read degrees through upto, the least of n_max, e's stable bound and
+    the top of base_cohomology.  The free-module test is conclusive only on
+    the window it needs, so it is compared with the factorization only when
+    upto reaches it.
 
     The free-module test is a count from the generator degrees
     (``_free_by_count``); it decides what ``freeness_test`` decides on
-    ``module_presentation(e)``, whose relations are exactly the kernel the
-    count detects.  Over a non-abelian Lie algebra there is no u-action, so a
-    generator at or below degree n_max - 2 raises ValueError.
+    ``module_presentation(e)`` at window upto, whose relations are exactly
+    the kernel the count detects.  Over a non-abelian Lie algebra there is
+    no u-action, so a generator at or below degree n_max - 2 raises
+    ValueError.
     """
     upto = min(n_max, e.stable_through, len(base_cohomology) - 1)
     odd_vanishing = all(
@@ -288,7 +291,7 @@ def formality_verdict(
             break
     hilbert_ok = mismatch is None
 
-    free, needed_window = _free_by_count(e)
+    free, needed_window = _free_by_count(e, upto)
 
     if odd_vanishing and not hilbert_ok:
         raise RuntimeError(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from foliacoh import cli, fixtures
+from foliacoh import cli, fixtures, foliation, gstar
 from foliacoh.gstar import (
     LieAlgebraSpec,
     check_gstar_axioms,
@@ -948,6 +948,90 @@ def test_spectral_nonabelian_is_input_error(tmp_path, capsys):
     code, out = run_json(capsys, "spectral", "--input", str(p))
     assert code == cli.EXIT_INVALID_INPUT
     assert "non-abelian Lie algebra" in out["error"]
+
+
+# W(R) truncated at N = 5 certifies degrees through 3; above N its free-module
+# count used to read uncertified degrees and disagree with the factorization
+@pytest.mark.parametrize("window", [6, 7, 8, 9])
+def test_spectral_above_a_truncated_weil_window(tmp_path, capsys, window):
+    w = weil_algebra(LieAlgebraSpec.abelian(1), 5)
+    results = []
+    for s in (w, change_basis(w, random.Random(5))):
+        p = tmp_path / "weil_r1_n5.json"
+        p.write_text(json.dumps(cli.document_for("gstar_algebra", cli.gstar_to_payload(s), 5)))
+        code, out = run_json(capsys, "spectral", "--input", str(p), "--max-degree", str(window))
+        assert code == cli.EXIT_OK
+        assert out["results"]["formal"] is True and out["results"]["stable_through"] == 3
+        results.append(out["results"])
+    assert results[0] == results[1]
+
+
+# each products entry is checked when the document is parsed, though only
+# validate builds the product matrices
+@pytest.mark.parametrize("command", ["validate", "equivariant", "spectral", "cohomology"])
+@pytest.mark.parametrize("entry,message", [
+    ({"left": [1, 7], "right": [2, 0], "value": [[0, 5]]},
+     "product [1, 7] x [2, 0]: [1, 7] is not the [degree, index] of a basis element"),
+    ({"left": [1, 0], "right": [2, 0], "value": [[4, 5]]},
+     "product [1, 0] x [2, 0]: target index 4 is not an integer in [0, 1)"),
+    ({"left": [1, 0], "right": [2, 0], "value": [[0, "1/0"]]},
+     "bad rational '1/0': Fraction(1, 0)"),
+    ({"left": [1, 0], "right": [2, 0]}, "malformed gstar_algebra payload: 'value'"),
+    ({"left": [1, 0], "right": [2, 0], "value": [[0, 5]]},
+     "product [1, 0] x [2, 0] is listed twice"),
+], ids=["index", "target", "rational", "key", "twice"])
+def test_a_malformed_products_entry_is_bad_input_under_every_command(
+        tmp_path, capsys, command, entry, message):
+    doc = json.loads((DATA / "hopf_gstar.json").read_text())
+    doc["payload"]["products"].insert(0, entry)
+    p = tmp_path / "products.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert (code, out["error"]) == (cli.EXIT_INVALID_INPUT, message)
+
+
+@pytest.mark.parametrize("lie,n", [(LieAlgebraSpec.abelian(2), 6), (SO3, 4)],
+                         ids=["W(R^2) N=6", "W(so(3)) N=4"])
+def test_equivariant_builds_no_product_table_and_formats_no_label(monkeypatch, lie, n):
+    doc = cli.document_for("gstar_algebra", cli.gstar_to_payload(weil_algebra(lie, n)), n)
+    s = cli._parse(doc["kind"], doc["payload"])
+
+    def no_label(m):
+        raise AssertionError("a Weil monomial label, and so a tensor label, was formatted")
+
+    monkeypatch.setattr(gstar, "_mono_label", no_label)
+    code, results = cli._cmd_equivariant(s, n)
+    assert code == cli.EXIT_OK and results["cross_check_ok"]
+    assert "products" not in vars(s.algebra)
+
+
+def test_strata_and_polytope_validate_and_sum_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    validate, series = foliation.validate_strata, foliation.equivariant_series_from_strata
+    for module in (foliation, cli):
+        monkeypatch.setattr(module, "validate_strata", counting("strata", validate))
+        monkeypatch.setattr(module, "equivariant_series_from_strata", counting("sum", series))
+    monkeypatch.setattr(foliation.PolytopeData, "validate",
+                        counting("polytope", foliation.PolytopeData.validate))
+    assert run(capsys, "strata", "--input", doc_path("hopf_strata"))[0] == cli.EXIT_OK
+    assert calls == ["sum", "strata"]
+    calls.clear()
+    assert run(capsys, "polytope", "--input", doc_path("square"))[0] == cli.EXIT_OK
+    assert calls == ["polytope", "sum", "strata"]  # the second model is the induced one
+    calls.clear()
+    bad = foliation.FoliationStrataModel(q=3, dim_a=2, strata=())
+    for fn in (foliation.equivariant_series_from_strata, foliation.basic_series_formal):
+        with pytest.raises(ValueError, match="invalid strata model: a closed leaf"):
+            fn(bad._replace(strata=(foliation.Stratum("p", 2, 2, PoincarePolynomial([1])),)))
+    with pytest.raises(ValueError, match="invalid polytope data: q must equal"):
+        foliation.polytope_series(foliation.PolytopeData((4, 4, 1), 3))
 
 
 def test_deterministic_output_bytes(capsys):

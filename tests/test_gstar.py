@@ -527,6 +527,48 @@ def test_tensor_operators_match_the_scatter_build(factors):
             assert t.op_l(j, n) == l_ops[j][n]
 
 
+def assert_labels_equal_eager_ones(space, want):
+    """space's labels, read one at a time and then all at once, equal the eager tuples want."""
+    for n, names in want.items():
+        assert [space.label(n, i) for i in range(len(names))] == list(names)
+    assert "labels" not in vars(space)  # a single read formats no other label
+    assert space.labels == want
+    assert space == GradedVectorSpace(space.dims, want, window=space.window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([LieAlgebraSpec.abelian(r) for r in (1, 2, 3)] + [SO3]),
+       st.integers(0, 6))
+@example(SO3, 6).via("so(3) at the top degree")
+def test_weil_labels_on_demand_equal_eager_ones(lie, top):
+    assert_labels_equal_eager_ones(weil_algebra(lie, top).space,
+                                   reference_weil_algebra(lie, top).space.labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensor_factors())
+def test_tensor_and_basic_labels_on_demand_equal_eager_ones(factors):
+    a, b, max_degree = factors
+    t = tensor_gstar(a, b, max_degree=max_degree)
+    pairs = reference_tensor(a, b, t.space.window[1])[0]
+    assert_labels_equal_eager_ones(t.space, {
+        n: tuple(f"{a.space.label(da, ia)}(x){b.space.label(db, ib)}" for da, ia, db, ib in lst)
+        for n, lst in pairs.items()})
+    spaces = basic_subcomplex(t).complex.spaces
+    assert_labels_equal_eager_ones(spaces, {
+        n: tuple(f"b{n}_{i}" for i in range(d)) for n, d in spaces.dims.items()})
+
+
+def test_default_and_given_labels():
+    sp = GradedVectorSpace({0: 1, 1: 2, 3: 0}, {1: ("a", "b"), 3: ()})
+    assert [sp.label(0, 0), sp.label(1, 1), sp.label(2, 0), sp.label(1, -1)] == ["e0_0", "b", "", "b"]
+    assert sp.labels == {0: ("e0_0",), 1: ("a", "b"), 3: ()}
+    with pytest.raises(IndexError):
+        sp.label(0, 1)
+    with pytest.raises(ValueError, match="label count mismatch in degree 1"):
+        GradedVectorSpace({1: 2}, {1: ("a",)})
+
+
 def test_lazy_tables_are_built_only_when_read():
     w = weil_algebra(LieAlgebraSpec.abelian(1), 4)
     t = tensor_gstar(w, change_basis(hopf_basic_model(), random.Random(1)))

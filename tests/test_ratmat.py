@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -609,6 +610,50 @@ def test_restrict_edge_shapes():
     assert restrict(op, RationalMatrix.zeros(1, 2), RationalMatrix.zeros(2, 0)) == \
         RationalMatrix.zeros(0, 2)
     assert restrict(RationalMatrix.zeros(2, 1), None, M([[1], [1]])) == RationalMatrix.zeros(1, 1)
+
+
+def rref_solve(a, b):
+    """The RREF path of ``solve``, kept as the reference: one RREF of [a | b], free variables 0."""
+    R, pivots = a.hstack(b).rref()
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for row, p in zip(R.tolist(), pivots):
+        x[p] = row[a.cols:]
+    return RationalMatrix(a.cols, b.cols, x)
+
+
+@st.composite
+def kernel_systems(draw):
+    """(K, B): K a nullspace basis, B mixing columns in span(K) with arbitrary ones."""
+    k = draw(matrices()).nullspace()
+    entry = ENTRIES[draw(st.sampled_from(("sparse", "dense", "coprime")))]
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            cols.append(k.apply(draw(st.lists(entry, min_size=k.cols, max_size=k.cols))))
+        else:
+            cols.append(tuple(draw(st.lists(entry, min_size=k.rows, max_size=k.rows))))
+    return k, RationalMatrix.from_cols(cols, k.rows)
+
+
+@FAST
+@given(kernel_systems())
+@example((M([[1, 0], [0, 1]]).nullspace(), M([[1], [0]]))).via("no kernel, b outside")
+@example((M([[1, 0], [0, 1]]).nullspace(), RationalMatrix.zeros(2, 3))).via("no kernel, b zero")
+@example((M([[1, "1/3", "2/5"]]).nullspace(), M([["-1/3", "1/7"], [1, 0], [0, "1/2"]])))
+def test_solve_on_a_kernel_basis_reads_coordinates_off(system):
+    k, b = system
+    want = rref_solve(k, b)
+    with mock.patch.object(RationalMatrix, "rref", side_effect=AssertionError("RREF run")):
+        got = k.solve(b)
+    assert got == want
+    outside = [v for v in columns(b)
+               if dense_rank(k.hstack(column(v, k.rows)).tolist(), k.cols + 1) > k.cols]
+    assert (got is None) == bool(outside)
+    if got is not None:
+        assert k @ got == b
+        assert_well_formed(got)
 
 
 # -- every kernel against a dense reference on the same grid ---------------------------

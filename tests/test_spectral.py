@@ -363,9 +363,16 @@ def test_persistence_pairs_match_corner_ranks(case):
 # -- formality from generator degrees against the module presentation ------------------
 
 
-def presentation_free_test(e):
-    """(free, needed window) as a module presentation decides it: Koszul Tor_1 vanishes."""
-    fr = freeness_test(module_presentation(e))
+def presentation_free_test(e, upto):
+    """(free, needed window) as a module presentation decides it through degree upto.
+
+    The presentation is cut to the window upto, where free means that Koszul
+    Tor_1 vanishes; its generator degrees, and so the needed window, are all
+    of e's.
+    """
+    pres = module_presentation(e)
+    fr = freeness_test(module_theory.GradedModulePresentation(
+        pres.dim_a, pres.generators, pres.relations, window=max(upto, 0)))
     return fr.free, fr.needed_window
 
 
@@ -378,23 +385,35 @@ def outcome(fn, *args):
 
 
 def assert_formality_matches_the_presentation(s, n_max):
+    """Both free-module tests decide on the window formality_verdict reads; returns its outcome."""
     e = equivariant_cohomology(s, n_max)
-    args = (e, cohomology_dims(s.as_complex()).dims_tuple(n_max), s.lie.dimension, n_max)
-    assert outcome(spectral._free_by_count, e) == outcome(presentation_free_test, e), n_max
+    base = cohomology_dims(s.as_complex()).dims_tuple(n_max)
+    upto = min(n_max, e.stable_through, len(base) - 1)
+    assert outcome(spectral._free_by_count, e, upto) == \
+        outcome(presentation_free_test, e, upto), n_max
+    args = (e, base, s.lie.dimension, n_max)
     verdict = outcome(formality_verdict, *args)
     with mock.patch.object(spectral, "_free_by_count", presentation_free_test):
         assert outcome(formality_verdict, *args) == verdict, n_max
+    return verdict
 
 
 @settings(max_examples=40, deadline=None)
 @given(truncated_weil_algebras())
 @example((weil_algebra(LieAlgebraSpec.abelian(3), 6), 10)).via("R3 generators past the window")
-@example((weil_algebra(LieAlgebraSpec.abelian(1), 5), 7)).via("both raise RuntimeError")
+@example((weil_algebra(LieAlgebraSpec.abelian(1), 5), 7)).via("W(R) N=5 above its window")
 @example((weil_algebra(SO3, 4), 8)).via("so(3): no u-action within the window")
 @example((weil_algebra(SO3, 4), 2)).via("so(3): the unit two degrees below the top")
 @example((weil_algebra(SO3, 4), 1)).via("so(3): every generator at the window top")
 def test_formality_from_generator_degrees_matches_the_presentation(case):
     assert_formality_matches_the_presentation(*case)
+
+
+@pytest.mark.parametrize("n_max", [6, 7, 8, 9])
+def test_formality_above_a_truncated_window_raises_on_neither_side(n_max):
+    verdict = assert_formality_matches_the_presentation(
+        weil_algebra(LieAlgebraSpec.abelian(1), 5), n_max)
+    assert isinstance(verdict, spectral.FormalityVerdict) and verdict.formal
 
 
 @pytest.mark.parametrize("make", [
