@@ -743,10 +743,10 @@ def _cmd_strata(m, n_max):
 
 def _cmd_morse(morse, n_max):
     d, dim_a, basic = morse
-    rep = d.validate(dim_a)
-    if not rep.valid:
-        raise InputError("; ".join(rep.issues))
-    ms = morse_series(d, dim_a)
+    try:
+        ms = morse_series(d, dim_a)  # the one validation
+    except InvalidRecord as exc:
+        raise InputError("; ".join(exc.issues)) from None
     result = {
         "basic_morse_series": list(ms.basic.coeffs),
         "equivariant_morse_series": _series_out(ms.equivariant),
@@ -754,7 +754,7 @@ def _cmd_morse(morse, n_max):
     }
     code = EXIT_OK
     if basic is not None:
-        verdict = perfectness_check(d, basic, dim_a, n_max)
+        verdict = perfectness_check(d, basic, dim_a, n_max, ms)
         result["perfect"] = verdict.perfect
         result["detail"] = verdict.detail
         if verdict.gap.ok:

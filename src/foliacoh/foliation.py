@@ -248,10 +248,11 @@ def morse_series(d: MorseData, dim_a: int) -> MorseSeries:
 
     basic: sum of t^index P(N/F); equivariant: each component additionally
     divided by (1-t^2)^isotropy, the one-isotropy model of its neighborhood.
+    Data that fails ``MorseData.validate`` raises ``InvalidRecord``.
     """
     report = d.validate(dim_a)
     if not report.valid:
-        raise ValueError("invalid Morse data: " + "; ".join(report.issues))
+        raise InvalidRecord("Morse data", report)
     basic = PoincarePolynomial.zero()
     equivariant = PoincareSeriesRational.zero()
     for c in d.components:
@@ -268,14 +269,17 @@ class PerfectnessVerdict(NamedTuple):
 
 
 def perfectness_check(
-    d: MorseData, p_basic: PoincarePolynomial, dim_a: int, n_max: int | None = None
+    d: MorseData, p_basic: PoincarePolynomial, dim_a: int, n_max: int | None = None,
+    series: MorseSeries | None = None,
 ) -> PerfectnessVerdict:
     """Perfect when the basic Morse series equals the basic Poincare polynomial.
 
     Otherwise the (1+t)-divisibility of the gap is checked and the verdict
-    carries the quotient or the violating degree.
+    carries the quotient or the violating degree.  The series is
+    ``morse_series(d, dim_a)``, which validates d; a caller that holds it
+    passes it, and neither is repeated.
     """
-    ms = morse_series(d, dim_a)
+    ms = morse_series(d, dim_a) if series is None else series
     window = n_max if n_max is not None else max(ms.basic.degree(), p_basic.degree(), 0) + 2
     gap = morse_gap(
         PoincareSeriesRational(ms.basic, 0),

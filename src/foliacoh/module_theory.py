@@ -11,8 +11,10 @@ the window certifies it through an exact linear-recurrence margin; all
 dimension-theoretic verdicts carry their scope.
 
 Each quantity is computed once per presentation object: the realization
-(degreewise bases and one reduction matrix per degree) and the Koszul
-homology are cached properties of ``GradedModulePresentation``, shared by
+(degreewise bases, the complement of the pivot monomials of the relation
+rows scaled to integers, and one reduction matrix per degree, from one
+solve) and the Koszul homology are cached properties of
+``GradedModulePresentation``, shared by
 ``hilbert``, ``koszul_tor``, ``freeness_test``, ``localized_rank``,
 ``depth_dim_cm`` and ``ses_cm_check``.  Nothing is cached beyond the object,
 so a fresh parse of the same document computes everything again.
@@ -24,10 +26,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import NamedTuple
 
-from .ratmat import RationalMatrix, coordinates_modulo, frac, independent_complement
+from .ratmat import RationalMatrix, frac, independent_complement
 from .series import PoincarePolynomial, PoincareSeriesRational, divide_by_one_minus_tk
 
 # A polynomial in u_1..u_r: exponent tuple -> coefficient.
@@ -78,15 +81,9 @@ def free_basis(generators: tuple[int, ...], r: int, n: int) -> list[tuple[int, t
     ]
 
 
-def relation_columns(
-    relations, generators: tuple[int, ...], r: int, n: int, fb
-) -> RationalMatrix:
-    """Every monomial multiple of each relation in degree n, as the columns over fb.
-
-    fb is ``free_basis(generators, r, n)``.
-    """
-    pos = {key: i for i, key in enumerate(fb)}
-    entries = []
+def relation_entries(relations, generators, r: int, n: int, pos: dict):
+    """(k, pos[(generator index, exponent)], c) per coefficient c of the k-th monomial
+    multiple of a relation in degree n; k counts from 0 and each multiple has an entry."""
     k = 0
     for rel in relations:
         m = relation_degree(rel, generators)
@@ -94,10 +91,20 @@ def relation_columns(
             continue
         for gamma in monomials_of_degree(r, (n - m) // 2):
             for g_idx, poly in enumerate(rel):
-                for beta, c in poly_shift(poly, gamma).items():
-                    entries.append((pos[(g_idx, beta)], k, c))
+                for beta, c in poly.items():
+                    yield k, pos[(g_idx, tuple(map(add, beta, gamma)))], c
             k += 1
-    return RationalMatrix.from_entries(len(fb), k, entries)
+
+
+def relation_columns(relations, generators: tuple[int, ...], r: int, n: int, fb) -> RationalMatrix:
+    """Every monomial multiple of each relation in degree n, as the columns over fb.
+
+    fb is ``free_basis(generators, r, n)``.
+    """
+    entries = list(relation_entries(relations, generators, r, n,
+                                    {key: i for i, key in enumerate(fb)}))
+    k = entries[-1][0] + 1 if entries else 0
+    return RationalMatrix.from_entries(len(fb), k, [(i, j, c) for j, i, c in entries])
 
 
 def dim_sym(r: int, p: int) -> int:
@@ -135,7 +142,7 @@ class GradedModulePresentation:
         clean = []
         for rel in relations:
             rel = tuple(
-                {tuple(int(e) for e in beta): frac(c) for beta, c in poly.items() if frac(c) != 0}
+                {tuple(int(e) for e in beta): x for beta, c in poly.items() if (x := frac(c))}
                 for poly in rel
             )
             if len(rel) != len(generators):
@@ -205,16 +212,16 @@ class GradedModulePresentation:
 class ModuleRealization:
     """Degreewise bases and the u-action of a presented module on its window.
 
-    The degree-n basis is the greedy subset of free-module monomials
-    (generator, exponent) that stays independent modulo the relation span,
-    which makes every derived quantity deterministic.  That basis spans the
-    quotient and is independent modulo the relations, so every free element
-    has unique coordinates in it: ``reduction(n)`` holds those of every free
-    monomial of degree n as its columns, from one matrix solve of
-    ``[basis | relations]`` against the identity, the basis being columns of
-    that identity.  Reducing an element is then a product, and the u-action
-    selects columns.  Each degree's matrix is solved on first use and kept
-    here.
+    Degree n is read off the k x len(free_basis[n]) matrix whose rows are the
+    degree-n monomial multiples of the relations, each scaled to integers.
+    A relation solves for its last monomial, so the rows' pivot monomials P
+    are taken last monomial first by ``independent_complement`` (certified
+    mod p), and the basis B is the rest, ascending: the greedy free
+    monomials independent modulo the relation span, which makes every
+    derived quantity deterministic.  Column b of ``reduction(n)`` is e_b,
+    and the columns P come from one solve of rows[:, P] Y = -rows[:, B], run
+    on first use and kept here.  Reducing an element is then a product, and
+    the u-action selects columns.
     """
 
     def __init__(self, pres: GradedModulePresentation):
@@ -222,15 +229,21 @@ class ModuleRealization:
         # cycle both are freed as soon as the presentation is dropped
         self.window = n_max = pres.window
         gens, r = pres.generators, pres.dim_a
+        # each relation times the lcm of its denominators: int coefficients, the same span
+        integral = [tuple({b: c.numerator * (s // c.denominator) for b, c in p.items()}
+                          for p in rel) for rel in pres.relations
+                    for s in [lcm(*(c.denominator for p in rel for c in p.values()))]]
         self.free_basis = {n: free_basis(gens, r, n) for n in range(n_max + 1)}
-        self.rel_cols = {
-            n: relation_columns(pres.relations, gens, r, n, fb)
-            for n, fb in self.free_basis.items()
-        }
-        self.basis_indices = {
-            n: independent_complement(RationalMatrix.identity(len(fb)), self.rel_cols[n])
-            for n, fb in self.free_basis.items()
-        }
+        self._rows, self._pivots, self.basis_indices = {}, {}, {}
+        for n, fb in self.free_basis.items():
+            last = len(fb) - 1  # the rows hold free monomial i in column last - i
+            entries = list(relation_entries(integral, gens, r, n,
+                                            {key: last - i for i, key in enumerate(fb)}))
+            rows = self._rows[n] = RationalMatrix.from_entries(
+                entries[-1][0] + 1 if entries else 0, len(fb), entries)
+            empty = RationalMatrix.zeros(rows.rows, 0)
+            picked = self._pivots[n] = independent_complement(rows, empty)
+            self.basis_indices[n] = sorted(set(range(len(fb))) - {last - p for p in picked})
         self._reductions: dict[int, RationalMatrix] = {}
 
     def dim(self, n: int) -> int:
@@ -245,10 +258,16 @@ class ModuleRealization:
         """dim(n) x len(free_basis[n]): column k is free monomial k in the module basis."""
         red = self._reductions.get(n)
         if red is None:
-            std = RationalMatrix.identity(len(self.free_basis[n]))
-            red = coordinates_modulo(std.select(self.basis_indices[n]), self.rel_cols[n], std)
-            if red is None:
+            rows, picked, basis = self._rows[n], self._pivots[n], self.basis_indices[n]
+            last = rows.cols - 1
+            # rows[:, P] Y = rows[:, B]; then row i of -Y is pivot monomial last - picked[i]
+            y = rows.select(picked).solve(rows.select([last - b for b in basis]))
+            if y is None:
                 raise AssertionError("free monomials failed to reduce (not spanning?)")
+            entries = [(k, b, 1) for k, b in enumerate(basis)]
+            entries += [(k, last - picked[i], -x)
+                        for k, col in enumerate(y.nonzero_columns()) for i, x in col]
+            red = RationalMatrix.from_entries(len(basis), rows.cols, entries)
             self._reductions[n] = red
         return red
 

@@ -282,11 +282,21 @@ class RationalMatrix:
         denominators.
         """
         fed: list[list[tuple[int, int, Row, int]]] = [[] for _ in range(rows)]
-        for r0, c0, m, *pq in parts:
-            p, q = pq or (1, 1)
+        for part in parts:
+            plain = len(part) == 3
+            if plain:
+                r0, c0, m = part
+                p = q = 1
+            else:
+                r0, c0, m, p, q = part
             h, w = p * q * m.rows, p * q * m.cols
             if not (0 <= r0 <= rows - h and 0 <= c0 <= cols - w):
                 raise ValueError(f"a {h}x{w} block at ({r0}, {c0}) leaves a {rows}x{cols} matrix")
+            if plain:  # m's rows go straight in
+                for i, (r, d) in enumerate(m._nz, r0):
+                    if r:
+                        fed[i].append((c0, 1, r, d))
+                continue
             for a, b in itertools.product(range(p), range(q)):  # the p q copies of m
                 i0, j0 = r0 + a * m.rows * q + b, c0 + a * m.cols * q + b
                 for i, (r, d) in enumerate(m._nz):

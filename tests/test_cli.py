@@ -1034,6 +1034,32 @@ def test_strata_and_polytope_validate_and_sum_once(capsys, monkeypatch):
         foliation.polytope_series(foliation.PolytopeData((4, 4, 1), 3))
 
 
+def test_morse_validates_and_sums_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(foliation.MorseData, "validate",
+                        counting("validate", foliation.MorseData.validate))
+    series = foliation.morse_series
+    for module in (foliation, cli):
+        monkeypatch.setattr(module, "morse_series", counting("sum", series))
+    code, out = run(capsys, "morse", "--input", doc_path("hopf_morse"))
+    assert code == cli.EXIT_OK and json.loads(out)["results"]["perfect"] is True
+    assert calls == ["sum", "validate"]  # hopf_morse has a basic_poincare: the check ran
+    calls.clear()
+    # called on its own, each function still validates
+    bad = foliation.MorseData((foliation.MorseComponent(0, PoincarePolynomial([1]), 2),))
+    with pytest.raises(foliation.InvalidRecord, match="invalid Morse data: component 0: "
+                       "isotropy dimension 2 exceeds dim_a = 1"):
+        foliation.perfectness_check(bad, PoincarePolynomial([1]), 1)
+    assert calls == ["sum", "validate"]
+
+
 def test_deterministic_output_bytes(capsys):
     _, out1 = run(capsys, "equivariant", "--input", doc_path("hopf_gstar"))
     _, out2 = run(capsys, "equivariant", "--input", doc_path("hopf_gstar"))

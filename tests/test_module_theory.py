@@ -1,9 +1,12 @@
+import contextlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from foliacoh import module_theory
 from foliacoh.cartan import equivariant_cohomology, module_presentation
 from foliacoh.fixtures import (
     exterior_line_free,
@@ -21,16 +24,23 @@ from foliacoh.module_theory import (
     certify_closed_form,
     depth_dim_cm,
     dim_sym,
+    free_basis,
     freeness_test,
     hilbert,
     koszul_tor,
     localized_rank,
     monomials_of_degree,
     poly_shift,
+    relation_columns,
     relation_degree,
     ses_cm_check,
 )
-from foliacoh.ratmat import RationalMatrix, unit_vec
+from foliacoh.ratmat import (
+    RationalMatrix,
+    coordinates_modulo,
+    independent_complement,
+    unit_vec,
+)
 
 from conftest import circle_action, columns
 
@@ -247,21 +257,28 @@ def test_ses_cm_rejects_non_ses():
 # solve, as the realization did before it kept one reduction matrix per degree.
 
 
-def per_vector_reduce(real, n, v):
+def rel_cols(pres, n):
+    """Every monomial multiple of each relation in degree n as a column, unscaled."""
+    fb = free_basis(pres.generators, pres.dim_a, n)
+    return relation_columns(pres.relations, pres.generators, pres.dim_a, n, fb)
+
+
+def per_vector_reduce(pres, real, n, v):
     fb = real.free_basis[n]
-    cols = [unit_vec(len(fb), i) for i in real.basis_indices[n]] + columns(real.rel_cols[n])
+    cols = [unit_vec(len(fb), i) for i in real.basis_indices[n]] + columns(rel_cols(pres, n))
     sol = RationalMatrix.from_cols(cols, len(fb)).solve(RationalMatrix.from_cols([v], len(fb)))
     return None if sol is None else columns(sol)[0][: len(real.basis_indices[n])]
 
 
-def per_vector_u_matrix(real, j, n):
+def per_vector_u_matrix(pres, real, j, n):
     fb_src, fb_tgt = real.free_basis[n], real.free_basis[n + 2]
     pos = {key: i for i, key in enumerate(fb_tgt)}
     cols = []
     for i in real.basis_indices[n]:
         g_idx, beta = fb_src[i]
         beta2 = tuple(b + (k == j) for k, b in enumerate(beta))
-        cols.append(per_vector_reduce(real, n + 2, unit_vec(len(fb_tgt), pos[(g_idx, beta2)])))
+        cols.append(per_vector_reduce(pres, real, n + 2,
+                                      unit_vec(len(fb_tgt), pos[(g_idx, beta2)])))
     return RationalMatrix.from_cols(cols, real.dim(n + 2))
 
 
@@ -278,7 +295,7 @@ def per_vector_tor_dims(pres, real):
             return 0
         src, tgt = k_basis(i, n), k_basis(i - 1, n)
         pos = {key: idx for idx, key in enumerate(tgt)}
-        u = {j: columns(per_vector_u_matrix(real, j, n - 2 * i)) for j in range(r)}
+        u = {j: columns(per_vector_u_matrix(pres, real, j, n - 2 * i)) for j in range(r)}
         cols = []
         for m, S in src:
             col = [Fraction(0)] * len(tgt)
@@ -349,18 +366,18 @@ def test_reduction_matches_per_vector_path(pres):
     for n in range(pres.window + 1):
         fb = real.free_basis[n]
         # hilbert against dim(free) - rank(relations), an independent count
-        rel_rank = real.rel_cols[n].rank()
+        rel_rank = rel_cols(pres, n).rank()
         assert hilbert(pres).coefficients[n] == len(fb) - rel_rank
         red = real.reduction(n)
         for k in range(len(fb)):
             v = unit_vec(len(fb), k)
-            assert red.apply(v) == per_vector_reduce(real, n, v)
-        if real.rel_cols[n].cols:
-            mixed = tuple(sum(col) for col in zip(*columns(real.rel_cols[n])))
-            assert red.apply(mixed) == per_vector_reduce(real, n, mixed)
+            assert red.apply(v) == per_vector_reduce(pres, real, n, v)
+        if rel_cols(pres, n).cols:
+            mixed = tuple(sum(col) for col in zip(*columns(rel_cols(pres, n))))
+            assert red.apply(mixed) == per_vector_reduce(pres, real, n, mixed)
         if n + 2 <= pres.window:
             for j in range(pres.dim_a):
-                assert real.u_matrix(j, n) == per_vector_u_matrix(real, j, n)
+                assert real.u_matrix(j, n) == per_vector_u_matrix(pres, real, j, n)
     assert koszul_tor(pres).dims == per_vector_tor_dims(pres, real)
 
 
@@ -420,3 +437,140 @@ def test_koszul_boundaries_match_the_scatter_build(pres):
         for i in range(1, min(r, n // 2) + 1):
             assert _koszul_boundary(real, r, i, n) == scatter_koszul_boundary(real, r, i, n), (i, n)
     assert koszul_tor(pres).dims == per_vector_tor_dims(pres, real)
+
+
+# -- realization from relation rows against the complement path -----------------------
+# The reference realization takes the greedy complement of the identity modulo the
+# relation columns and then coordinates modulo them, as the package once did.
+
+
+class ComplementRealization(ModuleRealization):
+    def __init__(self, pres):
+        self.window = pres.window
+        self.free_basis = {n: free_basis(pres.generators, pres.dim_a, n)
+                           for n in range(pres.window + 1)}
+        self.rel_cols = {n: rel_cols(pres, n) for n in self.free_basis}
+        self.basis_indices = {
+            n: independent_complement(RationalMatrix.identity(len(fb)), self.rel_cols[n])
+            for n, fb in self.free_basis.items()
+        }
+        self._reductions = {}
+
+    def reduction(self, n):
+        if n not in self._reductions:
+            std = RationalMatrix.identity(len(self.free_basis[n]))
+            red = coordinates_modulo(std.select(self.basis_indices[n]), self.rel_cols[n], std)
+            assert red is not None
+            self._reductions[n] = red
+        return self._reductions[n]
+
+
+@contextlib.contextmanager
+def complement_path():
+    """Presentations made inside are realized by ``ComplementRealization``."""
+    with mock.patch.object(module_theory, "ModuleRealization", ComplementRealization):
+        yield
+
+
+def again(pres):
+    """A fresh presentation of the same data, with nothing computed yet."""
+    return GradedModulePresentation(pres.dim_a, pres.generators, pres.relations, pres.window)
+
+
+def any_poly(draw, r, p):
+    """0 to 3 terms of degree p; a zero coefficient is dropped by the presentation."""
+    monos = monomials_of_degree(r, p) if p >= 0 else []
+    if not monos:
+        return {}
+    picked = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
+    return {beta: draw(COEFFS | st.just(Fraction(0))) for beta in picked}
+
+
+@st.composite
+def relation_sets(draw, r=None, window=None):
+    """r = 0..3 and windows 0..8, with rational, zero, duplicate and dependent relations."""
+    r = draw(st.integers(0, 3)) if r is None else r
+    window = draw(st.sampled_from(range(9))) if window is None else window
+    gens = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    rels = []
+    for _ in range(draw(st.sampled_from(range(5)))):
+        lead = draw(st.integers(0, len(gens) - 1))
+        m = gens[lead] + 2 * draw(st.integers(0, 2 if r else 0))
+        rel = [any_poly(draw, r, (m - g) // 2) if (m - g) % 2 == 0 else {} for g in gens]
+        if draw(st.integers(0, 4)):  # else the relation may well be zero
+            rel[lead] = nonzero_poly(draw, r, (m - gens[lead]) // 2)
+        rels.append(tuple(rel))
+    live = [rel for rel in rels if relation_degree(rel, gens) >= 0]
+    for rel in live:
+        kind = draw(st.sampled_from(["none", "duplicate", "u multiple"]))
+        if kind == "duplicate":
+            rels.append(rel)
+        elif kind == "u multiple" and r:
+            j = draw(st.integers(0, r - 1))
+            rels.append(tuple(poly_shift(p, tuple(int(k == j) for k in range(r))) for p in rel))
+    for a, b in itertools.combinations(live, 2):
+        if relation_degree(a, gens) == relation_degree(b, gens) and draw(st.booleans()):
+            c = draw(COEFFS)
+            rels.append(tuple({beta: pa.get(beta, 0) + c * pb.get(beta, 0) for beta in {*pa, *pb}}
+                              for pa, pb in zip(a, b)))
+    return GradedModulePresentation(r, gens, tuple(rels), window)
+
+
+def assert_same_realization(pres, old):
+    real, ref = pres.realization, old.realization
+    for n in range(pres.window + 1):
+        assert real.basis_indices[n] == ref.basis_indices[n], n
+        assert real.reduction(n) == ref.reduction(n), n  # the same stored rows
+        if n + 2 <= pres.window:
+            for j in range(pres.dim_a):
+                assert real.u_matrix(j, n) == ref.u_matrix(j, n), (j, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_sets())
+@example(GradedModulePresentation(2, (0, 0, 2, 2), (
+    ({(2, 0): Fraction(1, 2), (1, 1): Fraction(-2, 3)}, {(0, 2): Fraction(3)},
+     {(1, 0): Fraction(1)}, {(0, 1): Fraction(-2)}),
+    ({(1, 1): Fraction(2)}, {(2, 0): Fraction(-1)}, {}, {(1, 0): Fraction(1, 2)}),
+), 8))
+@example(GradedModulePresentation(3, (0,), (({(0, 0, 0): Fraction(0)},),), 8))
+def test_realization_matches_the_complement_path(pres):
+    with complement_path():
+        old = again(pres)
+        old_tor = koszul_tor(old)
+    assert_same_realization(pres, old)
+    assert koszul_tor(pres).dims == old_tor.dims
+
+
+@st.composite
+def split_sequences(draw):
+    """0 -> A -> A (+) C -> C -> 0, the middle with extra relations that mix A's and C's."""
+    r, window = draw(st.integers(0, 3)), draw(st.sampled_from(range(9)))
+    a, c = draw(relation_sets(r, window)), draw(relation_sets(r, window))
+    b = a.direct_sum(c)
+    mixed = []
+    for ra, rc in itertools.product(a.relations, c.relations):
+        if relation_degree(ra, a.generators) == relation_degree(rc, c.generators) \
+                and draw(st.booleans()):  # (ra, 0) + t (0, rc)
+            t = draw(COEFFS)
+            mixed.append(ra + tuple({beta: t * x for beta, x in p.items()} for p in rc))
+    b = GradedModulePresentation(r, b.generators, b.relations + tuple(mixed), b.window)
+    one = {(0,) * r: Fraction(1)}
+    k = len(a.generators)
+    f = tuple(tuple(one if h == i else {} for h in range(len(b.generators))) for i in range(k))
+    g = tuple(tuple(one if h == i - k else {} for h in range(len(c.generators)))
+              for i in range(len(b.generators)))
+    return a, b, c, f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_sequences())
+def test_ses_check_matches_the_complement_path(ses):
+    a, b, c, f, g = ses
+    with complement_path():
+        old = [again(m) for m in (a, b, c)]
+        old_report = ses_cm_check(*old, f, g)
+    assert ses_cm_check(a, b, c, f, g) == old_report
+    assert old_report.is_ses
+    for m, ref in zip((a, b, c), old):
+        assert_same_realization(m, ref)

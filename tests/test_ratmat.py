@@ -896,6 +896,20 @@ def test_from_blocks_matches_dense_sum(layout):
     assert_well_formed(got)
 
 
+@FAST
+@given(block_layouts(), st.data())
+@example((3, 4, [(0, 0, M([[0, 0], ["1/3", 0]])), (1, 1, M([["1/2", 1], [0, 0]])),
+                 (1, 0, M([["-1/3", 2]]))]), None)
+def test_a_plain_part_stores_the_rows_of_its_kronecker_form(layout, data):
+    # a plain part is fed straight in, a Kronecker part through its copy loop
+    rows, cols, parts = layout
+    plain = parts if data is None else [
+        part if data.draw(st.booleans()) else part + (1, 1) for part in parts]
+    got = RationalMatrix.from_blocks(rows, cols, plain)
+    assert got == RationalMatrix.from_blocks(rows, cols, [part + (1, 1) for part in parts])
+    assert canonical(got)  # and ``==`` compares stored rows
+
+
 def test_from_blocks_rejects_a_part_outside_the_frame():
     m = M([[1, 2], [3, 4]])
     assert RationalMatrix.from_blocks(2, 2, [(0, 0, m)]) == m
