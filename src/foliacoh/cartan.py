@@ -11,8 +11,9 @@ Kronecker blocks with ``RationalMatrix.from_blocks``.
 
 ``equivariant_cohomology`` counts dimensions from ranks alone, and
 ``generator_degrees`` counts minimal generators from ranks of u-images of
-cocycles.  Representatives and the u-action on classes are built only for a
-module presentation (``class_u_actions``, ``module_presentation``).
+cocycles.  Representatives are built only for a module presentation
+(``module_presentation``), which works on cochains: a class is a cocycle
+taken modulo the coboundaries, and no class coordinates are formed.
 
 The polynomial factor is never truncated on its own: total degree n only
 ever sees symmetric degrees p <= n/2, so each slice is exact regardless of
@@ -44,7 +45,6 @@ from .module_theory import (
 )
 from .ratmat import (
     RationalMatrix,
-    coordinates_modulo,
     independent_complement,
     joint_kernel,
     restrict,
@@ -269,113 +269,67 @@ def generator_degrees(e: EquivariantCohomologyResult) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def class_u_actions(e: EquivariantCohomologyResult) -> tuple[dict[int, RationalMatrix], ...]:
-    """Per variable, the u-action on classes from degree n to n + 2, n + 2 <= n_max.
-
-    Classes are the canonical representatives of ``cocycle_representatives``;
-    u times the representatives is reduced modulo coboundaries onto them.
-    Over a non-abelian Lie algebra every dict is empty.
-    """
-    cx, n_max, r = e.complex, e.n_max, e.dim_a
-    reps: dict[int, RationalMatrix] = {}
-    for n in range(n_max + 1):
-        d_in = cx.d[n - 1] if n else RationalMatrix.zeros(cx.dim(0), 0)
-        reps[n] = cocycle_representatives(cx.d[n], d_in)
-
-    def reduce_classes(n: int, vs: RationalMatrix) -> RationalMatrix:
-        """Class coordinates of the columns of vs (n >= 1), all from one solve."""
-        coords = coordinates_modulo(reps[n], cx.d[n - 1], vs)
-        if coords is None:
-            raise AssertionError(f"vector is not a cocycle class in degree {n}")
-        return coords
-
-    u_actions: tuple[dict[int, RationalMatrix], ...] = tuple({} for _ in range(r))
-    if cx.structure.lie.is_abelian:
-        for j in range(r):
-            for n in range(n_max - 1):
-                mult = cx.u_multiplication(j, n)
-                u_actions[j][n] = (
-                    reduce_classes(n + 2, mult @ reps[n])
-                    if reps[n].cols else RationalMatrix.zeros(e.dim(n + 2), 0)
-                )
-    return u_actions
-
-
-def _module_generators(
-    dims: dict[int, int], u_actions: tuple[dict[int, RationalMatrix], ...], n_max: int
-) -> list[tuple[int, int]]:
-    """Minimal generators as (degree, position of a standard class vector).
-
-    A standard basis vector is taken when it is independent modulo the image
-    of the u-action from two degrees down; ties go to the lowest degree, then
-    the lowest position.
-    """
-    generators = []
-    for n in range(n_max + 1):
-        h_n = dims.get(n, 0)
-        if h_n == 0:
-            continue
-        image = RationalMatrix.zeros(h_n, 0)
-        for action in u_actions:
-            if n - 2 in action:
-                image = image.hstack(action[n - 2])
-        picked = independent_complement(RationalMatrix.identity(h_n), image)
-        generators.extend((n, i) for i in picked)
-    return generators
-
-
 def module_presentation(
     e: EquivariantCohomologyResult, dim_a: int | None = None
 ) -> GradedModulePresentation:
-    """Minimal generators and harvested relations of the cohomology module.
+    """Minimal generators and harvested relations of the cohomology module, on cochains.
 
-    Generators are standard cohomology basis vectors independent modulo the
-    image of the u-action from two degrees down (ties broken by lowest
-    degree, then position).  Relations are kernel elements of the evaluation
-    from the free cover, taken modulo multiples of earlier relations.
+    Degree by degree, the multiples u^beta g of the generators found so far are
+    evaluated on their representatives.  In [B | multiples | reps], with B the
+    independent columns of the incoming d and reps the canonical
+    representatives (``cocycle_representatives``), the multiples' free columns
+    are their dependencies modulo coboundaries, and the kernel vector of each
+    is a relation; relations are kept modulo multiples of earlier ones.  The
+    pivots among reps are the new generators: the representatives independent
+    modulo what u reaches and the coboundaries, greedily (ties broken by lowest
+    degree, then position).  Over a non-abelian Lie algebra there is no
+    u-action, so a generator at or below degree n_max - 2 raises ValueError.
     """
     r = e.dim_a if dim_a is None else dim_a
     if r != e.dim_a:
         raise ValueError("dim_a disagrees with the computed module action")
-    n_max = e.n_max
+    cx = e.complex
+    gen_degrees: list[int] = []
+    relations: list[list[Poly]] = []
+    evaluated: dict[int, RationalMatrix] = {}  # per degree, u^beta g over the free basis
+    for n in range(e.n_max + 1):
+        d_in = cx.d[n - 1] if n else RationalMatrix.zeros(cx.dim(0), 0)
+        reps = cocycle_representatives(cx.d[n], d_in)
+        # column (g, beta) of the multiples is u_j times column (g, beta - e_j) of
+        # the evaluation two degrees down, j the first index with beta_j > 0
+        fb = free_basis(tuple(gen_degrees), r, n)
+        mult = RationalMatrix.zeros(cx.dim(n), 0)
+        if fb:
+            below = {key: at for at, key in enumerate(free_basis(tuple(gen_degrees), r, n - 2))}
+            pool = functools.reduce(RationalMatrix.hstack, [
+                cx.u_multiplication(j, n - 2) @ evaluated[n - 2] for j in range(r)])
+            firsts = [next(j for j, b in enumerate(beta) if b) for _g, beta in fb]
+            mult = pool.select([j * len(below) + below[g, beta[:j] + (beta[j] - 1,) + beta[j + 1:]]
+                                for (g, beta), j in zip(fb, firsts)])
+        # where H^n = 0 every multiple is a coboundary: a relation by itself
+        joint = (d_in.select(d_in.pivots()).hstack(mult).hstack(reps) if reps.cols
+                 else RationalMatrix.zeros(0, len(fb)))
+        k = joint.cols - len(fb) - reps.cols  # the columns of B
+        pivots = joint.pivots()
+        free = len(fb) - sum(k <= p < k + len(fb) for p in pivots)
+        if free:
+            kernel_cols = [[(i - k, c) for i, c in col if k <= i < k + len(fb)]
+                           for col in joint.nullspace().nonzero_columns()[:free]]
+            kernel = RationalMatrix.from_entries(len(fb), free, [
+                (i, t, c) for t, col in enumerate(kernel_cols) for i, c in col])
+            old = relation_columns(relations, tuple(gen_degrees), r, n, fb)
+            for i in independent_complement(kernel, old):
+                rel: list[Poly] = [dict() for _ in gen_degrees]
+                for idx, c in kernel_cols[i]:
+                    g_idx, beta = fb[idx]
+                    rel[g_idx][beta] = c
+                relations.append(rel)
+        new = [p - k - len(fb) for p in pivots if p >= k + len(fb)]
+        gen_degrees += [n] * len(new)
+        evaluated[n] = mult.hstack(reps.select(new))
 
-    u_actions = class_u_actions(e)
-    generators = _module_generators(e.dims, u_actions, n_max)
-    gen_degrees = tuple(g for g, _i in generators)
-
-    def evaluate(g_idx: int, beta: tuple[int, ...]) -> RationalMatrix:
-        """u^beta times generator g_idx, as one class column."""
-        deg, i = generators[g_idx]
-        v = RationalMatrix.identity(e.dim(deg)).select([i])
-        for j in range(r):
-            for _ in range(beta[j]):
-                m = u_actions[j].get(deg)
-                if m is None:
-                    raise ValueError("u-action unavailable at the window edge")
-                v = m @ v
-                deg += 2
-        return v
-
-    relations: list[tuple[Poly, ...]] = []
-    for n in range(n_max + 1):
-        fb = free_basis(gen_degrees, r, n)
-        if not fb:
-            continue
-        ev = RationalMatrix.from_blocks(
-            e.dim(n), len(fb), [(0, k, evaluate(*key)) for k, key in enumerate(fb)])
-        kernel = ev.nullspace()
-        if not kernel.cols:
-            continue
-        old = relation_columns(relations, gen_degrees, r, n, fb)
-        kernel_cols = kernel.nonzero_columns()
-        for i in independent_complement(kernel, old):
-            rel: list[Poly] = [dict() for _ in gen_degrees]
-            for idx, c in kernel_cols[i]:
-                g_idx, beta = fb[idx]
-                rel[g_idx][beta] = c
-            relations.append(tuple(rel))
-
-    return GradedModulePresentation(r, gen_degrees, tuple(relations), window=n_max)
+    relations = [rel + [dict() for _ in gen_degrees[len(rel):]] for rel in relations]
+    return GradedModulePresentation(r, gen_degrees, tuple(map(tuple, relations)), window=e.n_max)
 
 
 # -- commuting reduction -----------------------------------------------------------

@@ -41,7 +41,9 @@ not share; ``rank_of_columns`` falls back to the exact rank otherwise, and
 A subspace, and a batch of vectors, is always a matrix of columns, and one
 elimination serves it whole.  ``nullspace`` returns the canonical kernel
 basis; ``solve`` takes a matrix of right-hand sides and reduces ``[A | B]``
-once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``.
+once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
+the package no longer calls it, and it stays while ``bench/spans.py`` binds
+it by name.
 On a ``nullspace`` basis, the identity on its free rows, ``solve`` reads
 coordinates off those rows and checks them by one product.
 ``independent_complement`` reads its pick off the pivots of one forward pass
@@ -53,10 +55,10 @@ such products.  ``from_blocks`` places matrices, and their Kronecker
 products with identities, as blocks of a larger one and adds them where they
 overlap, with no arithmetic on a row that one block feeds; with it ``gstar``
 assembles tensor-product operators, ``cartan`` the ambient d, L and
-u-multiplication of the Cartan complex, ``module_theory`` the Koszul
-boundaries and ``cartan.module_presentation`` its evaluation map.  Dense
-vectors (``Vec``, ``vec``, ``apply``) serve only ``gstar.detect_type_c`` and
-the tests, and stay while ``bench/spans.py`` binds ``apply`` by name.
+u-multiplication of the Cartan complex, and ``module_theory`` the Koszul
+boundaries.  Dense vectors (``Vec``, ``vec``, ``apply``) serve only
+``gstar.detect_type_c`` and the tests, and stay while ``bench/spans.py``
+binds ``apply`` by name.
 ``joint_kernel`` (the common kernel of several maps, from one nullspace of
 their stack) and ``restrict`` (an operator between two subspaces in their
 bases, by one batched solve) carry the linear algebra the Cartan and Weil

@@ -270,10 +270,10 @@ def formality_verdict(
 
     The free-module test is a count from the generator degrees
     (``_free_by_count``); it decides what ``freeness_test`` decides on
-    ``module_presentation(e)`` at window upto, whose relations are exactly
-    the kernel the count detects.  Over a non-abelian Lie algebra there is
-    no u-action, so a generator at or below degree n_max - 2 raises
-    ValueError.
+    ``module_presentation(e)`` at window upto, whose relations span the
+    kernel of the free module's map onto the cohomology, the kernel the
+    count detects.  Over a non-abelian Lie algebra there is no u-action, so
+    a generator at or below degree n_max - 2 raises ValueError.
     """
     upto = min(n_max, e.stable_through, len(base_cohomology) - 1)
     odd_vanishing = all(

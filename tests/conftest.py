@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from foliacoh.algebra_core import CochainComplex, GradedVectorSpace, ShortExactSequence
+from foliacoh.algebra_core import (
+    CochainComplex,
+    GradedVectorSpace,
+    ShortExactSequence,
+    cocycle_representatives,
+)
 from foliacoh.gstar import (
     AxiomCheck,
     GradedAlgebraPresentation,
@@ -15,7 +20,14 @@ from foliacoh.gstar import (
     _mono_label,
     _mono_mul,
 )
-from foliacoh.ratmat import RationalMatrix, unit_vec, zero_vec
+from foliacoh.module_theory import GradedModulePresentation, free_basis, relation_columns
+from foliacoh.ratmat import (
+    RationalMatrix,
+    coordinates_modulo,
+    independent_complement,
+    unit_vec,
+    zero_vec,
+)
 
 
 def columns(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -465,6 +477,36 @@ def random_split_ses(rng: random.Random, top: int = 3, max_dim: int = 6):
     return ShortExactSequence(sub, total, quot, incl, proj)
 
 
+def random_cone_ses(rng: random.Random, top: int = 3, max_dim: int = 6):
+    """0 -> A -> Cone(1_A) -> A[1] -> 0 for a random complex A, twisted by a random change of basis.
+
+    Cone^n = A^n (+) A^(n+1) with d(b, a) = (d b + a, -d a), and A[1]^n =
+    A^(n+1) with d = -d_A, all cut to the window [0, top].  The connecting
+    map H^n(A[1]) -> H^(n+1)(A) is the identity, so its rank is h^(n+1)(A).
+    """
+    sub = random_complex(rng, top, max_dim)
+    shifted = GradedVectorSpace({n: sub.spaces.dim(n + 1) for n in range(top)}, window=(0, top))
+    quot = CochainComplex(shifted, {n: -sub.diff(n + 1) for n in range(top)})
+    space = GradedVectorSpace(
+        {n: sub.spaces.dim(n) + shifted.dim(n) for n in range(top + 1)}, window=(0, top))
+    t = {n: random_invertible(rng, space.dim(n)) for n in range(top + 1)}
+    t_inv = {n: inverse(t[n]) for n in t}
+    diffs, incl, proj = {}, {}, {}
+    for n in range(top + 1):
+        ds, dq = sub.spaces.dim(n), shifted.dim(n)
+        if n < top:
+            block = RationalMatrix.from_blocks(space.dim(n + 1), space.dim(n), [
+                (0, 0, sub.diff(n)),
+                (0, ds, RationalMatrix.identity(dq)),
+                (sub.spaces.dim(n + 1), ds, quot.diff(n)),
+            ])
+            diffs[n] = t[n + 1] @ block @ t_inv[n]
+        incl[n] = t[n] @ RationalMatrix.identity(space.dim(n)).select(range(ds))
+        proj[n] = RationalMatrix.from_entries(
+            dq, space.dim(n), [(i, ds + i, 1) for i in range(dq)]) @ t_inv[n]
+    return ShortExactSequence(sub, CochainComplex(space, diffs), quot, incl, proj)
+
+
 # -- the Cartan complex, written out element by element --------------------------------
 
 
@@ -479,6 +521,116 @@ def cartan_basis(s, n):
               if 2 * sum(alpha) <= n]
     return sorted(((alpha, a) for alpha in alphas for a in range(s.space.dim(n - 2 * sum(alpha)))),
                   key=lambda t: (sum(t[0]), t[0], t[1]))
+
+
+# -- module presentations on class coordinates ------------------------------------------
+
+
+def class_u_actions(e) -> tuple[dict[int, RationalMatrix], ...]:
+    """Per variable, the u-action on classes from degree n to n + 2, n + 2 <= n_max.
+
+    Classes are the canonical representatives of ``cocycle_representatives``;
+    u times the representatives is reduced modulo coboundaries onto them.
+    Over a non-abelian Lie algebra every dict is empty.
+    """
+    cx, n_max, r = e.complex, e.n_max, e.dim_a
+    reps: dict[int, RationalMatrix] = {}
+    for n in range(n_max + 1):
+        d_in = cx.d[n - 1] if n else RationalMatrix.zeros(cx.dim(0), 0)
+        reps[n] = cocycle_representatives(cx.d[n], d_in)
+
+    def reduce_classes(n: int, vs: RationalMatrix) -> RationalMatrix:
+        """Class coordinates of the columns of vs (n >= 1), all from one solve."""
+        coords = coordinates_modulo(reps[n], cx.d[n - 1], vs)
+        if coords is None:
+            raise AssertionError(f"vector is not a cocycle class in degree {n}")
+        return coords
+
+    u_actions: tuple[dict[int, RationalMatrix], ...] = tuple({} for _ in range(r))
+    if cx.structure.lie.is_abelian:
+        for j in range(r):
+            for n in range(n_max - 1):
+                mult = cx.u_multiplication(j, n)
+                u_actions[j][n] = (
+                    reduce_classes(n + 2, mult @ reps[n])
+                    if reps[n].cols else RationalMatrix.zeros(e.dim(n + 2), 0)
+                )
+    return u_actions
+
+
+def class_module_generators(
+    dims: dict[int, int], u_actions: tuple[dict[int, RationalMatrix], ...], n_max: int
+) -> list[tuple[int, int]]:
+    """Minimal generators as (degree, position of a standard class vector).
+
+    A standard basis vector is taken when it is independent modulo the image
+    of the u-action from two degrees down; ties go to the lowest degree, then
+    the lowest position.
+    """
+    generators = []
+    for n in range(n_max + 1):
+        h_n = dims.get(n, 0)
+        if h_n == 0:
+            continue
+        image = RationalMatrix.zeros(h_n, 0)
+        for action in u_actions:
+            if n - 2 in action:
+                image = image.hstack(action[n - 2])
+        picked = independent_complement(RationalMatrix.identity(h_n), image)
+        generators.extend((n, i) for i in picked)
+    return generators
+
+
+def reference_module_presentation(e, dim_a: int | None = None) -> GradedModulePresentation:
+    """``cartan.module_presentation`` on class coordinates, the reference for its cochain path.
+
+    Generators are standard cohomology basis vectors independent modulo the
+    image of the u-action from two degrees down (ties broken by lowest
+    degree, then position).  Relations are kernel elements of the evaluation
+    from the free cover, taken modulo multiples of earlier relations.
+    """
+    r = e.dim_a if dim_a is None else dim_a
+    if r != e.dim_a:
+        raise ValueError("dim_a disagrees with the computed module action")
+    n_max = e.n_max
+
+    u_actions = class_u_actions(e)
+    generators = class_module_generators(e.dims, u_actions, n_max)
+    gen_degrees = tuple(g for g, _i in generators)
+
+    def evaluate(g_idx: int, beta: tuple[int, ...]) -> RationalMatrix:
+        """u^beta times generator g_idx, as one class column."""
+        deg, i = generators[g_idx]
+        v = RationalMatrix.identity(e.dim(deg)).select([i])
+        for j in range(r):
+            for _ in range(beta[j]):
+                m = u_actions[j].get(deg)
+                if m is None:
+                    raise ValueError("u-action unavailable at the window edge")
+                v = m @ v
+                deg += 2
+        return v
+
+    relations: list[tuple[dict, ...]] = []
+    for n in range(n_max + 1):
+        fb = free_basis(gen_degrees, r, n)
+        if not fb:
+            continue
+        ev = RationalMatrix.from_blocks(
+            e.dim(n), len(fb), [(0, k, evaluate(*key)) for k, key in enumerate(fb)])
+        kernel = ev.nullspace()
+        if not kernel.cols:
+            continue
+        old = relation_columns(relations, gen_degrees, r, n, fb)
+        kernel_cols = kernel.nonzero_columns()
+        for i in independent_complement(kernel, old):
+            rel: list[dict] = [dict() for _ in gen_degrees]
+            for idx, c in kernel_cols[i]:
+                g_idx, beta = fb[idx]
+                rel[g_idx][beta] = c
+            relations.append(tuple(rel))
+
+    return GradedModulePresentation(r, gen_degrees, tuple(relations), window=n_max)
 
 
 def circle_action():

@@ -9,13 +9,14 @@ from foliacoh.algebra_core import (
     ShortExactSequence,
     cocycle_representatives,
     cohomology_dims,
+    LESReport,
+    check_ses,
     les_exactness_check,
-    reduce_to_classes,
     verify_complex,
 )
-from foliacoh.ratmat import RationalMatrix, rank_of_columns
+from foliacoh.ratmat import RationalMatrix, coordinates_modulo, rank_of_columns
 
-from conftest import columns, random_complex, random_split_ses
+from conftest import columns, random_complex, random_cone_ses, random_split_ses
 
 
 def complex_from(dims, diffs, top=None):
@@ -105,6 +106,136 @@ def test_euler_characteristic_preserved_on_random_complexes(rng):
         chi_c = sum((-1) ** n * d for n, d in c.spaces.dims.items())
         chi_h = sum((-1) ** n * d for n, d in h.dims.items())
         assert chi_c == chi_h
+
+
+# -- the long exact sequence on class coordinates, the reference for the rank path --------
+
+
+def reduce_to_classes(c, reps, n, v):
+    """Coordinates of the degree-n cocycles in v's columns w.r.t. the representatives reps."""
+    return coordinates_modulo(reps, c.diff(n - 1), v)
+
+
+def _induced_map(src_reps, dst, dst_reps, m, n):
+    coords = reduce_to_classes(dst, dst_reps, n, m @ src_reps)
+    if coords is None:
+        raise ValueError(f"induced map image is not a cocycle class at degree {n}")
+    return coords
+
+
+def reference_les_exactness_check(ses) -> LESReport:
+    """``les_exactness_check`` through the induced maps on class coordinates."""
+    err = check_ses(ses)
+    if err is not None:
+        return LESReport(ok=False, input_error=err, message=f"not an SES: {err}")
+    a, b, c = ses.sub, ses.total, ses.quotient
+    ra, rb, rc = representatives(a), representatives(b), representatives(c)
+    lo, hi = a.spaces.window
+
+    f_star = {n: _induced_map(ra[n], b, rb[n], ses.incl(n), n) for n in range(lo, hi + 1)}
+    g_star = {n: _induced_map(rb[n], c, rc[n], ses.proj(n), n) for n in range(lo, hi + 1)}
+
+    delta: dict[int, RationalMatrix] = {}
+    for n in range(lo, hi):
+        lifts = ses.proj(n).solve(rc[n])
+        if lifts is None:
+            raise AssertionError("surjectivity was already checked")
+        pre = ses.incl(n + 1).solve(b.diff(n) @ lifts)
+        if pre is None:
+            return LESReport(
+                ok=False,
+                failing_degree=n,
+                failing_node="connecting",
+                message=f"zig-zag failed at degree {n}: d(lift) not in the subcomplex",
+            )
+        coords = reduce_to_classes(a, ra[n + 1], n + 1, pre)
+        if coords is None:
+            return LESReport(
+                ok=False,
+                failing_degree=n,
+                failing_node="connecting",
+                message=f"connecting image is not a cocycle class at degree {n}",
+            )
+        delta[n] = coords
+
+    for n in range(lo, hi + 1):
+        incoming = delta.get(n - 1, RationalMatrix.zeros(ra[n].cols, 0))
+        if not (f_star[n] @ incoming).is_zero():
+            return LESReport(False, failing_degree=n, failing_node="H(sub)",
+                             message=f"f* o delta != 0 at degree {n}")
+        if ra[n].cols - f_star[n].rank() != incoming.rank():
+            return LESReport(False, failing_degree=n, failing_node="H(sub)",
+                             message=f"exactness fails at H^{n}(sub)")
+        if not (g_star[n] @ f_star[n]).is_zero():
+            return LESReport(False, failing_degree=n, failing_node="H(total)",
+                             message=f"g* o f* != 0 at degree {n}")
+        if rb[n].cols - g_star[n].rank() != f_star[n].rank():
+            return LESReport(False, failing_degree=n, failing_node="H(total)",
+                             message=f"exactness fails at H^{n}(total)")
+        out = delta.get(n, RationalMatrix.zeros(0, rc[n].cols))
+        if out.cols and not (out @ g_star[n]).is_zero():
+            return LESReport(False, failing_degree=n, failing_node="H(quotient)",
+                             message=f"delta o g* != 0 at degree {n}")
+        if rc[n].cols - out.rank() != g_star[n].rank():
+            return LESReport(False, failing_degree=n, failing_node="H(quotient)",
+                             message=f"exactness fails at H^{n}(quotient)")
+    return LESReport(
+        ok=True,
+        connecting_ranks={n: delta[n].rank() for n in delta},
+        message="long exact sequence is exact on the window",
+    )
+
+
+# messages of the reference that the rank path no longer has: once ``check_ses``
+# passes, the induced maps are cocycle classes and the composites vanish
+DELETED_BRANCHES = ("f* o delta != 0", "g* o f* != 0", "delta o g* != 0",
+                    "connecting image is not a cocycle class")
+
+
+def mutated(ses, rng):
+    """ses with one map changed: one entry shifted by -2..2, or every degree scaled."""
+    maps = dict(inclusion=dict(ses.inclusion), projection=dict(ses.projection))
+    which = maps[rng.choice(sorted(maps))]
+    lo, hi = ses.sub.spaces.window
+    if rng.random() < 0.5:
+        c = rng.choice([-2, -1, 2, 3])
+        which.update({n: which[n].scale(c) for n in which})
+    else:
+        n = rng.randint(lo, hi)
+        m = ses.incl(n) if which is maps["inclusion"] else ses.proj(n)
+        if m.rows and m.cols:
+            at = (rng.randrange(m.rows), rng.randrange(m.cols), rng.randint(-2, 2))
+            which[n] = m + RationalMatrix.from_entries(m.rows, m.cols, [at])
+    return ses._replace(**maps)
+
+
+FAMILIES = {"split": random_split_ses, "cone": random_cone_ses}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.booleans(), st.integers(0, 2**32))
+def test_les_ranks_match_the_class_path(family, mutate, seed):
+    rng = random.Random(seed)
+    ses = FAMILIES[family](rng)
+    if mutate:
+        ses = mutated(ses, rng)
+    want = reference_les_exactness_check(ses)
+    assert les_exactness_check(ses) == want
+    # past ``check_ses`` the reference is exact and never reaches a deleted branch
+    assert want.ok == (want.input_error is None), want.message
+    assert not want.message.startswith(DELETED_BRANCHES)
+
+
+def test_cone_ses_connecting_maps_are_the_identity(rng):
+    nonzero = 0
+    for _ in range(30):
+        ses = random_cone_ses(rng)
+        h = cohomology_dims(ses.sub)
+        rep = les_exactness_check(ses)
+        assert rep.ok, rep.message
+        assert rep.connecting_ranks == {n: h.dim(n + 1) for n in range(3)}
+        nonzero += any(rep.connecting_ranks.values())
+    assert nonzero > 20
 
 
 def test_reduce_to_classes_identifies_coboundaries():

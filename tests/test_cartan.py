@@ -10,13 +10,13 @@ from foliacoh.algebra_core import GradedVectorSpace, cohomology_dims
 from foliacoh.cartan import (
     CartanComplex,
     DifferentialNotSquareZero,
-    class_u_actions,
     commuting_reduction_check,
     equivariant_cohomology,
     module_presentation,
 )
 from foliacoh.fixtures import (
     exterior_line_free,
+    exterior_two_free,
     hopf_basic_model,
     hopf_connection_candidates,
     sphere3_minimal_model,
@@ -37,7 +37,13 @@ from foliacoh.module_theory import hilbert
 from foliacoh.ratmat import RationalMatrix, restrict
 from foliacoh.spectral import run_pages
 
-from conftest import cartan_basis, circle_action
+from conftest import (
+    cartan_basis,
+    change_basis,
+    circle_action,
+    class_u_actions,
+    reference_module_presentation,
+)
 
 SO3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
 
@@ -205,6 +211,38 @@ def test_presentation_hilbert_reproduces_dims(make):
     pres = module_presentation(e)
     h = hilbert(pres)
     assert h.coefficients == e.dims_tuple(8)
+
+
+@pytest.mark.parametrize("make", [*ALL_FIXTURES, circle_action, exterior_two_free,
+                                  lambda: extend_with_trivial_factor(trivial_action_on_h_1_0_1()),
+                                  lambda: extend_with_trivial_factor(hopf_basic_model(), 1)])
+def test_presentation_matches_the_class_path_on_fixtures(make):
+    s = make()
+    for n_max in range(11):
+        e = equivariant_cohomology(s, n_max)
+        assert module_presentation(e) == reference_module_presentation(e), n_max
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 8), st.integers(0, 10), st.booleans(),
+       st.integers(0, 2**16))
+def test_presentation_matches_the_class_path_on_weil_algebras(r, top, n_max, unit_lu, seed):
+    """W(R^r) truncated at N = top, read below the truncation or past it."""
+    s = weil_algebra(LieAlgebraSpec.abelian(r), top)
+    if unit_lu:
+        s = change_basis(s, random.Random(seed))
+    e = equivariant_cohomology(s, n_max)
+    assert module_presentation(e) == reference_module_presentation(e)
+
+
+def test_presentation_over_so3_raises_as_the_class_path():
+    s = weil_algebra(SO3, 6)
+    e = equivariant_cohomology(s, 1)
+    assert module_presentation(e) == reference_module_presentation(e)
+    e = equivariant_cohomology(s, 6)
+    for path in (module_presentation, reference_module_presentation):
+        with pytest.raises(ValueError):
+            path(e)
 
 
 # -- commuting reduction --------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``equivariant_cohomology`` counts h_n = dim C^n - rank d_n - rank d_(n-1)
 + rank(d_n d_(n-1)), and ``generator_degrees`` subtracts the classes that
 the u-action reaches, counted from ranks of u-images of cocycles.  The tests
-compare both with the representative path that module presentations use
-(``cocycle_representatives``, ``class_u_actions``, ``_module_generators``),
+compare both with the class-coordinate path kept in ``conftest``
+(``cocycle_representatives``, ``class_u_actions``, ``class_module_generators``),
 and guard that ``equivariant`` builds no representative.
 """
 
@@ -16,18 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from foliacoh import algebra_core, cartan, cli, module_theory, ratmat
 from foliacoh.algebra_core import cocycle_representatives
-from foliacoh.cartan import (
-    _module_generators,
-    class_u_actions,
-    equivariant_cohomology,
-    generator_degrees,
-    module_presentation,
-)
+from foliacoh.cartan import equivariant_cohomology, generator_degrees, module_presentation
 from foliacoh.fixtures import hopf_basic_model, trivial_action_on_h_1_0_1
 from foliacoh.gstar import LieAlgebraSpec, extend_with_trivial_factor, weil_algebra
 from foliacoh.ratmat import RationalMatrix
 
-from conftest import change_basis, circle_action
+from conftest import change_basis, circle_action, class_module_generators, class_u_actions
 
 SO3 = LieAlgebraSpec(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
 LIES = {"R0": LieAlgebraSpec.abelian(0), "R1": LieAlgebraSpec.abelian(1),
@@ -46,7 +40,7 @@ def representative_path(e) -> tuple[dict[int, int], tuple[int, ...]]:
         h = cocycle_representatives(cx.d[n], d_in).cols
         if h:
             dims[n] = h
-    generators = _module_generators(dims, class_u_actions(e), e.n_max)
+    generators = class_module_generators(dims, class_u_actions(e), e.n_max)
     return dims, tuple(n for n, _i in generators)
 
 

@@ -442,7 +442,7 @@ def test_spectral_builds_no_module_presentation(monkeypatch, tmp_path, capsys, b
     def refuse(*args, **kwargs):
         raise AssertionError("spectral built a module presentation")
 
-    originals = {cartan.module_presentation, cartan.class_u_actions, module_theory.koszul_tor}
+    originals = {cartan.module_presentation, module_theory.koszul_tor}
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "foliacoh":
             for key, val in list(vars(mod).items()):
