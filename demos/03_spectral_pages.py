@@ -22,7 +22,8 @@ from foliacoh.fixtures import (
 def show(name, make, n_max=6):
     s = make()
     e = equivariant_cohomology(s, n_max)
-    run = run_pages(s, n_max, e)
+    base = cohomology_dims(s.as_complex()).dims_tuple(n_max)
+    run = run_pages(e, base)
     print(f"-- {name}")
     for page in run.pages:
         marker = " (all differentials vanish)" if page.differentials_vanish() else ""
@@ -30,8 +31,7 @@ def show(name, make, n_max=6):
     print(f"   E_oo  totals: {run.e_infinity.total_dims()}")
     print(f"   stabilizes at page {run.stabilized_at};",
           "limit matches the equivariant dims" if run.totals_match_equivariant else "MISMATCH")
-    h = cohomology_dims(s.as_complex())
-    v = formality_verdict(e, h.dims_tuple(n_max), s.lie.dimension, n_max)
+    v = formality_verdict(e, base)
     print(f"   formality: {v.formal} via {v.method}")
     print(f"   witness:   {v.witness}")
 

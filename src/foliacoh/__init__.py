@@ -72,7 +72,6 @@ from .series import (
 from .spectral import (
     DoubleComplexPage,
     FormalityVerdict,
-    e1_page,
     formality_verdict,
     run_pages,
 )

@@ -269,9 +269,7 @@ def generator_degrees(e: EquivariantCohomologyResult) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def module_presentation(
-    e: EquivariantCohomologyResult, dim_a: int | None = None
-) -> GradedModulePresentation:
+def module_presentation(e: EquivariantCohomologyResult) -> GradedModulePresentation:
     """Minimal generators and harvested relations of the cohomology module, on cochains.
 
     Degree by degree, the multiples u^beta g of the generators found so far are
@@ -283,12 +281,10 @@ def module_presentation(
     pivots among reps are the new generators: the representatives independent
     modulo what u reaches and the coboundaries, greedily (ties broken by lowest
     degree, then position).  Over a non-abelian Lie algebra there is no
-    u-action, so a generator at or below degree n_max - 2 raises ValueError.
+    u-action, so a generator at or below degree e.n_max - 2 raises ValueError.
+    The polynomial ring is e's, on e.dim_a variables, and the window e.n_max.
     """
-    r = e.dim_a if dim_a is None else dim_a
-    if r != e.dim_a:
-        raise ValueError("dim_a disagrees with the computed module action")
-    cx = e.complex
+    cx, r = e.complex, e.dim_a
     gen_degrees: list[int] = []
     relations: list[list[Poly]] = []
     evaluated: dict[int, RationalMatrix] = {}  # per degree, u^beta g over the free basis

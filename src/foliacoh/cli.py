@@ -661,12 +661,10 @@ def _cmd_equivariant(s, n_max):
 
 def _cmd_spectral(s, n_max):
     e = equivariant_cohomology(s, n_max)
-    run = run_pages(s, n_max, e)
-    h = cohomology_dims(s.as_complex())
-    verdict = formality_verdict(e, h.dims_tuple(n_max), s.lie.dimension, n_max)
-    code = EXIT_OK
-    if run.totals_match_equivariant is False:
-        code = EXIT_VERDICT_FAILURE
+    base = cohomology_dims(s.as_complex()).dims_tuple(n_max)
+    run = run_pages(e, base)
+    verdict = formality_verdict(e, base)
+    code = EXIT_OK if run.totals_match_equivariant else EXIT_VERDICT_FAILURE
     return code, {
         "e1_totals": list(run.pages[0].total_dims()),
         "e_infinity_totals": list(run.e_infinity.total_dims()),

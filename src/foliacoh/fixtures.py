@@ -167,7 +167,7 @@ def _fixture_list() -> list[Fixture]:
         s = hopf_basic_model()
         e = cartan.equivariant_cohomology(s, 8)
         h = cohomology_dims(s.as_complex())
-        v = spectral.formality_verdict(e, h.dims_tuple(8), 1, 8)
+        v = spectral.formality_verdict(e, h.dims_tuple(8))
         return (v.formal, "t^1" in v.witness)
 
     def hopf_morse():

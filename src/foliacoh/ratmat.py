@@ -218,13 +218,13 @@ def _echelon(rows: list[Row], ncols: int, eliminate) -> tuple[list, list]:
 class RationalMatrix:
     """Immutable-by-convention sparse rational matrix: integer rows, one denominator each."""
 
-    __slots__ = ("rows", "cols", "_nz", "_forward", "_rref_cache", "_units")
+    __slots__ = ("rows", "cols", "_nz", "_forward", "_units")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows, self.cols = rows, cols
-        self._forward = self._rref_cache = self._units = None
+        self._forward = self._units = None
         if entries is None:
             self._nz = [({}, 1) for _ in range(rows)]
             return
@@ -240,7 +240,7 @@ class RationalMatrix:
         """Wrap rows x cols canonical (numerators, denominator) rows as they are."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._nz = rows, cols, nz
-        m._forward = m._rref_cache = m._units = None
+        m._forward = m._units = None
         return m
 
     @classmethod
@@ -495,8 +495,6 @@ class RationalMatrix:
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Unique RREF and pivot columns: the kept forward pass, then back substitution."""
-        if self._rref_cache is not None:
-            return self._rref_cache
         pivots = self.pivots()
         tops = list(self._forward[1])  # clear each pivot column above it, last pivot first
         for k in range(len(pivots) - 1, 0, -1):
@@ -508,8 +506,7 @@ class RationalMatrix:
         out = [(top, top[c]) if top[c] > 0 else ({j: -x for j, x in top.items()}, -top[c])
                for c, top in zip(pivots, tops)]
         out += [({}, 1) for _ in range(self.rows - len(out))]
-        self._rref_cache = RationalMatrix._trusted(self.rows, self.cols, out), pivots
-        return self._rref_cache
+        return RationalMatrix._trusted(self.rows, self.cols, out), pivots
 
     def nullspace(self) -> "RationalMatrix":
         """Canonical kernel basis as columns: one per free column, ascending."""

@@ -32,19 +32,23 @@ This reading needs d_n d_{n-1} = 0.  Above the stable window of a truncated
 algebra that can fail; the numbers there are no spectral sequence, and
 ``run_pages`` reports that range as inconclusive.
 
+``run_pages`` reads the pages off the Cartan complex of one equivariant
+result, and checks E_1 = S(g*) (x) H(A) cell by cell (Guillemin and
+Sternberg, *Supersymmetry and Equivariant de Rham Theory*, 1999, ch. 6).
+
 Beyond page (top algebra degree + 1)/2 + 1 all differentials vanish for
 structural reasons (their target algebra degree is negative), which bounds
 the run.
 
 For a transverse action whose L-operators are nonzero, or a non-abelian Lie
-algebra, the ambient basis is not the invariant one; the builder refuses
-such input rather than guessing.
+algebra, the ambient basis is not the invariant one; ``SpectralSequence``
+refuses such input rather than guessing.
 
 Formality (``formality_verdict``) needs no module presentation.  The free
 module F on the minimal generators of H_G maps onto H_G in every degree, and
 H_G is free on the window exactly when that map has no kernel there, that
 is, when h_n = sum of dim S^((n-g)/2) over the generator degrees g <= n
-with n - g even, for every n <= n_max.  The generator degrees come from
+with n - g even, for every n on the window.  The generator degrees come from
 ranks (``cartan.generator_degrees``), so the test is a count.
 """
 
@@ -53,9 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .algebra_core import cohomology_dims
 from .cartan import CartanComplex, EquivariantCohomologyResult, generator_degrees
-from .gstar import GStarStructure
 from .module_theory import dim_sym
 
 
@@ -85,13 +87,10 @@ class DoubleComplexPage(NamedTuple):
 
 
 class SpectralSequence:
-    """Persistence pairs of each differential, read off into pages.
+    """Persistence pairs of each differential of a Cartan complex, read off into pages."""
 
-    cx is a Cartan complex of s through at least degree n_max; one is built
-    when none is given.
-    """
-
-    def __init__(self, s: GStarStructure, n_max: int, cx: CartanComplex | None = None):
+    def __init__(self, cx: CartanComplex):
+        s = cx.structure
         if not s.all_l_zero():
             raise NonInvariantAction(
                 "nonzero L-operators: the first page has no product shape here; refusing"
@@ -101,12 +100,9 @@ class SpectralSequence:
                 "non-abelian Lie algebra: the ambient Cartan basis is not invariant, "
                 "so its filtration does not compute the pages; refusing"
             )
-        self.structure = s
-        self.n_max = n_max
-        self.cx: CartanComplex = CartanComplex(s, n_max) if cx is None else cx
-        self.top_a = s.space.window[1]
-        self.r_stop = (self.top_a + 1) // 2 + 1
-        self._pairs = [self._persistence_pairs(n) for n in range(n_max + 1)]
+        self.cx, self.n_max = cx, cx.n_max
+        self.r_stop = (s.space.window[1] + 1) // 2 + 1
+        self._pairs = [self._persistence_pairs(n) for n in range(self.n_max + 1)]
 
     def _persistence_pairs(self, n: int) -> dict[tuple[int, int], int]:
         """N_n(a, b) where nonzero, from the pivots of d_n per target bound b."""
@@ -124,7 +120,7 @@ class SpectralSequence:
         for n in range(self.n_max + 1):
             for p in range(n // 2 + 1):
                 q = n - p
-                if self.structure.space.dim(q - p) > 0:
+                if self.cx.structure.space.dim(q - p) > 0:
                     yield (p, q)
 
     def page(self, r: int) -> DoubleComplexPage:
@@ -151,73 +147,51 @@ class SpectralSequence:
 class SpectralRunResult(NamedTuple):
     pages: tuple[DoubleComplexPage, ...]
     e_infinity: DoubleComplexPage
-    stabilized_at: int | None
-    totals_match_equivariant: bool | None
-    equivariant_dims: tuple[int, ...] | None
+    stabilized_at: int
+    totals_match_equivariant: bool
     stable_through: int
     detail: str = ""
 
 
-def e1_page(s: GStarStructure, n_max: int) -> DoubleComplexPage:
-    """First page, with the product-formula cross-check built in.
-
-    The vertical cohomology at (p, q) must equal (dim of symmetric degree p)
-    times dim H^{q-p} of the algebra; a mismatch is a bug trap.
-    """
-    ss = SpectralSequence(s, n_max)
-    page = ss.page(1)
-    h = cohomology_dims(s.as_complex())
-    r = s.lie.dimension
-    for (p, q) in ss.cells():
-        want = dim_sym(r, p) * h.dim(q - p)
-        got = page.dim(p, q)
-        if want != got:
-            raise RuntimeError(
-                f"internal error: E_1({p},{q}) = {got} but the product formula "
-                f"gives {want}"
-            )
-    return page
-
-
 def run_pages(
-    s: GStarStructure,
-    n_max: int,
-    equivariant: EquivariantCohomologyResult | None = None,
+    e: EquivariantCohomologyResult, base_cohomology: tuple[int, ...]
 ) -> SpectralRunResult:
-    """Pages until structural stabilization; totals checked against the target.
+    """Pages of e's Cartan complex until structural stabilization, checked twice.
 
-    The run is inconclusive when the stable window of a truncated algebra
-    is smaller than the requested one.  The pages reuse the Cartan complex
-    of the equivariant result when it reaches degree n_max.
+    The first page must be the product E_1(p, q) = dim S^p * h^(q-p)(A), with
+    base_cohomology the dimensions h of the algebra's cohomology, on every
+    cell whose algebra degree it reaches; the E_infinity totals must be e's
+    dimensions through e.stable_through.  A mismatch in either makes
+    totals_match_equivariant false; the first page can only miss by a bug,
+    and detail then names its first failing cell.  The run is inconclusive
+    above e.stable_through, where a truncated algebra leaves no spectral
+    sequence.
     """
-    reuse = equivariant is not None and equivariant.n_max >= n_max
-    ss = SpectralSequence(s, n_max, equivariant.complex if reuse else None)
-    stable = s.algebra.window_tops.through(n_max, "d_squared")
+    ss = SpectralSequence(e.complex)
     pages = [ss.page(r) for r in range(1, ss.r_stop + 1)]
     e_inf = ss.page(ss.r_stop + 1)
     # the first page from which every differential vanishes; page r is pages[r - 1]
     stabilized = ss.r_stop + 1
     while stabilized > 1 and pages[stabilized - 2].differentials_vanish():
         stabilized -= 1
-    totals_match = eq_dims = None
-    detail = ""
-    if equivariant is not None:
-        upto = min(stable, equivariant.stable_through)
-        eq_dims = equivariant.dims_tuple(upto)
-        totals_match = e_inf.total_dims(upto) == eq_dims
-        detail = f"E_infinity totals compared through degree {upto}"
-    if stable < n_max:
-        detail = (detail + "; " if detail else "") + (
-            f"inconclusive above degree {stable} (truncated input)"
-        )
+    e1 = {(p, n - p): dim_sym(e.dim_a, p) * base_cohomology[n - 2 * p]
+          for n in range(e.n_max + 1) for p in range(n // 2 + 1)
+          if n - 2 * p < len(base_cohomology)}
+    off = [(p, q, want) for (p, q), want in e1.items() if pages[0].dim(p, q) != want][:1]
+    details = [f"internal error: E_1({p},{q}) = {pages[0].dim(p, q)} but the product formula "
+               f"gives {want}" for p, q, want in off]
+    stable = e.stable_through
+    details.append(f"E_infinity totals compared through degree {stable}")
+    if stable < e.n_max:
+        details.append(f"inconclusive above degree {stable} (truncated input)")
     return SpectralRunResult(
         pages=tuple(pages),
         e_infinity=e_inf,
         stabilized_at=stabilized,
-        totals_match_equivariant=totals_match,
-        equivariant_dims=eq_dims,
+        totals_match_equivariant=(
+            not off and e_inf.total_dims(stable) == e.dims_tuple(stable)),
         stable_through=stable,
-        detail=detail,
+        detail="; ".join(details),
     )
 
 
@@ -252,39 +226,35 @@ def _free_by_count(e: EquivariantCohomologyResult, upto: int) -> tuple[bool, int
 
 
 def formality_verdict(
-    e: EquivariantCohomologyResult,
-    base_cohomology: tuple[int, ...],
-    dim_a: int,
-    n_max: int,
+    e: EquivariantCohomologyResult, base_cohomology: tuple[int, ...]
 ) -> FormalityVerdict:
-    """Decide equivariant formality on the window by the layered criteria.
+    """Decide equivariant formality on e's window by the layered criteria.
 
     Order: odd-vanishing (sufficient), then the Hilbert factorization
-    P^a * (1-t^2)^dim_a = P coefficientwise (necessary and sufficient within
-    the window by the definition), then the free-module test as confirmation.
-    Conclusive methods must agree; a conflict raises, as it would mean a bug.
-    Both read degrees through upto, the least of n_max, e's stable bound and
-    the top of base_cohomology.  The free-module test is conclusive only on
-    the window it needs, so it is compared with the factorization only when
-    upto reaches it.
+    P^a * (1-t^2)^r = P coefficientwise, r = e.dim_a (necessary and
+    sufficient within the window by the definition), then the free-module
+    test as confirmation.  Conclusive methods must agree; a conflict raises,
+    as it would mean a bug.  Both read degrees through upto, the least of
+    e.n_max, e.stable_through and the top of base_cohomology.  The
+    free-module test is conclusive only on the window it needs, so it is
+    compared with the factorization only when upto reaches it.
 
     The free-module test is a count from the generator degrees
     (``_free_by_count``); it decides what ``freeness_test`` decides on
     ``module_presentation(e)`` at window upto, whose relations span the
     kernel of the free module's map onto the cohomology, the kernel the
     count detects.  Over a non-abelian Lie algebra there is no u-action, so
-    a generator at or below degree n_max - 2 raises ValueError.
+    a generator at or below degree e.n_max - 2 raises ValueError.
     """
-    upto = min(n_max, e.stable_through, len(base_cohomology) - 1)
+    upto = min(e.n_max, e.stable_through, len(base_cohomology) - 1)
     odd_vanishing = all(
         base_cohomology[n] == 0 for n in range(1, upto + 1, 2)
     )
     mismatch = None
     for n in range(upto + 1):
         want = sum(
-            dim_sym(dim_a, p) * base_cohomology[n - 2 * p]
+            dim_sym(e.dim_a, p) * base_cohomology[n - 2 * p]
             for p in range(n // 2 + 1)
-            if n - 2 * p <= upto
         )
         if e.dim(n) != want:
             mismatch = (n, want, e.dim(n))

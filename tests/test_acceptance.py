@@ -136,22 +136,22 @@ def test_criterion_07_spectral_formality():
     for make in (trivial_line, trivial_action_on_h_1_0_1, sphere3_minimal_model):
         s = make()
         e = equivariant_cohomology(s, 8)
-        run = run_pages(s, 8, e)
-        assert run.stabilized_at == 1, make.__name__
         h = cohomology_dims(s.as_complex())
-        v = formality_verdict(e, h.dims_tuple(8), 1, 8)
+        run = run_pages(e, h.dims_tuple(8))
+        assert run.stabilized_at == 1, make.__name__
+        v = formality_verdict(e, h.dims_tuple(8))
         assert v.formal, make.__name__
     # the free-flow model is not formal, witnessed at t^1
     s = hopf_basic_model()
     e = equivariant_cohomology(s, 8)
     h = cohomology_dims(s.as_complex())
-    v = formality_verdict(e, h.dims_tuple(8), 1, 8)
+    v = formality_verdict(e, h.dims_tuple(8))
     assert not v.formal and v.method == "hilbert-factorization" and "t^1" in v.witness
     # odd-vanishing fixtures are declared formal by that method
     v2_s = trivial_action_on_h_1_0_1()
     e2 = equivariant_cohomology(v2_s, 8)
     h2 = cohomology_dims(v2_s.as_complex())
-    v2 = formality_verdict(e2, h2.dims_tuple(8), 1, 8)
+    v2 = formality_verdict(e2, h2.dims_tuple(8))
     assert v2.formal and v2.method == "odd-vanishing"
     report(7, "E_1 collapse and formality verdicts incl. the t^1 witness for the free flow")
 

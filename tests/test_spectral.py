@@ -31,7 +31,6 @@ from foliacoh.ratmat import RationalMatrix, rank_of_columns, unit_vec
 from foliacoh.spectral import (
     NonInvariantAction,
     SpectralSequence,
-    e1_page,
     formality_verdict,
     run_pages,
 )
@@ -50,8 +49,25 @@ FIXTURES = [
 ]
 
 
+def base_of(s, n_max):
+    """The cohomology dimensions of s's algebra through degree n_max."""
+    return cohomology_dims(s.as_complex()).dims_tuple(n_max)
+
+
+def pages_of(s, n_max):
+    """run_pages on s's equivariant cohomology and algebra cohomology at window n_max."""
+    return run_pages(equivariant_cohomology(s, n_max), base_of(s, n_max))
+
+
+def e1_of(s, n_max):
+    """The first page of s, which must pass the product-formula check."""
+    run = pages_of(s, n_max)
+    assert "product formula" not in run.detail, run.detail
+    return run.pages[0]
+
+
 def test_e1_trivial_action_two_diagonals():
-    page = e1_page(trivial_action_on_h_1_0_1(), 6)
+    page = e1_of(trivial_action_on_h_1_0_1(), 6)
     for (p, q), d in page.dims.items():
         assert q - p in (0, 2) and d == 1
     assert page.differentials_vanish()
@@ -59,7 +75,7 @@ def test_e1_trivial_action_two_diagonals():
 
 def test_e1_hopf_product_pattern():
     # d = 0 on the algebra, so E_1 cells are just S^p x A^{q-p}
-    page = e1_page(hopf_basic_model(), 6)
+    page = e1_of(hopf_basic_model(), 6)
     for (p, q), d in page.dims.items():
         assert 0 <= q - p <= 3 and d == 1
     assert not page.differentials_vanish()
@@ -67,7 +83,7 @@ def test_e1_hopf_product_pattern():
 
 def test_e1_weil_concentrated_on_diagonal():
     w = weil_algebra(LieAlgebraSpec.abelian(1), 10)
-    page = e1_page(w, 6)
+    page = e1_of(w, 6)
     assert all(q == p for (p, q) in page.dims)
 
 
@@ -79,13 +95,39 @@ def test_e1_refuses_nonzero_l():
         [{1: RationalMatrix.from_rows([[1]])}],
     )
     with pytest.raises(NonInvariantAction):
-        e1_page(mutant, 4)
+        e1_of(mutant, 4)
+
+
+def test_run_pages_names_the_first_cell_off_the_product_formula():
+    # d = 0 on the hopf algebra, so h = (1, 1, 1, 1); one more class in degree 2
+    s = hopf_basic_model()
+    base = list(base_of(s, 6))
+    base[2] += 1
+    run = run_pages(equivariant_cohomology(s, 6), tuple(base))
+    assert not run.totals_match_equivariant
+    assert run.detail.startswith(
+        "internal error: E_1(0,2) = 1 but the product formula gives 2; "), run.detail
+
+
+def test_spectral_exits_on_a_first_page_off_the_product_formula(monkeypatch, capsys):
+    real = cli.cohomology_dims
+
+    def off_by_one(c):
+        h = real(c)
+        return h._replace(dims={**h.dims, 2: h.dim(2) + 1})
+
+    monkeypatch.setattr(cli, "cohomology_dims", off_by_one)
+    code = cli.main(["spectral", "--input", str(DATA / "hopf_gstar.json")])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_VERDICT_FAILURE and "Traceback" not in out.err
+    results = json.loads(out.out)["results"]
+    assert results["totals_match_equivariant"] is False
+    assert results["detail"].startswith("internal error: E_1(0,2) = 1 but"), results["detail"]
 
 
 def test_run_pages_trivial_action_collapses_at_e1():
     s = trivial_action_on_h_1_0_1()
-    e = equivariant_cohomology(s, 6)
-    run = run_pages(s, 6, e)
+    run = pages_of(s, 6)
     assert run.stabilized_at == 1
     assert run.totals_match_equivariant
     assert run.pages[0].total_dims() == run.e_infinity.total_dims()
@@ -93,8 +135,7 @@ def test_run_pages_trivial_action_collapses_at_e1():
 
 def test_run_pages_hopf_stabilizes_at_e2():
     s = hopf_basic_model()
-    e = equivariant_cohomology(s, 6)
-    run = run_pages(s, 6, e)
+    run = pages_of(s, 6)
     assert run.stabilized_at == 2
     assert run.e_infinity.total_dims() == (1, 0, 1, 0, 0, 0, 0)
     assert run.totals_match_equivariant
@@ -103,7 +144,7 @@ def test_run_pages_hopf_stabilizes_at_e2():
 def test_page_totals_non_increasing():
     for make in FIXTURES:
         s = make()
-        run = run_pages(s, 6)
+        run = pages_of(s, 6)
         seq = [p.total_dims() for p in run.pages] + [run.e_infinity.total_dims()]
         for a, b in zip(seq, seq[1:]):
             assert all(x >= y for x, y in zip(a, b))
@@ -112,7 +153,7 @@ def test_page_totals_non_increasing():
 def test_page_dims_recurrence():
     # dim E_{r+1} = dim ker d_r - rank of incoming d_r
     s = hopf_basic_model()
-    run = run_pages(s, 6)
+    run = pages_of(s, 6)
     pages = list(run.pages) + [run.e_infinity]
     for pg, nxt in zip(pages, pages[1:]):
         r = pg.r
@@ -126,8 +167,7 @@ def test_page_dims_recurrence():
 def test_e_infinity_matches_equivariant_everywhere():
     for make in FIXTURES:
         s = make()
-        e = equivariant_cohomology(s, 6)
-        run = run_pages(s, 6, e)
+        run = pages_of(s, 6)
         assert run.totals_match_equivariant, make.__name__
 
 
@@ -137,8 +177,7 @@ def test_e_infinity_matches_equivariant_everywhere():
 def verdict_for(make, n_max=8):
     s = make()
     e = equivariant_cohomology(s, n_max)
-    h = cohomology_dims(s.as_complex())
-    return formality_verdict(e, h.dims_tuple(n_max), s.lie.dimension, n_max)
+    return formality_verdict(e, base_of(s, n_max))
 
 
 def test_odd_vanishing_fixture_formal():
@@ -170,9 +209,8 @@ def test_formality_iff_e1_collapse():
     for make in FIXTURES:
         s = make()
         e = equivariant_cohomology(s, 8)
-        h = cohomology_dims(s.as_complex())
-        v = formality_verdict(e, h.dims_tuple(8), s.lie.dimension, 8)
-        run = run_pages(s, 8, e)
+        v = formality_verdict(e, base_of(s, 8))
+        run = run_pages(e, base_of(s, 8))
         collapses = run.pages[0].total_dims() == run.e_infinity.total_dims()
         assert v.formal == collapses, make.__name__
 
@@ -295,7 +333,7 @@ def squares_to_zero_through(cx, n_max):
 def test_pages_match_subquotient_reference(case):
     s, n_max = case
     n_max = squares_to_zero_through(CartanComplex(s, n_max), n_max)
-    ss = SpectralSequence(s, n_max)
+    ss = SpectralSequence(CartanComplex(s, n_max))
     ref = SubquotientPages(s, n_max)
     for r in range(1, ss.r_stop + 2):
         page = ss.page(r)
@@ -304,7 +342,7 @@ def test_pages_match_subquotient_reference(case):
 
 def test_sphere3_with_weil_line_has_a_second_differential():
     s = tensor_gstar(sphere3_minimal_model(), weil_algebra(LieAlgebraSpec.abelian(1), 3))
-    ss = SpectralSequence(s, 6)
+    ss = SpectralSequence(CartanComplex(s, 6))
     assert ss.page(1).differentials_vanish()
     assert ss.page(2).d_ranks == {(0, 3): 1, (1, 4): 1}
     ref = SubquotientPages(s, 6)
@@ -355,7 +393,7 @@ def abelian_weil_structures(draw):
 @example((change_basis(weil_algebra(LieAlgebraSpec.abelian(2), 6), random.Random(1)), 6))
 def test_persistence_pairs_match_corner_ranks(case):
     s, n_max = case
-    ss = SpectralSequence(s, n_max)
+    ss = SpectralSequence(CartanComplex(s, n_max))
     for n in range(n_max + 1):
         assert ss._persistence_pairs(n) == corner_rank_pairs(ss.cx, n), n
 
@@ -391,7 +429,7 @@ def assert_formality_matches_the_presentation(s, n_max):
     upto = min(n_max, e.stable_through, len(base) - 1)
     assert outcome(spectral._free_by_count, e, upto) == \
         outcome(presentation_free_test, e, upto), n_max
-    args = (e, base, s.lie.dimension, n_max)
+    args = (e, base)
     verdict = outcome(formality_verdict, *args)
     with mock.patch.object(spectral, "_free_by_count", presentation_free_test):
         assert outcome(formality_verdict, *args) == verdict, n_max

@@ -73,11 +73,10 @@ def consumer_bounds(s, n_max: int, e) -> dict:
         "equivariant": cli._cmd_equivariant(s, n_max)[1]["stable_through"],
     }
     if s.lie.is_abelian and s.all_l_zero():
-        out["spectral"] = run_pages(s, n_max, e).stable_through
-        h = cohomology_dims(s.as_complex())
+        base = cohomology_dims(s.as_complex()).dims_tuple(n_max)
+        out["spectral"] = run_pages(e, base).stable_through
         try:
-            out["formality"] = formality_verdict(
-                e, h.dims_tuple(n_max), s.lie.dimension, n_max).stable_through
+            out["formality"] = formality_verdict(e, base).stable_through
         except RuntimeError as exc:
             # the free-module count reads past the window on a truncated algebra
             assert "disagree" in str(exc) and s.algebra.window_tops.truncated
