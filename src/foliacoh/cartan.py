@@ -93,10 +93,15 @@ def _u_times(shifted: tuple[int, ...], op: RationalMatrix, row0: int, col0: int)
 
 
 def _coadjoint(lie: LieAlgebraSpec, j: int, p: int) -> RationalMatrix:
-    """The derivation of S^p extending u_b -> -c^b_{jc} u_c, as sum_{b,c} -c^b_{jc} u_c d/du_b."""
+    """The derivation of S^p extending u_b -> -c^b_{jc} u_c, as sum_{b,c} -c^b_{jc} u_c d/du_b.
+
+    Only the nonzero c^b_{jc} place entries, by ascending (b, c); integral
+    constants are ints, so their entries make no Fraction.
+    """
     r, low = lie.dimension, monomials_of_degree(lie.dimension, p - 1)
-    entries = [(to, at, -lie.structure_constant(j, c, b) * (alpha[b] + 1))
-               for b, c in itertools.product(range(r), repeat=2)
+    consts = sorted((b, c, x) for c in range(r) for b, x in lie.bracket(j, c).items())
+    entries = [(to, at, -x * (alpha[b] + 1))
+               for b, c, x in consts
                for alpha, at, to in zip(low, _shifted(r, p - 1, b), _shifted(r, p - 1, c))]
     return RationalMatrix.from_entries(dim_sym(r, p), dim_sym(r, p), entries)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -495,9 +496,10 @@ def canonical_bytes(doc) -> bytes:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` in UTF-8, built faster.
 
     The indented encoder runs in pure Python.  Here a list of ints or of
-    strings is one join, strings and keys go through the C string encoder,
-    and any other leaf, or a dict with a key that is not a string, is
-    written by ``json.dumps`` itself.
+    strings is one join, a list of records (every ``products`` list) is
+    one %-format per record, strings and keys go through the C string
+    encoder, and any other leaf, or a dict with a key that is not a string,
+    is written by ``json.dumps`` itself.
     """
     out: list[str] = []
     _write_json(doc, "\n", out)
@@ -505,10 +507,15 @@ def canonical_bytes(doc) -> bytes:
 
 
 def _write_json(obj, newline: str, out: list[str]) -> None:
-    """Append obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it at newline's depth."""
+    """Append obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it at newline's depth.
+
+    A list of records takes ``_records``; any other list is written item by item.
+    """
     t = type(obj)
     inner = newline + "  "
-    if t is str:
+    if t is list and obj and type(obj[0]) is dict and (records := _records(obj, inner)):
+        out.append("[" + inner + ("," + inner).join(records) + newline + "]")
+    elif t is str:
         out.append(encode_basestring_ascii(obj))
     elif t is int:
         out.append(str(obj))
@@ -536,6 +543,66 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append("[" + inner + ("," + inner).join(leaves) + newline + "]")
     else:
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+
+
+def _records(items: list, newline: str) -> list[str] | None:
+    """Each item as ``_write_json`` writes it at newline's depth when all are records, else None.
+
+    A record is a non-empty dict with string keys whose every value is a
+    non-empty list of ints or a non-empty list of equal-length, non-empty
+    lists of ints (``type(x) is int``, so no bool).  Its ints fill one
+    %-format string, built once per signature (its keys and value shapes)
+    in this call: keys escaped as JSON strings with each ``%`` doubled, and
+    one ``%d`` per int.
+    """
+    formats: dict[tuple, str] = {}
+    orders: dict[tuple, list[str]] = {}
+    out = []
+    for item in items:
+        if type(item) is not dict:
+            return None
+        keys = tuple(item)
+        order = orders.get(keys)
+        if order is None:
+            if set(map(type, keys)) != {str}:
+                return None
+            order = orders[keys] = sorted(keys)
+        shapes, ints = [], []
+        for k in order:
+            v = item[k]
+            kinds = set(map(type, v)) if type(v) is list else None
+            if kinds == {int}:
+                shapes.append(len(v))
+                ints += v
+            elif kinds == {list} and len(set(map(len, v))) == 1:
+                flat = list(itertools.chain.from_iterable(v))
+                if set(map(type, flat)) != {int}:
+                    return None
+                shapes.append((len(v), len(v[0])))
+                ints += flat
+            else:
+                return None
+        signature = (keys, *shapes)
+        fmt = formats.get(signature)
+        if fmt is None:
+            fmt = formats[signature] = _record_format(order, shapes, newline)
+        out.append(fmt % tuple(ints))
+    return out
+
+
+def _record_format(keys: list[str], shapes: list[int | tuple[int, int]], newline: str) -> str:
+    """The %-format of a record with these sorted keys and value shapes at newline's depth."""
+    i1, i2, i3 = (newline + "  " * k for k in (1, 2, 3))
+
+    def ints(n: int, at: str, close: str) -> str:
+        return "[" + at + ("," + at).join(["%d"] * n) + close + "]"
+
+    fields = [
+        encode_basestring_ascii(k).replace("%", "%%") + ": " + (
+            ints(shape, i2, i1) if type(shape) is int
+            else "[" + i2 + ("," + i2).join([ints(shape[1], i3, i2)] * shape[0]) + i1 + "]")
+        for k, shape in zip(keys, shapes)]
+    return "{" + i1 + ("," + i1).join(fields) + newline + "}"
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

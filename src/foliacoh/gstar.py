@@ -59,6 +59,10 @@ from .ratmat import (
 # -- Lie algebra data ----------------------------------------------------------
 
 
+def _int_if_integral(c: Fraction) -> int | Fraction:
+    return c.numerator if c.denominator == 1 else c
+
+
 class LieAlgebraError(ValueError):
     pass
 
@@ -68,22 +72,26 @@ class LieAlgebraSpec:
     """Finite-dimensional Lie algebra in a fixed basis X_0..X_{r-1}.
 
     brackets[(i, j)][k] is the coefficient of X_k in [X_i, X_j], stored for
-    i < j only; antisymmetry fills in the rest.
+    i < j only, nonzero and by ascending k; antisymmetry fills in the rest.
+    An integral coefficient is stored as an int and only a non-integral one
+    as a Fraction, so integral structure constants make no Fraction in the
+    operators built from them.
     """
 
     dimension: int
-    brackets: dict[tuple[int, int], dict[int, Fraction]]
+    brackets: dict[tuple[int, int], dict[int, int | Fraction]]
 
     def __init__(self, dimension: int, brackets=None):
         if dimension < 0:
             raise LieAlgebraError("negative dimension")
-        clean: dict[tuple[int, int], dict[int, Fraction]] = {}
+        clean: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for (i, j), comps in (brackets or {}).items():
             if not (0 <= i < dimension and 0 <= j < dimension):
                 raise LieAlgebraError(f"bracket index out of range: ({i}, {j})")
             if i >= j:
                 raise LieAlgebraError("store brackets for i < j only")
-            comps = {int(k): frac(c) for k, c in comps.items() if frac(c) != 0}
+            comps = {k: _int_if_integral(c)
+                     for k, c in sorted((int(k), frac(c)) for k, c in comps.items()) if c}
             if any(not 0 <= k < dimension for k in comps):
                 raise LieAlgebraError("bracket component out of range")
             if comps:
@@ -99,20 +107,17 @@ class LieAlgebraSpec:
     def is_abelian(self) -> bool:
         return not self.brackets
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        """c^k_{ij} with [X_i, X_j] = sum_k c^k_{ij} X_k."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.brackets.get((i, j), {}).get(k, Fraction(0))
-        return -self.brackets.get((j, i), {}).get(k, Fraction(0))
+    def structure_constant(self, i: int, j: int, k: int) -> int | Fraction:
+        """c^k_{ij} with [X_i, X_j] = sum_k c^k_{ij} X_k; 0 when it vanishes."""
+        if i > j:
+            return -self.structure_constant(j, i, k)
+        return self.brackets.get((i, j), {}).get(k, 0)
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        return {
-            k: c
-            for k in range(self.dimension)
-            if (c := self.structure_constant(i, j, k)) != 0
-        }
+    def bracket(self, i: int, j: int) -> dict[int, int | Fraction]:
+        """The nonzero c^k_{ij} of [X_i, X_j] by ascending k."""
+        if i > j:
+            return {k: -c for k, c in self.bracket(j, i).items()}
+        return dict(self.brackets.get((i, j), {}))
 
     def validate(self) -> list[str]:
         """Jacobi identity on all basis triples; antisymmetry is structural."""
@@ -275,10 +280,16 @@ def _differing_columns(a: RationalMatrix, b: RationalMatrix) -> list[int]:
 def _sum_of_products(pairs) -> RationalMatrix:
     """The sum of x @ y over the pairs, as one product [x_1 | x_2 | ...] @ [y_1; y_2; ...].
 
-    Each output row is summed over the integers, so an identity that holds
-    makes no Fraction at all.
+    A pair with a zero factor adds nothing and is left out; with none left
+    the sum is the zero matrix of the pairs' shape.  Each output row is
+    summed over the integers, so an identity that holds makes no Fraction
+    at all.
     """
-    xs, ys = zip(*pairs)
+    live = [(x, y) for x, y in pairs if not (x.is_zero() or y.is_zero())]
+    if not live:
+        x, y = pairs[0]
+        return RationalMatrix.zeros(x.rows, y.cols)
+    xs, ys = zip(*live)
     reduce = functools.reduce
     return reduce(RationalMatrix.hstack, xs) @ reduce(RationalMatrix.vstack, ys)
 
@@ -586,10 +597,6 @@ def _first_factor(m: Mono) -> tuple[tuple[str, int], Mono]:
         return ("t", odd[0]), (odd[1:], alpha)
     j = next(j for j, e in enumerate(alpha) if e)
     return ("u", j), ((), alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])
-
-
-def _int_if_integral(c: Fraction) -> int | Fraction:
-    return c.numerator if c.denominator == 1 else c
 
 
 def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:

@@ -29,8 +29,9 @@ row with the fewest nonzeros.  A row of the RREF is its primitive pivot row
 over its pivot entry, which is canonical as it stands.  This forward pass,
 ``_echelon``, is the one elimination loop, and a matrix runs it once: its
 pivot columns and rows are kept, ``pivots`` returns the columns, ``rank()``
-counts them and ``rref`` back-substitutes on a copy of the rows, so a rank
-and a later kernel share one pass; ``prefix_pivots`` runs it per block of
+counts them and ``rref`` back-substitutes on a copy of the rows, last row
+up, in just the later pivot columns each holds, so a rank and a later
+kernel share one pass; ``prefix_pivots`` runs the forward pass per block of
 rows, for the pivots of each leading-row prefix.  ``rank(p)`` counts pivots
 on the rows reduced mod a prime p: row <- row - (row[c]/top[c]) top mod p.
 A rank mod p is at most the rank over Q, so a rank mod ``PRIME`` equal to
@@ -494,14 +495,12 @@ class RationalMatrix:
         return len(_echelon(rows, self.cols, functools.partial(_eliminate_mod, p=p))[0])
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Unique RREF and pivot columns: the kept forward pass, then back substitution."""
+        """Unique RREF and pivots: the kept forward pass, then back substitution, last top up."""
         pivots = self.pivots()
-        tops = list(self._forward[1])  # clear each pivot column above it, last pivot first
-        for k in range(len(pivots) - 1, 0, -1):
-            c, top = pivots[k], tops[k]
-            for i in range(k):
-                if c in tops[i]:
-                    tops[i] = _eliminate(tops[i], top, c)
+        tops, at = list(self._forward[1]), {c: k for k, c in enumerate(pivots)}
+        for i in range(len(tops) - 2, -1, -1):  # each top clears the later pivots it holds
+            for c in [c for c in tops[i] if at.get(c, i) > i]:
+                tops[i] = _eliminate(tops[i], tops[at[c]], c)
         # a primitive row over its pivot entry is canonical
         out = [(top, top[c]) if top[c] > 0 else ({j: -x for j, x in top.items()}, -top[c])
                for c, top in zip(pivots, tops)]

@@ -442,7 +442,10 @@ def cartan_structures(draw):
 @example((weil_algebra(SO3, 6), 6))
 @example((circle_action(), 5))
 def test_block_operators_match_the_scatter_build(case):
-    s, n_max = case
+    assert_block_operators_match_the_scatter_build(*case)
+
+
+def assert_block_operators_match_the_scatter_build(s, n_max):
     cx = CartanComplex(s, n_max)
     d, l_total, shift = scatter_cartan_operators(s, n_max)
     for n, sl in enumerate(cx.slices):
@@ -460,6 +463,29 @@ def test_block_operators_match_the_scatter_build(case):
 
 
 # -- Cartan, Weil and E-infinity on a generated family ----------------------------------------
+
+
+def test_structure_constants_are_ints_where_integral():
+    """so(3)'s constants are ints and so(3) scaled by 1/2 keeps Fractions; both Cartan
+    builds match the scatter build, which reads the constants one at a time."""
+    half = LieAlgebraSpec(3, {(0, 1): {2: Fraction(1, 2)}, (1, 2): {0: "1/2"},
+                              (0, 2): {1: Fraction(-1, 2)}})
+    mixed = LieAlgebraSpec(2, {(0, 1): {1: Fraction(4, 2), 0: "3/2"}})
+    assert half.validate() == []
+    assert [type(c) for comps in SO3.brackets.values() for c in comps.values()] == [int] * 3
+    assert [type(c) for comps in half.brackets.values() for c in comps.values()] == [Fraction] * 3
+    assert mixed.brackets == {(0, 1): {0: Fraction(3, 2), 1: 2}}
+    assert [type(c) for c in mixed.brackets[0, 1].values()] == [Fraction, int]
+    assert list(mixed.bracket(1, 0).items()) == [(0, Fraction(-3, 2)), (1, -2)]
+    for i, j, k in [(0, 0, 2), (0, 1, 0), (1, 0, 0), (2, 1, 2)]:
+        assert type(SO3.structure_constant(i, j, k)) is int
+        assert SO3.structure_constant(i, j, k) == half.structure_constant(i, j, k) == 0
+    assert SO3.structure_constant(2, 1, 0) == -1
+    assert half.structure_constant(2, 1, 0) == Fraction(-1, 2)
+    for lie in (SO3, half):
+        assert_block_operators_match_the_scatter_build(weil_algebra(lie, 5), 5)
+    half_dims = equivariant_cohomology(weil_algebra(half, 6), 6).dims
+    assert half_dims == equivariant_cohomology(weil_algebra(SO3, 6), 6).dims
 
 
 @pytest.mark.slow

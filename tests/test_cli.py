@@ -119,6 +119,21 @@ JSON_VALUES = st.recursive(
           "c": [[], {}, [[]], [{}]], "\u2028": [True, None, 1.5, -0.0, 1e300]})
 @example({"ints": {1: [2, 3], 2: {}}, "tuple": (1, "x", (2,))})
 @example([[[[[[["deep"]]]]]]])
+# lists of records, one %-format per record signature
+@example({"products": [{"left": [0, 0], "right": [2, 1], "value": [[1, 1], [3, -2]]},
+                       {"value": [[0, 10**60]], "right": [1, 1], "left": [1, 0]},
+                       {"left": [0, 0], "right": [2, 1], "value": [[4, -7], [5, 8]]}]})
+@example({"L": [{"0": [[1, 0, -1], [0, 2, 0]], "2": [[5]]}, {"2": [[-5]], "0": [[0], [1]]}]})
+@example([{"a%d": [1], "%%s": [[2, 3]], "\u00e9\U0001f600": [-4], "\"%\n": [0]}])
+@example([[{"v": [-10**60, 10**60 - 1, -1, 0]}], [{"v": [[-(10**59)], [7]]}]])
+# near misses after a record, each list written by the general path
+@example({"bool": [{"v": [1]}, {"v": [1, True]}], "bool row": [{"v": [1]}, {"v": [[0, False]]}],
+          "empty": [{"v": [1]}, {"v": []}], "empty row": [{"v": [[1]]}, {"v": [[]]}],
+          "ragged": [{"v": [[1, 2]]}, {"v": [[1, 2], [3]]}, {"v": [[1, 2], [3, 4, 5]]}],
+          "string": [{"left": [0, 0], "value": [[0, 1]]}, {"left": [0, 0], "value": [[0, "1/2"]]}],
+          "nested": [{"v": [1]}, {"v": [[[1]]]}, {"v": [[1, [2]]]}],
+          "not a record": [{"v": [1]}, {}, 2], "int key": [{"v": [1]}, {1: [2]}],
+          "tuple": [{"v": [1]}, {"v": (1, 2)}], "mixed": [{"v": [1]}, {"v": [1, [2]]}]})
 def test_canonical_bytes_are_the_indented_dump(doc):
     assert cli.canonical_bytes(doc) == indented_dump(doc)
 

@@ -332,6 +332,58 @@ def test_a_kept_forward_pass_gives_what_a_fresh_matrix_gives(system):
         assert kept.pivots() == fresh(a).pivots() and kept.rank() == rank and kept == a
 
 
+def rank_squared_rref(m: RationalMatrix):
+    """(R, pivots) by the back substitution ``rref`` once ran on the forward pass: each
+    pivot column, last first, is looked up in every top above it."""
+    rows = [ratmat._without_content(r) for r, _ in map(ratmat._row_in, m.tolist()) if r]
+    pivots, tops = ratmat._echelon(rows, m.cols, ratmat._eliminate)
+    for k in range(len(pivots) - 1, 0, -1):
+        c, top = pivots[k], tops[k]
+        for i in range(k):
+            if c in tops[i]:
+                tops[i] = ratmat._eliminate(tops[i], top, c)
+    R = RationalMatrix.from_entries(m.rows, m.cols, [
+        (i, j, Fraction(x, top[c])) for i, (c, top) in enumerate(zip(pivots, tops))
+        for j, x in top.items()])
+    return R, tuple(pivots)
+
+
+@st.composite
+def back_substitution_cases(draw):
+    """Wide, tall, zero, full-rank and block-diagonal matrices, with empty rows mixed in."""
+    kind = draw(st.sampled_from(("wide", "tall", "zero", "full", "blocks")))
+    if kind == "blocks":
+        parts = draw(st.lists(matrices(), min_size=2, max_size=3))
+        at = [(sum(p.rows for p in parts[:k]), sum(p.cols for p in parts[:k]), p)
+              for k, p in enumerate(parts)]
+        m = RationalMatrix.from_blocks(sum(p.rows for p in parts), sum(p.cols for p in parts), at)
+    elif kind == "full":  # unit upper triangular
+        n = draw(st.integers(1, 6))
+        m = RationalMatrix.identity(n) + RationalMatrix.from_entries(n, n, [
+            (i, j, draw(ENTRIES["coprime"])) for i in range(n) for j in range(i + 1, n)])
+    else:
+        small, large = draw(st.integers(0, 3)), draw(st.integers(3, 9))
+        m = (RationalMatrix.zeros(small, large) if kind == "zero"
+             else draw(matrices(*((small, large) if kind == "wide" else (large, small)))))
+    rows = m.tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * m.cols)
+    return RationalMatrix(len(rows), m.cols, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(back_substitution_cases())
+@example(M([[1, 2, 3, 4], [0, 1, "1/2", 5], [0, 0, "3/7", 1]]))
+@example(M([[2, 4], [0, 3], [0, 0], [1, 1]]))
+def test_back_substitution_matches_the_rank_squared_loop(m):
+    before, pivots = fresh(m), m.pivots()
+    R, got = m.rref()
+    assert (R, got) == rank_squared_rref(m) and got == pivots
+    # the stored rows, which the forward pass may share, stay as they were
+    assert m == before and m.rref() == (R, got)
+    assert R.tolist() == dense_rref(m.tolist(), m.cols)[0]
+
+
 @st.composite
 def row_blocks(draw):
     """(m, bounds): blocks of rows of mixed kinds and zero blocks, in no echelon order.
