@@ -150,6 +150,15 @@ def _matrix_in(obj, rows: int, cols: int, where: str) -> RationalMatrix:
     )
 
 
+def _operator_in(obj, space, k: int, where: str, negative: bool = False) -> dict:
+    """Per degree key n of obj, a degree-k operator's dim(n + k) x dim(n) matrix at n."""
+    out = {}
+    for key, m in obj.items():
+        n = _degree(key, where, negative)
+        out[n] = _matrix_in(m, space.dim(n + k), space.dim(n), f"{where} at degree {n}")
+    return out
+
+
 def _poly_in(obj, where: str) -> PoincarePolynomial:
     """A dimension polynomial: a list of integer coefficients, none negative."""
     if not isinstance(obj, list) or any(not _is_int(c) for c in obj):
@@ -189,30 +198,22 @@ def parse_gstar(payload) -> GStarStructure:
     top = max(dims, default=0)
     window = (0, top if trunc is None else max(top, trunc))
     space = GradedVectorSpace(dims, labels, window=window)
-    unit = payload.get("unit", 0)
-    if not _is_int(unit, 0, space.dim(0)):
-        raise InputError(f"unit must be an integer in [0, {space.dim(0)}), got {unit!r}")
-    products = _products_in(payload.get("products", []), space, unit)
+    unit, table = payload.get("unit", 0), payload.get("products", [])
+    # with no product table there is no unit element for the index to name
+    if not _is_int(unit, 0, None if table is None else space.dim(0)):
+        rule = ">= 0 when products is null" if table is None else f"in [0, {space.dim(0)})"
+        raise InputError(f"unit must be an integer {rule}, got {unit!r}")
+    products = _products_in(table, space, unit)
     algebra = GradedAlgebraPresentation(
         space, products, unit_index=unit, truncated_above=trunc
     )
-
-    def mats(obj, delta, where):
-        out = {}
-        for n_str, m in obj.items():
-            n = _degree(n_str, where)
-            out[n] = _matrix_in(
-                m, space.dim(n + delta), space.dim(n), f"{where} at degree {n}"
-            )
-        return out
-
-    d = mats(payload.get("d", {}), 1, "d")
+    d = _operator_in(payload.get("d", {}), space, 1, "d")
     i_list = payload.get("i", [])
     l_list = payload.get("L", [])
     if len(i_list) != r or len(l_list) != r:
         raise InputError(f"need {r} entries in 'i' and 'L' (one per generator)")
-    i_ops = [mats(obj, -1, f"i[{j}]") for j, obj in enumerate(i_list)]
-    l_ops = [mats(obj, 0, f"L[{j}]") for j, obj in enumerate(l_list)]
+    i_ops = [_operator_in(obj, space, -1, f"i[{j}]") for j, obj in enumerate(i_list)]
+    l_ops = [_operator_in(obj, space, 0, f"L[{j}]") for j, obj in enumerate(l_list)]
     return GStarStructure(algebra, lie, d, i_ops, l_ops)
 
 
@@ -289,7 +290,7 @@ def gstar_to_payload(s: GStarStructure) -> dict:
         ]
     payload["products"] = products
 
-    def mats_out(get, delta):
+    def mats_out(get):
         out = {}
         for n in sp.degrees():
             m = get(n)
@@ -297,9 +298,9 @@ def gstar_to_payload(s: GStarStructure) -> dict:
                 out[str(n)] = [[_rat_out(x) for x in r] for r in m.tolist()]
         return out
 
-    payload["d"] = mats_out(s.op_d, 1)
-    payload["i"] = [mats_out(lambda n, j=j: s.op_i(j, n), -1) for j in range(lie.dimension)]
-    payload["L"] = [mats_out(lambda n, j=j: s.op_l(j, n), 0) for j in range(lie.dimension)]
+    payload["d"] = mats_out(s.op_d)
+    payload["i"] = [mats_out(lambda n, j=j: s.op_i(j, n)) for j in range(lie.dimension)]
+    payload["L"] = [mats_out(lambda n, j=j: s.op_l(j, n)) for j in range(lie.dimension)]
     return payload
 
 
@@ -395,11 +396,7 @@ def _parse_complex(obj, window, where: str) -> CochainComplex:
     dims = {_degree(n, f"{where}.dims", True): _int(d, f"{where}.dims[{n}]")
             for n, d in obj.get("dims", {}).items()}
     space = GradedVectorSpace(dims, window=window)
-    d = {}
-    for n_str, m in obj.get("d", {}).items():
-        n = _degree(n_str, f"{where}.d", True)
-        d[n] = _matrix_in(m, space.dim(n + 1), space.dim(n), f"{where}.d at degree {n}")
-    return CochainComplex(space, d)
+    return CochainComplex(space, _operator_in(obj.get("d", {}), space, 1, f"{where}.d", True))
 
 
 def _degree_matrices(obj, rows, cols, where: str) -> dict[int, RationalMatrix]:
@@ -784,10 +781,7 @@ def _cmd_module(m, n_max):
 
 
 def _cmd_strata(m, n_max):
-    try:
-        eq = equivariant_series_from_strata(m)  # the one validation
-    except InvalidRecord as exc:
-        raise InputError("; ".join(exc.issues)) from None
+    eq = equivariant_series_from_strata(m)  # the one validation
     result = {
         "equivariant_series": _series_out(eq),
         "equivariant_expansion": list(eq.expand(n_max)),
@@ -808,10 +802,7 @@ def _cmd_strata(m, n_max):
 
 def _cmd_morse(morse, n_max):
     d, dim_a, basic = morse
-    try:
-        ms = morse_series(d, dim_a)  # the one validation
-    except InvalidRecord as exc:
-        raise InputError("; ".join(exc.issues)) from None
+    ms = morse_series(d, dim_a)  # the one validation
     result = {
         "basic_morse_series": list(ms.basic.coeffs),
         "equivariant_morse_series": _series_out(ms.equivariant),
@@ -831,10 +822,7 @@ def _cmd_morse(morse, n_max):
 
 
 def _cmd_polytope(p, n_max):
-    try:
-        r = polytope_series(p)  # the one validation
-    except InvalidRecord as exc:
-        raise InputError("; ".join(exc.issues)) from None
+    r = polytope_series(p)  # the one validation
     code = EXIT_OK if r.cross_check_ok else EXIT_VERDICT_FAILURE
     return code, {
         "basic_polynomial": list(r.polynomial.coeffs),
@@ -1001,6 +989,8 @@ def main(argv=None) -> int:
     except (InputError, DifferentialNotSquareZero, InconsistentOperatorData, NonInvariantAction,
             PresentationError) as exc:
         return _finish(args, EXIT_INVALID_INPUT, error=str(exc))
+    except InvalidRecord as exc:  # a record that fails the validation its command runs
+        return _finish(args, EXIT_INVALID_INPUT, error="; ".join(exc.issues))
     max_degree = window[0] if window else n_max
     return _finish(args, code, input_sha256=digest, max_degree=max_degree, results=results)
 

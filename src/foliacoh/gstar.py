@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple
 
 from .algebra_core import (
     CochainComplex,
+    CohomologyResult,
     GradedVectorSpace,
     InconsistentOperatorData,
     cohomology_dims,
@@ -212,10 +213,6 @@ class GradedAlgebraPresentation:
         hi = self.space.window[1]
         return WindowTops(hi, hi, hi, False) if t is None else WindowTops(t, t - 1, t - 2, True)
 
-    def stable_product_top(self) -> int:
-        """Largest total degree whose products are exactly known."""
-        return self.window_tops.products
-
     def check_algebra(self) -> list[str]:
         """Unit, graded commutativity and associativity as product-matrix identities.
 
@@ -225,7 +222,7 @@ class GradedAlgebraPresentation:
         if self.products is None:
             return ["operator-only presentation: product axioms not checkable"]
         sp = self.space
-        top = self.stable_product_top()
+        top = self.window_tops.products
         prod = self.product_matrix
         issues = []
         d0, u = sp.dim(0), self.unit_index
@@ -878,20 +875,12 @@ def tensor_gstar(
 # -- the Weil model ---------------------------------------------------------------
 
 
-class WeilModelResult(NamedTuple):
-    dims: dict[int, int]
-    stable_through: int
-
-    def dims_tuple(self, n_max: int) -> tuple[int, ...]:
-        return tuple(self.dims.get(n, 0) for n in range(n_max + 1))
-
-
-def weil_model_cohomology(s: GStarStructure, n_max: int) -> WeilModelResult:
+def weil_model_cohomology(s: GStarStructure, n_max: int) -> CohomologyResult:
     """Equivariant cohomology through the universal-structure route.
 
     Tensors the acyclic structure onto the algebra, extracts the joint
-    i/L kernel, and takes cohomology.  Independent of the Cartan-complex
-    route, which makes it the cross-check oracle for it.
+    i/L kernel, and takes cohomology, cut at n_max.  Independent of the
+    Cartan-complex route, which makes it the cross-check oracle for it.
 
     Both factors are built through degree n_max + 1 and no further.  H^n
     reads only B^(n-1), B^n, B^(n+1) and the maps d_(n-1), d_n; a structure
@@ -900,9 +889,8 @@ def weil_model_cohomology(s: GStarStructure, n_max: int) -> WeilModelResult:
     and builds nothing.
     """
     if n_max < 0:
-        return WeilModelResult(dims={}, stable_through=n_max)
+        return CohomologyResult(dims={})
     w = weil_algebra(s.lie, n_max + 1)
     t = tensor_gstar(w, s, max_degree=n_max + 1)
     h = cohomology_dims(basic_subcomplex(t).complex)
-    dims = {n: h.dim(n) for n in range(n_max + 1) if h.dim(n)}
-    return WeilModelResult(dims=dims, stable_through=n_max)
+    return CohomologyResult(dims={n: h.dim(n) for n in range(n_max + 1) if h.dim(n)})

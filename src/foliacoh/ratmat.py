@@ -44,9 +44,8 @@ elimination serves it whole.  ``nullspace`` returns the canonical kernel
 basis; ``solve`` takes a matrix of right-hand sides and reduces ``[A | B]``
 once, and so does ``coordinates_modulo`` for ``[basis | modulo | vectors]``;
 the package no longer calls it, and it stays while ``bench/spans.py`` binds
-it by name.
-On a ``nullspace`` basis, the identity on its free rows, ``solve`` reads
-coordinates off those rows and checks them by one product.
+it by name.  On a ``nullspace`` basis, the identity on its free rows,
+``solve`` reads coordinates off those rows and checks them by one product.
 ``independent_complement`` reads its pick off the pivots of one forward pass
 of ``[modulo | candidates]``.  ``kron_identity`` and ``identity_kron`` place
 a matrix's entries into its Kronecker product with an identity, with no
@@ -54,12 +53,12 @@ arithmetic; ``gstar`` holds a product as matrices M_{a,b}, which ``cli``
 fills with ``from_entries``, and writes the G*-axioms as identities between
 such products.  ``from_blocks`` places matrices, and their Kronecker
 products with identities, as blocks of a larger one and adds them where they
-overlap, with no arithmetic on a row that one block feeds; with it ``gstar``
-assembles tensor-product operators, ``cartan`` the ambient d, L and
-u-multiplication of the Cartan complex, and ``module_theory`` the Koszul
-boundaries.  Dense vectors (``Vec``, ``vec``, ``apply``) serve only
-``gstar.detect_type_c`` and the tests, and stay while ``bench/spans.py``
-binds ``apply`` by name.
+overlap, with no arithmetic on a row that one block feeds; ``a + b`` places
+both at (0, 0), ``gstar`` assembles tensor-product operators with it,
+``cartan`` the ambient d, L and u-multiplication of the Cartan complex, and
+``module_theory`` the Koszul boundaries.  ``apply`` is ``@`` on one dense
+column, a ``Vec``; it serves ``gstar.detect_type_c`` and the tests, and
+stays while ``bench/spans.py`` binds it by name.
 ``joint_kernel`` (the common kernel of several maps, from one nullspace of
 their stack) and ``restrict`` (an operator between two subspaces in their
 bases, by one batched solve) carry the linear algebra the Cartan and Weil
@@ -69,7 +68,6 @@ routes share.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -89,10 +87,6 @@ def frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-def vec(entries: Iterable) -> Vec:
-    return tuple(frac(x) for x in entries)
 
 
 def zero_vec(n: int) -> Vec:
@@ -278,33 +272,24 @@ class RationalMatrix:
     def from_blocks(cls, rows: int, cols: int, parts: Iterable) -> "RationalMatrix":
         """Zero matrix plus each block of the parts placed there; where blocks overlap they add.
 
-        A part (r0, c0, m) places m at row r0 and column c0, and (r0, c0, m,
-        p, q) places 1_p (x) m (x) 1_q there without building it.  A row fed
+        A part (r0, c0, m, p, q) places 1_p (x) m (x) 1_q at row r0 and
+        column c0 without building it; (r0, c0, m) places m.  A row fed
         by one block is a row of m spread and shifted, canonical as it
         stands; a row fed by several is summed over the lcm of their
         denominators.
         """
         fed: list[list[tuple[int, int, Row, int]]] = [[] for _ in range(rows)]
         for part in parts:
-            plain = len(part) == 3
-            if plain:
-                r0, c0, m = part
-                p = q = 1
-            else:
-                r0, c0, m, p, q = part
+            r0, c0, m, p, q = part if len(part) == 5 else (*part, 1, 1)
             h, w = p * q * m.rows, p * q * m.cols
             if not (0 <= r0 <= rows - h and 0 <= c0 <= cols - w):
                 raise ValueError(f"a {h}x{w} block at ({r0}, {c0}) leaves a {rows}x{cols} matrix")
-            if plain:  # m's rows go straight in
-                for i, (r, d) in enumerate(m._nz, r0):
-                    if r:
-                        fed[i].append((c0, 1, r, d))
-                continue
-            for a, b in itertools.product(range(p), range(q)):  # the p q copies of m
-                i0, j0 = r0 + a * m.rows * q + b, c0 + a * m.cols * q + b
-                for i, (r, d) in enumerate(m._nz):
-                    if r:
-                        fed[i0 + i * q].append((j0, q, r, d))
+            for a in range(p):  # the p q copies of m
+                for b in range(q):
+                    i0, j0 = r0 + a * m.rows * q + b, c0 + a * m.cols * q + b
+                    for i, (r, d) in enumerate(m._nz):
+                        if r:
+                            fed[i0 + i * q].append((j0, q, r, d))
         out = []
         for row in fed:
             if not row:
@@ -365,19 +350,7 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        out = []
-        for (r1, d1), (r2, d2) in zip(self._nz, other._nz):
-            if not (r1 and r2):
-                out.append((r1, d1) if r1 else (r2, d2))
-                continue
-            den = math.lcm(d1, d2)
-            r, s2 = _scaled(r1, den // d1), den // d2
-            for j, y in r2.items():
-                v = r.pop(j, 0) + s2 * y
-                if v:
-                    r[j] = v
-            out.append(_lowest(r, den))
-        return RationalMatrix._trusted(self.rows, self.cols, out)
+        return RationalMatrix.from_blocks(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + -other
@@ -420,15 +393,11 @@ class RationalMatrix:
         return RationalMatrix._trusted(self.rows, other.cols, out)
 
     def apply(self, v: Sequence) -> Vec:
-        """Matrix-vector product."""
-        v = vec(v)
-        if len(v) != self.cols:
+        """Matrix-vector product: the column v, coerced as a constructor does, under ``@``."""
+        col = RationalMatrix.from_cols([v], len(v))
+        if col.rows != self.cols:
             raise ValueError("vector length mismatch")
-        nonzero = {j: x for j, x in enumerate(v) if x}
-        return tuple(
-            sum((a * nonzero[j] for j, a in r.items() if j in nonzero), ZERO) / d
-            for r, d in self._nz
-        )
+        return tuple(r[0] for r in (self @ col).tolist())
 
     def kron_identity(self, n: int) -> "RationalMatrix":
         """self (x) 1_n: entry (i n + k, j n + k) is self[i, j], placed with no arithmetic."""

@@ -152,7 +152,7 @@ def reference_check_algebra(alg) -> list[str]:
     if alg.products is None:
         return ["operator-only presentation: product axioms not checkable"]
     sp = alg.space
-    top = alg.stable_product_top()
+    top = alg.window_tops.products
     one = unit_vec(sp.dim(0), alg.unit_index)
     for n in sp.degrees():
         for i in range(sp.dim(n)):
@@ -210,7 +210,7 @@ def reference_derivation_checks(s) -> list[AxiomCheck]:
     """The three derivation laws on every basis pair; each stops at its first failure."""
     sp = s.space
     alg = s.algebra
-    prod_top = alg.stable_product_top()
+    prod_top = alg.window_tops.products
     r = s.lie.dimension
     out = []
     specs = [("d derivation", "d", 1, range(1)),

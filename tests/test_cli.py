@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foliacoh import cli, fixtures, foliation, gstar
+from foliacoh.algebra_core import GradedVectorSpace, cohomology_dims
 from foliacoh.gstar import (
     LieAlgebraSpec,
     check_gstar_axioms,
@@ -15,6 +16,7 @@ from foliacoh.gstar import (
     tensor_gstar,
     weil_algebra,
 )
+from foliacoh.ratmat import RationalMatrix
 from foliacoh.series import PoincarePolynomial
 
 from conftest import change_basis, circle_action, product_table
@@ -419,6 +421,31 @@ def test_a_written_operator_only_structure_reads_back_without_products(tmp_path,
     assert code == cli.EXIT_INVALID_INPUT
     assert out["results"]["issues"] == [
         "i_X derivation: i_X derivation fails on (c, t) generator 0"]
+
+
+# with no degree-0 element, the written "unit": 0 used to fail the [0, dim A^0)
+# range check that only a product table needs, so the document did not read back
+def test_an_operator_only_structure_without_degree_0_reads_back(tmp_path, capsys):
+    algebra = gstar.GradedAlgebraPresentation(GradedVectorSpace({1: 1, 2: 1}), None)
+    d = {1: RationalMatrix.from_rows([[1]])}
+    s = gstar.GStarStructure(algebra, LieAlgebraSpec.abelian(1), d, [{}], [{}])
+    doc = cli.document_for("gstar_algebra", cli.gstar_to_payload(s))
+    assert (doc["payload"]["unit"], doc["payload"]["products"]) == (0, None)
+    p = tmp_path / "op_only.json"
+    p.write_text(json.dumps(doc))
+    out = {}
+    for command in ("validate", "cohomology", "equivariant"):
+        code, out[command] = run_json(capsys, command, "--input", str(p))
+        assert code == cli.EXIT_OK, out[command]
+    top = out["cohomology"]["max_degree"]
+    h = cohomology_dims(s.as_complex())
+    assert out["cohomology"]["results"]["basic_cohomology"] == list(h.dims_tuple(top))
+    for unit in (-1, "0"):
+        doc["payload"]["unit"] = unit
+        p.write_text(json.dumps(doc))
+        code, out = run_json(capsys, "validate", "--input", str(p))
+        assert code == cli.EXIT_INVALID_INPUT
+        assert out["error"] == f"unit must be an integer >= 0 when products is null, got {unit!r}"
 
 
 def test_schema_accepts_null_products():

@@ -953,7 +953,7 @@ def test_from_blocks_matches_dense_sum(layout):
 @example((3, 4, [(0, 0, M([[0, 0], ["1/3", 0]])), (1, 1, M([["1/2", 1], [0, 0]])),
                  (1, 0, M([["-1/3", 2]]))]), None)
 def test_a_plain_part_stores_the_rows_of_its_kronecker_form(layout, data):
-    # a plain part is fed straight in, a Kronecker part through its copy loop
+    # a plain part (r0, c0, m) is the Kronecker part (r0, c0, m, 1, 1)
     rows, cols, parts = layout
     plain = parts if data is None else [
         part if data.draw(st.booleans()) else part + (1, 1) for part in parts]
@@ -969,6 +969,155 @@ def test_from_blocks_rejects_a_part_outside_the_frame():
     for r0, c0 in ((1, 0), (0, 1), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             RationalMatrix.from_blocks(2, 2, [(r0, c0, m)])
+
+
+# -- the loops that ``from_blocks`` and ``@`` replaced ---------------------------------
+# ``a + b`` merged rows by hand, ``from_blocks`` fed a plain part's rows straight
+# in, and ``apply`` summed Fraction products row by row.  Each loop is kept here
+# as it ran, on the (numerators, denominator) rows that ratmat stores.
+
+
+def stored_rows(m):
+    """m's rows as ratmat stores them, read through the public surface."""
+    return [ratmat._row_in(r) for r in m.tolist()]
+
+
+def reference_add(a, b):
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ValueError("shape mismatch")
+    out = []
+    for (r1, d1), (r2, d2) in zip(stored_rows(a), stored_rows(b)):
+        if not (r1 and r2):
+            out.append((r1, d1) if r1 else (r2, d2))
+            continue
+        den = math.lcm(d1, d2)
+        r, s2 = ratmat._scaled(r1, den // d1), den // d2
+        for j, y in r2.items():
+            v = r.pop(j, 0) + s2 * y
+            if v:
+                r[j] = v
+        out.append(ratmat._lowest(r, den))
+    return out
+
+
+def reference_from_blocks(rows, cols, parts):
+    fed = [[] for _ in range(rows)]
+    for part in parts:
+        plain = len(part) == 3
+        if plain:
+            r0, c0, m = part
+            p = q = 1
+        else:
+            r0, c0, m, p, q = part
+        h, w = p * q * m.rows, p * q * m.cols
+        if not (0 <= r0 <= rows - h and 0 <= c0 <= cols - w):
+            raise ValueError(f"a {h}x{w} block at ({r0}, {c0}) leaves a {rows}x{cols} matrix")
+        if plain:  # m's rows go straight in
+            for i, (r, d) in enumerate(stored_rows(m), r0):
+                if r:
+                    fed[i].append((c0, 1, r, d))
+            continue
+        for a, b in itertools.product(range(p), range(q)):  # the p q copies of m
+            i0, j0 = r0 + a * m.rows * q + b, c0 + a * m.cols * q + b
+            for i, (r, d) in enumerate(stored_rows(m)):
+                if r:
+                    fed[i0 + i * q].append((j0, q, r, d))
+    out = []
+    for row in fed:
+        if not row:
+            out.append(({}, 1))
+        elif len(row) == 1:
+            c0, q, r, d = row[0]
+            out.append(({c0 + q * j: x for j, x in r.items()} if c0 or q != 1 else r, d))
+        else:
+            den = math.lcm(*[d for _, _, _, d in row])
+            acc = {}
+            for c0, q, r, d in row:
+                s = den // d
+                for j, x in r.items():
+                    j = c0 + q * j
+                    acc[j] = acc.get(j, 0) + (s * x if s != 1 else x)
+            out.append(ratmat._lowest({j: x for j, x in acc.items() if x}, den))
+    return out
+
+
+def reference_apply(m, v):
+    v = tuple(ratmat.frac(x) for x in v)
+    if len(v) != m.cols:
+        raise ValueError("vector length mismatch")
+    nonzero = {j: x for j, x in enumerate(v) if x}
+    return tuple(
+        sum((a * nonzero[j] for j, a in r.items() if j in nonzero), Fraction(0)) / d
+        for r, d in stored_rows(m)
+    )
+
+
+def agrees(got, rows, cols, want_rows) -> bool:
+    """got has the shape rows x cols and stores exactly the rows want_rows."""
+    return (got.rows, got.cols) == (rows, cols) and canonical(got) and (
+        stored_rows(got) == want_rows)
+
+
+@st.composite
+def kronecker_layouts(draw):
+    """A ``block_layouts`` frame plus up to two parts (r0, c0, m, p, q), p, q in 1..2.
+
+    A Kronecker part is sometimes followed by its negation at the same
+    place, so that its rows cancel to empty.
+    """
+    rows, cols, parts = draw(block_layouts())
+    for _ in range(draw(st.integers(0, 2))):
+        p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        m = draw(matrices(draw(st.integers(0, rows // (p * q))),
+                          draw(st.integers(0, cols // (p * q)))))
+        r0 = draw(st.integers(0, rows - p * q * m.rows))
+        c0 = draw(st.integers(0, cols - p * q * m.cols))
+        parts.append((r0, c0, m, p, q))
+        if draw(st.booleans()):
+            parts.append((r0, c0, -m, p, q))
+    return rows, cols, draw(st.permutations(parts))
+
+
+@FAST
+@given(kronecker_layouts(), st.data())
+@example((3, 4, [(0, 0, M([[0, 0], ["1/3", 0]])), (1, 1, M([["1/2", 1], [0, 0]])),
+                 (1, 0, M([["-1/3", 2]]), 1, 1), (1, 0, M([["1/6", "-1/4"]]), 1, 2)]), None)
+def test_sums_blocks_and_apply_match_the_loops_they_replaced(layout, data):
+    rows, cols, parts = layout
+    got = RationalMatrix.from_blocks(rows, cols, parts)
+    assert agrees(got, rows, cols, reference_from_blocks(rows, cols, parts))
+    if data is None:
+        return
+    a = data.draw(matrices())
+    b = data.draw(st.one_of(
+        matrices(a.rows, a.cols),
+        st.just(-a),  # every row cancels to empty
+        st.lists(st.booleans(), min_size=a.rows, max_size=a.rows).map(lambda keep: M(
+            [[-x for x in r] if k else [0] * a.cols for r, k in zip(a.tolist(), keep)])
+            if a.rows else RationalMatrix.zeros(0, a.cols)),
+    ))
+    assert agrees(a + b, a.rows, a.cols, reference_add(a, b))
+    v = data.draw(st.lists(st.one_of(ENTRIES["dense"], ENTRIES["coprime"], st.integers(-3, 3)),
+                           min_size=a.cols, max_size=a.cols))
+    got_v = a.apply(v)
+    assert got_v == reference_apply(a, v) and all(type(x) is Fraction for x in got_v)
+
+
+def test_the_replaced_loops_raise_as_their_replacements_do():
+    m = M([[1, 2], [3, 4]])
+    for parts in ([(1, 0, m)], [(0, 1, m)], [(-1, 0, m)], [(0, -1, m)], [(0, 0, m, 1, 2)]):
+        for build in (RationalMatrix.from_blocks, reference_from_blocks):
+            with pytest.raises(ValueError, match="block at"):
+                build(2, 2, parts)
+    for other in (M([[1, 2]]), M([[1], [2]])):
+        for add in (lambda a, b: a + b, reference_add):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                add(m, other)
+    for apply in (RationalMatrix.apply, reference_apply):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            apply(m, [1, 2, 3])
+        with pytest.raises(TypeError):
+            apply(m, [0.5, 1])
 
 
 def test_a_row_in_lowest_terms_is_told_from_one_that_is_not():

@@ -65,7 +65,7 @@ def consumer_bounds(s, n_max: int, e) -> dict:
     e is the equivariant cohomology of s on that window.
     """
     out = {
-        "products": s.algebra.stable_product_top(),
+        "products": s.algebra.window_tops.products,
         "laws": {c.name: c.checked_through for c in check_gstar_axioms(s).checks},
         "basic": basic_subcomplex(s).stable_through,
         "cartan": e.stable_through,
