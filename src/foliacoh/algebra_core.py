@@ -144,8 +144,8 @@ class CohomologyResult(NamedTuple):
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def dims_tuple(self, n_max: int, n_min: int = 0) -> tuple[int, ...]:
-        return tuple(self.dim(n) for n in range(n_min, n_max + 1))
+    def dims_tuple(self, n_max: int) -> tuple[int, ...]:
+        return tuple(self.dim(n) for n in range(n_max + 1))
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -216,6 +216,26 @@ class LESReport(NamedTuple):
     message: str = ""
 
 
+def exactness_failure(f: RationalMatrix, g: RationalMatrix, n: int,
+                      first: str, second: str) -> str | None:
+    """Why 0 -> . -f-> . -g-> . -> 0 is not exact in degree n, from ranks; None when it is.
+
+    The checks run in this order: f injective, g surjective, g f = 0; after
+    them ker g = im f is a rank equality.  first and second name f and g.
+    """
+    rank_f = f.rank()
+    if rank_f != f.cols:
+        return f"{first} not injective in degree {n}"
+    rank_g = g.rank()
+    if rank_g != g.rows:
+        return f"{second} not surjective in degree {n}"
+    if not (g @ f).is_zero():
+        return f"{second} o {first} != 0 in degree {n}"
+    if g.cols - rank_g != rank_f:
+        return f"im({first}) != ker({second}) in degree {n}"
+    return None
+
+
 def check_ses(ses: ShortExactSequence) -> str | None:
     """Return an error message when the input is not an SES of complexes."""
     a, b, c = ses.sub, ses.total, ses.quotient
@@ -229,17 +249,8 @@ def check_ses(ses: ShortExactSequence) -> str | None:
             return f"inclusion shape mismatch in degree {n}"
         if (g.rows, g.cols) != (c.spaces.dim(n), b.spaces.dim(n)):
             return f"projection shape mismatch in degree {n}"
-        rank_f = f.rank()
-        if rank_f != a.spaces.dim(n):
-            return f"inclusion not injective in degree {n}"
-        rank_g = g.rank()
-        if rank_g != c.spaces.dim(n):
-            return f"projection not surjective in degree {n}"
-        if not (g @ f).is_zero():
-            return f"projection o inclusion != 0 in degree {n}"
-        # ker g = im f follows from rank equality once g o f = 0
-        if b.spaces.dim(n) - rank_g != rank_f:
-            return f"im(inclusion) != ker(projection) in degree {n}"
+        if err := exactness_failure(f, g, n, "inclusion", "projection"):
+            return err
     for n in range(lo, hi):
         if not (b.diff(n) @ ses.incl(n) - ses.incl(n + 1) @ a.diff(n)).is_zero():
             return f"inclusion is not a chain map at degree {n}"

@@ -150,13 +150,25 @@ def _matrix_in(obj, rows: int, cols: int, where: str) -> RationalMatrix:
     )
 
 
-def _operator_in(obj, space, k: int, where: str, negative: bool = False) -> dict:
-    """Per degree key n of obj, a degree-k operator's dim(n + k) x dim(n) matrix at n."""
+def _operator_in(obj, source, target, k: int, where: str, negative: bool = False) -> dict:
+    """Per degree key n of obj, a degree-k map's target.dim(n + k) x source.dim(n) matrix at n."""
     out = {}
     for key, m in obj.items():
         n = _degree(key, where, negative)
-        out[n] = _matrix_in(m, space.dim(n + k), space.dim(n), f"{where} at degree {n}")
+        out[n] = _matrix_in(m, target.dim(n + k), source.dim(n), f"{where} at degree {n}")
     return out
+
+
+def _poly_vector_in(entries, n: int, where: str) -> tuple[dict, ...]:
+    """The n polynomials that {gen, monomial, coeff} entries give; repeated terms add up."""
+    polys: list[dict] = [{} for _ in range(n)]
+    for e in entries:
+        g = _int(e["gen"], f"{where} gen")
+        if not 0 <= g < n:
+            raise InputError(f"{where} gen {g} is not a generator index")
+        mono = tuple(_int(x, f"{where} monomial exponent") for x in e["monomial"])
+        polys[g][mono] = polys[g].get(mono, Fraction(0)) + _rat(e["coeff"])
+    return tuple(polys)
 
 
 def _poly_in(obj, where: str) -> PoincarePolynomial:
@@ -207,13 +219,13 @@ def parse_gstar(payload) -> GStarStructure:
     algebra = GradedAlgebraPresentation(
         space, products, unit_index=unit, truncated_above=trunc
     )
-    d = _operator_in(payload.get("d", {}), space, 1, "d")
+    d = _operator_in(payload.get("d", {}), space, space, 1, "d")
     i_list = payload.get("i", [])
     l_list = payload.get("L", [])
     if len(i_list) != r or len(l_list) != r:
         raise InputError(f"need {r} entries in 'i' and 'L' (one per generator)")
-    i_ops = [_operator_in(obj, space, -1, f"i[{j}]") for j, obj in enumerate(i_list)]
-    l_ops = [_operator_in(obj, space, 0, f"L[{j}]") for j, obj in enumerate(l_list)]
+    i_ops = [_operator_in(obj, space, space, -1, f"i[{j}]") for j, obj in enumerate(i_list)]
+    l_ops = [_operator_in(obj, space, space, 0, f"L[{j}]") for j, obj in enumerate(l_list)]
     return GStarStructure(algebra, lie, d, i_ops, l_ops)
 
 
@@ -377,18 +389,10 @@ def parse_polytope(payload) -> PolytopeData:
 def parse_module(payload) -> GradedModulePresentation:
     dim_a = _int(payload["dim_a"], "dim_a")
     gens = tuple(_int(g, "generator degree") for g in payload["generators"])
-    rels = []
-    for rel in payload.get("relations", []):
-        polys = [dict() for _ in gens]
-        for e in rel["entries"]:
-            g = _int(e["gen"], "relation entry gen")
-            if not 0 <= g < len(gens):
-                raise InputError(f"relation entry gen {g} is not a generator index")
-            mono = tuple(_int(x, "relation monomial exponent") for x in e["monomial"])
-            polys[g][mono] = polys[g].get(mono, Fraction(0)) + _rat(e["coeff"])
-        rels.append(tuple(polys))
+    rels = tuple(_poly_vector_in(rel["entries"], len(gens), "relation entry")
+                 for rel in payload.get("relations", []))
     return GradedModulePresentation(
-        dim_a, gens, tuple(rels), window=_int(payload.get("window", 12), "window")
+        dim_a, gens, rels, window=_int(payload.get("window", 12), "window")
     )
 
 
@@ -396,16 +400,8 @@ def _parse_complex(obj, window, where: str) -> CochainComplex:
     dims = {_degree(n, f"{where}.dims", True): _int(d, f"{where}.dims[{n}]")
             for n, d in obj.get("dims", {}).items()}
     space = GradedVectorSpace(dims, window=window)
-    return CochainComplex(space, _operator_in(obj.get("d", {}), space, 1, f"{where}.d", True))
-
-
-def _degree_matrices(obj, rows, cols, where: str) -> dict[int, RationalMatrix]:
-    """Per degree n, the rows(n) x cols(n) matrix obj holds under n's key."""
-    out = {}
-    for key, m in obj.items():
-        n = _degree(key, where, True)
-        out[n] = _matrix_in(m, rows.dim(n), cols.dim(n), f"{where}[{n}]")
-    return out
+    return CochainComplex(
+        space, _operator_in(obj.get("d", {}), space, space, 1, f"{where}.d", True))
 
 
 def parse_ses_complex(payload) -> ShortExactSequence:
@@ -418,24 +414,18 @@ def parse_ses_complex(payload) -> ShortExactSequence:
     sub = _parse_complex(payload["sub"], window, "sub")
     total = _parse_complex(payload["total"], window, "total")
     quot = _parse_complex(payload["quotient"], window, "quotient")
-    incl = _degree_matrices(payload.get("inclusion", {}), total.spaces, sub.spaces, "inclusion")
-    proj = _degree_matrices(payload.get("projection", {}), quot.spaces, total.spaces, "projection")
-    return ShortExactSequence(sub, total, quot, incl, proj)
+    maps = [_operator_in(payload.get(where, {}), src.spaces, tgt.spaces, 0, where, True)
+            for where, src, tgt in (("inclusion", sub, total), ("projection", total, quot))]
+    return ShortExactSequence(sub, total, quot, *maps)
 
 
 def _parse_module_map(obj, n_src: int, n_tgt: int, where: str):
     """Per source generator, its image's polynomial on each target generator."""
-    out = []
-    for g_idx in range(n_src):
-        polys: list[dict] = [{} for _ in range(n_tgt)]
-        for e in obj[g_idx]:
-            tgt = _int(e["gen"], f"{where} gen")
-            if not 0 <= tgt < n_tgt:
-                raise InputError(f"{where}: target gen {tgt} is not a generator index")
-            mono = tuple(_int(x, f"{where} monomial exponent") for x in e["monomial"])
-            polys[tgt][mono] = polys[tgt].get(mono, Fraction(0)) + _rat(e["coeff"])
-        out.append(tuple(polys))
-    return tuple(out)
+    if not isinstance(obj, list) or len(obj) != n_src:
+        got = len(obj) if isinstance(obj, list) else "no list"
+        raise InputError(f"{where} needs one image list per source generator: "
+                         f"{n_src} expected, got {got}")
+    return tuple(_poly_vector_in(entries, n_tgt, where) for entries in obj)
 
 
 class ModuleSES(NamedTuple):

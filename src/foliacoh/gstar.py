@@ -309,24 +309,17 @@ class GStarStructure:
             raise ValueError("need one i_X and one L_X per Lie algebra generator")
         self.algebra = algebra
         self.lie = lie
-        self._d = {n: m for n, m in d.items() if not m.is_zero()}
-        self._i = [{n: m for n, m in ops.items() if not m.is_zero()} for ops in i_ops]
-        self._l = [{n: m for n, m in ops.items() if not m.is_zero()} for ops in l_ops]
-        self._check_shapes()
-
-    def _check_shapes(self):
-        sp = self.algebra.space
-        for n, m in self._d.items():
-            if (m.rows, m.cols) != (sp.dim(n + 1), sp.dim(n)):
-                raise ValueError(f"d_{n} shape mismatch")
-        for j, ops in enumerate(self._i):
-            for n, m in ops.items():
-                if (m.rows, m.cols) != (sp.dim(n - 1), sp.dim(n)):
-                    raise ValueError(f"i[{j}] shape mismatch in degree {n}")
-        for j, ops in enumerate(self._l):
-            for n, m in ops.items():
-                if (m.rows, m.cols) != (sp.dim(n), sp.dim(n)):
-                    raise ValueError(f"L[{j}] shape mismatch in degree {n}")
+        sp = algebra.space
+        # each family of degree-k maps, zero matrices included, is shape-checked; zeros are dropped
+        kept = []
+        for name, k, maps in ([("d", 1, d)] + [(f"i[{j}]", -1, ops) for j, ops in enumerate(i_ops)]
+                              + [(f"L[{j}]", 0, ops) for j, ops in enumerate(l_ops)]):
+            for n, m in maps.items():
+                if (m.rows, m.cols) != (sp.dim(n + k), sp.dim(n)):
+                    raise ValueError(f"{name} shape mismatch in degree {n}")
+            kept.append({n: m for n, m in maps.items() if not m.is_zero()})
+        r = lie.dimension
+        self._d, self._i, self._l = kept[0], kept[1:r + 1], kept[r + 1:]
 
     @property
     def space(self) -> GradedVectorSpace:
@@ -555,10 +548,6 @@ def basic_subcomplex(s: GStarStructure) -> BasicSubcomplex:
 Mono = tuple[tuple[int, ...], tuple[int, ...]]  # (odd indices ascending, even exponents)
 
 
-def _mono_degree(m: Mono) -> int:
-    return len(m[0]) + 2 * sum(m[1])
-
-
 def _mono_label(m: Mono) -> str:
     odd, alpha = m
     parts = [f"t{i}" for i in odd]
@@ -646,57 +635,32 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
         space, products, unit_index=0, truncated_above=max_degree
     )
 
-    def d_on_gen(g):
-        kind, a = g
-        if kind == "t":
-            terms = [(Fraction(1), _gen_mono(("u", a), r))]
-            for b in range(r):
-                for c in range(b + 1, r):
-                    coef = lie.structure_constant(b, c, a)
-                    if coef != 0:
-                        terms.append((-coef, ((b, c), (0,) * r)))
-            return terms
-        terms = []
-        for b in range(r):
-            for c in range(r):
-                coef = lie.structure_constant(b, c, a)
-                if coef != 0:
-                    res = _mono_mul(_gen_mono(("t", b), r), _gen_mono(("u", c), r))
-                    terms.append((-coef * res[0], res[1]))
-        return terms
-
-    def i_on_gen(j):
-        def op(g):
-            kind, a = g
-            if kind == "t" and a == j:
-                return [(Fraction(1), ((), (0,) * r))]
-            return []
-        return op
-
-    def l_on_gen(j):
-        def op(g):
-            kind, a = g
-            terms = []
-            for c in range(r):
-                coef = lie.structure_constant(j, c, a)
-                if coef != 0:
-                    terms.append((-coef, _gen_mono((kind, c), r)))
-            return terms
-        return op
-
     gens = {(kind, a): _gen_mono((kind, a), r) for kind in "tu" for a in range(r)}
+    one = ((), (0,) * r)
+    # D(g) as {monomial: coefficient} for D = d, each i_j and each L_j, read in one pass
+    # over the stored c^a_{bc}, b < c; a term with b > c takes c^a_{cb} = -c^a_{bc}
+    d_img = {g: {gens["u", g[1]]: 1} if g[0] == "t" else {} for g in gens}
+    i_img = [{g: {one: 1} if g == ("t", j) else {} for g in gens} for j in range(r)]
+    l_img = [{g: {} for g in gens} for _ in range(r)]
+    for (b, c), comps in lie.brackets.items():
+        for a, k in comps.items():
+            d_img["t", a][(b, c), one[1]] = -k
+            d_img["u", a][(b,), gens["u", c][1]] = -k
+            d_img["u", a][(c,), gens["u", b][1]] = k
+            for kind in "tu":
+                l_img[b][kind, a][gens[kind, c]] = -k
+                l_img[c][kind, a][gens[kind, b]] = k
 
-    def build_op(on_gen, k):
-        """The matrices of D, one Leibniz step per monomial, in ascending degree.
+    def build_op(images, k):
+        """The matrices of D from its generator images, one Leibniz step per monomial.
 
-        Each D(g) is computed once, with its integral coefficients as ints, so
-        integral structure constants make no Fraction here.  D vanishes when
-        every D(g) does (each L over abelian g), and then no degree is built.
+        Integral structure constants are stored as ints, so they make no
+        Fraction here.  D vanishes when every D(g) does (each L over abelian
+        g), and then no degree is built.
         """
-        images = {g: [(_int_if_integral(c), x) for c, x in on_gen(g)] for g in gens}
         if not any(images.values()):
             return {}
-        derived: dict[Mono, dict[Mono, int | Fraction]] = {((), (0,) * r): {}}  # D(1) = 0
+        derived: dict[Mono, dict[Mono, int | Fraction]] = {one: {}}  # D(1) = 0
         mats = {}
         for n, ms in by_degree.items():
             if not 0 <= n + k <= max_degree:
@@ -708,7 +672,7 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
                     sign = -1 if k % 2 and g[0] == "t" else 1
                     gm = gens[g]
                     out: dict[Mono, int | Fraction] = {}
-                    for c, x, y in ([(c, dg, rest) for c, dg in images[g]]
+                    for c, x, y in ([(c, dg, rest) for dg, c in images[g].items()]
                                     + [(sign * c, gm, dm) for dm, c in derived[rest].items()]):
                         if res := _mono_mul(x, y):
                             out[res[1]] = out.get(res[1], 0) + res[0] * c
@@ -717,10 +681,8 @@ def weil_algebra(lie: LieAlgebraSpec, max_degree: int) -> GStarStructure:
             mats[n] = RationalMatrix.from_entries(dims.get(n + k, 0), len(ms), entries)
         return mats
 
-    d_mats = build_op(d_on_gen, 1)
-    i_mats = [build_op(i_on_gen(j), -1) for j in range(r)]
-    l_mats = [build_op(l_on_gen(j), 0) for j in range(r)]
-    return GStarStructure(algebra, lie, d_mats, i_mats, l_mats)
+    return GStarStructure(algebra, lie, build_op(d_img, 1), [build_op(x, -1) for x in i_img],
+                          [build_op(x, 0) for x in l_img])
 
 
 # -- type (C) detection -----------------------------------------------------------

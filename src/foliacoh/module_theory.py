@@ -30,6 +30,7 @@ from math import comb, lcm
 from operator import add
 from typing import NamedTuple
 
+from .algebra_core import exactness_failure
 from .ratmat import RationalMatrix, frac, independent_complement
 from .series import PoincarePolynomial, PoincareSeriesRational, divide_by_one_minus_tk
 
@@ -512,16 +513,8 @@ def ses_cm_check(
     for n in range(window + 1):
         fm = _induced_matrix(ra, rb, f, n)
         gm = _induced_matrix(rb, rc, g, n)
-        rank_f = fm.rank()
-        if rank_f != ra.dim(n):
-            return SESCMReport(False, False, None, f"first map not injective in degree {n}")
-        rank_g = gm.rank()
-        if rank_g != rc.dim(n):
-            return SESCMReport(False, False, None, f"second map not surjective in degree {n}")
-        if not (gm @ fm).is_zero():
-            return SESCMReport(False, False, None, f"composition nonzero in degree {n}")
-        if rb.dim(n) - rank_g != rank_f:
-            return SESCMReport(False, False, None, f"im != ker in degree {n}")
+        if err := exactness_failure(fm, gm, n, "first map", "second map"):
+            return SESCMReport(False, False, None, err)
     da, db, dc = depth_dim_cm(a), depth_dim_cm(b), depth_dim_cm(c)
     if not (da.conclusive and dc.conclusive):
         return SESCMReport(True, False, None, "flanking verdicts inconclusive on this window")

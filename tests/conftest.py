@@ -16,7 +16,6 @@ from foliacoh.gstar import (
     GradedAlgebraPresentation,
     GStarStructure,
     LieAlgebraSpec,
-    _mono_degree,
     _mono_label,
     _mono_mul,
 )
@@ -322,6 +321,10 @@ def _reference_derive_monomial(mono, op_deg, on_gen):
                     out[acc] = out.get(acc, Fraction(0)) + total
         deg_prefix += 1 if f[0] == "t" else 2
     return {m: c for m, c in out.items() if c != 0}
+
+
+def _mono_degree(m) -> int:
+    return len(m[0]) + 2 * sum(m[1])
 
 
 def reference_weil_algebra(lie, max_degree):

@@ -711,7 +711,7 @@ def _module_ses(first_map):
     [
         ([_entry(0, [0])], None),
         ([_entry(0, [1])], "right degree"),  # degree 0 generator sent to degree 2
-        ([_entry(0, [0]), _entry(2, [0])], "target gen 2"),  # the total has 2 generators
+        ([_entry(0, [0]), _entry(2, [0])], "first_map gen 2"),  # the total has 2 generators
     ],
 )
 def test_module_ses_map_checks(tmp_path, capsys, first_map, message):
@@ -724,6 +724,26 @@ def test_module_ses_map_checks(tmp_path, capsys, first_map, message):
         else:
             assert code == cli.EXIT_INVALID_INPUT, command
             assert message in out["error"]
+
+
+@pytest.mark.parametrize("key,images,want", [
+    # surplus lists used to be ignored: validate printed valid: True and module exited 0
+    ("first_map", [[_entry(0, [0])], [_entry(1, [0])], "junk"], "1 expected, got 3"),
+    # ... and too few raised "malformed module ses payload: list index out of range"
+    ("first_map", [], "1 expected, got 0"),
+    ("second_map", [[]], "2 expected, got 1"),
+    ("second_map", {"0": []}, "2 expected, got no list"),
+])
+@pytest.mark.parametrize("command", ["validate", "module"])
+def test_a_module_map_lists_one_image_per_source_generator(tmp_path, capsys, command, key,
+                                                           images, want):
+    payload = _module_ses([_entry(0, [0])])
+    payload[key] = images
+    p = tmp_path / "ses.json"
+    p.write_text(json.dumps(cli.document_for("ses", payload)))
+    code, out = run_json(capsys, command, "--input", str(p))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out["error"] == f"{key} needs one image list per source generator: {want}"
 
 
 def test_repeated_map_entries_add_up_as_relation_entries_do(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,7 +190,17 @@ def test_weil_monomial_count_r1():
 WEIL_LIES = [LieAlgebraSpec.abelian(r) for r in range(5)] + [
     LieAlgebraSpec(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}),  # so(3)
     LieAlgebraSpec(2, {(0, 1): {1: 1}}),  # [X0, X1] = X1
+    # sl(2) in the basis H, E, E + F: a bracket with two components
+    LieAlgebraSpec(3, {(0, 1): {1: 2}, (0, 2): {1: 4, 2: -2}, (1, 2): {0: 1}}),
+    # so(3) with every constant 1/2, so the operators hold Fractions
+    LieAlgebraSpec(3, {(0, 1): {2: Fraction(1, 2)}, (1, 2): {0: Fraction(1, 2)},
+                       (0, 2): {1: Fraction(1, 2)}}),
+    LieAlgebraSpec(3, {(0, 1): {2: 1}}),  # Heisenberg
 ]
+
+
+def test_weil_lie_algebras_satisfy_jacobi():
+    assert [lie.validate() for lie in WEIL_LIES] == [[]] * len(WEIL_LIES)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,6 +208,9 @@ WEIL_LIES = [LieAlgebraSpec.abelian(r) for r in range(5)] + [
 @example(WEIL_LIES[0], 0).via("r = 0, N = 0")
 @example(WEIL_LIES[4], 8).via("largest abelian case")
 @example(WEIL_LIES[5], 8).via("so(3) at the top degree")
+@example(WEIL_LIES[7], 8).via("sl(2) with a two-component bracket at the top degree")
+@example(WEIL_LIES[8], 8).via("so(3) with constants 1/2 at the top degree")
+@example(WEIL_LIES[9], 8).via("Heisenberg at the top degree")
 def test_weil_build_matches_the_monomial_reference(lie, top):
     w, ref = weil_algebra(lie, top), reference_weil_algebra(lie, top)
     assert (w.space.dims, w.space.labels, w.space.window) == \
@@ -210,6 +224,23 @@ def test_weil_build_matches_the_monomial_reference(lie, top):
 
 
 # -- type (C) -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,n,message", [
+    ("d", 1, "d shape mismatch in degree 1"),
+    ("i", 2, "i[1] shape mismatch in degree 2"),
+    ("L", 2, "L[1] shape mismatch in degree 2"),
+])
+@pytest.mark.parametrize("zero", [False, True], ids=["nonzero", "zero"])
+def test_an_operator_of_the_wrong_shape_is_refused(family, n, message, zero):
+    # W(R^2) at N = 3 has dims 1, 2, 3, 4: d_1 is 3x2, i_j at 2 is 2x3, L_j at 2 is 3x3
+    w = weil_algebra(LieAlgebraSpec.abelian(2), 3)
+    d, i_ops, l_ops = w.d_operators(), [w.i_operators(j) for j in range(2)], \
+        [w.l_operators(j) for j in range(2)]
+    maps = {"d": d, "i": i_ops[1], "L": l_ops[1]}[family]
+    maps[n] = RationalMatrix.zeros(2, 2) if zero else RationalMatrix.identity(2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GStarStructure(w.algebra, w.lie, d, i_ops, l_ops)
 
 
 def test_type_c_exterior_line():
