@@ -8,6 +8,7 @@ the zero map out of the complex.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import NamedTuple
 from .ratmat import RationalMatrix, independent_complement
 
@@ -29,7 +30,7 @@ class GradedVectorSpace:
     """
 
     def __init__(self, dims, labels=None, window=None):
-        dims = {int(n): int(d) for n, d in dims.items() if d}
+        dims = {int(n): operator.index(d) for n, d in dims.items() if d}
         if any(d < 0 for d in dims.values()):
             raise ValueError("negative dimension")
         if window is None:
@@ -43,7 +44,7 @@ class GradedVectorSpace:
             if n in given and len(given[n]) != d:
                 raise ValueError(f"label count mismatch in degree {n}")
         self.dims = dims
-        self.window = (int(window[0]), int(window[1]))
+        self.window = (operator.index(window[0]), operator.index(window[1]))
         self._given = given
         self._name = labels if callable(labels) else lambda n, i: f"e{n}_{i}"
 
@@ -69,12 +70,6 @@ class GradedVectorSpace:
 
     def degrees(self) -> range:
         return range(self.window[0], self.window[1] + 1)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * d for n, d in self.dims.items())
 
     def first_moved_label(self, n: int, m: RationalMatrix) -> str | None:
         """Label of the first degree-n basis vector that m maps to nonzero, if any."""

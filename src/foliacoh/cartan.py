@@ -38,7 +38,6 @@ from .gstar import (
 from .module_theory import (
     GradedModulePresentation,
     Poly,
-    dim_sym,
     free_basis,
     monomials_of_degree,
     relation_columns,
@@ -49,6 +48,7 @@ from .ratmat import (
     joint_kernel,
     restrict,
 )
+from .series import dim_sym
 
 
 class DifferentialNotSquareZero(ValueError):
@@ -412,34 +412,26 @@ def commuting_reduction_check(
     connection elements), vanishing brackets between the two factors, and a
     trivial action of the remaining factor (all its L-matrices zero).
     """
+    def not_applicable(detail: str) -> CommutingReductionReport:
+        return CommutingReductionReport(False, None, None, None, detail)
+
     r_h = len(h_candidates.vectors)
     r = s.lie.dimension
     if not 0 < r_h < r:
-        return CommutingReductionReport(False, None, None, None,
-                                        "need a proper nonempty first factor")
+        return not_applicable("need a proper nonempty first factor")
     h_idx, k_idx = list(range(r_h)), list(range(r_h, r))
     for i in h_idx:
         for j in k_idx:
             if s.lie.bracket(i, j):
-                return CommutingReductionReport(
-                    False, None, None, None,
-                    f"generators X{i} and X{j} do not commute: not a product algebra",
-                )
-    s_h = _restrict_structure(s, h_idx)
-    verdict = detect_type_c(s_h, h_candidates)
+                return not_applicable(
+                    f"generators X{i} and X{j} do not commute: not a product algebra")
+    verdict = detect_type_c(_restrict_structure(s, h_idx), h_candidates)
     if not verdict.type_c:
-        return CommutingReductionReport(
-            False, None, None, None,
-            f"first factor is not of type (C): {verdict.detail}",
-        )
+        return not_applicable(f"first factor is not of type (C): {verdict.detail}")
     for j in k_idx:
-        for n in s.space.degrees():
-            if not s.op_l(j, n).is_zero():
-                return CommutingReductionReport(
-                    False, None, None, None,
-                    f"second factor acts nontrivially (L_X{j} != 0): "
-                    "invariants condition fails",
-                )
+        if s.l_operators(j):
+            return not_applicable(
+                f"second factor acts nontrivially (L_X{j} != 0): invariants condition fails")
     lhs = equivariant_cohomology(s, n_max)
     rhs_structure = _structure_on_basic(s, h_idx, k_idx)
     rhs = equivariant_cohomology(rhs_structure, n_max)

@@ -62,6 +62,7 @@ from .gstar import (
     weil_model_cohomology,
 )
 from .module_theory import (
+    DEFAULT_WINDOW,
     GradedModulePresentation,
     PresentationError,
     depth_dim_cm,
@@ -302,17 +303,14 @@ def gstar_to_payload(s: GStarStructure) -> dict:
         ]
     payload["products"] = products
 
-    def mats_out(get):
-        out = {}
-        for n in sp.degrees():
-            m = get(n)
-            if not m.is_zero():
-                out[str(n)] = [[_rat_out(x) for x in r] for r in m.tolist()]
-        return out
+    def mats_out(ops):
+        """The stored (nonzero) matrices of one operator family, by ascending degree."""
+        return {str(n): [[_rat_out(x) for x in r] for r in m.tolist()]
+                for n, m in sorted(ops.items())}
 
-    payload["d"] = mats_out(s.op_d)
-    payload["i"] = [mats_out(lambda n, j=j: s.op_i(j, n)) for j in range(lie.dimension)]
-    payload["L"] = [mats_out(lambda n, j=j: s.op_l(j, n)) for j in range(lie.dimension)]
+    payload["d"] = mats_out(s.d_operators())
+    payload["i"] = [mats_out(s.i_operators(j)) for j in range(lie.dimension)]
+    payload["L"] = [mats_out(s.l_operators(j)) for j in range(lie.dimension)]
     return payload
 
 
@@ -392,7 +390,7 @@ def parse_module(payload) -> GradedModulePresentation:
     rels = tuple(_poly_vector_in(rel["entries"], len(gens), "relation entry")
                  for rel in payload.get("relations", []))
     return GradedModulePresentation(
-        dim_a, gens, rels, window=_int(payload.get("window", 12), "window")
+        dim_a, gens, rels, window=_int(payload.get("window", DEFAULT_WINDOW), "window")
     )
 
 

@@ -52,6 +52,11 @@ class ValidationReport(NamedTuple):
     valid: bool
     issues: tuple[str, ...]
 
+    def require(self, what: str) -> None:
+        """Raise ``InvalidRecord`` for what unless the record is valid."""
+        if not self.valid:
+            raise InvalidRecord(what, self)
+
 
 class InvalidRecord(ValueError):
     """A record that fails its validation; ``issues`` are the report's."""
@@ -100,9 +105,7 @@ def validate_strata(m: FoliationStrataModel) -> ValidationReport:
 
 def equivariant_series_from_strata(m: FoliationStrataModel) -> PoincareSeriesRational:
     """Sum over strata of t^codim / (1-t^2)^isotropy times the quotient series."""
-    report = validate_strata(m)
-    if not report.valid:
-        raise InvalidRecord("strata model", report)
+    validate_strata(m).require("strata model")
     total = PoincareSeriesRational.zero()
     for s in m.strata:
         term = PoincareSeriesRational(
@@ -115,17 +118,17 @@ def equivariant_series_from_strata(m: FoliationStrataModel) -> PoincareSeriesRat
 class BasicSeriesResult(NamedTuple):
     polynomial: PoincarePolynomial
     formality_provenance: str
-    identity_checked: bool
 
 
 def basic_series_formal(m: FoliationStrataModel, formality_provenance: str = "caller-asserted",
                         equivariant: PoincareSeriesRational | None = None) -> BasicSeriesResult:
     """Basic Poincare polynomial of a formal model from its strata.
 
-    Computes sum over strata of t^codim (1-t^2)^trdim P(X) and verifies it
-    against the equivariant series times (1-t^2)^dim_a; a non-polynomial or
-    negative outcome means the data cannot come from a formal action.  The
-    equivariant series is ``equivariant_series_from_strata(m)``, which
+    Computes sum over strata of t^codim (1-t^2)^trdim P(X) and verifies that
+    it over (1-t^2)^dim_a is the equivariant series: both are canonical
+    forms, so equal forms mean equal series in every degree.  A mismatch or
+    a negative coefficient means the data cannot come from a formal action.
+    The equivariant series is ``equivariant_series_from_strata(m)``, which
     validates m; a caller that holds it passes it, and neither is repeated.
     """
     eq = equivariant_series_from_strata(m) if equivariant is None else equivariant
@@ -139,20 +142,12 @@ def basic_series_formal(m: FoliationStrataModel, formality_provenance: str = "ca
             f"in the basic series is negative"
         )
     # proof identity: the equivariant series times (1-t^2)^dim_a is this polynomial
-    shifted = PoincareSeriesRational(poly, m.dim_a)
-    identity = _series_equal_on_window(
-        shifted, eq, max(poly.degree(), 0) + 2 * m.dim_a + 4
-    )
-    if not identity:
+    if PoincareSeriesRational(poly, m.dim_a) != eq:
         raise ValueError(
             "model inconsistent with formality: the strata series does not "
             "factor through (1-t^2)^dim_a"
         )
-    return BasicSeriesResult(poly, formality_provenance, True)
-
-
-def _series_equal_on_window(a: PoincareSeriesRational, b: PoincareSeriesRational, n: int) -> bool:
-    return a.expand(n) == b.expand(n)
+    return BasicSeriesResult(poly, formality_provenance)
 
 
 class BorelVerdict(NamedTuple):
@@ -250,9 +245,7 @@ def morse_series(d: MorseData, dim_a: int) -> MorseSeries:
     divided by (1-t^2)^isotropy, the one-isotropy model of its neighborhood.
     Data that fails ``MorseData.validate`` raises ``InvalidRecord``.
     """
-    report = d.validate(dim_a)
-    if not report.valid:
-        raise InvalidRecord("Morse data", report)
+    d.validate(dim_a).require("Morse data")
     basic = PoincarePolynomial.zero()
     equivariant = PoincareSeriesRational.zero()
     for c in d.components:
@@ -376,9 +369,7 @@ def polytope_series(p: PolytopeData) -> PolytopeSeriesResult:
     cross-checks the formula against the strata route; formality is automatic
     for these models and recorded in the result.
     """
-    report = p.validate()
-    if not report.valid:
-        raise InvalidRecord("polytope data", report)
+    p.validate().require("polytope data")
     n = p.dimension
     poly = p.face_polynomial()
     strata = []

@@ -110,9 +110,7 @@ class LieAlgebraSpec:
 
     def structure_constant(self, i: int, j: int, k: int) -> int | Fraction:
         """c^k_{ij} with [X_i, X_j] = sum_k c^k_{ij} X_k; 0 when it vanishes."""
-        if i > j:
-            return -self.structure_constant(j, i, k)
-        return self.brackets.get((i, j), {}).get(k, 0)
+        return self.bracket(i, j).get(k, 0)
 
     def bracket(self, i: int, j: int) -> dict[int, int | Fraction]:
         """The nonzero c^k_{ij} of [X_i, X_j] by ascending k."""
@@ -121,17 +119,16 @@ class LieAlgebraSpec:
         return dict(self.brackets.get((i, j), {}))
 
     def validate(self) -> list[str]:
-        """Jacobi identity on all basis triples; antisymmetry is structural."""
+        """Jacobi identity on all basis triples, by triple and then by ascending component."""
         issues = []
-        r = self.dimension
-        for i, j, k in itertools.combinations(range(r), 3):
-            for m in range(r):
-                total = Fraction(0)
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l in range(r):
-                        total += self.structure_constant(a, b, l) * self.structure_constant(l, c, m)
-                if total != 0:
-                    issues.append(f"Jacobi fails on (X{i},X{j},X{k}) component {m}")
+        for i, j, k in itertools.combinations(range(self.dimension), 3):
+            total: dict[int, int | Fraction] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, x in self.bracket(a, b).items():
+                    for m, y in self.bracket(l, c).items():
+                        total[m] = total.get(m, 0) + x * y
+            issues += [f"Jacobi fails on (X{i},X{j},X{k}) component {m}"
+                       for m in sorted(total) if total[m]]
         return issues
 
 
@@ -761,7 +758,6 @@ def tensor_gstar(
             lst = pairs.setdefault(n, [])
             blocks.setdefault(n, {})[da] = len(lst)
             lst += [(da, ia, db, ib) for ia in range(na) for ib in range(nb)]
-    index = {key: (n, i) for n, lst in pairs.items() for i, key in enumerate(lst)}
     dims = {n: len(lst) for n, lst in pairs.items()}
 
     def label(n, i):
@@ -798,9 +794,11 @@ def tensor_gstar(
                     dims[n1 + n2], len(lst1) * len(lst2), entries)
         return out
 
-    unit_idx = index.get((0, a.algebra.unit_index if a.algebra.has_products() else 0,
-                          0, b.algebra.unit_index if b.algebra.has_products() else 0),
-                         (0, 0))[1]
+    # degree 0 is the one block A^0 (x) B^0 (any other would put a basis element in a
+    # negative degree), so the unit e_ua (x) e_ub is ua * dim B^0 + ub; out of range, 0
+    ua, ub = (f.algebra.unit_index if f.algebra.has_products() else 0 for f in (a, b))
+    nb0 = b.space.dim(0)
+    unit_idx = ua * nb0 + ub if 0 in dims and 0 <= ua < a.space.dim(0) and 0 <= ub < nb0 else 0
     algebra = GradedAlgebraPresentation(
         space, products if a.algebra.has_products() and b.algebra.has_products() else None,
         unit_index=unit_idx,

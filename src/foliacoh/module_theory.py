@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
+from operator import add, index
 from typing import NamedTuple
 
 from .algebra_core import exactness_failure
@@ -36,6 +36,9 @@ from .series import PoincarePolynomial, PoincareSeriesRational, divide_by_one_mi
 
 # A polynomial in u_1..u_r: exponent tuple -> coefficient.
 Poly = dict[tuple[int, ...], Fraction]
+
+# the window of a presentation that names none
+DEFAULT_WINDOW = 12
 
 
 def monomials_of_degree(r: int, p: int) -> list[tuple[int, ...]]:
@@ -108,13 +111,6 @@ def relation_columns(relations, generators: tuple[int, ...], r: int, n: int, fb)
     return RationalMatrix.from_entries(len(fb), k, [(i, j, c) for j, i, c in entries])
 
 
-def dim_sym(r: int, p: int) -> int:
-    """Dimension of the degree-p part of a polynomial ring on r variables."""
-    if p < 0:
-        return 0
-    return comb(p + r - 1, r - 1) if r > 0 else (1 if p == 0 else 0)
-
-
 class PresentationError(ValueError):
     pass
 
@@ -132,18 +128,19 @@ class GradedModulePresentation:
     relations: tuple[tuple[Poly, ...], ...]
     window: int
 
-    def __init__(self, dim_a, generators, relations=(), window=12):
+    def __init__(self, dim_a, generators, relations=(), window=DEFAULT_WINDOW):
         if dim_a < 0:
             raise PresentationError("dim_a must be >= 0")
-        generators = tuple(int(g) for g in generators)
+        generators = tuple(map(index, generators))
         if any(g < 0 for g in generators):
             raise PresentationError("generator degrees must be >= 0")
-        if int(window) < 0:
+        window = index(window)
+        if window < 0:
             raise PresentationError("window must be >= 0")
         clean = []
         for rel in relations:
             rel = tuple(
-                {tuple(int(e) for e in beta): x for beta, c in poly.items() if (x := frac(c))}
+                {tuple(map(index, beta)): x for beta, c in poly.items() if (x := frac(c))}
                 for poly in rel
             )
             if len(rel) != len(generators):
@@ -167,7 +164,7 @@ class GradedModulePresentation:
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relations", tuple(clean))
-        object.__setattr__(self, "window", int(window))
+        object.__setattr__(self, "window", window)
 
     @cached_property
     def realization(self) -> "ModuleRealization":
@@ -178,17 +175,17 @@ class GradedModulePresentation:
         return koszul_tor(self)
 
     @classmethod
-    def free(cls, dim_a: int, generator_degrees, window: int = 12):
+    def free(cls, dim_a: int, generator_degrees, window: int = DEFAULT_WINDOW):
         return cls(dim_a, tuple(generator_degrees), (), window)
 
     @classmethod
-    def quotient_by_monomials(cls, dim_a: int, monomials, window: int = 12):
+    def quotient_by_monomials(cls, dim_a: int, monomials, window: int = DEFAULT_WINDOW):
         """S / (given monomials), a single degree-0 generator."""
         rels = tuple(({tuple(m): Fraction(1)},) for m in monomials)
         return cls(dim_a, (0,), rels, window)
 
     @classmethod
-    def residue_field(cls, dim_a: int, window: int = 12):
+    def residue_field(cls, dim_a: int, window: int = DEFAULT_WINDOW):
         gens = []
         for j in range(dim_a):
             e = [0] * dim_a
@@ -290,9 +287,6 @@ class HilbertSeriesWindow(NamedTuple):
     closed_form: PoincareSeriesRational | None
     certified: bool
 
-    def coeff(self, n: int) -> int:
-        return self.coefficients[n] if 0 <= n < len(self.coefficients) else 0
-
 
 def hilbert(pres: GradedModulePresentation) -> HilbertSeriesWindow:
     """Exact graded dimensions of the presented module on its window."""
@@ -379,6 +373,12 @@ def koszul_tor(pres: GradedModulePresentation) -> TorResult:
     return TorResult(dims=dims, window=pres.window, dim_a=r)
 
 
+def free_window(r: int, generators) -> int:
+    """The window a freeness verdict over r variables needs: 2r above the top
+    generator degree; on a smaller window the verdict is scoped."""
+    return 2 * r + max(generators, default=0)
+
+
 class FreenessResult(NamedTuple):
     free: bool
     ranks: tuple[int, ...]  # degree multiset of a minimal generating set
@@ -395,7 +395,7 @@ def freeness_test(pres: GradedModulePresentation) -> FreenessResult:
         sorted(itertools.chain.from_iterable([n] * d for n, d in t0.items()))
     )
     free = tor.total(1) == 0
-    needed = 2 * pres.dim_a + (max(pres.generators) if pres.generators else 0)
+    needed = free_window(pres.dim_a, pres.generators)
     scoped = pres.window < needed
     detail = (
         f"window {pres.window} below recommended {needed}; verdict is scoped"
@@ -411,10 +411,6 @@ class LocalizedRankResult(NamedTuple):
     rank: int | None
     conclusive: bool
     detail: str = ""
-
-    @property
-    def torsion(self) -> bool:
-        return self.rank == 0
 
 
 def localized_rank(pres: GradedModulePresentation) -> LocalizedRankResult:

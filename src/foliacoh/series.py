@@ -9,8 +9,16 @@ checked where the data enters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+
+def dim_sym(r: int, p: int) -> int:
+    """Dimension of the degree-p part of a polynomial ring on r variables."""
+    if p < 0:
+        return 0
+    return math.comb(p + r - 1, r - 1) if r > 0 else (1 if p == 0 else 0)
 
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -27,7 +35,7 @@ class PoincarePolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+        object.__setattr__(self, "coeffs", _trim([operator.index(c) for c in coeffs]))
 
     # -- basics --------------------------------------------------------------
 
@@ -181,23 +189,15 @@ class PoincareSeriesRational:
         return PoincareSeriesRational(self.numerator.scale(c), self.den_exp)
 
     def expand(self, n_max: int) -> tuple[int, ...]:
-        """Coefficients of the power-series expansion through degree n_max."""
-        base = [0] * (n_max + 1)
-        for i, c in enumerate(self.numerator.coeffs):
-            if i > n_max:
-                break
-            base[i] = c
-        if self.den_exp == 0:
-            return tuple(base)
-        k = self.den_exp
-        out = [0] * (n_max + 1)
-        for n in range(n_max + 1):
-            acc = 0
-            for j in range(0, n // 2 + 1):
-                c = base[n - 2 * j]
-                if c:
-                    acc += c * math.comb(j + k - 1, k - 1)
-            out[n] = acc
+        """Coefficients of the power-series expansion through degree n_max.
+
+        1/(1-t^2)^k has dim_sym(k, j) at t^(2j), so each numerator term
+        a_i t^i adds a_i dim_sym(k, j) at t^(i+2j); with k = 0, at t^i alone.
+        """
+        out, k = [0] * (n_max + 1), self.den_exp
+        for i, a in zip(range(n_max + 1), self.numerator.coeffs):
+            for j in range((n_max - i) // 2 + 1 if k else 1):
+                out[i + 2 * j] += a * dim_sym(k, j)
         return tuple(out)
 
     def __str__(self) -> str:

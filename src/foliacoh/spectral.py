@@ -58,7 +58,8 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .cartan import CartanComplex, EquivariantCohomologyResult, generator_degrees
-from .module_theory import dim_sym
+from .module_theory import free_window
+from .series import PoincarePolynomial, PoincareSeriesRational, dim_sym
 
 
 class NonInvariantAction(ValueError):
@@ -200,7 +201,7 @@ def run_pages(
 
 class FormalityVerdict(NamedTuple):
     formal: bool
-    method: str  # E1-collapse | odd-vanishing | hilbert-factorization | surjectivity | free-module
+    method: str  # odd-vanishing | hilbert-factorization
     witness: str
     stable_through: int
 
@@ -209,8 +210,8 @@ def _free_by_count(e: EquivariantCohomologyResult, upto: int) -> tuple[bool, int
     """Whether the cohomology is free through degree upto, and the window that test needs.
 
     The free module F on the minimal generators maps onto H in every degree,
-    so H is free through upto exactly when dim F^n = h_n for n <= upto: the
-    sum over generator degrees g <= n with n - g even of dim S^((n-g)/2).
+    so H is free through upto exactly when dim F^n = h_n for n <= upto: F has
+    the Hilbert series sum of t^g / (1-t^2)^r over the generator degrees g.
     """
     gens, r = generator_degrees(e), e.dim_a
     if not e.complex.structure.lie.is_abelian and gens and gens[0] <= e.n_max - 2:
@@ -218,11 +219,9 @@ def _free_by_count(e: EquivariantCohomologyResult, upto: int) -> tuple[bool, int
             f"non-abelian Lie algebra: no u-action on classes, so the free-module "
             f"test cannot multiply the generator of degree {gens[0]} within degree {e.n_max}"
         )
-    free = all(
-        e.dim(n) == sum(dim_sym(r, (n - g) // 2) for g in gens if g <= n and (n - g) % 2 == 0)
-        for n in range(upto + 1)
-    )
-    return free, 2 * r + (gens[-1] if gens else 0)
+    counts = sum(map(PoincarePolynomial.monomial, gens), PoincarePolynomial.zero())
+    free = PoincareSeriesRational(counts, r).expand(upto) == e.dims_tuple(upto)
+    return free, free_window(r, gens)
 
 
 def formality_verdict(
@@ -250,15 +249,9 @@ def formality_verdict(
     odd_vanishing = all(
         base_cohomology[n] == 0 for n in range(1, upto + 1, 2)
     )
-    mismatch = None
-    for n in range(upto + 1):
-        want = sum(
-            dim_sym(e.dim_a, p) * base_cohomology[n - 2 * p]
-            for p in range(n // 2 + 1)
-        )
-        if e.dim(n) != want:
-            mismatch = (n, want, e.dim(n))
-            break
+    factored = PoincareSeriesRational(PoincarePolynomial(base_cohomology[:upto + 1]), e.dim_a)
+    mismatch = next(((n, want, e.dim(n)) for n, want in enumerate(factored.expand(upto))
+                     if e.dim(n) != want), None)
     hilbert_ok = mismatch is None
 
     free, needed_window = _free_by_count(e, upto)

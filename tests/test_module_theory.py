@@ -23,7 +23,6 @@ from foliacoh.module_theory import (
     _koszul_boundary,
     certify_closed_form,
     depth_dim_cm,
-    dim_sym,
     free_basis,
     freeness_test,
     hilbert,
@@ -41,6 +40,7 @@ from foliacoh.ratmat import (
     independent_complement,
     unit_vec,
 )
+from foliacoh.series import dim_sym
 
 from conftest import circle_action, columns
 
